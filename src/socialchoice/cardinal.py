@@ -7,6 +7,9 @@ import statistics
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
+import numpy as np
+
+from .ordinal import borda
 from .profiles import OrdinalProfile, validate_alternative_id
 
 RATING_MIN = 0.0
@@ -129,32 +132,18 @@ def _check_committee_size(profile: OrdinalProfile, k: int):
         )
 
 
-def borda_scores(profile: OrdinalProfile) -> dict[str, float]:
-    m = profile.num_alternatives
-    scores = {a: 0.0 for a in profile.alternatives}
-    for ballot in profile.ballots:
-        for pos, alt in enumerate(ballot.ranking):
-            scores[alt] += ballot.weight * (m - 1 - pos)
-    return scores
-
-
 def k_borda(profile: OrdinalProfile, k: int) -> Committee:
     """The k alternatives with the highest Borda scores, best first."""
     _check_committee_size(profile, k)
-    scores = borda_scores(profile)
-    ordered = sorted(scores, key=lambda a: (-scores[a], a))
-    return Committee(tuple(ordered[:k]))
+    return Committee(borda(profile).ranking[:k])
 
 
 def cc_score(profile: OrdinalProfile, committee: tuple[str, ...]) -> float:
     """Chamberlin-Courant objective: each voter counts their best committee member."""
-    m = profile.num_alternatives
-    total = 0.0
-    for ballot in profile.ballots:
-        pos = ballot.positions()
-        best = max(m - 1 - pos[alt] for alt in committee)
-        total += ballot.weight * best
-    return total
+    positions, weights = profile._position_tally
+    index = {a: i for i, a in enumerate(profile.alternatives)}
+    best = positions[:, [index[alt] for alt in committee]].min(axis=1)
+    return float(weights @ (profile.num_alternatives - 1 - best))
 
 
 def greedy_cc(profile: OrdinalProfile, k: int) -> Committee:
@@ -162,34 +151,25 @@ def greedy_cc(profile: OrdinalProfile, k: int) -> Committee:
 
     Each round adds the alternative with the largest marginal gain in the sum
     over voters of their best (highest Borda satisfaction) committee member,
-    breaking gain ties lexicographically.
+    breaking gain ties lexicographically.  Costs O(k d m) for d distinct
+    rankings, with exact integer gains.
     """
     _check_committee_size(profile, k)
-    m = profile.num_alternatives
-    satisfaction = [
-        {alt: m - 1 - pos for pos, alt in enumerate(b.ranking)} for b in profile.ballots
-    ]
-    weights = [b.weight for b in profile.ballots]
+    alts = profile.alternatives
+    positions, weights = profile._position_tally
+    satisfaction = len(alts) - 1 - positions
     # Satisfactions are non-negative, so a zero baseline makes round one's
     # marginal gain equal the plain Borda satisfaction sum.
-    current = [0.0] * len(profile.ballots)
-    chosen: list[str] = []
+    current = np.zeros((len(weights), 1), dtype=satisfaction.dtype)
+    chosen: list[int] = []
     for _ in range(k):
-        best_alt = None
-        best_gain = -1.0
-        for alt in profile.alternatives:
-            if alt in chosen:
-                continue
-            gain = sum(
-                w * max(sat[alt] - cur, 0.0)
-                for sat, cur, w in zip(satisfaction, current, weights)
-            )
-            if gain > best_gain or (gain == best_gain and alt < best_alt):
-                best_alt = alt
-                best_gain = gain
-        chosen.append(best_alt)
-        current = [max(cur, sat[best_alt]) for sat, cur in zip(satisfaction, current)]
-    return Committee(tuple(chosen))
+        gains = (weights @ np.maximum(satisfaction - current, 0)).tolist()
+        best = min(
+            (i for i in range(len(alts)) if i not in chosen), key=lambda i: (-gains[i], alts[i])
+        )
+        chosen.append(best)
+        current = np.maximum(current, satisfaction[:, best, None])
+    return Committee(tuple(alts[i] for i in chosen))
 
 
 RESPONSE_HEADER = "The following are {n} typical answers to your question:"

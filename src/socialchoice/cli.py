@@ -38,7 +38,7 @@ from .judgment import (
     majority_judgments,
 )
 from .feedback import compile_constraints, format_statement, interpret_rating, parse_feedback
-from .ordinal import ORDINAL_RULES, ordinal_rule, random_dictator, ranked_pairs_locks
+from .ordinal import ORDINAL_RULES, _ranked_pairs, ordinal_rule, random_dictator
 from .pipeline import config_from_json, dataset_from_json, run_pipeline
 from .profiles import detect_cycles, margin_matrix, parse_profile
 from .reports import RunReport, make_report, report_csv, report_json
@@ -79,7 +79,10 @@ def _ordinal_payload(rule: str, profile, seed: int) -> dict:
             "ranking": ranking,
             "lottery": dict(probs),
         }
-    result = ordinal_rule(rule)(profile)
+    if rule == "ranked_pairs":
+        result, locked = _ranked_pairs(profile)
+    else:
+        result = ordinal_rule(rule)(profile)
     payload = {
         "rule": rule,
         "winner": result.winner,
@@ -91,7 +94,7 @@ def _ordinal_payload(rule: str, profile, seed: int) -> dict:
     if rule == "instant_runoff":
         payload["elimination_order"] = list(reversed(result.ranking))
     if rule == "ranked_pairs":
-        payload["locked_pairs"] = [list(lock) for lock in ranked_pairs_locks(profile)]
+        payload["locked_pairs"] = [list(lock) for lock in locked]
     return payload
 
 

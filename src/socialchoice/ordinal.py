@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -135,18 +136,55 @@ def instant_runoff(profile: OrdinalProfile) -> SocialRanking:
     return SocialRanking(ranking, tie_groups, scores)
 
 
-def _reaches(edges: set[tuple[str, str]], start: str, goal: str) -> bool:
-    stack = [start]
-    seen = {start}
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            return True
-        for a, b in edges:
-            if a == node and b not in seen:
-                seen.add(b)
-                stack.append(b)
-    return False
+def _ranked_pairs(profile: OrdinalProfile) -> tuple[SocialRanking, tuple[tuple[str, str, int], ...]]:
+    # The social ranking and the lock order from one margin tally.  reach[i]
+    # is the bitset of alternatives that i reaches in the locked digraph, i
+    # itself included; it is kept transitively closed.
+    matrix = margin_matrix(profile)
+    alts = profile.alternatives
+    m = len(alts)
+    index = {a: i for i, a in enumerate(alts)}
+    reach = [1 << i for i in range(m)]
+    children: list[list[int]] = [[] for _ in range(m)]
+    indegree = [0] * m
+    locked: list[tuple[str, str, int]] = []
+    for winner, loser, margin in sorted(matrix.positive_pairs(), key=lambda p: (-p[2], p[0], p[1])):
+        w, l = index[winner], index[loser]
+        if reach[l] >> w & 1:
+            continue
+        locked.append((winner, loser, margin))
+        children[w].append(l)
+        indegree[l] += 1
+        if not reach[w] >> l & 1:
+            w_bit, gained = 1 << w, reach[l]
+            for u in range(m):
+                if reach[u] & w_bit:
+                    reach[u] |= gained
+    assert not any(
+        reach[j] >> i & 1 for i in range(m) for j in range(m) if i != j and reach[i] >> j & 1
+    ), "locked digraph has a cycle"
+
+    available = [(alts[i], i) for i in range(m) if indegree[i] == 0]
+    heapq.heapify(available)
+    order: list[int] = []
+    while available:
+        _, i = heapq.heappop(available)
+        order.append(i)
+        for j in children[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(available, (alts[j], j))
+
+    # Two adjacent alternatives are tied when the locked digraph never orders
+    # them, directly or transitively.
+    groups: list[list[str]] = [[alts[order[0]]]]
+    for prev, i in zip(order, order[1:]):
+        if reach[prev] >> i & 1:
+            groups.append([alts[i]])
+        else:
+            groups[-1].append(alts[i])
+    ranking = SocialRanking(tuple(alts[i] for i in order), tuple(tuple(g) for g in groups))
+    return ranking, tuple(locked)
 
 
 def ranked_pairs_locks(profile: OrdinalProfile) -> tuple[tuple[str, str, int], ...]:
@@ -154,18 +192,11 @@ def ranked_pairs_locks(profile: OrdinalProfile) -> tuple[tuple[str, str, int], .
 
     Strict-majority pairs are considered from largest margin down, margin ties
     in lexicographic (winner, loser) order; a pair is skipped when it would
-    close a cycle with the pairs already locked.
+    close a cycle with the pairs already locked.  After the margin tally this
+    costs O(m^3): one reachability-bitset test per pair and an O(m) bitset
+    update per lock that orders a new pair.
     """
-    matrix = margin_matrix(profile)
-    pairs = sorted(matrix.positive_pairs(), key=lambda p: (-p[2], p[0], p[1]))
-    locked: list[tuple[str, str, int]] = []
-    edges: set[tuple[str, str]] = set()
-    for winner, loser, margin in pairs:
-        if not _reaches(edges, loser, winner):
-            locked.append((winner, loser, margin))
-            edges.add((winner, loser))
-    assert all(not _reaches(edges - {(a, b)}, b, a) for a, b in edges), "locked digraph has a cycle"
-    return tuple(locked)
+    return _ranked_pairs(profile)[1]
 
 
 def ranked_pairs(profile: OrdinalProfile) -> SocialRanking:
@@ -173,35 +204,10 @@ def ranked_pairs(profile: OrdinalProfile) -> SocialRanking:
 
     The output is the topological order of the locked digraph, choosing the
     lexicographically smallest available alternative at each step; blocks of
-    mutually unordered alternatives are reported as tie groups.
+    mutually unordered alternatives are reported as tie groups.  Costs the
+    margin tally plus O(m^3) (see `ranked_pairs_locks`).
     """
-    alts = profile.alternatives
-    locked = {(a, b) for a, b, _ in ranked_pairs_locks(profile)}
-
-    indegree = {a: 0 for a in alts}
-    for _, b in locked:
-        indegree[b] += 1
-    ranking: list[str] = []
-    remaining = set(alts)
-    while remaining:
-        available = sorted(a for a in remaining if indegree[a] == 0)
-        nxt = available[0]
-        ranking.append(nxt)
-        remaining.remove(nxt)
-        for a, b in locked:
-            if a == nxt:
-                indegree[b] -= 1
-
-    # Two adjacent alternatives are tied when the locked digraph never orders
-    # them, directly or transitively.
-    groups: list[list[str]] = [[ranking[0]]]
-    for alt in ranking[1:]:
-        prev = groups[-1][-1]
-        if _reaches(locked, prev, alt):
-            groups.append([alt])
-        else:
-            groups[-1].append(alt)
-    return SocialRanking(tuple(ranking), tuple(tuple(g) for g in groups))
+    return _ranked_pairs(profile)[0]
 
 
 def random_dictator(profile: OrdinalProfile, seed: int) -> tuple[Lottery, str]:

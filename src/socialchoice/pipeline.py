@@ -414,14 +414,36 @@ class PipelineConfig:
             raise ValueError(f"variant {self.variant!r} needs rule {flag}")
         if self.variant in ("features", "collective", "inference") and not self.n_evaluators:
             raise ValueError(f"variant {self.variant!r} needs a population size N")
+        if self.n_evaluators is not None and not _is_positive_int(self.n_evaluators):
+            raise ValueError(f'"N" must be a positive integer, got {self.n_evaluators!r}')
+        if self.k is not None:
+            if self.rule_c not in MULTIWINNER_RULES:
+                raise ValueError(
+                    f'"k" applies only to the committee rules {", ".join(MULTIWINNER_RULES)}; '
+                    f"rule C is {self.rule_c!r}"
+                )
+            if not _is_positive_int(self.k):
+                raise ValueError(f'"k" must be a positive integer, got {self.k!r}')
+        if self.seed is not None and (not isinstance(self.seed, int) or isinstance(self.seed, bool)):
+            raise ValueError(f'"seed" must be an integer, got {self.seed!r}')
+        if self.dataset is not None and not isinstance(self.dataset, str):
+            raise ValueError(f'"dataset" must be a file name, got {self.dataset!r}')
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be non-negative")
+
+
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def config_from_json(text: str) -> PipelineConfig:
     data = json.loads(text)
     if not isinstance(data, dict) or "variant" not in data:
         raise ValueError('pipeline config must be an object with a "variant"')
+    try:
+        ridge_lambda = float(data.get("ridge_lambda", 1e-6))
+    except TypeError:
+        raise ValueError(f'"ridge_lambda" must be a number, got {data["ridge_lambda"]!r}') from None
     return PipelineConfig(
         variant=data["variant"],
         rule_f=data.get("F"),
@@ -429,7 +451,7 @@ def config_from_json(text: str) -> PipelineConfig:
         rule_c=data.get("C"),
         k=data.get("k"),
         n_evaluators=data.get("N"),
-        ridge_lambda=float(data.get("ridge_lambda", 1e-6)),
+        ridge_lambda=ridge_lambda,
         seed=data.get("seed"),
         dataset=data.get("dataset"),
     )

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import NoReturn
+
+import numpy as np
 
 _FORBIDDEN_ID_CHARS = (">", ",")
 
 # Full cycle enumeration is factorial in the number of alternatives; above
 # this we report a single witness cycle instead.
 MAX_ENUMERATED_ALTERNATIVES = 8
+
+_INT64_MAX = 2**63 - 1
 
 
 class BallotParseError(ValueError):
@@ -72,18 +79,48 @@ class OrdinalProfile:
         if not self.ballots:
             raise BallotParseError("a profile needs at least one ballot")
         alt_set = set(self.alternatives)
-        for ballot in self.ballots:
-            missing = alt_set - set(ballot.ranking)
-            unknown = set(ballot.ranking) - alt_set
+        # Each distinct ranking is checked once, in first-occurrence order, so
+        # the first offending ballot is still the one reported.
+        for ranking in dict.fromkeys(b.ranking for b in self.ballots):
+            if set(ranking) == alt_set:
+                continue
+            missing = alt_set - set(ranking)
+            unknown = set(ranking) - alt_set
             if unknown:
                 raise BallotParseError(
-                    f"ballot {ballot.ranking} ranks unknown alternative(s) {sorted(unknown)}"
+                    f"ballot {ranking} ranks unknown alternative(s) {sorted(unknown)}"
                 )
-            if missing:
-                raise BallotParseError(
-                    f"ballot {ballot.ranking} omits alternative(s) {sorted(missing)}; "
-                    "rankings must be complete"
-                )
+            raise BallotParseError(
+                f"ballot {ranking} omits alternative(s) {sorted(missing)}; "
+                "rankings must be complete"
+            )
+
+    @cached_property
+    def _position_tally(self) -> tuple[np.ndarray, np.ndarray]:
+        """Equal rankings merged: a read-only k x m position array and k summed weights.
+
+        Row r gives each alternative's 0-indexed position (in the profile's
+        alternative order) in the r-th distinct ranking, rows in
+        first-occurrence order.  Weights are int64 whenever every weighted sum
+        of values below m fits, and exact Python ints otherwise.  Computed on
+        first use and kept, so the kernels run on one profile share it.
+        """
+        merged: dict[tuple[str, ...], int] = {}
+        for ballot in self.ballots:
+            merged[ballot.ranking] = merged.get(ballot.ranking, 0) + ballot.weight
+        m = len(self.alternatives)
+        k = len(merged)
+        index = {a: i for i, a in enumerate(self.alternatives)}
+        dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int32
+        order = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(merged)), dtype=dtype, count=k * m
+        ).reshape(k, m)
+        positions = np.empty_like(order)
+        positions[np.arange(k)[:, None], order] = np.arange(m, dtype=dtype)
+        exact = sum(merged.values()) * m <= _INT64_MAX
+        weights = np.fromiter(merged.values(), dtype=np.int64 if exact else object, count=k)
+        positions.flags.writeable = weights.flags.writeable = False
+        return positions, weights
 
     @property
     def num_alternatives(self) -> int:
@@ -113,6 +150,25 @@ def profile_from_rankings(
     return OrdinalProfile(tuple(alternatives), tuple(RankingBallot(r) for r in rankings))
 
 
+def _raise_ranking_error(
+    ranking: tuple[str, ...], alternatives: tuple[str, ...], lineno: int
+) -> NoReturn:
+    seen: set[str] = set()
+    for alt in ranking:
+        if not alt:
+            raise BallotParseError("empty alternative token in ranking", lineno)
+        if alt not in alternatives:
+            raise BallotParseError(f"unknown alternative {alt!r}", lineno)
+        if alt in seen:
+            raise BallotParseError(f"alternative {alt!r} appears twice in ranking", lineno)
+        seen.add(alt)
+    missing = set(alternatives) - seen
+    raise BallotParseError(
+        f"ranking is missing alternative(s) {sorted(missing)}; rankings must be complete",
+        lineno,
+    )
+
+
 def parse_profile(text: str) -> OrdinalProfile:
     """Parse the on-disk ballot format.
 
@@ -123,6 +179,10 @@ def parse_profile(text: str) -> OrdinalProfile:
     """
     alternatives: tuple[str, ...] | None = None
     ballots: list[RankingBallot] = []
+    # Validated rankings by their text, each tokenized and checked once and
+    # shared by every ballot that repeats it.  Rankings hold the header's id
+    # strings, so a ballot line's tokens are not kept.
+    distinct: dict[str, tuple[str, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -142,6 +202,8 @@ def parse_profile(text: str) -> OrdinalProfile:
             if len(set(alts)) != len(alts):
                 raise BallotParseError("duplicate alternative id in header", lineno)
             alternatives = alts
+            alt_set = set(alts)
+            header_ids = {a: a for a in alts}
             continue
         count_part, sep, ranking_part = line.partition(":")
         if not sep:
@@ -152,22 +214,12 @@ def parse_profile(text: str) -> OrdinalProfile:
         count = int(count_token)
         if count < 1:
             raise BallotParseError("ballot count must be positive", lineno)
-        ranking = tuple(t.strip() for t in ranking_part.split(">"))
-        seen: set[str] = set()
-        for alt in ranking:
-            if not alt:
-                raise BallotParseError("empty alternative token in ranking", lineno)
-            if alt not in alternatives:
-                raise BallotParseError(f"unknown alternative {alt!r}", lineno)
-            if alt in seen:
-                raise BallotParseError(f"alternative {alt!r} appears twice in ranking", lineno)
-            seen.add(alt)
-        missing = set(alternatives) - seen
-        if missing:
-            raise BallotParseError(
-                f"ranking is missing alternative(s) {sorted(missing)}; rankings must be complete",
-                lineno,
-            )
+        ranking = distinct.get(ranking_part)
+        if ranking is None:
+            tokens = tuple(map(str.strip, ranking_part.split(">")))
+            if len(tokens) != len(alternatives) or set(tokens) != alt_set:
+                _raise_ranking_error(tokens, alternatives, lineno)
+            ranking = distinct[ranking_part] = tuple(map(header_ids.__getitem__, tokens))
         ballots.append(RankingBallot(ranking, count))
     if alternatives is None:
         raise BallotParseError("no 'alternatives:' header found")
@@ -211,23 +263,17 @@ class MarginMatrix:
 
 
 def margin_matrix(profile: OrdinalProfile) -> MarginMatrix:
-    """Tally the pairwise majority margin matrix of a profile."""
-    alts = profile.alternatives
-    m = len(alts)
-    index = {a: i for i, a in enumerate(alts)}
-    entries = [[0] * m for _ in range(m)]
-    for ballot in profile.ballots:
-        pos = ballot.positions()
-        for i, a in enumerate(alts):
-            for j in range(i + 1, m):
-                b = alts[j]
-                if pos[a] < pos[b]:
-                    entries[i][index[b]] += ballot.weight
-                    entries[index[b]][i] -= ballot.weight
-                else:
-                    entries[i][index[b]] -= ballot.weight
-                    entries[index[b]][i] += ballot.weight
-    return MarginMatrix(alts, tuple(tuple(row) for row in entries))
+    """Tally the pairwise majority margin matrix of a profile.
+
+    Costs O(k m^2) for k distinct rankings, in exact integer arithmetic.
+    """
+    positions, weights = profile._position_tally
+    m = positions.shape[1]
+    above = np.empty((m, m), dtype=weights.dtype)
+    for i in range(m):
+        above[i] = weights @ (positions[:, i, None] < positions)
+    entries = (above - above.T).tolist()
+    return MarginMatrix(profile.alternatives, tuple(map(tuple, entries)))
 
 
 @dataclass(frozen=True)
@@ -239,37 +285,51 @@ class CycleReport:
     cycles: tuple[tuple[str, ...], ...]
 
 
-def _majority_adjacency(matrix: MarginMatrix) -> dict[int, list[int]]:
-    m = len(matrix.alternatives)
-    return {
-        i: [j for j in range(m) if matrix.entries[i][j] > 0]
-        for i in range(m)
-    }
-
-
 def _enumerate_cycles(adjacency: dict[int, list[int]], stop_after_first: bool) -> list[tuple[int, ...]]:
     # Each elementary cycle is found exactly once, rooted at its smallest node:
-    # the DFS only walks through nodes greater than the root.
+    # the DFS only walks through nodes greater than the root.  It also steps
+    # only into a node that can still get back to the root through nodes off
+    # the path, so it skips only subtrees that hold no cycle: cycles are found
+    # in the same order as by the plain walk.  As majority edges never run
+    # both ways, no subtree it enters is a dead end, and the walk to a first
+    # cycle never backtracks.  Nodes are 0..m-1; node sets are int bitsets.
     cycles: list[tuple[int, ...]] = []
-    nodes = sorted(adjacency)
+    preds = dict.fromkeys(adjacency, 0)
+    for u, successors in adjacency.items():
+        for v in successors:
+            preds[v] |= 1 << u
 
-    def extend(root: int, path: list[int], on_path: set[int]) -> bool:
+    def returning(root: int, free: int) -> int:
+        # The free nodes with a path to the root through free nodes.
+        found = 0
+        frontier = preds[root] & free
+        while frontier:
+            found |= frontier
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= preds[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & free & ~found
+        return found
+
+    def extend(root: int, path: list[int], free: int) -> bool:
+        live = returning(root, free)
         for nxt in adjacency[path[-1]]:
             if nxt == root and len(path) >= 3:
                 cycles.append(tuple(path))
                 if stop_after_first:
                     return True
-            elif nxt > root and nxt not in on_path:
-                on_path.add(nxt)
+            elif live >> nxt & 1:
                 path.append(nxt)
-                if extend(root, path, on_path):
+                if extend(root, path, free & ~(1 << nxt)):
                     return True
                 path.pop()
-                on_path.remove(nxt)
         return False
 
-    for root in nodes:
-        if extend(root, [root], {root}) and stop_after_first:
+    above_all = (1 << len(adjacency)) - 1
+    for root in sorted(adjacency):
+        if extend(root, [root], above_all >> (root + 1) << (root + 1)) and stop_after_first:
             break
     return cycles
 
@@ -280,7 +340,9 @@ def detect_cycles(matrix: MarginMatrix) -> CycleReport:
     A cycle is a sequence (a, b, ..., z) with strict majority edges a>b>...>z>a,
     written starting from its lexicographically smallest member.  All elementary
     cycles are enumerated for small alternative sets; above
-    MAX_ENUMERATED_ALTERNATIVES a single witness cycle is reported.
+    MAX_ENUMERATED_ALTERNATIVES a single witness cycle is reported, the first
+    one a depth-first walk over ids in lexicographic order meets.  That walk
+    never backtracks, so the witness costs O(m^2) operations on m-bit sets.
     """
     alts = matrix.alternatives
     m = len(alts)

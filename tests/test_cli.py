@@ -178,6 +178,41 @@ class TestSimulate:
         assert case["rewards"]["C"] == pytest.approx(144 / 23, abs=1e-4)
 
 
+class TestSimulateConfigErrors:
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"C": "ranked_pairs", "N": "23"}, '"N"'),
+            ({"C": "ranked_pairs", "N": 1e9}, '"N"'),
+            ({"C": "ranked_pairs", "N": True}, '"N"'),
+            ({"C": "ranked_pairs", "N": 23, "k": 2}, '"k"'),
+            ({"C": "greedy_cc", "N": 23, "k": "2"}, '"k"'),
+            ({"C": "ranked_pairs", "N": 23, "ridge_lambda": None}, '"ridge_lambda"'),
+            ({"C": "ranked_pairs", "N": 23, "seed": "x"}, '"seed"'),
+            ({"C": "ranked_pairs", "N": 23, "seed": 1.5}, '"seed"'),
+            ({"C": "ranked_pairs", "N": 23, "dataset": 5}, '"dataset"'),
+        ],
+    )
+    def test_bad_field_exits_1_naming_it(self, capsys, tmp_path, fields, named):
+        config = {"variant": "collective", "dataset": str(DATA / "cases.json"), **fields}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+
+    def test_k_with_a_committee_rule_is_accepted(self, capsys, tmp_path):
+        config = {
+            "variant": "collective", "C": "greedy_cc", "N": 23, "k": 2,
+            "dataset": str(DATA / "cases.json"),
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        report = run_json(capsys, "simulate", "--config", str(path))
+        assert len(report["payload"]["cases"][0]["committee"]) == 2
+
+
 class TestAudit:
     def test_clone_flip_on_restaurant_profile(self, capsys):
         code, out, _ = run_cli(

@@ -92,6 +92,17 @@ class TestParsing:
         with pytest.raises(BallotParseError):
             OrdinalProfile(("A>B", "C"), (RankingBallot(("A>B", "C")),))
 
+    def test_error_names_first_bad_line_after_repeated_valid_lines(self):
+        text = "alternatives: A, B\n1: A > B\n2: A > B\n1: B>A\n1: A > A\n1: A > A\n"
+        with pytest.raises(BallotParseError, match=r"^line 5: alternative 'A' appears twice"):
+            parse_profile(text)
+
+    def test_repeated_ranking_text_shares_one_ranking(self):
+        profile = parse_profile("alternatives: A, B\n1: B > A\n2: B > A\n1: B>A\n")
+        first, second, third = (b.ranking for b in profile.ballots)
+        assert first is second
+        assert first == third == ("B", "A")
+
 
 class TestProfileValidation:
     def test_duplicate_alternatives_rejected(self):
@@ -101,6 +112,18 @@ class TestProfileValidation:
     def test_ballot_must_cover_all_alternatives(self):
         with pytest.raises(BallotParseError, match="omits"):
             OrdinalProfile(("A", "B"), (RankingBallot(("A",)),))
+
+    def test_first_offending_ballot_is_reported(self):
+        ballots = (
+            RankingBallot(("A", "B", "C")),
+            RankingBallot(("A", "B")),
+            RankingBallot(("A", "B", "Z")),
+            RankingBallot(("A", "B")),
+        )
+        with pytest.raises(BallotParseError, match=r"^ballot \('A', 'B'\) omits .*\['C'\]"):
+            OrdinalProfile(("A", "B", "C"), ballots)
+        with pytest.raises(BallotParseError, match=r"unknown alternative\(s\) \['Z'\]"):
+            OrdinalProfile(("A", "B", "C"), ballots[2:3] + ballots[:2])
 
     def test_unit_rankings_expand_weights(self):
         profile = parse_profile("alternatives: A, B\n2: A > B\n1: B > A\n")
