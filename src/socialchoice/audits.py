@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from random import Random
 
-from .cardinal import RatingProfile, cardinal_rule
+from .cardinal import RatingProfile, aggregate_ratings, cardinal_rule
 from .ordinal import ordinal_rule
 from .profiles import OrdinalProfile, profile_from_rankings
 
@@ -243,40 +243,27 @@ def anonymity_check(rule, profile, seed: int) -> bool:
     type; `profile` is an OrdinalProfile or a RatingProfile.  Twenty seeded
     permutations are tried; True means all outcomes matched the original.
     """
-    rng = Random(seed)
     if isinstance(profile, OrdinalProfile):
         fn = ordinal_rule(rule) if isinstance(rule, str) else rule
-        units = profile.unit_rankings()
-        baseline = fn(profile)
-        for _ in range(ANONYMITY_PERMUTATIONS):
-            order = rng.sample(range(len(units)), len(units))
-            shuffled = profile_from_rankings(
-                [units[i] for i in order], profile.alternatives
-            )
-            if fn(shuffled) != baseline:
-                return False
-        return True
-    if isinstance(profile, RatingProfile):
-        if isinstance(rule, str):
-            agg = cardinal_rule(rule)
+        voters = profile.unit_rankings()
 
-            def fn(rp):
-                return {alt: agg(rp.column(alt)) for alt in rp.alternatives}
-        else:
-            fn = rule
-        names = list(profile.evaluators)
-        baseline = fn(profile)
-        for _ in range(ANONYMITY_PERMUTATIONS):
-            order = rng.sample(range(len(names)), len(names))
-            reassigned = RatingProfile(
-                profile.alternatives,
-                profile.evaluators,
-                {names[i]: dict(profile.ratings[names[j]]) for i, j in enumerate(order)},
-            )
-            if fn(reassigned) != baseline:
-                return False
-        return True
-    raise TypeError(f"cannot audit anonymity on {type(profile).__name__}")
+        def reassign(order):
+            return profile_from_rankings([voters[i] for i in order], profile.alternatives)
+    elif isinstance(profile, RatingProfile):
+        fn = (lambda rp: aggregate_ratings(rp, rule)) if isinstance(rule, str) else rule
+        voters = list(profile.evaluators)
+
+        def reassign(order):
+            rows = {voters[i]: dict(profile.ratings[voters[j]]) for i, j in enumerate(order)}
+            return RatingProfile(profile.alternatives, profile.evaluators, rows)
+    else:
+        raise TypeError(f"cannot audit anonymity on {type(profile).__name__}")
+    rng = Random(seed)
+    baseline = fn(profile)
+    n = len(voters)
+    return all(
+        fn(reassign(rng.sample(range(n), n))) == baseline for _ in range(ANONYMITY_PERMUTATIONS)
+    )
 
 
 def random_strict_profile(rng: Random, m: int, n: int) -> OrdinalProfile:

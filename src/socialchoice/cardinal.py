@@ -11,6 +11,7 @@ import numpy as np
 
 from .ordinal import borda
 from .profiles import OrdinalProfile, validate_alternative_id
+from .rules import resolve_rule, rule_ids
 
 RATING_MIN = 0.0
 RATING_MAX = 10.0
@@ -48,7 +49,12 @@ class RatingProfile:
                     f"evaluator {evaluator!r} must rate exactly the declared alternatives"
                 )
             for alt, value in row.items():
-                value = float(value)
+                try:
+                    value = float(value)
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"rating {value!r} for ({evaluator!r}, {alt!r}) is not a number"
+                    ) from None
                 if not RATING_MIN <= value <= RATING_MAX:
                     raise ValueError(
                         f"rating {value} for ({evaluator!r}, {alt!r}) outside [0, 10]"
@@ -65,8 +71,15 @@ def rating_profile_from_json(text: str) -> RatingProfile:
     data = json.loads(text)
     if not isinstance(data, dict) or set(data) != {"alternatives", "ratings"}:
         raise ValueError('expected an object with keys "alternatives" and "ratings"')
-    evaluators = tuple(data["ratings"])
-    return RatingProfile(tuple(data["alternatives"]), evaluators, data["ratings"])
+    alternatives, ratings = data["alternatives"], data["ratings"]
+    if not isinstance(alternatives, list):
+        raise ValueError(f'"alternatives" must be a list of ids, got {alternatives!r}')
+    if not isinstance(ratings, dict):
+        raise ValueError(f'"ratings" must map each evaluator to their ratings, got {ratings!r}')
+    for evaluator, row in ratings.items():
+        if not isinstance(row, dict):
+            raise ValueError(f'"ratings" of {evaluator!r} must map alternatives to numbers')
+    return RatingProfile(tuple(alternatives), tuple(ratings), ratings)
 
 
 def rating_profile_to_json(rp: RatingProfile) -> str:
@@ -77,26 +90,25 @@ def rating_profile_to_json(rp: RatingProfile) -> str:
     )
 
 
-def _mean(values: list[float]) -> float:
+def mean(values: list[float]) -> float:
+    """The arithmetic mean of the ratings."""
     return statistics.fmean(values)
 
 
-def _median(values: list[float]) -> float:
+def median(values: list[float]) -> float:
+    """The median of the ratings; the midpoint of the middle two for an even count."""
     return float(statistics.median(values))
 
 
+# Each registry id of kind "cardinal" names its function in this module.
 CARDINAL_RULES: dict[str, Callable[[list[float]], float]] = {
-    "mean": _mean,
-    "median": _median,
+    rid: globals()[rid] for rid in rule_ids("cardinal")
 }
 
 
-def cardinal_rule(rule_id: str) -> Callable[[list[float]], float]:
-    try:
-        return CARDINAL_RULES[rule_id]
-    except KeyError:
-        known = ", ".join(sorted(CARDINAL_RULES))
-        raise ValueError(f"unknown cardinal rule {rule_id!r}; known rules: {known}") from None
+def cardinal_rule(name: str) -> Callable[[list[float]], float]:
+    """Look up a cardinal rule by any spelling of its id."""
+    return resolve_rule(name, "cardinal").fn
 
 
 def aggregate_ratings(rp: RatingProfile, rule_id: str) -> dict[str, float]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .audits import (
@@ -23,14 +24,7 @@ from .audits import (
     reverify_cardinal_witness,
     reverify_ordinal_witness,
 )
-from .cardinal import (
-    CARDINAL_RULES,
-    aggregate_ratings,
-    cc_score,
-    greedy_cc,
-    k_borda,
-    rating_profile_from_json,
-)
+from .cardinal import aggregate_ratings, cc_score, rating_profile_from_json
 from .judgment import (
     check_consistency,
     closest_consistent,
@@ -38,13 +32,13 @@ from .judgment import (
     majority_judgments,
 )
 from .feedback import compile_constraints, format_statement, interpret_rating, parse_feedback
-from .ordinal import ORDINAL_RULES, _ranked_pairs, ordinal_rule, random_dictator
 from .pipeline import config_from_json, dataset_from_json, run_pipeline
 from .profiles import detect_cycles, margin_matrix, parse_profile
 from .reports import RunReport, make_report, report_csv, report_json
+from .rules import resolve_rule
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad command line or inputs; maps to exit code 1."""
 
 
@@ -55,64 +49,41 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_RULE_ALIASES = {"irv": "instant_runoff"}
-MULTIWINNER_IDS = ("k_borda", "greedy_cc")
-
-
 def normalize_rule(name: str) -> str:
-    rule = name.strip().lower().replace("-", "_")
-    return _RULE_ALIASES.get(rule, rule)
+    """The registry id a rule name spells."""
+    return resolve_rule(name).id
 
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _ordinal_payload(rule: str, profile, seed: int) -> dict:
-    if rule == "random_dictator":
-        lottery, winner = random_dictator(profile, seed)
-        probs = lottery.probabilities
-        ranking = sorted(probs, key=lambda alt: (-probs[alt], alt))
-        return {
-            "rule": rule,
-            "winner": winner,
-            "ranking": ranking,
-            "lottery": dict(probs),
-        }
-    if rule == "ranked_pairs":
-        result, locked = _ranked_pairs(profile)
-    else:
-        result = ordinal_rule(rule)(profile)
-    payload = {
-        "rule": rule,
-        "winner": result.winner,
-        "ranking": list(result.ranking),
-        "tie_groups": [list(g) for g in result.tie_groups],
-    }
-    if result.scores is not None:
-        payload["scores"] = dict(result.scores)
-    if rule == "instant_runoff":
-        payload["elimination_order"] = list(reversed(result.ranking))
-    if rule == "ranked_pairs":
-        payload["locked_pairs"] = [list(lock) for lock in locked]
-    return payload
-
-
 def cmd_aggregate(args) -> RunReport:
     text = _read(args.profile)
     profile = parse_profile(text)
-    rule = normalize_rule(args.rule)
-    if rule not in ORDINAL_RULES and rule != "random_dictator":
-        raise UsageError(f"unknown ordinal rule {args.rule!r}")
-    payload = _ordinal_payload(rule, profile, args.seed)
+    rule = resolve_rule(args.rule, "ordinal", "lottery")
+    if rule.kind == "lottery":
+        lottery, winner = rule.fn(profile, args.seed)
+        probs = lottery.probabilities
+        ranking = sorted(probs, key=lambda alt: (-probs[alt], alt))
+        payload = {
+            "rule": rule.id,
+            "winner": winner,
+            "ranking": ranking,
+            "lottery": probs,
+        }
+    else:
+        # Every field the rule filled in (scores, elimination order, lock
+        # order) goes into the report.
+        result = rule.fn(profile)
+        fields = {name: value for name, value in asdict(result).items() if value is not None}
+        payload = {"rule": rule.id, "winner": result.winner, **fields}
     return make_report("aggregate", {"profile": text}, args.seed, payload)
 
 
 def cmd_rate(args) -> RunReport:
     text = _read(args.ratings)
-    rule = normalize_rule(args.rule)
-    if rule not in CARDINAL_RULES:
-        raise UsageError(f"unknown cardinal rule {args.rule!r}")
+    rule = resolve_rule(args.rule, "cardinal").id
     profile = rating_profile_from_json(text)
     payload = {"rule": rule, "aggregates": aggregate_ratings(profile, rule)}
     return make_report("rate", {"ratings": text}, args.seed, payload)
@@ -121,13 +92,10 @@ def cmd_rate(args) -> RunReport:
 def cmd_committee(args) -> RunReport:
     text = _read(args.profile)
     profile = parse_profile(text)
-    rule = normalize_rule(args.rule)
-    if rule not in MULTIWINNER_IDS:
-        raise UsageError(f"unknown committee rule {args.rule!r}")
-    chooser = k_borda if rule == "k_borda" else greedy_cc
-    committee = chooser(profile, args.k)
+    rule = resolve_rule(args.rule, "committee")
+    committee = rule.fn(profile, args.k)
     payload = {
-        "rule": rule,
+        "rule": rule.id,
         "k": args.k,
         "winners": list(committee.winners),
         "cc_score": cc_score(profile, committee.winners),
@@ -205,7 +173,7 @@ def cmd_audit(args) -> RunReport:
     if args.kind == "clones":
         text = _read(args.profile)
         profile = parse_profile(text)
-        rule = normalize_rule(args.rule)
+        rule = resolve_rule(args.rule, "ordinal").id
         spec = CloneSpec(args.target, args.copies)
         if args.split == "alternating":
             spec = _alternating_orders(spec, profile.num_voters)
@@ -228,63 +196,39 @@ def cmd_audit(args) -> RunReport:
             raise UsageError("pick exactly one of --rule (ordinal) or --w (cardinal)")
         if args.rule is not None:
             text = _read(args.profile)
-            profile = parse_profile(text)
-            rule = normalize_rule(args.rule)
-            witness = manipulation_search_ordinal(rule, profile, args.voter)
-            payload = {"audit": "manipulation", "kind": "ordinal", "rule": rule}
-            if witness is None:
-                payload["witness"] = None
-            else:
-                payload["witness"] = {
-                    "voter": witness.voter,
-                    "truthful": list(witness.truthful),
-                    "misreport": list(witness.misreport),
-                    "honest_outcome": witness.honest_outcome,
-                    "manipulated_outcome": witness.manipulated_outcome,
-                }
-                payload["reverified"] = reverify_ordinal_witness(rule, profile, witness)
-            return make_report("audit", {"profile": text}, args.seed, payload)
-        if args.ratings is None:
-            raise UsageError("--w needs --ratings, e.g. --ratings 3,6,6")
-        rule = normalize_rule(args.w)
-        ratings = [float(v) for v in args.ratings.split(",") if v.strip()]
-        witness = manipulation_search_cardinal(rule, ratings, args.voter)
-        payload = {"audit": "manipulation", "kind": "cardinal", "rule": rule}
-        if witness is None:
-            payload["witness"] = None
+            subject, inputs = parse_profile(text), {"profile": text}
+            rule = resolve_rule(args.rule, "ordinal")
+            search, reverify = manipulation_search_ordinal, reverify_ordinal_witness
         else:
-            payload["witness"] = {
-                "voter": witness.voter,
-                "truthful": witness.truthful,
-                "misreport": witness.misreport,
-                "honest_outcome": witness.honest_outcome,
-                "manipulated_outcome": witness.manipulated_outcome,
-            }
-            payload["reverified"] = reverify_cardinal_witness(rule, ratings, witness)
-        return make_report("audit", {"ratings": args.ratings}, args.seed, payload)
+            if args.ratings is None:
+                raise UsageError("--w needs --ratings, e.g. --ratings 3,6,6")
+            subject = [float(v) for v in args.ratings.split(",") if v.strip()]
+            inputs = {"ratings": args.ratings}
+            rule = resolve_rule(args.w, "cardinal")
+            search, reverify = manipulation_search_cardinal, reverify_cardinal_witness
+        witness = search(rule.id, subject, args.voter)
+        payload = {"audit": "manipulation", "kind": rule.kind, "rule": rule.id, "witness": None}
+        if witness is not None:
+            payload["witness"] = asdict(witness)
+            payload["reverified"] = reverify(rule.id, subject, witness)
+        return make_report("audit", inputs, args.seed, payload)
 
     if args.kind == "anonymity":
-        rule = normalize_rule(args.rule)
-        if rule in CARDINAL_RULES:
-            if args.ratings is None:
-                raise UsageError(f"rule {rule!r} needs --ratings (a ratings JSON file)")
-            text = _read(args.ratings)
-            profile = rating_profile_from_json(text)
-            inputs = {"ratings": text}
+        rule = resolve_rule(args.rule, "ordinal", "cardinal")
+        if rule.kind == "cardinal":
+            flag, load = "ratings", rating_profile_from_json
         else:
-            if args.profile is None:
-                raise UsageError(f"rule {rule!r} needs --profile (a ballot file)")
-            text = _read(args.profile)
-            profile = parse_profile(text)
-            inputs = {"profile": text}
-        anonymous = anonymity_check(rule, profile, args.seed)
+            flag, load = "profile", parse_profile
+        if getattr(args, flag) is None:
+            raise UsageError(f"rule {rule.id!r} needs --{flag}")
+        text = _read(getattr(args, flag))
         payload = {
             "audit": "anonymity",
-            "rule": rule,
-            "anonymous": anonymous,
+            "rule": rule.id,
+            "anonymous": anonymity_check(rule.id, load(text), args.seed),
             "permutations": ANONYMITY_PERMUTATIONS,
         }
-        return make_report("audit", inputs, args.seed, payload)
+        return make_report("audit", {flag: text}, args.seed, payload)
 
     # cycle
     text = _read(args.profile)
@@ -388,9 +332,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report = args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .profiles import OrdinalProfile, margin_matrix
+from .rules import resolve_rule, rule_ids
 
 LOTTERY_SUM_TOL = 1e-12
 
@@ -21,11 +22,16 @@ class SocialRanking:
     natural score.  `tie_groups` partitions the ranking into maximal blocks
     whose internal order came from the lexicographic tie-break rather than
     from the rule itself; singleton blocks mean no tie was broken.
+    `elimination_order` (instant runoff, first out first) and `locked_pairs`
+    (ranked pairs, as (winner, loser, margin) in lock order) record how the
+    ranking was reached; they take no part in equality.
     """
 
     ranking: tuple[str, ...]
     tie_groups: tuple[tuple[str, ...], ...]
     scores: dict[str, float] | None = None
+    elimination_order: tuple[str, ...] | None = field(default=None, compare=False)
+    locked_pairs: tuple[tuple[str, str, int], ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ranking", tuple(self.ranking))
@@ -133,13 +139,24 @@ def instant_runoff(profile: OrdinalProfile) -> SocialRanking:
         else:
             groups.append([eliminated[rnd]])
     tie_groups = tuple(tuple(reversed(g)) for g in reversed(groups))
-    return SocialRanking(ranking, tie_groups, scores)
+    return SocialRanking(ranking, tie_groups, scores, elimination_order=tuple(eliminated))
 
 
-def _ranked_pairs(profile: OrdinalProfile) -> tuple[SocialRanking, tuple[tuple[str, str, int], ...]]:
-    # The social ranking and the lock order from one margin tally.  reach[i]
-    # is the bitset of alternatives that i reaches in the locked digraph, i
-    # itself included; it is kept transitively closed.
+def ranked_pairs(profile: OrdinalProfile) -> SocialRanking:
+    """Tideman's method: lock majority pairs from largest margin down, skip cycles.
+
+    Strict-majority pairs are considered from largest margin down, margin ties
+    in lexicographic (winner, loser) order; a pair is skipped when it would
+    close a cycle with the pairs already locked.  The output is the
+    topological order of the locked digraph, choosing the lexicographically
+    smallest available alternative at each step; blocks of mutually unordered
+    alternatives are reported as tie groups, and the lock order as
+    `locked_pairs`.  After the margin tally this costs O(m^3): one
+    reachability-bitset test per pair and an O(m) bitset update per lock that
+    orders a new pair.
+    """
+    # reach[i] is the bitset of alternatives that i reaches in the locked
+    # digraph, i itself included; it is kept transitively closed.
     matrix = margin_matrix(profile)
     alts = profile.alternatives
     m = len(alts)
@@ -183,31 +200,14 @@ def _ranked_pairs(profile: OrdinalProfile) -> tuple[SocialRanking, tuple[tuple[s
             groups.append([alts[i]])
         else:
             groups[-1].append(alts[i])
-    ranking = SocialRanking(tuple(alts[i] for i in order), tuple(tuple(g) for g in groups))
-    return ranking, tuple(locked)
+    return SocialRanking(
+        tuple(alts[i] for i in order), tuple(tuple(g) for g in groups), locked_pairs=tuple(locked)
+    )
 
 
 def ranked_pairs_locks(profile: OrdinalProfile) -> tuple[tuple[str, str, int], ...]:
-    """The (winner, loser, margin) pairs Tideman's method locks, in lock order.
-
-    Strict-majority pairs are considered from largest margin down, margin ties
-    in lexicographic (winner, loser) order; a pair is skipped when it would
-    close a cycle with the pairs already locked.  After the margin tally this
-    costs O(m^3): one reachability-bitset test per pair and an O(m) bitset
-    update per lock that orders a new pair.
-    """
-    return _ranked_pairs(profile)[1]
-
-
-def ranked_pairs(profile: OrdinalProfile) -> SocialRanking:
-    """Tideman's method: lock majority pairs from largest margin down, skip cycles.
-
-    The output is the topological order of the locked digraph, choosing the
-    lexicographically smallest available alternative at each step; blocks of
-    mutually unordered alternatives are reported as tie groups.  Costs the
-    margin tally plus O(m^3) (see `ranked_pairs_locks`).
-    """
-    return _ranked_pairs(profile)[0]
+    """The (winner, loser, margin) pairs Tideman's method locks, in lock order."""
+    return ranked_pairs(profile).locked_pairs
 
 
 def random_dictator(profile: OrdinalProfile, seed: int) -> tuple[Lottery, str]:
@@ -230,18 +230,12 @@ def random_dictator(profile: OrdinalProfile, seed: int) -> tuple[Lottery, str]:
     return lottery, winner
 
 
+# Each registry id of kind "ordinal" names its function in this module.
 ORDINAL_RULES: dict[str, Callable[[OrdinalProfile], SocialRanking]] = {
-    "plurality": plurality,
-    "borda": borda,
-    "instant_runoff": instant_runoff,
-    "ranked_pairs": ranked_pairs,
+    rid: globals()[rid] for rid in rule_ids("ordinal")
 }
 
 
-def ordinal_rule(rule_id: str):
-    """Look up a deterministic ordinal rule by its id."""
-    try:
-        return ORDINAL_RULES[rule_id]
-    except KeyError:
-        known = ", ".join(sorted(ORDINAL_RULES))
-        raise ValueError(f"unknown ordinal rule {rule_id!r}; known rules: {known}") from None
+def ordinal_rule(name: str) -> Callable[[OrdinalProfile], SocialRanking]:
+    """Look up a deterministic ordinal rule by any spelling of its id."""
+    return resolve_rule(name, "ordinal").fn

@@ -22,9 +22,10 @@ from random import Random
 
 import numpy as np
 
-from .cardinal import Committee, cardinal_rule, greedy_cc, k_borda
-from .ordinal import ORDINAL_RULES, ordinal_rule
+from .cardinal import Committee, cardinal_rule
+from .ordinal import ordinal_rule
 from .profiles import OrdinalProfile, RankingBallot
+from .rules import resolve_rule, rule_ids
 from .seeding import derive_seed
 from .simulation import (
     ComponentDist,
@@ -40,9 +41,6 @@ from .simulation import (
     sample_population,
     true_rating,
 )
-
-MULTIWINNER_RULES = ("k_borda", "greedy_cc")
-
 
 @dataclass(frozen=True)
 class PromptCase:
@@ -166,16 +164,18 @@ def rlchf_from_rankings(
     cases: Sequence[PromptCase], rule_f: str, ridge_lambda: float
 ) -> FittedRewardModel:
     """Variant 1: fit a linear reward model to jury-aggregated target scores."""
+    return _fit_targets(cases, [variant1_targets(case, rule_f) for case in cases], ridge_lambda)
+
+
+def _fit_targets(
+    cases: Sequence[PromptCase], targets: Sequence[dict[str, float]], ridge_lambda: float
+) -> FittedRewardModel:
+    # targets[i] maps each response id of cases[i] to its target score.
     if not cases:
         raise ValueError("need at least one prompt case")
-    rows = []
-    targets = []
-    for case in cases:
-        scores = variant1_targets(case, rule_f)
-        for y in case.responses:
-            rows.append(np.asarray(y.features, dtype=float))
-            targets.append(scores[y.id])
-    w, b = _ridge_with_intercept(np.vstack(rows), np.asarray(targets), ridge_lambda)
+    rows = [y.features for case in cases for y in case.responses]
+    column = [scores[y.id] for case, scores in zip(cases, targets) for y in case.responses]
+    w, b = _ridge_with_intercept(np.asarray(rows, dtype=float), np.asarray(column), ridge_lambda)
     return FittedRewardModel(tuple(w.tolist()), b, float(ridge_lambda))
 
 
@@ -209,11 +209,10 @@ def select_response(
     model: RewardModel, case: PromptCase, policy: SelectionPolicy, seed: int
 ) -> ResponseRecord:
     """Pick a response by reward: argmax at T=0, softmax sample at T>0."""
-    rewards = {y.id: evaluate_reward(model, case.prompt, y) for y in case.responses}
+    scored = _scored(model, case)
     if policy.temperature == 0:
-        best = max(rewards.values())
-        winner = min(rid for rid, r in rewards.items() if r == best)
-        return case.response(winner)
+        return case.response(scored["chosen"])
+    rewards = scored["rewards"]
     ids = sorted(rewards)
     top = max(rewards.values())
     expo = [math.exp((rewards[rid] - top) / policy.temperature) for rid in ids]
@@ -225,6 +224,13 @@ def select_response(
         if ticket < cumulative:
             return case.response(rid)
     return case.response(ids[-1])
+
+
+def _scored(model: RewardModel, case: PromptCase) -> dict:
+    # Each response's reward and the argmax choice, ties to the smallest id.
+    rewards = {y.id: evaluate_reward(model, case.prompt, y) for y in case.responses}
+    top = max(rewards.values())
+    return {"rewards": rewards, "chosen": min(rid for rid, r in rewards.items() if r == top)}
 
 
 def induced_ranking(
@@ -245,20 +251,17 @@ def simulate_collective_decision(
     """Let simulated evaluators vote over the case's responses.
 
     Each sampled evaluator contributes the ranking induced by their predicted
-    ratings; `rule` is an ordinal rule id for a single winner, or one of
-    k_borda/greedy_cc (with k) for a committee.
+    ratings; `rule` names an ordinal rule for a single winner, or a committee
+    rule (with committee size k) for a committee.
     """
+    chosen = resolve_rule(rule, "ordinal", "committee")
     if not sample:
         raise ValueError("need a non-empty evaluator sample")
     ballots = tuple(RankingBallot(induced_ranking(psi, f, case.responses)) for f in sample)
     profile = OrdinalProfile(case.response_ids(), ballots)
-    if rule in MULTIWINNER_RULES:
-        if k is None:
-            raise ValueError(f"rule {rule!r} needs a committee size k")
-        chooser = k_borda if rule == "k_borda" else greedy_cc
-        return chooser(profile, k)
-    winner = ordinal_rule(rule)(profile).winner
-    return case.response(winner)
+    if chosen.kind == "committee":
+        return chosen.fn(profile, k)
+    return case.response(chosen.fn(profile).winner)
 
 
 def emit_sft_dataset(
@@ -269,14 +272,10 @@ def emit_sft_dataset(
 ) -> tuple[tuple[str, str], ...]:
     """One (prompt, winning response id) pair per case, in case order.
 
-    Only single-winner rules fit the dataset schema; committee selection has
-    no single `chosen` id to record.
+    Only ordinal rules fit the dataset schema; committee selection has no
+    single `chosen` id to record.
     """
-    if rule in MULTIWINNER_RULES:
-        raise ValueError(
-            f"rule {rule!r} returns a committee; the supervised dataset format "
-            "records exactly one chosen response per prompt"
-        )
+    resolve_rule(rule, "ordinal")
     pairs = []
     for case in cases:
         winner = simulate_collective_decision(case, psi, sample, rule)
@@ -338,52 +337,92 @@ class SimulationDataset:
             raise ValueError("a dataset needs at least one case")
 
 
-def _component_from_json(data: dict) -> ComponentDist:
-    return ComponentDist(data["kind"], float(data["a"]), float(data["b"]))
+def _get(data, key: str, where: str, convert=None, default=None):
+    # data[key], through `convert`, from the JSON object at path `where`; a
+    # missing key takes `default` unless that is None.  Errors name the path.
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected an object, got {type(data).__name__}")
+    if key not in data and default is None:
+        raise ValueError(f'{where}: missing "{key}"')
+    try:
+        value = data.get(key, default)
+        return value if convert is None else convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}.{key}: {exc}") from None
 
 
-def _population_from_json(data: dict) -> PopulationSpec:
+def _array(value, item=lambda v: v) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return tuple(item(v) for v in value)
+
+
+def _floats(value) -> tuple[float, ...]:
+    return _array(value, float)
+
+
+def _each(data, key: str, where: str) -> list:
+    # (path, item) for each item of the JSON list data[key].
+    return [(f"{where}.{key}[{i}]", item) for i, item in enumerate(_get(data, key, where, _array))]
+
+
+def _population_from_json(data) -> PopulationSpec:
     groups = tuple(
         GroupSpec(
-            float(g["weight"]),
-            tuple(_component_from_json(c) for c in g["components"]),
+            _get(group, "weight", at, float),
+            tuple(
+                ComponentDist(_get(c, "kind", w), _get(c, "a", w, float), _get(c, "b", w, float))
+                for w, c in _each(group, "components", at)
+            ),
         )
-        for g in data["groups"]
+        for at, group in _each(data, "groups", "population")
     )
-    return PopulationSpec(int(data["d"]), groups, float(data.get("noise_sigma", 0.0)))
+    noise_sigma = _get(data, "noise_sigma", "population", float, 0.0)
+    return PopulationSpec(_get(data, "d", "population", int), groups, noise_sigma)
 
 
-def _case_from_json(data: dict) -> PromptCase:
+def _case_from_json(data, where: str) -> PromptCase:
     responses = tuple(
-        ResponseRecord(r["id"], r.get("text", r["id"]), tuple(float(v) for v in r["features"]))
-        for r in data["responses"]
+        ResponseRecord(_get(r, "id", at), r.get("text", r["id"]), _get(r, "features", at, _floats))
+        for at, r in _each(data, "responses", where)
     )
     jury = None
     if "jury" in data:
         jury = tuple(
-            RankingBallot(tuple(b["ranking"]), int(b.get("weight", 1))) for b in data["jury"]
+            RankingBallot(_get(b, "ranking", at, _array), _get(b, "weight", at, int, 1))
+            for at, b in _each(data, "jury", where)
         )
-    return PromptCase(data["prompt"], responses, jury)
+    return PromptCase(_get(data, "prompt", where), responses, jury)
 
 
 def dataset_from_json(text: str) -> SimulationDataset:
     """Load {"cases": [...], "population": {...}, "world": {...}}."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("a dataset must be a JSON object")
     missing = {"cases", "population", "world"} - set(data)
     if missing:
         raise ValueError(f"dataset is missing key(s) {sorted(missing)}")
+    cases = _get(data, "cases", "dataset", _array)
     world = data["world"]
     return SimulationDataset(
-        tuple(_case_from_json(c) for c in data["cases"]),
+        tuple(_case_from_json(case, f"cases[{i}]") for i, case in enumerate(cases)),
         _population_from_json(data["population"]),
         GroundTruthWorld(
-            tuple(tuple(float(v) for v in row) for row in world["M_star"]),
-            float(world.get("noise_sigma", 0.0)),
+            _get(world, "M_star", "world", lambda rows: _array(rows, _floats)),
+            _get(world, "noise_sigma", "world", float, 0.0),
         ),
     )
 
 
 VARIANTS = ("rankings", "features", "collective", "inference")
+# Config rule fields: attribute, config key, the rule kinds it takes, the
+# variants that need it.
+_RULE_FIELDS = (
+    ("rule_f", "F", ("ordinal",), ("rankings",)),
+    ("rule_w", "W", ("cardinal",), ("features",)),
+    ("rule_c", "C", ("ordinal", "committee"), ("collective", "inference")),
+)
 
 
 @dataclass(frozen=True)
@@ -403,23 +442,26 @@ class PipelineConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        needs = {
-            "rankings": self.rule_f,
-            "features": self.rule_w,
-            "collective": self.rule_c,
-            "inference": self.rule_c,
-        }[self.variant]
-        if needs is None:
-            flag = {"rankings": "F", "features": "W"}.get(self.variant, "C")
-            raise ValueError(f"variant {self.variant!r} needs rule {flag}")
+        for attr, flag, kinds, variants in _RULE_FIELDS:
+            name = getattr(self, attr)
+            if name is None and self.variant in variants:
+                raise ValueError(f"variant {self.variant!r} needs rule {flag}")
+            if name is not None:
+                try:
+                    object.__setattr__(self, attr, resolve_rule(name, *kinds).id)
+                except ValueError as exc:
+                    raise ValueError(f'"{flag}": {exc}') from None
         if self.variant in ("features", "collective", "inference") and not self.n_evaluators:
             raise ValueError(f"variant {self.variant!r} needs a population size N")
         if self.n_evaluators is not None and not _is_positive_int(self.n_evaluators):
             raise ValueError(f'"N" must be a positive integer, got {self.n_evaluators!r}')
+        committees = rule_ids("committee")
+        if self.rule_c in committees and self.k is None:
+            raise ValueError(f'committee rule C {self.rule_c!r} needs a committee size "k"')
         if self.k is not None:
-            if self.rule_c not in MULTIWINNER_RULES:
+            if self.rule_c not in committees:
                 raise ValueError(
-                    f'"k" applies only to the committee rules {", ".join(MULTIWINNER_RULES)}; '
+                    f'"k" applies only to the committee rules {", ".join(committees)}; '
                     f"rule C is {self.rule_c!r}"
                 )
             if not _is_positive_int(self.k):
@@ -483,19 +525,13 @@ def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
     payload: dict = {"variant": config.variant, "seed": master}
     sft_lines = None
     if config.variant == "rankings":
-        model = rlchf_from_rankings(dataset.cases, config.rule_f, config.ridge_lambda)
+        targets = [variant1_targets(case, config.rule_f) for case in dataset.cases]
+        model = _fit_targets(dataset.cases, targets, config.ridge_lambda)
         payload["rule_F"] = config.rule_f
         payload["model"] = {"weights": list(model.weights), "intercept": model.intercept}
         payload["cases"] = [
-            {
-                "prompt": case.prompt,
-                "targets": variant1_targets(case, config.rule_f),
-                "rewards": {
-                    y.id: evaluate_reward(model, case.prompt, y) for y in case.responses
-                },
-                "chosen": select_response(model, case, SelectionPolicy(0.0), master).id,
-            }
-            for case in dataset.cases
+            {"prompt": case.prompt, "targets": scores, **_scored(model, case)}
+            for case, scores in zip(dataset.cases, targets)
         ]
         return payload, sft_lines
 
@@ -507,65 +543,29 @@ def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
     if config.variant == "features":
         model = rlchf_from_features(psi, sample, config.rule_w)
         payload["rule_W"] = config.rule_w
-        payload["cases"] = [
-            {
-                "prompt": case.prompt,
-                "rewards": {
-                    y.id: evaluate_reward(model, case.prompt, y) for y in case.responses
-                },
-                "chosen": select_response(model, case, SelectionPolicy(0.0), master).id,
-            }
-            for case in dataset.cases
-        ]
-    elif config.variant == "collective":
-        payload["rule_C"] = config.rule_c
-        if config.rule_c in MULTIWINNER_RULES:
-            payload["cases"] = [
-                {
-                    "prompt": case.prompt,
-                    "committee": list(
-                        simulate_collective_decision(
-                            case, psi, sample, config.rule_c, config.k
-                        ).winners
-                    ),
-                }
-                for case in dataset.cases
-            ]
-        else:
-            pairs = emit_sft_dataset(dataset.cases, psi, sample, config.rule_c)
-            payload["cases"] = [
-                {"prompt": prompt, "chosen": chosen} for prompt, chosen in pairs
-            ]
-            sft_lines = sft_jsonl_lines(pairs)
+        payload["cases"] = [{"prompt": c.prompt, **_scored(model, c)} for c in dataset.cases]
     else:
         payload["rule_C"] = config.rule_c
         payload["cases"] = []
         for ci, case in enumerate(dataset.cases):
-            generator = _fixed_candidates(case)
-            chosen = inference_time_choice(
-                case.prompt,
-                generator,
-                dataset.population,
-                config.n_evaluators,
-                psi,
-                config.rule_c,
-                derive_seed(master, "inference-case", ci),
-                config.k,
-            )
-            entry = {"prompt": case.prompt}
-            if isinstance(chosen, Committee):
-                entry["committee"] = list(chosen.winners)
+            if config.variant == "collective":
+                chosen = simulate_collective_decision(case, psi, sample, config.rule_c, config.k)
             else:
-                entry["chosen"] = chosen.id
-            payload["cases"].append(entry)
+                # With no live LLM, the stored responses stand in for fresh generations.
+                chosen = inference_time_choice(
+                    case.prompt,
+                    lambda prompt, seed, case=case: case.responses,
+                    dataset.population,
+                    config.n_evaluators,
+                    psi,
+                    config.rule_c,
+                    derive_seed(master, "inference-case", ci),
+                    config.k,
+                )
+            if isinstance(chosen, Committee):
+                payload["cases"].append({"prompt": case.prompt, "committee": chosen.winners})
+            else:
+                payload["cases"].append({"prompt": case.prompt, "chosen": chosen.id})
+        if config.variant == "collective" and config.rule_c not in rule_ids("committee"):
+            sft_lines = sft_jsonl_lines([(c["prompt"], c["chosen"]) for c in payload["cases"]])
     return payload, sft_lines
-
-
-def _fixed_candidates(case: PromptCase) -> CandidateGenerator:
-    # The CLI has no live LLM; the dataset's stored responses stand in for
-    # fresh generations.
-    def generate(prompt: str, seed: int) -> tuple[ResponseRecord, ...]:
-        del prompt, seed
-        return case.responses
-
-    return generate

@@ -1,0 +1,60 @@
+"""The rule registry: every aggregation rule's id, kind and extra spellings.
+
+An id is also its function's name, in `ordinal` for the ordinal
+(profile -> SocialRanking) and lottery ((profile, seed) -> (Lottery, winner))
+rules and in `cardinal` for the committee ((profile, k) -> Committee) and
+cardinal (ratings -> rating) rules.  A new rule takes its function and one row.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Callable
+from typing import NamedTuple
+
+# id: (kind, spellings accepted besides the id)
+RULES: dict[str, tuple[str, tuple[str, ...]]] = {
+    "plurality": ("ordinal", ()),
+    "borda": ("ordinal", ()),
+    "instant_runoff": ("ordinal", ("irv",)),
+    "ranked_pairs": ("ordinal", ()),
+    "random_dictator": ("lottery", ()),
+    "k_borda": ("committee", ()),
+    "greedy_cc": ("committee", ()),
+    "mean": ("cardinal", ()),
+    "median": ("cardinal", ()),
+}
+_SPELLINGS = {name: rid for rid, (_, aliases) in RULES.items() for name in (rid, *aliases)}
+
+
+class Rule(NamedTuple):
+    id: str
+    kind: str
+    fn: Callable
+
+
+def rule_ids(kind: str) -> tuple[str, ...]:
+    return tuple(rid for rid, (k, _) in RULES.items() if k == kind)
+
+
+def resolve_rule(name: str, *kinds: str) -> Rule:
+    """The rule `name` spells, of one of `kinds` (of any kind when none are given).
+
+    A name is stripped, lowercased and read with '-' as '_'.  Unknown names
+    and names of another kind raise one ValueError format.  The function is
+    read when called from `ORDINAL_RULES`, `CARDINAL_RULES` or its module, so
+    a wrapper installed there sees every call.
+    """
+    rid = _SPELLINGS.get(name.strip().lower().replace("-", "_") if isinstance(name, str) else None)
+    kind = RULES[rid][0] if rid is not None else None
+    if kind is None or (kinds and kind not in kinds):
+        wanted = " or ".join(f"{k} rule" for k in kinds) or "rule"
+        actual = f" (kind: {kind})" if kind is not None else ""
+        known = ", ".join(sorted(r for r, (k, _) in RULES.items() if not kinds or k in kinds))
+        raise ValueError(f"unknown {wanted} {name!r}{actual}; known rules: {known}")
+    from . import cardinal, ordinal  # the rule modules import this one
+
+    if kind == "ordinal":
+        return Rule(rid, kind, ordinal.ORDINAL_RULES[rid])
+    if kind == "cardinal":
+        return Rule(rid, kind, cardinal.CARDINAL_RULES[rid])
+    return Rule(rid, kind, getattr(ordinal if kind == "lottery" else cardinal, rid))

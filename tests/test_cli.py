@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from socialchoice.cli import main, normalize_rule
+from socialchoice.profiles import parse_profile
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -350,3 +351,150 @@ class TestFormats:
         )
         assert code == 0
         assert out.splitlines()[0] == "key,value"
+
+
+class TestRuleRegistry:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["aggregate", "--rule", "mean", "--profile", "fig1.vote"], "'mean'"),
+            (["aggregate", "--rule", "k-borda", "--profile", "fig1.vote"], "'k-borda'"),
+            (["rate", "--rule", "borda", "--ratings", "ratings.json"], "'borda'"),
+            (["rate", "--rule", "random-dictator", "--ratings", "ratings.json"], "'random-dictator'"),
+            (["committee", "--rule", "borda", "--profile", "fig1.vote", "--k", "2"], "'borda'"),
+            (["audit", "clones", "--rule", "median", "--profile", "fig1.vote", "--target", "A"],
+             "'median'"),
+            (["audit", "manipulation", "--rule", "greedy-cc", "--profile", "fig1.vote",
+              "--voter", "0"], "'greedy-cc'"),
+            (["audit", "manipulation", "--w", "borda", "--ratings", "3,6,6", "--voter", "0"],
+             "'borda'"),
+            (["audit", "anonymity", "--rule", "k_borda", "--profile", "fig1.vote"], "'k_borda'"),
+        ],
+    )
+    def test_wrong_kind_rule_exits_1_naming_it(self, capsys, argv, name):
+        argv = [str(DATA / a) if a.endswith((".vote", ".json")) else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: unknown ") and name in err and "(kind: " in err
+
+    def test_ranked_pairs_locks_match_the_library(self, capsys):
+        from socialchoice.ordinal import ranked_pairs_locks
+
+        path = DATA / "fig1.vote"
+        report = run_json(capsys, "aggregate", "--rule", "ranked-pairs", "--profile", str(path))
+        locks = ranked_pairs_locks(parse_profile(path.read_text()))
+        assert report["payload"]["locked_pairs"] == [list(lock) for lock in locks]
+
+
+def write_config(tmp_path, **fields):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"dataset": str(DATA / "cases.json"), "N": 9, **fields}))
+    return str(path)
+
+
+class TestSimulateConfigRules:
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            ({"variant": "collective", "C": "mean"}, '"C"'),
+            ({"variant": "collective", "C": "random_dictator"}, '"C"'),
+            ({"variant": "collective", "C": 5}, '"C"'),
+            ({"variant": "features", "W": "borda"}, '"W"'),
+            ({"variant": "rankings", "F": "k_borda"}, '"F"'),
+            ({"variant": "rankings", "F": "schulze"}, '"F"'),
+            ({"variant": "collective", "C": "greedy-cc"}, '"k"'),
+            ({"variant": "inference", "C": "k_borda"}, '"k"'),
+        ],
+    )
+    def test_bad_rule_exits_1_before_the_dataset_is_read(self, capsys, tmp_path, fields, named):
+        # A missing dataset would be the first error if the rule were checked late.
+        config = write_config(tmp_path, **fields, dataset="no-such-file.json")
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and named in err and "no-such-file" not in err
+
+    @pytest.mark.parametrize(
+        "fields, canonical",
+        [
+            ({"variant": "collective", "C": "ranked-pairs"}, {"C": "ranked_pairs"}),
+            ({"variant": "inference", "C": "irv"}, {"C": "instant_runoff"}),
+            ({"variant": "collective", "C": "Greedy-CC", "k": 2}, {"C": "greedy_cc", "k": 2}),
+            ({"variant": "features", "W": " Median "}, {"W": "median"}),
+            ({"variant": "rankings", "F": "Ranked-Pairs"}, {"F": "ranked_pairs"}),
+        ],
+    )
+    def test_config_spellings_match_the_canonical_id(self, capsys, tmp_path, fields, canonical):
+        spelled = run_json(capsys, "simulate", "--config", write_config(tmp_path, **fields))
+        plain = run_json(
+            capsys, "simulate", "--config", write_config(tmp_path, **{**fields, **canonical})
+        )
+        assert spelled["payload"] == plain["payload"]
+        flag = next(iter(canonical))
+        assert spelled["payload"][f"rule_{flag}"] == canonical[flag]
+
+
+def mutated_dataset(tmp_path, mutate):
+    data = json.loads((DATA / "cases.json").read_text())
+    mutate(data)
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps(data))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"variant": "rankings", "F": "borda", "dataset": "cases.json"}))
+    return str(config)
+
+
+class TestDatasetErrors:
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["cases"][0]["responses"][1].pop("features"),
+             'cases[0].responses[1]: missing "features"'),
+            (lambda d: d["cases"][0]["responses"][0].pop("id"),
+             'cases[0].responses[0]: missing "id"'),
+            (lambda d: d["cases"][0].pop("prompt"), 'cases[0]: missing "prompt"'),
+            (lambda d: d["cases"][0]["jury"][2].pop("ranking"),
+             'cases[0].jury[2]: missing "ranking"'),
+            (lambda d: d["population"]["groups"][0]["components"][3].pop("kind"),
+             'population.groups[0].components[3]: missing "kind"'),
+            (lambda d: d["population"].pop("d"), 'population: missing "d"'),
+            (lambda d: d["world"].pop("M_star"), 'world: missing "M_star"'),
+            (lambda d: d.update(cases=[5]), "cases[0]: expected an object, got int"),
+            (lambda d: d["cases"][0].update(responses="x"),
+             "cases[0].responses: expected a list, got str"),
+            (lambda d: d["cases"][0]["responses"][2].update(features=5),
+             "cases[0].responses[2].features: expected a list, got int"),
+            (lambda d: d["cases"][0].update(jury=5), "cases[0].jury: expected a list, got int"),
+            (lambda d: d["population"].update(groups=5),
+             "population.groups: expected a list, got int"),
+            (lambda d: d.update(world=[]), "world: expected an object, got list"),
+        ],
+    )
+    def test_malformed_dataset_exits_1_with_its_location(self, capsys, tmp_path, mutate, message):
+        code, out, err = run_cli(capsys, "simulate", "--config", mutated_dataset(tmp_path, mutate))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestRatingsErrors:
+    @pytest.mark.parametrize(
+        "ratings, named",
+        [
+            ({"alternatives": ["A"], "ratings": 5}, '"ratings"'),
+            ({"alternatives": ["A"], "ratings": {"e1": 5}}, "'e1'"),
+            ({"alternatives": 5, "ratings": {"e1": {"A": 1}}}, '"alternatives"'),
+            ({"alternatives": ["A"], "ratings": {"e1": {"A": None}}}, "('e1', 'A')"),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["rate"], ["audit", "anonymity"]])
+    def test_malformed_ratings_exit_1_naming_the_field(
+        self, capsys, tmp_path, command, ratings, named
+    ):
+        path = tmp_path / "ratings.json"
+        path.write_text(json.dumps(ratings))
+        code, out, err = run_cli(capsys, *command, "--rule", "mean", "--ratings", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and named in err

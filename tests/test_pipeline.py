@@ -594,3 +594,31 @@ class TestComposedModelType:
         psi = IndividualPreferenceModel(((1.0,),), 0.0)
         model = ComposedRewardModel(psi, [[4.0], [5.0]], "mean")
         assert model.sample == ((4.0,), (5.0,))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        PipelineConfig("rankings", rule_f="borda", ridge_lambda=1e-9),
+        PipelineConfig("features", rule_w="median", n_evaluators=7),
+    ],
+)
+def test_run_pipeline_computes_each_target_and_reward_once(monkeypatch, config):
+    import socialchoice.pipeline as pipeline
+
+    dataset = dataset_from_json(jury_dataset_json())
+    expected = run_pipeline(config, dataset, seed=3)
+    calls = {"variant1_targets": 0, "evaluate_reward": 0}
+    for name in calls:
+        original = getattr(pipeline, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    assert run_pipeline(config, dataset, seed=3) == expected
+    n_cases = len(dataset.cases)
+    n_responses = sum(len(case.responses) for case in dataset.cases)
+    targets = n_cases if config.variant == "rankings" else 0
+    assert calls == {"variant1_targets": targets, "evaluate_reward": n_responses}
