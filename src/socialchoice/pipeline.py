@@ -36,11 +36,20 @@ from .simulation import (
     PopulationSpec,
     ResponseRecord,
     clamp_rating,
-    fit_individual_model,
-    predict_rating,
+    evaluator_matrix,
+    fit_design,
+    kron_rows,
+    predicted_ratings,
+    response_matrix,
     sample_population,
-    true_rating,
+    true_ratings,
 )
+
+# Largest training design run_pipeline accepts: N evaluators times the total
+# number of responses over all cases.  The design holds d*q float64 entries
+# per row, and each case's N x r rating block is built whole.
+MAX_DESIGN_ROWS = 1_000_000
+
 
 @dataclass(frozen=True)
 class PromptCase:
@@ -201,8 +210,8 @@ def evaluate_reward(model: RewardModel, prompt: str, y: ResponseRecord) -> float
                 f"response {y.id!r} has {len(y.features)} features, model expects {len(model.weights)}"
             )
         return clamp_rating(float(np.dot(model.weights, y.features)) + model.intercept)
-    ratings = [predict_rating(model.psi, f, y) for f in model.sample]
-    return float(cardinal_rule(model.rule_id)(ratings))
+    ratings = predicted_ratings(model.psi, evaluator_matrix(model.sample, model.psi.d), [y])
+    return float(cardinal_rule(model.rule_id)(ratings[:, 0].tolist()))
 
 
 def select_response(
@@ -237,8 +246,17 @@ def induced_ranking(
     psi: IndividualPreferenceModel, f: EvaluatorFeatures, responses: Sequence[ResponseRecord]
 ) -> tuple[str, ...]:
     """One evaluator's strict ranking of the responses, ties broken by id."""
-    ratings = {y.id: predict_rating(psi, f, y) for y in responses}
-    return tuple(sorted(ratings, key=lambda rid: (-ratings[rid], rid)))
+    ratings = predicted_ratings(psi, evaluator_matrix([f], psi.d), responses)
+    return _induced_rankings(ratings, [y.id for y in responses])[0]
+
+
+def _induced_rankings(ratings: np.ndarray, ids: Sequence[str]) -> list[tuple[str, ...]]:
+    # Each row of an N x r rating block as a ranking of ids: highest rating
+    # first, equal ratings in id order.
+    id_rank = np.empty(len(ids), dtype=np.intp)
+    id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    order = np.lexsort((np.broadcast_to(id_rank, ratings.shape), -ratings))
+    return [tuple(ids[j] for j in row) for row in order.tolist()]
 
 
 def simulate_collective_decision(
@@ -257,7 +275,8 @@ def simulate_collective_decision(
     chosen = resolve_rule(rule, "ordinal", "committee")
     if not sample:
         raise ValueError("need a non-empty evaluator sample")
-    ballots = tuple(RankingBallot(induced_ranking(psi, f, case.responses)) for f in sample)
+    ratings = predicted_ratings(psi, evaluator_matrix(sample, psi.d), case.responses)
+    ballots = tuple(map(RankingBallot, _induced_rankings(ratings, case.response_ids())))
     profile = OrdinalProfile(case.response_ids(), ballots)
     if chosen.kind == "committee":
         return chosen.fn(profile, k)
@@ -366,6 +385,12 @@ def _each(data, key: str, where: str) -> list:
     return [(f"{where}.{key}[{i}]", item) for i, item in enumerate(_get(data, key, where, _array))]
 
 
+def _integer(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
 def _population_from_json(data) -> PopulationSpec:
     groups = tuple(
         GroupSpec(
@@ -378,7 +403,7 @@ def _population_from_json(data) -> PopulationSpec:
         for at, group in _each(data, "groups", "population")
     )
     noise_sigma = _get(data, "noise_sigma", "population", float, 0.0)
-    return PopulationSpec(_get(data, "d", "population", int), groups, noise_sigma)
+    return PopulationSpec(_get(data, "d", "population", _integer), groups, noise_sigma)
 
 
 def _case_from_json(data, where: str) -> PromptCase:
@@ -389,7 +414,7 @@ def _case_from_json(data, where: str) -> PromptCase:
     jury = None
     if "jury" in data:
         jury = tuple(
-            RankingBallot(_get(b, "ranking", at, _array), _get(b, "weight", at, int, 1))
+            RankingBallot(_get(b, "ranking", at, _array), _get(b, "weight", at, _integer, 1))
             for at, b in _each(data, "jury", where)
         )
     return PromptCase(_get(data, "prompt", where), responses, jury)
@@ -505,15 +530,30 @@ def _train_psi(
     ridge_lambda: float,
     seed: int,
 ) -> IndividualPreferenceModel:
-    # Ground-truth ratings for every (evaluator, case, response) triple; each
-    # case gets its own noise stream so case order never matters.
-    samples = []
+    # Ground-truth ratings of every case's responses by every evaluator, one
+    # design row kron(f, g(y)) each; each case gets its own noise stream so
+    # case order never matters.
+    world = dataset.world
+    F = evaluator_matrix(sample, world.d)
+    designs, targets = [], []
     for ci, case in enumerate(dataset.cases):
         case_seed = derive_seed(seed, "case-ratings", ci)
-        for ei, f in enumerate(sample):
-            for y in case.responses:
-                samples.append((f, y, true_rating(dataset.world, f, y, case_seed, ei)))
-    return fit_individual_model(samples, ridge_lambda)
+        targets.append(true_ratings(world, F, case.responses, case_seed).ravel())
+        designs.append(kron_rows(F[:, None], response_matrix(case.responses, world.q)[None]))
+    X = np.concatenate(designs)
+    return fit_design(X, np.concatenate(targets), world.d, world.q, ridge_lambda)
+
+
+def _check_design_size(n_evaluators: int, dataset: SimulationDataset) -> None:
+    # Refuse a run whose training design would pass MAX_DESIGN_ROWS, before
+    # any population is sampled or array allocated.
+    responses = sum(len(case.responses) for case in dataset.cases)
+    if n_evaluators * responses > MAX_DESIGN_ROWS:
+        raise ValueError(
+            f'"N": {n_evaluators} evaluators x {responses} responses is '
+            f"{n_evaluators * responses:,} design rows, over the cap of {MAX_DESIGN_ROWS:,}; "
+            "lower N or use fewer cases"
+        )
 
 
 def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
@@ -535,6 +575,7 @@ def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
         ]
         return payload, sft_lines
 
+    _check_design_size(config.n_evaluators, dataset)
     sample = sample_population(
         dataset.population, config.n_evaluators, derive_seed(master, "population")
     )

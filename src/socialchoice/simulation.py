@@ -3,12 +3,17 @@
 The ground-truth world rates a response y for an evaluator with features f as
 clamp(f' M* g(y) + noise, 0, 10); the learnable model recovers an estimate of
 M* by ridge regression on the vectorized outer-product design.
+
+Ratings are computed a block at a time: every evaluator row of an N x d
+matrix F against every response row of an r x q matrix G.  The per-pair
+functions (`true_rating`, `predict_rating`) are one-row uses of the blocks.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +27,18 @@ EvaluatorFeatures = tuple[float, ...]
 WEIGHT_SUM_TOL = 1e-9
 
 
+def clamp_ratings(values) -> np.ndarray:
+    """Clamp ratings elementwise into [RATING_MIN, RATING_MAX].
+
+    Same results as min(RATING_MAX, max(RATING_MIN, v)) on Python floats:
+    -0.0 and NaN become RATING_MIN.
+    """
+    above = np.where(values > RATING_MIN, values, RATING_MIN)
+    return np.where(above < RATING_MAX, above, RATING_MAX)
+
+
 def clamp_rating(value: float) -> float:
-    return min(RATING_MAX, max(RATING_MIN, float(value)))
+    return float(clamp_ratings(float(value)))
 
 
 @dataclass(frozen=True)
@@ -160,11 +175,56 @@ class GroundTruthWorld:
         return len(self.M_star[0])
 
 
-def _check_dims(d: int, q: int, f: EvaluatorFeatures, y: ResponseRecord):
-    if len(f) != d:
-        raise ValueError(f"evaluator has {len(f)} features, world expects {d}")
-    if len(y.features) != q:
-        raise ValueError(f"response {y.id!r} has {len(y.features)} features, world expects {q}")
+def evaluator_matrix(sample: Sequence[EvaluatorFeatures], d: int) -> np.ndarray:
+    """The N x d matrix of evaluator feature rows."""
+    for f in sample:
+        if len(f) != d:
+            raise ValueError(f"evaluator has {len(f)} features, world expects {d}")
+    return np.array(sample, dtype=float).reshape(len(sample), d)
+
+
+def response_matrix(responses: Sequence[ResponseRecord], q: int) -> np.ndarray:
+    """The r x q matrix of response feature rows."""
+    for y in responses:
+        if len(y.features) != q:
+            raise ValueError(f"response {y.id!r} has {len(y.features)} features, world expects {q}")
+    return np.array([y.features for y in responses], dtype=float).reshape(len(responses), q)
+
+
+def bilinear(F: np.ndarray, M: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The N x r block of f' M g for every row f of F and row g of G.
+
+    Each entry is computed as the one-row product (f @ M) @ g, through
+    stacked matmuls, so it is bit-identical to the per-pair product; a single
+    F @ M @ G.T gemm sums in another order and differs in the last bits.
+    """
+    FM = (F[:, None, :] @ M)[:, 0]
+    return np.matmul(FM[:, None, None, :], G[None, :, :, None])[..., 0, 0]
+
+
+def true_ratings(
+    world: GroundTruthWorld,
+    F: np.ndarray,
+    responses: Sequence[ResponseRecord],
+    seed: int,
+    first_index: int = 0,
+) -> np.ndarray:
+    """Ground-truth ratings of every response by every evaluator row of F.
+
+    Row i is evaluator `first_index + i`.  Each (evaluator, response) pair
+    draws its noise from its own stream, derived from (seed, evaluator index,
+    response id), so a rating never depends on what else was rated.
+    """
+    values = bilinear(F, np.asarray(world.M_star), response_matrix(responses, world.q))
+    if world.noise_sigma > 0:
+        values += [
+            [
+                random.Random(derive_seed(seed, "noise", ei, y.id)).gauss(0.0, world.noise_sigma)
+                for y in responses
+            ]
+            for ei in range(first_index, first_index + len(F))
+        ]
+    return clamp_ratings(values)
 
 
 def true_rating(
@@ -174,17 +234,9 @@ def true_rating(
     seed: int,
     evaluator_index: int,
 ) -> float:
-    """Ground-truth rating with per-(evaluator, response) noise.
-
-    The noise stream is derived from (seed, evaluator_index, response id), so
-    the rating never depends on what was evaluated before it.
-    """
-    _check_dims(world.d, world.q, f, y)
-    value = float(np.asarray(f) @ np.asarray(world.M_star) @ np.asarray(y.features))
-    if world.noise_sigma > 0:
-        rng = random.Random(derive_seed(seed, "noise", evaluator_index, y.id))
-        value += rng.gauss(0.0, world.noise_sigma)
-    return clamp_rating(value)
+    """Ground-truth rating of one response by one evaluator (see `true_ratings`)."""
+    F = evaluator_matrix([f], world.d)
+    return float(true_ratings(world, F, [y], seed, evaluator_index)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -207,16 +259,25 @@ class IndividualPreferenceModel:
         return len(self.M_hat[0])
 
 
+def kron_rows(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Design rows kron(f, g), one per pair of rows f of F and g of G.
+
+    F (..., d) and G (..., q) broadcast against each other: equal-length
+    stacks pair up row by row, and F[:, None] against G[None] gives every
+    evaluator against every response, evaluator-major.
+    """
+    X = F[..., :, None] * G[..., None, :]
+    return X.reshape(-1, X.shape[-2] * X.shape[-1])
+
+
 def fit_individual_model(
     samples: list[tuple[EvaluatorFeatures, ResponseRecord, float]],
     ridge_lambda: float,
 ) -> IndividualPreferenceModel:
     """Ridge-fit M_hat on (f, y, rating) triples.
 
-    Each sample contributes one row kron(f, g(y)) to the design; the normal
-    equations (X'X + lambda I) w = X'r are solved in closed form.  At
-    lambda = 0 a rank-deficient design is reported instead of silently
-    pseudo-inverted.
+    Each sample contributes one row kron(f, g(y)) to the design (see
+    `fit_design`).
     """
     if not samples:
         raise ValueError("need at least one sample")
@@ -224,15 +285,22 @@ def fit_individual_model(
         raise ValueError("ridge_lambda must be non-negative")
     d = len(samples[0][0])
     q = len(samples[0][1].features)
-    rows = []
-    targets = []
-    for f, y, rating in samples:
-        if len(f) != d or len(y.features) != q:
-            raise ValueError("inconsistent sample dimensions")
-        rows.append(np.kron(np.asarray(f, dtype=float), np.asarray(y.features, dtype=float)))
-        targets.append(float(rating))
-    X = np.vstack(rows)
-    r = np.asarray(targets)
+    if any(len(f) != d or len(y.features) != q for f, y, _ in samples):
+        raise ValueError("inconsistent sample dimensions")
+    F = np.array([f for f, _, _ in samples], dtype=float).reshape(len(samples), d)
+    G = np.array([y.features for _, y, _ in samples], dtype=float).reshape(len(samples), q)
+    r = np.array([float(rating) for _, _, rating in samples])
+    return fit_design(kron_rows(F, G), r, d, q, ridge_lambda)
+
+
+def fit_design(
+    X: np.ndarray, r: np.ndarray, d: int, q: int, ridge_lambda: float
+) -> IndividualPreferenceModel:
+    """Solve the ridge normal equations (X'X + lambda I) w = X'r for M_hat.
+
+    At lambda = 0 a rank-deficient design is reported instead of silently
+    pseudo-inverted.
+    """
     if ridge_lambda == 0:
         rank = np.linalg.matrix_rank(X)
         if rank < d * q:
@@ -249,10 +317,16 @@ def fit_individual_model(
     )
 
 
+def predicted_ratings(
+    psi: IndividualPreferenceModel, F: np.ndarray, responses: Sequence[ResponseRecord]
+) -> np.ndarray:
+    """Model ratings clamp(f' M_hat g(y)) of every response by every row of F."""
+    return clamp_ratings(bilinear(F, np.asarray(psi.M_hat), response_matrix(responses, psi.q)))
+
+
 def predict_rating(psi: IndividualPreferenceModel, f: EvaluatorFeatures, y: ResponseRecord) -> float:
-    """Model rating: clamp(f' M_hat g(y), 0, 10)."""
-    _check_dims(psi.d, psi.q, f, y)
-    return clamp_rating(float(np.asarray(f) @ np.asarray(psi.M_hat) @ np.asarray(y.features)))
+    """Model rating of one response by one evaluator: clamp(f' M_hat g(y), 0, 10)."""
+    return float(predicted_ratings(psi, evaluator_matrix([f], psi.d), [y])[0, 0])
 
 
 @dataclass(frozen=True)

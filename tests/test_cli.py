@@ -498,3 +498,56 @@ class TestRatingsErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and named in err
+
+
+class TestDatasetIntegers:
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["cases"][0]["jury"][0].update(weight=1.5),
+             "cases[0].jury[0].weight: expected an integer, got 1.5"),
+            (lambda d: d["cases"][0]["jury"][1].update(weight=True),
+             "cases[0].jury[1].weight: expected an integer, got true"),
+            (lambda d: d["cases"][0]["jury"][2].update(weight="2"),
+             'cases[0].jury[2].weight: expected an integer, got "2"'),
+            (lambda d: d["population"].update(d=5.7), "population.d: expected an integer, got 5.7"),
+            (lambda d: d["population"].update(d=5.0), "population.d: expected an integer, got 5.0"),
+            (lambda d: d["population"].update(d=True), "population.d: expected an integer, got true"),
+        ],
+    )
+    def test_non_integer_exits_1_with_its_location(self, capsys, tmp_path, mutate, message):
+        code, out, err = run_cli(capsys, "simulate", "--config", mutated_dataset(tmp_path, mutate))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestSimulationSizeCap:
+    @pytest.mark.parametrize("variant, rule", [
+        ("collective", {"C": "borda"}),
+        ("features", {"W": "mean"}),
+        ("inference", {"C": "borda"}),
+    ])
+    def test_huge_n_exits_1_before_sampling(self, capsys, tmp_path, monkeypatch, variant, rule):
+        import socialchoice.pipeline as pipeline
+
+        def refuse(*args):
+            raise AssertionError("population sampled past the cap")
+
+        monkeypatch.setattr(pipeline, "sample_population", refuse)
+        config = write_config(tmp_path, variant=variant, N=10**15, **rule)
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert code == 1
+        assert out == ""
+        assert err.startswith('error: "N": 1000000000000000 evaluators x 3 responses')
+        assert f"over the cap of {pipeline.MAX_DESIGN_ROWS:,}" in err
+
+    def test_cap_counts_every_response_of_every_case(self):
+        from socialchoice.pipeline import MAX_DESIGN_ROWS, _check_design_size, dataset_from_json
+
+        data = json.loads((DATA / "cases.json").read_text())
+        data["cases"] = data["cases"] * 4
+        dataset = dataset_from_json(json.dumps(data))
+        _check_design_size(MAX_DESIGN_ROWS // 12, dataset)
+        with pytest.raises(ValueError, match='"N": .* x 12 responses'):
+            _check_design_size(MAX_DESIGN_ROWS // 12 + 1, dataset)

@@ -1,0 +1,213 @@
+"""Differential tests: the batched rating kernels against per-pair references.
+
+The reference functions below are the per-(evaluator, response)
+implementations the batched kernels replaced: one `(f @ M) @ g` product,
+noise draw and clamp per pair, one `np.kron` design row per training sample,
+and one sort per induced ranking.  The kernels must reproduce them exactly
+(`==`, never approximately), including the lambda = 0 rank-deficiency error.
+"""
+
+import random
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from socialchoice.cardinal import RATING_MAX, RATING_MIN, cardinal_rule
+from socialchoice.ordinal import ordinal_rule
+from socialchoice.pipeline import (
+    ComposedRewardModel,
+    PromptCase,
+    SimulationDataset,
+    _induced_rankings,
+    _train_psi,
+    evaluate_reward,
+    induced_ranking,
+    simulate_collective_decision,
+)
+from socialchoice.profiles import OrdinalProfile, RankingBallot
+from socialchoice.seeding import derive_seed
+from socialchoice.simulation import (
+    ComponentDist,
+    GroundTruthWorld,
+    GroupSpec,
+    IndividualPreferenceModel,
+    PopulationSpec,
+    ResponseRecord,
+    evaluator_matrix,
+    fit_individual_model,
+    predict_rating,
+    predicted_ratings,
+    true_rating,
+    true_ratings,
+)
+
+# ---------------------------------------------------------------------------
+# Reference implementations.
+
+
+def reference_clamp(value):
+    return min(RATING_MAX, max(RATING_MIN, float(value)))
+
+
+def reference_true_rating(world, f, y, seed, evaluator_index):
+    value = float(np.asarray(f) @ np.asarray(world.M_star) @ np.asarray(y.features))
+    if world.noise_sigma > 0:
+        rng = random.Random(derive_seed(seed, "noise", evaluator_index, y.id))
+        value += rng.gauss(0.0, world.noise_sigma)
+    return reference_clamp(value)
+
+
+def reference_predict_rating(psi, f, y):
+    return reference_clamp(float(np.asarray(f) @ np.asarray(psi.M_hat) @ np.asarray(y.features)))
+
+
+def reference_fit(samples, ridge_lambda):
+    d = len(samples[0][0])
+    q = len(samples[0][1].features)
+    X = np.vstack([np.kron(np.asarray(f, dtype=float), np.asarray(y.features, dtype=float))
+                   for f, y, _ in samples])
+    r = np.asarray([float(rating) for _, _, rating in samples])
+    if ridge_lambda == 0:
+        rank = np.linalg.matrix_rank(X)
+        if rank < d * q:
+            raise ValueError(
+                f"design is rank deficient at lambda=0 (rank {rank} < {d * q}); "
+                "add samples or use a positive ridge_lambda"
+            )
+        w = np.linalg.lstsq(X, r, rcond=None)[0]
+    else:
+        w = np.linalg.solve(X.T @ X + ridge_lambda * np.eye(d * q), X.T @ r)
+    return tuple(tuple(row) for row in w.reshape(d, q).tolist())
+
+
+def reference_samples(dataset, sample, seed):
+    # The (f, y, rating) triples the pipeline trains on, in the old order.
+    samples = []
+    for ci, case in enumerate(dataset.cases):
+        case_seed = derive_seed(seed, "case-ratings", ci)
+        for ei, f in enumerate(sample):
+            for y in case.responses:
+                samples.append((f, y, reference_true_rating(dataset.world, f, y, case_seed, ei)))
+    return samples
+
+
+def reference_induced_ranking(ratings):
+    # `ratings` maps each response id to one evaluator's predicted rating.
+    return tuple(sorted(ratings, key=lambda rid: (-ratings[rid], rid)))
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Inputs.  Sizes come from hypothesis; the entries, repeats and id orders
+# come from a numpy stream it seeds, which keeps 60 x 6 blocks cheap to draw.  Matrix entries span
+# [-12, 12] and features mix exact 0s and 1s with uniform values, so ratings
+# clamp at both ends; responses repeat feature rows, so ratings tie.
+
+
+@st.composite
+def blocks(draw, max_cases=1):
+    d = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def features(shape):
+        values = rng.uniform(0.0, 1.0, shape)
+        values[rng.random(shape) < 0.2] = 0.0
+        values[rng.random(shape) < 0.2] = 1.0
+        return values
+
+    M = tuple(map(tuple, rng.uniform(-12.0, 12.0, (d, q)).tolist()))
+    sample = tuple(map(tuple, features((n, d)).tolist()))
+    cases = []
+    for c in range(draw(st.integers(1, max_cases))):
+        r = draw(st.integers(2, 6))
+        rows = features((r, q))[rng.integers(0, r, r)].tolist()
+        ids = [f"y{j}" for j in rng.permutation(r)]
+        cases.append(tuple(ResponseRecord(rid, "", row) for rid, row in zip(ids, rows)))
+    return M, sample, cases
+
+
+POPULATION = PopulationSpec(1, (GroupSpec(1.0, (ComponentDist("uniform", 0.0, 1.0),)),))
+
+
+class TestTrueRatings:
+    @settings(max_examples=150, deadline=None)
+    @given(blocks(max_cases=2), st.sampled_from([0.0, 0.5]), st.integers(0, 10**6),
+           st.sampled_from([0.0, 1e-6, 0.5]))
+    def test_training_matches_reference(self, block, sigma, seed, ridge_lambda):
+        M, sample, cases = block
+        world = GroundTruthWorld(M, sigma)
+        dataset = SimulationDataset(
+            tuple(PromptCase(f"p{c}", responses) for c, responses in enumerate(cases)),
+            POPULATION,
+            world,
+        )
+        samples = reference_samples(dataset, sample, seed)
+        case_seed = derive_seed(seed, "case-ratings", 0)
+        got = true_ratings(world, evaluator_matrix(sample, world.d), cases[0], case_seed)
+        assert got.ravel().tolist() == [rating for _, _, rating in samples[: got.size]]
+        ei = len(sample) - 1
+        want = reference_true_rating(world, sample[ei], cases[0][1], case_seed, ei)
+        assert true_rating(world, sample[ei], cases[0][1], case_seed, ei) == want
+
+        want_fit = outcome(lambda: reference_fit(samples, ridge_lambda))
+        assert outcome(lambda: _train_psi(dataset, sample, ridge_lambda, seed).M_hat) == want_fit
+        assert outcome(lambda: fit_individual_model(samples, ridge_lambda).M_hat) == want_fit
+
+    def test_clamps_both_ends_and_rank_deficiency(self):
+        world = GroundTruthWorld(((30.0, -30.0),), noise_sigma=1.0)
+        ys = (ResponseRecord("hi", "", (1.0, 0.0)), ResponseRecord("lo", "", (0.0, 1.0)))
+        sample = ((0.5,), (1.0,))
+        got = true_ratings(world, evaluator_matrix(sample, 1), ys, 9)
+        assert got.tolist() == [[10.0, 0.0], [10.0, 0.0]]
+        assert got.tolist() == [[reference_true_rating(world, f, y, 9, ei) for y in ys]
+                                for ei, f in enumerate(sample)]
+        # Parallel feature rows leave the d*q = 2 design columns at rank 1.
+        ys = (ResponseRecord("a", "", (1.0, 1.0)), ResponseRecord("b", "", (0.5, 0.5)))
+        dataset = SimulationDataset((PromptCase("p", ys),), POPULATION, world)
+        want = outcome(lambda: reference_fit(reference_samples(dataset, sample, 1), 0.0))
+        assert want == ("error", "design is rank deficient at lambda=0 (rank 1 < 2); "
+                        "add samples or use a positive ridge_lambda")
+        assert outcome(lambda: _train_psi(dataset, sample, 0.0, 1)) == want
+
+
+class TestPredictions:
+    @settings(max_examples=150, deadline=None)
+    @given(blocks(), st.sampled_from(["mean", "median"]))
+    def test_predictions_and_rankings_match_reference(self, block, rule_w):
+        M, sample, (responses,) = block
+        psi = IndividualPreferenceModel(M, 0.0)
+        got = predicted_ratings(psi, evaluator_matrix(sample, psi.d), responses)
+        want = [[reference_predict_rating(psi, f, y) for y in responses] for f in sample]
+        assert got.tolist() == want
+        assert predict_rating(psi, sample[-1], responses[0]) == want[-1][0]
+
+        ids = [y.id for y in responses]
+        rankings = [reference_induced_ranking(dict(zip(ids, row))) for row in want]
+        assert _induced_rankings(got, ids) == rankings
+        assert induced_ranking(psi, sample[0], responses) == rankings[0]
+
+        case = PromptCase("p", responses)
+        profile = OrdinalProfile(case.response_ids(), tuple(map(RankingBallot, rankings)))
+        winner = ordinal_rule("ranked_pairs")(profile).winner
+        assert simulate_collective_decision(case, psi, sample, "ranked_pairs").id == winner
+
+        model = ComposedRewardModel(psi, sample, rule_w)
+        for j, y in enumerate(responses):
+            want_reward = float(cardinal_rule(rule_w)([row[j] for row in want]))
+            assert evaluate_reward(model, "p", y) == want_reward
+
+    def test_equal_ratings_rank_by_id(self):
+        psi = IndividualPreferenceModel(((1.0,),), 0.0)
+        ys = tuple(ResponseRecord(rid, "", (0.5,)) for rid in ("b", "c", "a"))
+        assert induced_ranking(psi, (1.0,), ys) == ("a", "b", "c")
+        ratings = {y.id: reference_predict_rating(psi, (1.0,), y) for y in ys}
+        assert induced_ranking(psi, (1.0,), ys) == reference_induced_ranking(ratings)
