@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from random import Random
 
-from .cardinal import RatingProfile, aggregate_ratings, cardinal_rule
+from .cardinal import RATING_MAX, RATING_MIN, RatingProfile, aggregate_ratings, cardinal_rule
 from .ordinal import ordinal_rule
 from .profiles import OrdinalProfile, profile_from_rankings
 
@@ -190,6 +190,10 @@ def manipulation_search_cardinal(
         raise ValueError(
             f"{len(values)} raters exceed the exhaustive-search cap ({MAX_MANIPULATION_RATERS})"
         )
+    for i, value in enumerate(values):
+        # NaN fails both comparisons, so only finite ratings in range pass.
+        if not RATING_MIN <= value <= RATING_MAX:
+            raise ValueError(f"rater {i}: expected a finite rating in [0, 10], got {value}")
     if not 0 <= voter < len(values):
         raise ValueError(f"voter index {voter} out of range for {len(values)} raters")
     rule = cardinal_rule(rule_id)

@@ -202,7 +202,10 @@ def cmd_audit(args) -> RunReport:
         else:
             if args.ratings is None:
                 raise UsageError("--w needs --ratings, e.g. --ratings 3,6,6")
-            subject = [float(v) for v in args.ratings.split(",") if v.strip()]
+            items = [v.strip() for v in args.ratings.split(",")]
+            if "" in items:
+                raise UsageError(f"--ratings item {items.index('')} is empty: {args.ratings!r}")
+            subject = [float(v) for v in items]
             inputs = {"ratings": args.ratings}
             rule = resolve_rule(args.w, "cardinal")
             search, reverify = manipulation_search_cardinal, reverify_cardinal_witness

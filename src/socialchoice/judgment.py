@@ -180,10 +180,26 @@ class Agenda:
 
 def agenda_from_json(text: str) -> Agenda:
     """Load the {"atoms": [...], "constraint": "..."} schema."""
-    data = json.loads(text)
+    return _agenda_from_object(json.loads(text), "")
+
+
+def _checked(value, kind: type, what: str, where: str):
+    # `value` if it is a `kind`, else an error naming its path in the file.
+    if not isinstance(value, kind):
+        got = type(value).__name__ if isinstance(value, (list, dict)) else json.dumps(value)
+        raise ValueError(f"{where}: expected {what}, got {got}")
+    return value
+
+
+def _agenda_from_object(data, prefix: str) -> Agenda:
+    # `prefix` locates the agenda object in its file ("" or "agenda.").
     if not isinstance(data, dict) or set(data) != {"atoms", "constraint"}:
         raise ValueError('expected an object with keys "atoms" and "constraint"')
-    return Agenda(tuple(data["atoms"]), data["constraint"])
+    atoms = _checked(data["atoms"], list, "a list", f"{prefix}atoms")
+    for i, atom in enumerate(atoms):
+        _checked(atom, str, "a string", f"{prefix}atoms[{i}]")
+    constraint = _checked(data["constraint"], str, "a string", f"{prefix}constraint")
+    return Agenda(tuple(atoms), constraint)
 
 
 def agenda_to_json(agenda: Agenda) -> str:
@@ -226,10 +242,13 @@ def judgment_profile_from_json(text: str) -> JudgmentProfile:
     data = json.loads(text)
     if not isinstance(data, dict) or set(data) != {"agenda", "judgments"}:
         raise ValueError('expected an object with keys "agenda" and "judgments"')
-    agenda = agenda_from_json(json.dumps(data["agenda"]))
+    agenda = _agenda_from_object(data["agenda"], "agenda.")
     judgments = tuple(
-        (name, {atom: bool(v) for atom, v in js.items()})
-        for name, js in data["judgments"].items()
+        (name, {
+            atom: _checked(value, bool, "true or false", f"judgments.{name}.{atom}")
+            for atom, value in _checked(js, dict, "an object", f"judgments.{name}").items()
+        })
+        for name, js in _checked(data["judgments"], dict, "an object", "judgments").items()
     )
     return JudgmentProfile(agenda, judgments)
 

@@ -84,10 +84,10 @@ def first_place_counts(profile: OrdinalProfile, active: set[str] | None = None) 
     if active is None:
         active = set(profile.alternatives)
     counts = {a: 0 for a in profile.alternatives if a in active}
-    for ballot in profile.ballots:
-        for alt in ballot.ranking:
+    for ranking, weight in profile.merged:
+        for alt in ranking:
             if alt in active:
-                counts[alt] += ballot.weight
+                counts[alt] += weight
                 break
     return counts
 
@@ -100,12 +100,11 @@ def plurality(profile: OrdinalProfile) -> SocialRanking:
 
 def borda(profile: OrdinalProfile) -> SocialRanking:
     """Rank by Borda score: m-1 points for a first place down to 0 for a last place."""
-    m = profile.num_alternatives
-    scores = {a: 0.0 for a in profile.alternatives}
-    for ballot in profile.ballots:
-        for pos, alt in enumerate(ballot.ranking):
-            scores[alt] += ballot.weight * (m - 1 - pos)
-    return _score_ranking(scores)
+    scores = dict.fromkeys(profile.alternatives, 0)
+    for ranking, weight in profile.merged:
+        for points, alt in enumerate(reversed(ranking)):
+            scores[alt] += weight * points
+    return _score_ranking({a: float(s) for a, s in scores.items()})
 
 
 def instant_runoff(profile: OrdinalProfile) -> SocialRanking:

@@ -1,6 +1,6 @@
 """Reward-model pipelines over collective feedback.
 
-Three variants, all ending in a desk-scale reward model or a chosen response:
+Four variants, each ending in a desk-scale reward model or a chosen response:
 
   "rankings":   jury ballots per prompt, aggregated by an ordinal rule F into
                 a collective ranking, turned into per-response target scores,
@@ -8,14 +8,16 @@ Three variants, all ending in a desk-scale reward model or a chosen response:
   "features":   a learned individual preference model evaluated at a sampled
                 evaluator population, aggregated pointwise by a cardinal W.
   "collective": simulated evaluators vote (through induced rankings) per
-                prompt; winners become supervised (prompt, response) pairs or
-                an inference-time choice with no learning step at all.
+                prompt; winners become supervised (prompt, response) pairs.
+  "inference":  fresh evaluator samples vote over the candidates at decision
+                time, an inference-time choice with no learning step at all.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from random import Random
@@ -41,6 +43,7 @@ from .simulation import (
     kron_rows,
     predicted_ratings,
     response_matrix,
+    ridge_solve,
     sample_population,
     true_ratings,
 )
@@ -147,28 +150,6 @@ def variant1_targets(case: PromptCase, rule_f: str) -> dict[str, float]:
     return rank_target_scores(ranking)
 
 
-def _ridge_with_intercept(
-    X: np.ndarray, y: np.ndarray, ridge_lambda: float
-) -> tuple[np.ndarray, float]:
-    # Center so the intercept absorbs the means and stays unpenalized.
-    x_mean = X.mean(axis=0)
-    y_mean = y.mean()
-    Xc = X - x_mean
-    yc = y - y_mean
-    if ridge_lambda == 0:
-        rank = np.linalg.matrix_rank(Xc)
-        if rank < X.shape[1]:
-            raise ValueError(
-                f"design is rank deficient at lambda=0 (rank {rank} < {X.shape[1]}); "
-                "add cases or use a positive ridge_lambda"
-            )
-        w = np.linalg.lstsq(Xc, yc, rcond=None)[0]
-    else:
-        gram = Xc.T @ Xc + ridge_lambda * np.eye(X.shape[1])
-        w = np.linalg.solve(gram, Xc.T @ yc)
-    return w, float(y_mean - w @ x_mean)
-
-
 def rlchf_from_rankings(
     cases: Sequence[PromptCase], rule_f: str, ridge_lambda: float
 ) -> FittedRewardModel:
@@ -182,10 +163,12 @@ def _fit_targets(
     # targets[i] maps each response id of cases[i] to its target score.
     if not cases:
         raise ValueError("need at least one prompt case")
-    rows = [y.features for case in cases for y in case.responses]
-    column = [scores[y.id] for case, scores in zip(cases, targets) for y in case.responses]
-    w, b = _ridge_with_intercept(np.asarray(rows, dtype=float), np.asarray(column), ridge_lambda)
-    return FittedRewardModel(tuple(w.tolist()), b, float(ridge_lambda))
+    X = np.asarray([y.features for case in cases for y in case.responses], dtype=float)
+    r = np.asarray([scores[y.id] for case, scores in zip(cases, targets) for y in case.responses])
+    # Center so the intercept absorbs the means and stays unpenalized.
+    x_mean, r_mean = X.mean(axis=0), r.mean()
+    w = ridge_solve(X - x_mean, r - r_mean, ridge_lambda)
+    return FittedRewardModel(tuple(w.tolist()), float(r_mean - w @ x_mean), float(ridge_lambda))
 
 
 def rlchf_from_features(
@@ -377,7 +360,7 @@ def _array(value, item=lambda v: v) -> tuple:
 
 
 def _floats(value) -> tuple[float, ...]:
-    return _array(value, float)
+    return _array(value, _number)
 
 
 def _each(data, key: str, where: str) -> list:
@@ -391,18 +374,29 @@ def _integer(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    # A JSON number, not true or false, as a finite float; the comparison
+    # fails for NaN and the infinities, and for integers past the float range.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    raise TypeError(f"expected a finite number, got {json.dumps(value)}")
+
+
 def _population_from_json(data) -> PopulationSpec:
     groups = tuple(
         GroupSpec(
-            _get(group, "weight", at, float),
+            _get(group, "weight", at, _number),
             tuple(
-                ComponentDist(_get(c, "kind", w), _get(c, "a", w, float), _get(c, "b", w, float))
+                ComponentDist(
+                    _get(c, "kind", w), _get(c, "a", w, _number), _get(c, "b", w, _number)
+                )
                 for w, c in _each(group, "components", at)
             ),
         )
         for at, group in _each(data, "groups", "population")
     )
-    noise_sigma = _get(data, "noise_sigma", "population", float, 0.0)
+    noise_sigma = _get(data, "noise_sigma", "population", _number, 0.0)
     return PopulationSpec(_get(data, "d", "population", _integer), groups, noise_sigma)
 
 
@@ -435,7 +429,7 @@ def dataset_from_json(text: str) -> SimulationDataset:
         _population_from_json(data["population"]),
         GroundTruthWorld(
             _get(world, "M_star", "world", lambda rows: _array(rows, _floats)),
-            _get(world, "noise_sigma", "world", float, 0.0),
+            _get(world, "noise_sigma", "world", _number, 0.0),
         ),
     )
 
@@ -508,9 +502,9 @@ def config_from_json(text: str) -> PipelineConfig:
     if not isinstance(data, dict) or "variant" not in data:
         raise ValueError('pipeline config must be an object with a "variant"')
     try:
-        ridge_lambda = float(data.get("ridge_lambda", 1e-6))
-    except TypeError:
-        raise ValueError(f'"ridge_lambda" must be a number, got {data["ridge_lambda"]!r}') from None
+        ridge_lambda = _number(data.get("ridge_lambda", 1e-6))
+    except TypeError as exc:
+        raise ValueError(f'"ridge_lambda": {exc}') from None
     return PipelineConfig(
         variant=data["variant"],
         rule_f=data.get("F"),

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import NoReturn
+from itertools import chain, starmap
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -41,19 +41,11 @@ def validate_alternative_id(alt_id: str) -> str:
     return alt_id
 
 
-@dataclass(frozen=True)
-class RankingBallot:
-    """A strict total order over the profile's alternatives, cast by `weight` voters."""
+class RankingBallot(NamedTuple):
+    """A strict ranking (a tuple) cast by `weight` voters; `OrdinalProfile` checks it."""
 
     ranking: tuple[str, ...]
     weight: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranking", tuple(self.ranking))
-        if not isinstance(self.weight, int) or isinstance(self.weight, bool) or self.weight < 1:
-            raise BallotParseError(f"ballot weight must be a positive integer, got {self.weight!r}")
-        if len(set(self.ranking)) != len(self.ranking):
-            raise BallotParseError(f"duplicate alternative in ranking {self.ranking}")
 
     def positions(self) -> dict[str, int]:
         """Map alternative id to its 0-indexed position from the top."""
@@ -66,34 +58,44 @@ class OrdinalProfile:
 
     alternatives: tuple[str, ...]
     ballots: tuple[RankingBallot, ...]
+    # Each distinct ranking once, in first-occurrence order, with its weights
+    # summed.  By anonymity this is all a rule needs, and every rule reads it.
+    merged: tuple[RankingBallot, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alternatives", tuple(self.alternatives))
         object.__setattr__(self, "ballots", tuple(self.ballots))
+        merged: dict[tuple[str, ...], int] = {}
+        for ranking, weight in self.ballots:
+            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
+                raise BallotParseError(f"ballot weight must be a positive integer, got {weight!r}")
+            merged[ranking] = merged.get(ranking, 0) + weight
         if not self.alternatives:
             raise BallotParseError("a profile needs at least one alternative")
         for alt in self.alternatives:
             validate_alternative_id(alt)
-        if len(set(self.alternatives)) != len(self.alternatives):
+        alt_set = set(self.alternatives)
+        if len(alt_set) != len(self.alternatives):
             raise BallotParseError("duplicate alternative ids in profile")
         if not self.ballots:
             raise BallotParseError("a profile needs at least one ballot")
-        alt_set = set(self.alternatives)
         # Each distinct ranking is checked once, in first-occurrence order, so
         # the first offending ballot is still the one reported.
-        for ranking in dict.fromkeys(b.ranking for b in self.ballots):
-            if set(ranking) == alt_set:
+        for ranking in merged:
+            if len(ranking) == len(alt_set) and set(ranking) == alt_set:
                 continue
-            missing = alt_set - set(ranking)
+            if len(set(ranking)) != len(ranking):
+                raise BallotParseError(f"duplicate alternative in ranking {ranking}")
             unknown = set(ranking) - alt_set
             if unknown:
                 raise BallotParseError(
                     f"ballot {ranking} ranks unknown alternative(s) {sorted(unknown)}"
                 )
             raise BallotParseError(
-                f"ballot {ranking} omits alternative(s) {sorted(missing)}; "
+                f"ballot {ranking} omits alternative(s) {sorted(alt_set - set(ranking))}; "
                 "rankings must be complete"
             )
+        object.__setattr__(self, "merged", tuple(starmap(RankingBallot, merged.items())))
 
     @cached_property
     def _position_tally(self) -> tuple[np.ndarray, np.ndarray]:
@@ -105,20 +107,18 @@ class OrdinalProfile:
         of values below m fits, and exact Python ints otherwise.  Computed on
         first use and kept, so the kernels run on one profile share it.
         """
-        merged: dict[tuple[str, ...], int] = {}
-        for ballot in self.ballots:
-            merged[ballot.ranking] = merged.get(ballot.ranking, 0) + ballot.weight
+        rankings, counts = zip(*self.merged)
         m = len(self.alternatives)
-        k = len(merged)
+        k = len(rankings)
         index = {a: i for i, a in enumerate(self.alternatives)}
         dtype = np.int16 if m <= np.iinfo(np.int16).max else np.int32
         order = np.fromiter(
-            map(index.__getitem__, chain.from_iterable(merged)), dtype=dtype, count=k * m
+            map(index.__getitem__, chain.from_iterable(rankings)), dtype=dtype, count=k * m
         ).reshape(k, m)
         positions = np.empty_like(order)
         positions[np.arange(k)[:, None], order] = np.arange(m, dtype=dtype)
-        exact = sum(merged.values()) * m <= _INT64_MAX
-        weights = np.fromiter(merged.values(), dtype=np.int64 if exact else object, count=k)
+        exact = self.num_voters * m <= _INT64_MAX
+        weights = np.fromiter(counts, dtype=np.int64 if exact else object, count=k)
         positions.flags.writeable = weights.flags.writeable = False
         return positions, weights
 
@@ -128,7 +128,7 @@ class OrdinalProfile:
 
     @property
     def num_voters(self) -> int:
-        return sum(b.weight for b in self.ballots)
+        return sum(weight for _, weight in self.merged)
 
     def unit_rankings(self) -> tuple[tuple[str, ...], ...]:
         """Expand weighted ballots into one ranking per voter, in ballot order."""

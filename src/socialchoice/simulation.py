@@ -96,7 +96,11 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """A stratified population: groups whose weights sum to one."""
+    """A stratified population: groups whose weights sum to one.
+
+    `noise_sigma` is checked but never used: rating noise comes from
+    `GroundTruthWorld.noise_sigma`.
+    """
 
     d: int
     groups: tuple[GroupSpec, ...]
@@ -296,25 +300,29 @@ def fit_individual_model(
 def fit_design(
     X: np.ndarray, r: np.ndarray, d: int, q: int, ridge_lambda: float
 ) -> IndividualPreferenceModel:
-    """Solve the ridge normal equations (X'X + lambda I) w = X'r for M_hat.
-
-    At lambda = 0 a rank-deficient design is reported instead of silently
-    pseudo-inverted.
-    """
-    if ridge_lambda == 0:
-        rank = np.linalg.matrix_rank(X)
-        if rank < d * q:
-            raise ValueError(
-                f"design is rank deficient at lambda=0 (rank {rank} < {d * q}); "
-                "add samples or use a positive ridge_lambda"
-            )
-        w = np.linalg.lstsq(X, r, rcond=None)[0]
-    else:
-        gram = X.T @ X + ridge_lambda * np.eye(d * q)
-        w = np.linalg.solve(gram, X.T @ r)
+    """Ridge-fit M_hat on the design X and ratings r (see `ridge_solve`)."""
+    w = ridge_solve(X, r, ridge_lambda)
     return IndividualPreferenceModel(
         tuple(tuple(row) for row in w.reshape(d, q).tolist()), float(ridge_lambda)
     )
+
+
+def ridge_solve(X: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray:
+    """Solve the ridge normal equations (X'X + lambda I) w = X'y for w.
+
+    At lambda = 0 the least-squares solution is returned, and a
+    rank-deficient design is reported instead of silently pseudo-inverted.
+    """
+    columns = X.shape[1]
+    if ridge_lambda == 0:
+        rank = np.linalg.matrix_rank(X)
+        if rank < columns:
+            raise ValueError(
+                f"design is rank deficient at lambda=0 (rank {rank} < {columns}); "
+                "add samples or use a positive ridge_lambda"
+            )
+        return np.linalg.lstsq(X, y, rcond=None)[0]
+    return np.linalg.solve(X.T @ X + ridge_lambda * np.eye(columns), X.T @ y)
 
 
 def predicted_ratings(

@@ -328,3 +328,16 @@ class TestCloneSweep:
     def test_plurality_and_borda_both_violate(self, clone_sweep_counts):
         assert clone_sweep_counts["plurality"] >= 1
         assert clone_sweep_counts["borda"] >= 1
+
+
+class TestCardinalSearchRatings:
+    @pytest.mark.parametrize(
+        "ratings, rater",
+        [([float("nan"), 1, 2], 0), ([1, float("inf"), 2], 1), ([50, 3, 2], 0), ([2, 3, -3], 2)],
+    )
+    def test_unsearchable_rating_is_refused_naming_the_rater(self, ratings, rater):
+        with pytest.raises(ValueError, match=rf"^rater {rater}: expected a finite rating"):
+            manipulation_search_cardinal("mean", ratings, 0)
+
+    def test_bounds_are_searchable(self):
+        assert manipulation_search_cardinal("mean", [0, 10, 5], 2) is None

@@ -551,3 +551,121 @@ class TestSimulationSizeCap:
         _check_design_size(MAX_DESIGN_ROWS // 12, dataset)
         with pytest.raises(ValueError, match='"N": .* x 12 responses'):
             _check_design_size(MAX_DESIGN_ROWS // 12 + 1, dataset)
+
+
+def mutated_judgments(tmp_path, mutate):
+    data = json.loads((DATA / "judgments.json").read_text())
+    mutate(data)
+    path = tmp_path / "judgments.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+class TestJudgmentErrors:
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d.update(judgments=list(d["judgments"].values())),
+             "judgments: expected an object, got list"),
+            (lambda d: d["judgments"].update(E2=[False, True, False]),
+             "judgments.E2: expected an object, got list"),
+            (lambda d: d["agenda"].update(atoms=5), "agenda.atoms: expected a list, got 5"),
+            (lambda d: d["agenda"]["atoms"].__setitem__(1, 7),
+             "agenda.atoms[1]: expected a string, got 7"),
+            (lambda d: d["agenda"].update(constraint=5),
+             "agenda.constraint: expected a string, got 5"),
+            (lambda d: d["judgments"]["E1"].update(safe="false"),
+             'judgments.E1.safe: expected true or false, got "false"'),
+            (lambda d: d["judgments"]["E3"].update(give=1),
+             "judgments.E3.give: expected true or false, got 1"),
+        ],
+    )
+    def test_malformed_judgments_exit_1_with_their_location(
+        self, capsys, tmp_path, mutate, message
+    ):
+        code, out, err = run_cli(capsys, "judge", "--profile", mutated_judgments(tmp_path, mutate))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestCardinalManipulationRatings:
+    @pytest.mark.parametrize(
+        "ratings, message",
+        [
+            ("nan,1,2", "rater 0: expected a finite rating in [0, 10], got nan"),
+            ("1,inf,2", "rater 1: expected a finite rating in [0, 10], got inf"),
+            ("50,-3,2", "rater 0: expected a finite rating in [0, 10], got 50.0"),
+            ("2,3,-3", "rater 2: expected a finite rating in [0, 10], got -3.0"),
+            ("1,,2", "--ratings item 1 is empty: '1,,2'"),
+            ("1,2, ", "--ratings item 2 is empty: '1,2, '"),
+        ],
+    )
+    def test_unsearchable_ratings_exit_1(self, capsys, ratings, message):
+        code, out, err = run_cli(
+            capsys, "audit", "manipulation", "--w", "mean", "--ratings", ratings, "--voter", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestDatasetNumbers:
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["world"].update(noise_sigma="0.5"),
+             'world.noise_sigma: expected a finite number, got "0.5"'),
+            (lambda d: d["population"].update(noise_sigma="0.5"),
+             'population.noise_sigma: expected a finite number, got "0.5"'),
+            (lambda d: d["population"]["groups"][1]["components"][0].update(a=True),
+             "population.groups[1].components[0].a: expected a finite number, got true"),
+            (lambda d: d["population"]["groups"][0].update(weight=None),
+             "population.groups[0].weight: expected a finite number, got null"),
+            (lambda d: d["world"].update(noise_sigma=float("nan")),
+             "world.noise_sigma: expected a finite number, got NaN"),
+            (lambda d: d["world"]["M_star"][0].__setitem__(0, float("inf")),
+             "world.M_star: expected a finite number, got Infinity"),
+            (lambda d: d["cases"][0]["responses"][1]["features"].__setitem__(2, "1"),
+             'cases[0].responses[1].features: expected a finite number, got "1"'),
+        ],
+    )
+    def test_non_number_exits_1_with_its_location(self, capsys, tmp_path, mutate, message):
+        code, out, err = run_cli(capsys, "simulate", "--config", mutated_dataset(tmp_path, mutate))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("0.5", '"0.5"'), (True, "true"), (float("nan"), "NaN"), (float("inf"), "Infinity")],
+    )
+    def test_ridge_lambda_must_be_a_finite_number(self, capsys, tmp_path, value, shown):
+        config = write_config(tmp_path, variant="rankings", F="borda", ridge_lambda=value)
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert code == 1
+        assert out == ""
+        assert err == f'error: "ridge_lambda": expected a finite number, got {shown}\n'
+
+
+class TestJuryBallotFaults:
+    # Jury weights that are not JSON integers stop in the loader
+    # (TestDatasetIntegers); these pass it and stop at the profile check.
+    @pytest.mark.parametrize(
+        "ballot, message",
+        [
+            ({"ranking": ["A", "B", "C"], "weight": 0},
+             "ballot weight must be a positive integer, got 0"),
+            ({"ranking": ["A", "A", "C"]}, "duplicate alternative in ranking ('A', 'A', 'C')"),
+            ({"ranking": ["A", "B", "Z"]},
+             "ballot ('A', 'B', 'Z') ranks unknown alternative(s) ['Z']"),
+            ({"ranking": ["A", "B"]},
+             "ballot ('A', 'B') omits alternative(s) ['C']; rankings must be complete"),
+        ],
+    )
+    def test_bad_ballot_exits_1_with_the_profile_message(self, capsys, tmp_path, ballot, message):
+        config = mutated_dataset(tmp_path, lambda d: d["cases"][0]["jury"].insert(1, ballot))
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"

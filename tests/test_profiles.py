@@ -225,3 +225,56 @@ class TestCycles:
         cyc = report.cycles[0]
         for a, b in zip(cyc, cyc[1:] + (cyc[0],)):
             assert matrix.margin(a, b) > 0
+
+
+class TestParserHeaderAndLineErrors:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alternatives:\n1: A\n", "line 1: empty alternative list"),
+            ("# ids\nalternatives: A, B>C\n1: A > B>C\n",
+             "line 2: alternative id 'B>C' contains forbidden character '>'"),
+            ("alternatives: A, B C\n", "line 1: alternative id 'B C' contains whitespace"),
+            ("alternatives: A, B, A\n1: A > B\n", "line 1: duplicate alternative id in header"),
+            ("alternatives: A, B\n\nA > B\n", "line 3: expected 'COUNT: X > Y > ...'"),
+        ],
+    )
+    def test_message_names_the_line(self, text, message):
+        with pytest.raises(BallotParseError) as exc:
+            parse_profile(text)
+        assert str(exc.value) == message
+
+
+BALLOT_FAULTS = [
+    (("A", "B", "C"), 0, "ballot weight must be a positive integer, got 0"),
+    (("A", "B", "C"), True, "ballot weight must be a positive integer, got True"),
+    (("A", "B", "C"), 1.5, "ballot weight must be a positive integer, got 1.5"),
+    (("A", "A", "C"), 1, "duplicate alternative in ranking ('A', 'A', 'C')"),
+    (("A", "B", "Z"), 1, "ballot ('A', 'B', 'Z') ranks unknown alternative(s) ['Z']"),
+    (("A", "B"), 1, "ballot ('A', 'B') omits alternative(s) ['C']; rankings must be complete"),
+]
+
+
+class TestBallotFaults:
+    """The profile is the one place ballots are checked; a PromptCase jury goes through it."""
+
+    @pytest.mark.parametrize("ranking, weight, message", BALLOT_FAULTS)
+    def test_profile_reports_the_fault(self, ranking, weight, message):
+        ballots = (RankingBallot(("C", "B", "A"), 2), RankingBallot(ranking, weight))
+        with pytest.raises(BallotParseError) as exc:
+            OrdinalProfile(("A", "B", "C"), ballots)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("ranking, weight, message", BALLOT_FAULTS)
+    def test_prompt_case_reports_the_fault(self, ranking, weight, message):
+        from socialchoice.pipeline import PromptCase
+        from socialchoice.simulation import ResponseRecord
+
+        responses = [ResponseRecord(a, a, (1.0,)) for a in "ABC"]
+        ballots = (RankingBallot(ranking, weight), RankingBallot(("C", "B", "A"), 2))
+        with pytest.raises(BallotParseError) as exc:
+            PromptCase("p", responses, ballots)
+        assert str(exc.value) == message
+
+    def test_ballot_record_checks_nothing(self):
+        assert RankingBallot(("A", "A"), 0) == (("A", "A"), 0)
