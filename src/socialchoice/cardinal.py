@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonin import load
 from .ordinal import borda
 from .profiles import OrdinalProfile, validate_alternative_id
 from .rules import resolve_rule, rule_ids
@@ -49,17 +50,10 @@ class RatingProfile:
                     f"evaluator {evaluator!r} must rate exactly the declared alternatives"
                 )
             for alt, value in row.items():
-                try:
-                    value = float(value)
-                except (TypeError, ValueError):
-                    raise ValueError(
-                        f"rating {value!r} for ({evaluator!r}, {alt!r}) is not a number"
-                    ) from None
                 if not RATING_MIN <= value <= RATING_MAX:
                     raise ValueError(
                         f"rating {value} for ({evaluator!r}, {alt!r}) outside [0, 10]"
                     )
-                row[alt] = value
 
     def column(self, alt: str) -> list[float]:
         """All evaluators' ratings of one alternative, in evaluator order."""
@@ -68,18 +62,10 @@ class RatingProfile:
 
 def rating_profile_from_json(text: str) -> RatingProfile:
     """Load the {"alternatives": [...], "ratings": {evaluator: {alt: num}}} schema."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or set(data) != {"alternatives", "ratings"}:
-        raise ValueError('expected an object with keys "alternatives" and "ratings"')
-    alternatives, ratings = data["alternatives"], data["ratings"]
-    if not isinstance(alternatives, list):
-        raise ValueError(f'"alternatives" must be a list of ids, got {alternatives!r}')
-    if not isinstance(ratings, dict):
-        raise ValueError(f'"ratings" must map each evaluator to their ratings, got {ratings!r}')
-    for evaluator, row in ratings.items():
-        if not isinstance(row, dict):
-            raise ValueError(f'"ratings" of {evaluator!r} must map alternatives to numbers')
-    return RatingProfile(tuple(alternatives), tuple(ratings), ratings)
+    alternatives, ratings = load(text).fields("alternatives", "ratings")
+    alts = tuple(alt.string() for alt in alternatives.members())
+    rows = {e: {alt: value.number() for alt, value in row.items()} for e, row in ratings.items()}
+    return RatingProfile(alts, tuple(rows), rows)
 
 
 def rating_profile_to_json(rp: RatingProfile) -> str:

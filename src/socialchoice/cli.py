@@ -49,11 +49,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def normalize_rule(name: str) -> str:
-    """The registry id a rule name spells."""
-    return resolve_rule(name).id
-
-
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 

@@ -1,0 +1,89 @@
+"""One located reader for the JSON input documents.
+
+`load(text)` returns the document's root `Node`.  A typed read of a node
+returns its value or raises `<path>: expected <what>, got <got>`.  The path
+runs from the root, as in `cases[0].jury[1].ranking[2]`, and is left out at
+the root itself.  `got` names the type when a list or object was expected or
+given (`got int`, `got list`) and shows the JSON value otherwise (`got "6"`,
+`got true`, `got NaN`).
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from typing import Any, NamedTuple
+
+_REQUIRED = object()
+
+
+def load(text: str) -> Node:
+    """The root of the JSON document `text`."""
+    try:
+        return Node(json.loads(text), "")
+    except RecursionError:
+        raise ValueError("JSON input nests too deeply") from None
+
+
+class Node(NamedTuple):
+    """A JSON value and its path in the document."""
+
+    value: Any
+    path: str
+
+    def _error(self, message: str) -> ValueError:
+        return ValueError(f"{self.path}: {message}" if self.path else message)
+
+    def _expect(self, ok: bool, what: str, structured: bool = False):
+        # The value if `ok`, else the located "expected <what>, got <got>".
+        if not ok:
+            named = structured or isinstance(self.value, (list, dict))
+            got = type(self.value).__name__ if named else json.dumps(self.value)
+            raise self._error(f"expected {what}, got {got}")
+        return self.value
+
+    def _object(self) -> dict:
+        return self._expect(isinstance(self.value, dict), "an object", True)
+
+    def _at(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def get(self, key: str, default=_REQUIRED) -> Node:
+        """The member `key` of this object; when it is absent, `default` if given."""
+        if key not in self._object() and default is _REQUIRED:
+            raise self._error(f'missing "{key}"')
+        return Node(self.value.get(key, default), self._at(key))
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._object()
+
+    def items(self) -> list[tuple[str, Node]]:
+        return [(key, Node(value, self._at(key))) for key, value in self._object().items()]
+
+    def fields(self, *keys: str) -> list[Node]:
+        """The members of an object whose keys are exactly `keys`, in that order."""
+        if not isinstance(self.value, dict) or set(self.value) != set(keys):
+            names = " and ".join(f'"{key}"' for key in keys)
+            raise self._error(f"expected an object with keys {names}")
+        return [self.get(key) for key in keys]
+
+    def members(self) -> list[Node]:
+        items = self._expect(isinstance(self.value, list), "a list", True)
+        return [Node(value, f"{self.path}[{i}]") for i, value in enumerate(items)]
+
+    def string(self) -> str:
+        return self._expect(isinstance(self.value, str), "a string")
+
+    def boolean(self) -> bool:
+        return self._expect(isinstance(self.value, bool), "true or false")
+
+    def integer(self) -> int:
+        # JSON integers parse to exact ints; true and false parse to bools.
+        return self._expect(type(self.value) is int, "an integer")
+
+    def number(self) -> float:
+        # The comparison fails for NaN and the infinities, and for integers
+        # past the float range.
+        value = self.value
+        finite = isinstance(value, (int, float)) and not isinstance(value, bool)
+        return float(self._expect(finite and abs(value) <= sys.float_info.max, "a finite number"))

@@ -6,6 +6,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from .jsonin import Node, load
+
 # A judgment set assigns every agenda atom a truth value.
 JudgmentSet = dict[str, bool]
 
@@ -180,26 +182,12 @@ class Agenda:
 
 def agenda_from_json(text: str) -> Agenda:
     """Load the {"atoms": [...], "constraint": "..."} schema."""
-    return _agenda_from_object(json.loads(text), "")
+    return _agenda_from_node(load(text))
 
 
-def _checked(value, kind: type, what: str, where: str):
-    # `value` if it is a `kind`, else an error naming its path in the file.
-    if not isinstance(value, kind):
-        got = type(value).__name__ if isinstance(value, (list, dict)) else json.dumps(value)
-        raise ValueError(f"{where}: expected {what}, got {got}")
-    return value
-
-
-def _agenda_from_object(data, prefix: str) -> Agenda:
-    # `prefix` locates the agenda object in its file ("" or "agenda.").
-    if not isinstance(data, dict) or set(data) != {"atoms", "constraint"}:
-        raise ValueError('expected an object with keys "atoms" and "constraint"')
-    atoms = _checked(data["atoms"], list, "a list", f"{prefix}atoms")
-    for i, atom in enumerate(atoms):
-        _checked(atom, str, "a string", f"{prefix}atoms[{i}]")
-    constraint = _checked(data["constraint"], str, "a string", f"{prefix}constraint")
-    return Agenda(tuple(atoms), constraint)
+def _agenda_from_node(node: Node) -> Agenda:
+    atoms, constraint = node.fields("atoms", "constraint")
+    return Agenda(tuple(atom.string() for atom in atoms.members()), constraint.string())
 
 
 def agenda_to_json(agenda: Agenda) -> str:
@@ -239,18 +227,10 @@ class JudgmentProfile:
 
 def judgment_profile_from_json(text: str) -> JudgmentProfile:
     """Load {"agenda": {...}, "judgments": {evaluatorId: {atom: bool}}}."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or set(data) != {"agenda", "judgments"}:
-        raise ValueError('expected an object with keys "agenda" and "judgments"')
-    agenda = _agenda_from_object(data["agenda"], "agenda.")
-    judgments = tuple(
-        (name, {
-            atom: _checked(value, bool, "true or false", f"judgments.{name}.{atom}")
-            for atom, value in _checked(js, dict, "an object", f"judgments.{name}").items()
-        })
-        for name, js in _checked(data["judgments"], dict, "an object", "judgments").items()
-    )
-    return JudgmentProfile(agenda, judgments)
+    agenda, judgments = load(text).fields("agenda", "judgments")
+    agenda = _agenda_from_node(agenda)
+    sets = tuple((name, {a: v.boolean() for a, v in js.items()}) for name, js in judgments.items())
+    return JudgmentProfile(agenda, sets)
 
 
 def majority_judgments(jp: JudgmentProfile) -> JudgmentSet:

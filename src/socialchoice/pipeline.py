@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from random import Random
@@ -25,6 +24,7 @@ from random import Random
 import numpy as np
 
 from .cardinal import Committee, cardinal_rule
+from .jsonin import Node, load
 from .ordinal import ordinal_rule
 from .profiles import OrdinalProfile, RankingBallot
 from .rules import resolve_rule, rule_ids
@@ -339,99 +339,49 @@ class SimulationDataset:
             raise ValueError("a dataset needs at least one case")
 
 
-def _get(data, key: str, where: str, convert=None, default=None):
-    # data[key], through `convert`, from the JSON object at path `where`; a
-    # missing key takes `default` unless that is None.  Errors name the path.
-    if not isinstance(data, dict):
-        raise ValueError(f"{where}: expected an object, got {type(data).__name__}")
-    if key not in data and default is None:
-        raise ValueError(f'{where}: missing "{key}"')
-    try:
-        value = data.get(key, default)
-        return value if convert is None else convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}.{key}: {exc}") from None
-
-
-def _array(value, item=lambda v: v) -> tuple:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return tuple(item(v) for v in value)
-
-
-def _floats(value) -> tuple[float, ...]:
-    return _array(value, _number)
-
-
-def _each(data, key: str, where: str) -> list:
-    # (path, item) for each item of the JSON list data[key].
-    return [(f"{where}.{key}[{i}]", item) for i, item in enumerate(_get(data, key, where, _array))]
-
-
-def _integer(value) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {json.dumps(value)}")
-    return value
-
-
-def _number(value) -> float:
-    # A JSON number, not true or false, as a finite float; the comparison
-    # fails for NaN and the infinities, and for integers past the float range.
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if abs(value) <= sys.float_info.max:
-            return float(value)
-    raise TypeError(f"expected a finite number, got {json.dumps(value)}")
-
-
-def _population_from_json(data) -> PopulationSpec:
+def _population_from_json(node: Node) -> PopulationSpec:
     groups = tuple(
         GroupSpec(
-            _get(group, "weight", at, _number),
+            group.get("weight").number(),
             tuple(
-                ComponentDist(
-                    _get(c, "kind", w), _get(c, "a", w, _number), _get(c, "b", w, _number)
-                )
-                for w, c in _each(group, "components", at)
+                ComponentDist(c.get("kind").string(), c.get("a").number(), c.get("b").number())
+                for c in group.get("components").members()
             ),
         )
-        for at, group in _each(data, "groups", "population")
+        for group in node.get("groups").members()
     )
-    noise_sigma = _get(data, "noise_sigma", "population", _number, 0.0)
-    return PopulationSpec(_get(data, "d", "population", _integer), groups, noise_sigma)
+    noise_sigma = node.get("noise_sigma", 0.0).number()
+    return PopulationSpec(node.get("d").integer(), groups, noise_sigma)
 
 
-def _case_from_json(data, where: str) -> PromptCase:
-    responses = tuple(
-        ResponseRecord(_get(r, "id", at), r.get("text", r["id"]), _get(r, "features", at, _floats))
-        for at, r in _each(data, "responses", where)
-    )
+def _case_from_json(node: Node) -> PromptCase:
+    responses = []
+    for r in node.get("responses").members():
+        rid = r.get("id").string()
+        text = r.get("text", rid).string()
+        features = tuple(x.number() for x in r.get("features").members())
+        responses.append(ResponseRecord(rid, text, features))
     jury = None
-    if "jury" in data:
+    if "jury" in node:
         jury = tuple(
-            RankingBallot(_get(b, "ranking", at, _array), _get(b, "weight", at, _integer, 1))
-            for at, b in _each(data, "jury", where)
+            RankingBallot(
+                tuple(alt.string() for alt in b.get("ranking").members()),
+                b.get("weight", 1).integer(),
+            )
+            for b in node.get("jury").members()
         )
-    return PromptCase(_get(data, "prompt", where), responses, jury)
+    return PromptCase(node.get("prompt").string(), tuple(responses), jury)
 
 
 def dataset_from_json(text: str) -> SimulationDataset:
     """Load {"cases": [...], "population": {...}, "world": {...}}."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("a dataset must be a JSON object")
-    missing = {"cases", "population", "world"} - set(data)
-    if missing:
-        raise ValueError(f"dataset is missing key(s) {sorted(missing)}")
-    cases = _get(data, "cases", "dataset", _array)
-    world = data["world"]
-    return SimulationDataset(
-        tuple(_case_from_json(case, f"cases[{i}]") for i, case in enumerate(cases)),
-        _population_from_json(data["population"]),
-        GroundTruthWorld(
-            _get(world, "M_star", "world", lambda rows: _array(rows, _floats)),
-            _get(world, "noise_sigma", "world", _number, 0.0),
-        ),
-    )
+    root = load(text)
+    cases = tuple(_case_from_json(case) for case in root.get("cases").members())
+    population = _population_from_json(root.get("population"))
+    world = root.get("world")
+    M_star = tuple(tuple(x.number() for x in row.members()) for row in world.get("M_star").members())
+    noise_sigma = world.get("noise_sigma", 0.0).number()
+    return SimulationDataset(cases, population, GroundTruthWorld(M_star, noise_sigma))
 
 
 VARIANTS = ("rankings", "features", "collective", "inference")
@@ -459,6 +409,7 @@ class PipelineConfig:
     dataset: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "ridge_lambda", Node(self.ridge_lambda, '"ridge_lambda"').number())
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         for attr, flag, kinds, variants in _RULE_FIELDS:
@@ -498,13 +449,9 @@ def _is_positive_int(value) -> bool:
 
 
 def config_from_json(text: str) -> PipelineConfig:
-    data = json.loads(text)
+    data = load(text).value
     if not isinstance(data, dict) or "variant" not in data:
         raise ValueError('pipeline config must be an object with a "variant"')
-    try:
-        ridge_lambda = _number(data.get("ridge_lambda", 1e-6))
-    except TypeError as exc:
-        raise ValueError(f'"ridge_lambda": {exc}') from None
     return PipelineConfig(
         variant=data["variant"],
         rule_f=data.get("F"),
@@ -512,7 +459,7 @@ def config_from_json(text: str) -> PipelineConfig:
         rule_c=data.get("C"),
         k=data.get("k"),
         n_evaluators=data.get("N"),
-        ridge_lambda=ridge_lambda,
+        ridge_lambda=data.get("ridge_lambda", 1e-6),
         seed=data.get("seed"),
         dataset=data.get("dataset"),
     )

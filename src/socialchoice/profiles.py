@@ -47,10 +47,6 @@ class RankingBallot(NamedTuple):
     ranking: tuple[str, ...]
     weight: int = 1
 
-    def positions(self) -> dict[str, int]:
-        """Map alternative id to its 0-indexed position from the top."""
-        return {alt: i for i, alt in enumerate(self.ranking)}
-
 
 @dataclass(frozen=True)
 class OrdinalProfile:

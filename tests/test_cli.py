@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from socialchoice.cli import main, normalize_rule
+from socialchoice.cli import main
 from socialchoice.profiles import parse_profile
+from socialchoice.rules import resolve_rule
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -25,10 +26,10 @@ def run_json(capsys, *argv):
 
 class TestRuleAliases:
     def test_hyphens_map_to_registry_names(self):
-        assert normalize_rule("ranked-pairs") == "ranked_pairs"
-        assert normalize_rule("instant-runoff") == "instant_runoff"
-        assert normalize_rule("irv") == "instant_runoff"
-        assert normalize_rule("K-Borda") == "k_borda"
+        assert resolve_rule("ranked-pairs").id == "ranked_pairs"
+        assert resolve_rule("instant-runoff").id == "instant_runoff"
+        assert resolve_rule("irv").id == "instant_runoff"
+        assert resolve_rule("K-Borda").id == "k_borda"
 
 
 class TestAggregate:
@@ -333,6 +334,24 @@ class TestExitCodes:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("document", ["config", "dataset", "ratings", "judgments"])
+    def test_over_deep_json_is_input_error(self, capsys, tmp_path, document):
+        # Nesting past the JSON parser's recursion limit, fed to each loader.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"variant": "rankings", "F": "borda", "dataset": str(deep)}))
+        argv = {
+            "config": ["simulate", "--config", str(deep)],
+            "dataset": ["simulate", "--config", str(config)],
+            "ratings": ["rate", "--rule", "mean", "--ratings", str(deep)],
+            "judgments": ["judge", "--profile", str(deep)],
+        }[document]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: JSON input nests too deeply\n"
+
 
 class TestFormats:
     def test_csv_and_json_numbers_agree(self, capsys):
@@ -469,6 +488,15 @@ class TestDatasetErrors:
             (lambda d: d["population"].update(groups=5),
              "population.groups: expected a list, got int"),
             (lambda d: d.update(world=[]), "world: expected an object, got list"),
+            (lambda d: d["cases"][0]["jury"][0].update(ranking=[["A"], "B", "C"]),
+             "cases[0].jury[0].ranking[0]: expected a string, got list"),
+            (lambda d: d["cases"][0]["jury"][0].update(ranking=[1, "X", "C"]),
+             "cases[0].jury[0].ranking[0]: expected a string, got 1"),
+            (lambda d: d["cases"][0]["responses"][0].update(id=["A"]),
+             "cases[0].responses[0].id: expected a string, got list"),
+            (lambda d: d["cases"][0].update(prompt=7), "cases[0].prompt: expected a string, got 7"),
+            (lambda d: d["cases"][0]["responses"][0].update(text=["A"]),
+             "cases[0].responses[0].text: expected a string, got list"),
         ],
     )
     def test_malformed_dataset_exits_1_with_its_location(self, capsys, tmp_path, mutate, message):
@@ -480,24 +508,33 @@ class TestDatasetErrors:
 
 class TestRatingsErrors:
     @pytest.mark.parametrize(
-        "ratings, named",
+        "ratings, message",
         [
-            ({"alternatives": ["A"], "ratings": 5}, '"ratings"'),
-            ({"alternatives": ["A"], "ratings": {"e1": 5}}, "'e1'"),
-            ({"alternatives": 5, "ratings": {"e1": {"A": 1}}}, '"alternatives"'),
-            ({"alternatives": ["A"], "ratings": {"e1": {"A": None}}}, "('e1', 'A')"),
+            ({"alternatives": ["A"], "ratings": 5}, "ratings: expected an object, got int"),
+            ({"alternatives": ["A"], "ratings": {"e1": 5}},
+             "ratings.e1: expected an object, got int"),
+            ({"alternatives": 5, "ratings": {"e1": {"A": 1}}},
+             "alternatives: expected a list, got int"),
+            ({"alternatives": ["A"], "ratings": {"e1": {"A": None}}},
+             "ratings.e1.A: expected a finite number, got null"),
+            ({"alternatives": [["x"]], "ratings": {"e1": {"x": 1}}},
+             "alternatives[0]: expected a string, got list"),
+            ({"alternatives": ["A"], "ratings": {"e1": {"A": True}}},
+             "ratings.e1.A: expected a finite number, got true"),
+            ({"alternatives": ["A"], "ratings": {"e1": {"A": "6"}}},
+             'ratings.e1.A: expected a finite number, got "6"'),
         ],
     )
     @pytest.mark.parametrize("command", [["rate"], ["audit", "anonymity"]])
-    def test_malformed_ratings_exit_1_naming_the_field(
-        self, capsys, tmp_path, command, ratings, named
+    def test_malformed_ratings_exit_1_with_their_location(
+        self, capsys, tmp_path, command, ratings, message
     ):
         path = tmp_path / "ratings.json"
         path.write_text(json.dumps(ratings))
         code, out, err = run_cli(capsys, *command, "--rule", "mean", "--ratings", str(path))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and named in err
+        assert err == f"error: {message}\n"
 
 
 class TestDatasetIntegers:
@@ -569,7 +606,7 @@ class TestJudgmentErrors:
              "judgments: expected an object, got list"),
             (lambda d: d["judgments"].update(E2=[False, True, False]),
              "judgments.E2: expected an object, got list"),
-            (lambda d: d["agenda"].update(atoms=5), "agenda.atoms: expected a list, got 5"),
+            (lambda d: d["agenda"].update(atoms=5), "agenda.atoms: expected a list, got int"),
             (lambda d: d["agenda"]["atoms"].__setitem__(1, 7),
              "agenda.atoms[1]: expected a string, got 7"),
             (lambda d: d["agenda"].update(constraint=5),
@@ -625,9 +662,9 @@ class TestDatasetNumbers:
             (lambda d: d["world"].update(noise_sigma=float("nan")),
              "world.noise_sigma: expected a finite number, got NaN"),
             (lambda d: d["world"]["M_star"][0].__setitem__(0, float("inf")),
-             "world.M_star: expected a finite number, got Infinity"),
+             "world.M_star[0][0]: expected a finite number, got Infinity"),
             (lambda d: d["cases"][0]["responses"][1]["features"].__setitem__(2, "1"),
-             'cases[0].responses[1].features: expected a finite number, got "1"'),
+             'cases[0].responses[1].features[2]: expected a finite number, got "1"'),
         ],
     )
     def test_non_number_exits_1_with_its_location(self, capsys, tmp_path, mutate, message):

@@ -1,0 +1,107 @@
+"""The located JSON reader, and the rule that every JSON input goes through it."""
+
+import ast
+import math
+from pathlib import Path
+
+import pytest
+
+from socialchoice.jsonin import Node, load
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "socialchoice"
+
+
+def test_only_the_reader_parses_json():
+    # A loader that parses JSON itself would need its own checks again.
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "jsonin.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            json_read = (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("load", "loads")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            )
+            if json_read or (isinstance(node, ast.ImportFrom) and node.module == "json"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+DOC = '{"cases": [{"jury": [{"ranking": ["A", 1]}]}], "n": 2, "ok": true}'
+
+
+def test_paths_run_from_the_root():
+    ranking = load(DOC).get("cases").members()[0].get("jury").members()[0].get("ranking")
+    items = ranking.members()
+    assert [item.path for item in items] == ["cases[0].jury[0].ranking[0]",
+                                             "cases[0].jury[0].ranking[1]"]
+    assert items[0].string() == "A"
+    with pytest.raises(ValueError) as caught:
+        items[1].string()
+    assert str(caught.value) == "cases[0].jury[0].ranking[1]: expected a string, got 1"
+
+
+@pytest.mark.parametrize(
+    "value, read, message",
+    [
+        (5, Node.members, "expected a list, got int"),
+        ([1], Node.string, "expected a string, got list"),
+        ({"a": 1}, Node.number, "expected a finite number, got dict"),
+        (None, Node.items, "expected an object, got NoneType"),
+        ("6", Node.number, 'expected a finite number, got "6"'),
+        (True, Node.number, "expected a finite number, got true"),
+        (math.nan, Node.number, "expected a finite number, got NaN"),
+        (-math.inf, Node.number, "expected a finite number, got -Infinity"),
+        (1.5, Node.integer, "expected an integer, got 1.5"),
+        (False, Node.integer, "expected an integer, got false"),
+        (1, Node.boolean, "expected true or false, got 1"),
+    ],
+)
+def test_got_names_the_type_or_shows_the_value(value, read, message):
+    with pytest.raises(ValueError) as caught:
+        read(Node(value, "x"))
+    assert str(caught.value) == f"x: {message}"
+
+
+def test_root_messages_carry_no_path():
+    with pytest.raises(ValueError, match="^expected an object, got list$"):
+        load("[]").get("a")
+    with pytest.raises(ValueError, match='^missing "cases"$'):
+        load("{}").get("cases")
+
+
+def test_typed_reads_return_the_values():
+    root = load(DOC)
+    assert root.get("n").integer() == 2
+    assert root.get("n").number() == 2.0 and isinstance(root.get("n").number(), float)
+    assert root.get("ok").boolean() is True
+    assert root.get("absent", 7).integer() == 7
+    assert "n" in root and "absent" not in root
+    assert [(key, node.path) for key, node in root.items()] == [
+        ("cases", "cases"), ("n", "n"), ("ok", "ok")]
+
+
+def test_fields_want_exactly_the_keys():
+    n, ok = load('{"ok": false, "n": 1}').fields("n", "ok")
+    assert (n.value, ok.value) == (1, False)
+    with pytest.raises(ValueError) as caught:
+        load('{"agenda": {"atoms": []}}').get("agenda").fields("atoms", "constraint")
+    assert str(caught.value) == 'agenda: expected an object with keys "atoms" and "constraint"'
+
+
+def test_over_deep_nesting_is_a_value_error():
+    with pytest.raises(ValueError, match="^JSON input nests too deeply$"):
+        load("[" * 200_000)
+
+
+@pytest.mark.parametrize("value", [0, -1.5, 10**300, 1.7e308])
+def test_finite_numbers_read_as_floats(value):
+    assert Node(value, "x").number() == float(value)
+
+
+@pytest.mark.parametrize("value", [10**400, math.inf, math.nan])
+def test_numbers_past_the_float_range_are_refused(value):
+    with pytest.raises(ValueError, match="^x: expected a finite number, got "):
+        Node(value, "x").number()

@@ -35,7 +35,7 @@ def reference_margin_matrix(profile):
     index = {a: i for i, a in enumerate(alts)}
     entries = [[0] * m for _ in range(m)]
     for ballot in profile.ballots:
-        pos = ballot.positions()
+        pos = {alt: i for i, alt in enumerate(ballot.ranking)}
         for i, a in enumerate(alts):
             for j in range(i + 1, m):
                 b = alts[j]
@@ -97,7 +97,7 @@ def reference_cc_score(profile, committee):
     m = profile.num_alternatives
     total = 0.0
     for ballot in profile.ballots:
-        pos = ballot.positions()
+        pos = {alt: i for i, alt in enumerate(ballot.ranking)}
         total += ballot.weight * max(m - 1 - pos[alt] for alt in committee)
     return total
 
