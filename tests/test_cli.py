@@ -526,7 +526,7 @@ class TestRatingsErrors:
         ],
     )
     @pytest.mark.parametrize("command", [["rate"], ["audit", "anonymity"]])
-    def test_malformed_ratings_exit_1_with_their_location(
+    def test_malformed_ratings_exit_1_naming_the_field(
         self, capsys, tmp_path, command, ratings, message
     ):
         path = tmp_path / "ratings.json"
