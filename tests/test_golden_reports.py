@@ -15,6 +15,14 @@ Each file under `golden/expected/` is the stdout of one command line:
   `data/judgments.json` and `golden/ratings_rich.json` (four alternatives,
   six evaluators, fractional ratings), as JSON and as CSV, frozen before the
   JSON loaders moved onto one reader.
+- `aggregate_<rule>`, `committee_<rule>_k<k>`, `parse_feedback`,
+  `clones_<rule>`, `manipulation_<rule>`, `cycle` and `anonymity_<rule>`,
+  each `.<input>.<format>`: every ordinal and lottery rule, both committee
+  rules at k=1..3, the feedback compiler and the ordinal audits on the
+  `data/*.vote` files and on `golden/weighted_m6.vote` and
+  `golden/weighted_m10.vote` (weighted ballots that repeat rankings in
+  differently spaced text; m=10 is above the cycle-enumeration cap), as
+  JSON and as CSV, frozen before the CLI's imports were made lazy.
 
 To regenerate after a deliberate output change, run the case's command line
 from the repository root with `PYTHONPATH=src python -m socialchoice.cli`
@@ -42,6 +50,16 @@ SIMULATE = [
 ]
 
 RATINGS = (DATA / "ratings.json", GOLDEN / "ratings_rich.json")
+VOTES = (*sorted(DATA.glob("*.vote")), GOLDEN / "weighted_m6.vote", GOLDEN / "weighted_m10.vote")
+FIG1, M6, M10 = DATA / "fig1.vote", GOLDEN / "weighted_m6.vote", GOLDEN / "weighted_m10.vote"
+ORDINAL = ("plurality", "borda", "instant_runoff", "ranked_pairs")
+FORMATS = ("json", "csv")
+# (profile, target, copies, split) per clone audit.
+CLONES = [
+    (DATA / "restaurant.vote", "C", 2, "alternating"),
+    (FIG1, "B", 3, "lexicographic"),
+    (M6, "A", 2, "alternating"),
+]
 
 # (expected file name, argv) per frozen command line.
 CASES = [
@@ -49,13 +67,36 @@ CASES = [
        ["simulate", "--config", str(config), "--seed", str(seed)]) for config, seed in SIMULATE],
     *[(f"rate_{rule}.{path.stem}.{fmt}",
        ["rate", "--rule", rule, "--ratings", str(path), "--format", fmt])
-      for rule in ("mean", "median") for path in RATINGS for fmt in ("json", "csv")],
+      for rule in ("mean", "median") for path in RATINGS for fmt in FORMATS],
     *[(f"anonymity_median.{path.stem}.{fmt}",
        ["audit", "anonymity", "--rule", "median", "--ratings", str(path), "--format", fmt])
-      for path in RATINGS for fmt in ("json", "csv")],
+      for path in RATINGS for fmt in FORMATS],
     *[(f"judge.judgments.{fmt}",
        ["judge", "--profile", str(DATA / "judgments.json"), "--format", fmt])
-      for fmt in ("json", "csv")],
+      for fmt in FORMATS],
+    *[(f"aggregate_{rule}.{path.stem}.{fmt}",
+       ["aggregate", "--rule", rule, "--profile", str(path), "--format", fmt])
+      for rule in (*ORDINAL, "random_dictator") for path in VOTES for fmt in FORMATS],
+    *[(f"committee_{rule}_k{k}.{path.stem}.{fmt}",
+       ["committee", "--rule", rule, "--profile", str(path), "--k", str(k), "--format", fmt])
+      for rule in ("k_borda", "greedy_cc") for path in (FIG1, M6, M10) for k in (1, 2, 3)
+      for fmt in FORMATS],
+    *[(f"parse_feedback.feedback.{fmt}",
+       ["parse-feedback", "--statements", str(DATA / "feedback.txt"), "--context", "A,B,C",
+        "--format", fmt]) for fmt in FORMATS],
+    *[(f"clones_{rule}.{path.stem}.{fmt}",
+       ["audit", "clones", "--rule", rule, "--profile", str(path), "--target", target,
+        "--copies", str(copies), "--split", split, "--format", fmt])
+      for rule in ORDINAL for path, target, copies, split in CLONES for fmt in FORMATS],
+    *[(f"manipulation_{rule}.{path.stem}.{fmt}",
+       ["audit", "manipulation", "--rule", rule, "--profile", str(path), "--voter", str(voter),
+        "--format", fmt])
+      for rule in ORDINAL for path, voter in ((FIG1, 0), (M6, 5)) for fmt in FORMATS],
+    *[(f"cycle.{path.stem}.{fmt}", ["audit", "cycle", "--profile", str(path), "--format", fmt])
+      for path in VOTES for fmt in FORMATS],
+    *[(f"anonymity_{rule}.{path.stem}.{fmt}",
+       ["audit", "anonymity", "--rule", rule, "--profile", str(path), "--format", fmt])
+      for rule in ORDINAL for path in (FIG1, M6, M10) for fmt in FORMATS],
 ]
 
 
