@@ -7,8 +7,6 @@ import statistics
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
-import numpy as np
-
 from .jsonin import load
 from .ordinal import borda
 from .profiles import OrdinalProfile, validate_alternative_id
@@ -152,6 +150,8 @@ def greedy_cc(profile: OrdinalProfile, k: int) -> Committee:
     breaking gain ties lexicographically.  Costs O(k d m) for d distinct
     rankings, with exact integer gains.
     """
+    import numpy as np
+
     _check_committee_size(profile, k)
     alts = profile.alternatives
     positions, weights = profile._position_tally

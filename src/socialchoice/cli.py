@@ -5,35 +5,18 @@ Every command prints one canonical report (JSON by default, CSV on request)
 to stdout, so identical inputs and seeds give byte-identical output.  Exit
 codes: 0 success (a "violated" audit verdict is still a success), 1 input
 error, 2 internal error.
+
+Each command imports the modules it runs when it runs, so a command that
+needs no arrays never loads numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
-from .audits import (
-    ANONYMITY_PERMUTATIONS,
-    CloneSpec,
-    anonymity_check,
-    clone_test,
-    manipulation_search_cardinal,
-    manipulation_search_ordinal,
-    reverify_cardinal_witness,
-    reverify_ordinal_witness,
-)
-from .cardinal import aggregate_ratings, cc_score, rating_profile_from_json
-from .judgment import (
-    check_consistency,
-    closest_consistent,
-    judgment_profile_from_json,
-    majority_judgments,
-)
-from .feedback import compile_constraints, format_statement, interpret_rating, parse_feedback
-from .pipeline import config_from_json, dataset_from_json, run_pipeline
-from .profiles import detect_cycles, margin_matrix, parse_profile
 from .reports import RunReport, make_report, report_csv, report_json
 from .rules import resolve_rule
 
@@ -54,6 +37,8 @@ def _read(path: str) -> str:
 
 
 def cmd_aggregate(args) -> RunReport:
+    from .profiles import parse_profile
+
     text = _read(args.profile)
     profile = parse_profile(text)
     rule = resolve_rule(args.rule, "ordinal", "lottery")
@@ -77,6 +62,8 @@ def cmd_aggregate(args) -> RunReport:
 
 
 def cmd_rate(args) -> RunReport:
+    from .cardinal import aggregate_ratings, rating_profile_from_json
+
     text = _read(args.ratings)
     rule = resolve_rule(args.rule, "cardinal").id
     profile = rating_profile_from_json(text)
@@ -85,6 +72,9 @@ def cmd_rate(args) -> RunReport:
 
 
 def cmd_committee(args) -> RunReport:
+    from .cardinal import cc_score
+    from .profiles import parse_profile
+
     text = _read(args.profile)
     profile = parse_profile(text)
     rule = resolve_rule(args.rule, "committee")
@@ -99,6 +89,13 @@ def cmd_committee(args) -> RunReport:
 
 
 def cmd_judge(args) -> RunReport:
+    from .judgment import (
+        check_consistency,
+        closest_consistent,
+        judgment_profile_from_json,
+        majority_judgments,
+    )
+
     text = _read(args.profile)
     jp = judgment_profile_from_json(text)
     majority = majority_judgments(jp)
@@ -119,6 +116,8 @@ def cmd_judge(args) -> RunReport:
 
 
 def cmd_parse_feedback(args) -> RunReport:
+    from .feedback import compile_constraints, format_statement, interpret_rating, parse_feedback
+
     text = _read(args.statements)
     context = tuple(x.strip() for x in args.context.split(",") if x.strip())
     if not context:
@@ -135,6 +134,8 @@ def cmd_parse_feedback(args) -> RunReport:
 
 
 def cmd_simulate(args) -> RunReport:
+    from .pipeline import config_from_json, dataset_from_json, run_pipeline
+
     config_text = _read(args.config)
     config = config_from_json(config_text)
     if config.dataset is None:
@@ -153,7 +154,7 @@ def cmd_simulate(args) -> RunReport:
     return make_report("simulate", inputs, args.seed, payload)
 
 
-def _alternating_orders(spec: CloneSpec, n_voters: int) -> CloneSpec:
+def _alternating_orders(spec, n_voters: int):
     # Rotate the lexicographic clone order one step per voter, so two copies
     # split a bloc's first-place votes evenly.
     clones = spec.clone_ids()
@@ -161,10 +162,23 @@ def _alternating_orders(spec: CloneSpec, n_voters: int) -> CloneSpec:
         i: tuple(clones[(i + j) % len(clones)] for j in range(len(clones)))
         for i in range(n_voters)
     }
-    return CloneSpec(spec.target, spec.copies, orders)
+    return replace(spec, orders=orders)
 
 
 def cmd_audit(args) -> RunReport:
+    from .audits import (
+        ANONYMITY_PERMUTATIONS,
+        CloneSpec,
+        anonymity_check,
+        clone_test,
+        manipulation_search_cardinal,
+        manipulation_search_ordinal,
+        reverify_cardinal_witness,
+        reverify_ordinal_witness,
+    )
+    from .cardinal import rating_profile_from_json
+    from .profiles import detect_cycles, margin_matrix, parse_profile
+
     if args.kind == "clones":
         text = _read(args.profile)
         profile = parse_profile(text)

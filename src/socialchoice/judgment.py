@@ -12,6 +12,11 @@ from .jsonin import Node, load
 JudgmentSet = dict[str, bool]
 
 MAX_AGENDA_ATOMS = 20
+# A constraint nests at most this many levels: parentheses and '!'s open
+# around any token, and connectives above any atom in the parsed formula (a
+# chain 'a & b & c' is two levels).  Parsing and evaluation recurse once per
+# level, so the cap keeps them far from Python's recursion limit.
+MAX_CONSTRAINT_DEPTH = 100
 
 
 class ConstraintSyntaxError(ValueError):
@@ -57,10 +62,27 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _too_deep() -> ConstraintSyntaxError:
+    return ConstraintSyntaxError(f"constraint nests deeper than {MAX_CONSTRAINT_DEPTH} levels")
+
+
+def _height(node: _Node) -> int:
+    # Connectives on the longest path from the root to an atom; iterative, so
+    # a long left-deep chain cannot exhaust the stack.
+    height, stack = 0, [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        if node[0] != "atom":
+            stack.extend((child, depth + 1) for child in node[1:])
+    return height
+
+
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # parentheses and '!'s open around the current token
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -76,6 +98,8 @@ class _Parser:
         node = self.iff()
         if self.peek() is not None:
             raise ConstraintSyntaxError(f"unexpected token {self.peek()!r}")
+        if _height(node) > MAX_CONSTRAINT_DEPTH:
+            raise _too_deep()
         return node
 
     def iff(self) -> _Node:
@@ -102,15 +126,24 @@ class _Parser:
     def unary(self) -> _Node:
         token = self.take()
         if token == "!":
-            return ("not", self.unary())
+            return ("not", self.nested(self.unary))
         if token == "(":
-            node = self.iff()
+            node = self.nested(self.iff)
             if self.take() != ")":
                 raise ConstraintSyntaxError("expected ')'")
             return node
         if token in {"&", "|", "<->", ")"}:
             raise ConstraintSyntaxError(f"unexpected token {token!r}")
         return ("atom", token)
+
+    def nested(self, parse) -> _Node:
+        # '(' and '!' are the only ways the parser recurses deeper.
+        self.open += 1
+        if self.open > MAX_CONSTRAINT_DEPTH:
+            raise _too_deep()
+        node = parse()
+        self.open -= 1
+        return node
 
 
 def _evaluate(node: _Node, assignment: JudgmentSet) -> bool:
@@ -187,7 +220,8 @@ def agenda_from_json(text: str) -> Agenda:
 
 def _agenda_from_node(node: Node) -> Agenda:
     atoms, constraint = node.fields("atoms", "constraint")
-    return Agenda(tuple(atom.string() for atom in atoms.members()), constraint.string())
+    atoms = tuple(atom.string() for atom in atoms.members())
+    return constraint.build(Agenda, atoms, constraint.string(), errors=ConstraintSyntaxError)
 
 
 def agenda_to_json(agenda: Agenda) -> str:

@@ -340,18 +340,16 @@ class SimulationDataset:
 
 
 def _population_from_json(node: Node) -> PopulationSpec:
-    groups = tuple(
-        GroupSpec(
-            group.get("weight").number(),
-            tuple(
-                ComponentDist(c.get("kind").string(), c.get("a").number(), c.get("b").number())
-                for c in group.get("components").members()
-            ),
+    groups = []
+    for group in node.get("groups").members():
+        weight = group.get("weight").number()
+        components = tuple(
+            c.build(ComponentDist, c.get("kind").string(), c.get("a").number(), c.get("b").number())
+            for c in group.get("components").members()
         )
-        for group in node.get("groups").members()
-    )
+        groups.append(group.build(GroupSpec, weight, components))
     noise_sigma = node.get("noise_sigma", 0.0).number()
-    return PopulationSpec(node.get("d").integer(), groups, noise_sigma)
+    return node.build(PopulationSpec, node.get("d").integer(), tuple(groups), noise_sigma)
 
 
 def _case_from_json(node: Node) -> PromptCase:
@@ -360,7 +358,7 @@ def _case_from_json(node: Node) -> PromptCase:
         rid = r.get("id").string()
         text = r.get("text", rid).string()
         features = tuple(x.number() for x in r.get("features").members())
-        responses.append(ResponseRecord(rid, text, features))
+        responses.append(r.build(ResponseRecord, rid, text, features))
     jury = None
     if "jury" in node:
         jury = tuple(
@@ -370,18 +368,23 @@ def _case_from_json(node: Node) -> PromptCase:
             )
             for b in node.get("jury").members()
         )
-    return PromptCase(node.get("prompt").string(), tuple(responses), jury)
+    return node.build(PromptCase, node.get("prompt").string(), tuple(responses), jury)
 
 
 def dataset_from_json(text: str) -> SimulationDataset:
-    """Load {"cases": [...], "population": {...}, "world": {...}}."""
+    """Load {"cases": [...], "population": {...}, "world": {...}}.
+
+    A check that a built object makes on itself (a jury ballot naming an
+    unknown response, group weights that do not sum to 1) is located at the
+    node the object was read from, as in `cases[0]: ...`.
+    """
     root = load(text)
     cases = tuple(_case_from_json(case) for case in root.get("cases").members())
     population = _population_from_json(root.get("population"))
     world = root.get("world")
     M_star = tuple(tuple(x.number() for x in row.members()) for row in world.get("M_star").members())
     noise_sigma = world.get("noise_sigma", 0.0).number()
-    return SimulationDataset(cases, population, GroundTruthWorld(M_star, noise_sigma))
+    return SimulationDataset(cases, population, world.build(GroundTruthWorld, M_star, noise_sigma))
 
 
 VARIANTS = ("rankings", "features", "collective", "inference")

@@ -6,9 +6,10 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, starmap
-from typing import NamedTuple, NoReturn
+from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _FORBIDDEN_ID_CHARS = (">", ",")
 
@@ -103,6 +104,8 @@ class OrdinalProfile:
         of values below m fits, and exact Python ints otherwise.  Computed on
         first use and kept, so the kernels run on one profile share it.
         """
+        import numpy as np  # only the array kernels need numpy; it loads on first use
+
         rankings, counts = zip(*self.merged)
         m = len(self.alternatives)
         k = len(rankings)
@@ -263,6 +266,8 @@ def margin_matrix(profile: OrdinalProfile) -> MarginMatrix:
 
     Costs O(k m^2) for k distinct rankings, in exact integer arithmetic.
     """
+    import numpy as np
+
     positions, weights = profile._position_tally
     m = positions.shape[1]
     above = np.empty((m, m), dtype=weights.dtype)

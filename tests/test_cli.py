@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from socialchoice.cli import main
+from socialchoice.judgment import MAX_CONSTRAINT_DEPTH
 from socialchoice.profiles import parse_profile
 from socialchoice.rules import resolve_rule
 
@@ -626,6 +627,27 @@ class TestJudgmentErrors:
         assert err == f"error: {message}\n"
 
 
+class TestConstraintDepth:
+    # Each shape used to exhaust Python's recursion limit (exit 2).
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            "(" * 5000 + "give" + ")" * 5000,
+            "!" * 5000 + "give",
+            " & ".join(["give"] * 5000),
+        ],
+        ids=["parentheses", "negations", "and-chain"],
+    )
+    def test_deep_constraint_exits_1_located(self, capsys, tmp_path, constraint):
+        path = mutated_judgments(tmp_path, lambda d: d["agenda"].update(constraint=constraint))
+        code, out, err = run_cli(capsys, "judge", "--profile", path)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: agenda.constraint: constraint nests deeper than {MAX_CONSTRAINT_DEPTH} levels\n"
+        )
+
+
 class TestCardinalManipulationRatings:
     @pytest.mark.parametrize(
         "ratings, message",
@@ -705,4 +727,44 @@ class TestJuryBallotFaults:
         code, out, err = run_cli(capsys, "simulate", "--config", config)
         assert code == 1
         assert out == ""
+        # The profile's own check, located at the case it was read from.
+        assert err == f"error: cases[0]: {message}\n"
+
+
+class TestBuiltObjectFaults:
+    # Checks an object makes on itself, after the typed reads, are located at
+    # the node it was read from.
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda d: d["cases"][0]["responses"][0].update(id=""),
+             "cases[0].responses[0]: response id must be non-empty"),
+            (lambda d: d["cases"][0].update(responses=d["cases"][0]["responses"][:1]),
+             "cases[0]: a prompt case needs at least two responses"),
+            (lambda d: d["population"]["groups"][1]["components"][2].update(kind="normal"),
+             "population.groups[1].components[2]: unknown distribution kind 'normal'"),
+            (lambda d: d["population"]["groups"][1].update(weight=-0.5),
+             "population.groups[1]: group weight must be positive"),
+            (lambda d: d["population"].update(d=4),
+             "population: group has 5 component distributions, expected 4"),
+            (lambda d: d["world"].update(noise_sigma=-1),
+             "world: noise_sigma must be non-negative"),
+        ],
+    )
+    def test_fault_exits_1_located_at_its_object(self, capsys, tmp_path, mutate, message):
+        code, out, err = run_cli(capsys, "simulate", "--config", mutated_dataset(tmp_path, mutate))
+        assert code == 1
+        assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_group_weights_that_do_not_sum_to_1(self, capsys, tmp_path):
+        def mutate(d):
+            d["population"]["groups"][0]["weight"] += 0.25
+
+        config = mutated_dataset(tmp_path, mutate)
+        groups = json.loads((tmp_path / "cases.json").read_text())["population"]["groups"]
+        total = sum(group["weight"] for group in groups)
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: population: group weights sum to {total}, expected 1\n"

@@ -1,0 +1,146 @@
+"""Start-up: a command that needs no arrays never loads numpy, and the package's
+public names resolve lazily to the objects their submodules define.
+
+Each command line runs in a fresh interpreter, since numpy, once any test in
+this process has loaded it, stays in `sys.modules`.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import socialchoice
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# Runs `main(argv)`, then reports on stderr whether numpy was imported.
+PROBE = (
+    "import sys\n"
+    "from socialchoice.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+NUMPY_FREE = {
+    "aggregate-borda": ["aggregate", "--rule", "borda", "--profile", "data/fig1.vote"],
+    "aggregate-irv": ["aggregate", "--rule", "irv", "--profile", "data/fig1.vote"],
+    "aggregate-random-dictator": [
+        "aggregate", "--rule", "random-dictator", "--profile", "data/fig1.vote", "--seed", "3",
+    ],
+    "rate": ["rate", "--rule", "median", "--ratings", "data/ratings.json"],
+    "judge": ["judge", "--profile", "data/judgments.json"],
+    "parse-feedback": [
+        "parse-feedback", "--statements", "data/feedback.txt", "--context", "A,B,C",
+    ],
+    "audit-clones": [
+        "audit", "clones", "--rule", "plurality", "--profile", "data/restaurant.vote",
+        "--target", "C", "--copies", "2",
+    ],
+    "audit-manipulation-cardinal": [
+        "audit", "manipulation", "--w", "mean", "--ratings", "3,6,6", "--voter", "0",
+    ],
+    "audit-anonymity-borda": ["audit", "anonymity", "--rule", "borda", "--profile", "data/fig1.vote"],
+}
+
+# Every name the package exported before its imports became lazy.
+EXPORTS = {
+    "audits": (
+        "CloneSpec", "CloneTestResult", "ManipulationWitness", "anonymity_check", "clone_test",
+        "cloned_profile", "manipulation_search_cardinal", "manipulation_search_ordinal",
+    ),
+    "cardinal": (
+        "CARDINAL_RULES", "Committee", "RatingProfile", "aggregate_ratings", "cardinal_rule",
+        "cc_score", "compose_multiwinner_response", "greedy_cc", "k_borda",
+        "rating_profile_from_json", "rating_profile_to_json",
+    ),
+    "feedback": (
+        "FeedbackInconsistencyError", "FeedbackParseError", "PartialPreference",
+        "compile_constraints", "format_statement", "interpret_rating", "parse_feedback",
+    ),
+    "judgment": (
+        "Agenda", "JudgmentProfile", "check_consistency", "closest_consistent",
+        "judgment_profile_from_json", "majority_judgments",
+    ),
+    "ordinal": (
+        "ORDINAL_RULES", "Lottery", "SocialRanking", "borda", "instant_runoff", "ordinal_rule",
+        "plurality", "random_dictator", "ranked_pairs", "ranked_pairs_locks",
+    ),
+    "pipeline": (
+        "PromptCase", "SelectionPolicy", "emit_sft_dataset", "evaluate_reward",
+        "inference_time_choice", "rlchf_from_features", "rlchf_from_rankings",
+        "select_response", "simulate_collective_decision",
+    ),
+    "profiles": (
+        "BallotParseError", "CycleReport", "MarginMatrix", "OrdinalProfile", "RankingBallot",
+        "detect_cycles", "format_profile", "margin_matrix", "parse_profile",
+        "profile_from_rankings",
+    ),
+    "simulation": (
+        "GroundTruthWorld", "IndividualPreferenceModel", "PopulationSpec", "ResponseRecord",
+        "fit_individual_model", "predict_rating", "sample_population", "true_rating",
+    ),
+}
+
+
+def run_fresh(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize("argv", NUMPY_FREE.values(), ids=NUMPY_FREE)
+def test_command_runs_without_numpy(argv):
+    proc = run_fresh("-c", PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "numpy loaded: False\n"
+
+
+def test_probe_sees_numpy_when_a_command_needs_it():
+    # Ranked pairs tallies margins with numpy: shows the probe can see it.
+    proc = run_fresh("-c", PROBE, "aggregate", "--rule", "ranked-pairs", "--profile", "data/fig1.vote")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "numpy loaded: True\n"
+
+
+def test_importing_the_package_and_its_names_loads_no_numpy():
+    proc = run_fresh(
+        "-c",
+        "import sys\n"
+        "from socialchoice import borda, parse_profile, ranked_pairs\n"
+        "print('numpy' in sys.modules)\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in EXPORTS.items() for name in names]
+)
+def test_export_resolves_to_the_submodules_object(module, name):
+    expected = getattr(importlib.import_module(f"socialchoice.{module}"), name)
+    assert socialchoice.__getattr__(name) is expected
+    assert getattr(socialchoice, name) is expected
+
+
+def test_star_import_gives_every_export():
+    namespace = {}
+    exec("from socialchoice import *", namespace)
+    assert {n for n in namespace if n != "__builtins__"} == {
+        name for names in EXPORTS.values() for name in names
+    }
+
+
+def test_unknown_name_raises_attribute_error_and_submodules_still_import():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_rule'"):
+        socialchoice.no_such_rule
+    from socialchoice import cardinal
+
+    assert cardinal is importlib.import_module("socialchoice.cardinal")

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from socialchoice.judgment import (
+    MAX_CONSTRAINT_DEPTH,
     Agenda,
     ConstraintSyntaxError,
     JudgmentProfile,
@@ -64,6 +65,25 @@ class TestConstraintParsing:
         for bad in ("a &", "& a", "(a", "a)", "a <- b", "a ^ b", ""):
             with pytest.raises((ConstraintSyntaxError, ValueError)):
                 Agenda(("a", "b"), bad)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            lambda n: "(" * n + "a" + ")" * n,
+            lambda n: "!" * n + "a",
+            lambda n: " & ".join(["a"] * (n + 1)),
+            lambda n: "a <-> " * n + "a",
+            lambda n: "(!" * (n // 2) + "!" * (n % 2) + "a" + ")" * (n // 2),
+        ],
+        ids=["parentheses", "negations", "and-chain", "iff-chain", "mixed"],
+    )
+    def test_nesting_cap(self, shape):
+        # n levels parse and evaluate; one more is refused before any recursion runs deep.
+        n = MAX_CONSTRAINT_DEPTH
+        agenda = Agenda(("a",), shape(n))
+        assert any(agenda.satisfies({"a": v}) for v in (False, True))
+        with pytest.raises(ConstraintSyntaxError, match=f"nests deeper than {n} levels"):
+            Agenda(("a",), shape(n + 1))
 
     def test_undeclared_atom_rejected(self):
         with pytest.raises(ValueError, match="undeclared"):
