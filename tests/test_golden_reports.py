@@ -50,8 +50,8 @@ SIMULATE = [
 ]
 
 RATINGS = (DATA / "ratings.json", GOLDEN / "ratings_rich.json")
-VOTES = (*sorted(DATA.glob("*.vote")), GOLDEN / "weighted_m6.vote", GOLDEN / "weighted_m10.vote")
 FIG1, M6, M10 = DATA / "fig1.vote", GOLDEN / "weighted_m6.vote", GOLDEN / "weighted_m10.vote"
+VOTES = (*sorted(DATA.glob("*.vote")), M6, M10)
 ORDINAL = ("plurality", "borda", "instant_runoff", "ranked_pairs")
 FORMATS = ("json", "csv")
 # (profile, target, copies, split) per clone audit.
