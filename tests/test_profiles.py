@@ -104,6 +104,67 @@ class TestParsing:
         assert first == third == ("B", "A")
 
 
+class TestRepeatedLines:
+    """Which line an error names when a file repeats lines byte for byte."""
+
+    @staticmethod
+    def message(text):
+        with pytest.raises(BallotParseError) as exc:
+            parse_profile(text)
+        return str(exc.value)
+
+    def test_repeated_header_fails_at_its_second_occurrence(self):
+        text = "alternatives: A, B\n1: A > B\n# again\nalternatives: A, B\n1: B > A\n"
+        assert self.message(text) == (
+            "line 4: ballot count must be a positive integer, got 'alternatives'"
+        )
+
+    def test_repeated_header_before_a_bad_line_fails_first(self):
+        text = "alternatives: A, B\n1: A > B\nalternatives: A, B\n1: A > Z\n"
+        assert self.message(text) == (
+            "line 3: ballot count must be a positive integer, got 'alternatives'"
+        )
+
+    def test_bad_line_before_a_repeated_header_fails_first(self):
+        text = "alternatives: A, B\n1: A > B\n1: A > Z\nalternatives: A, B\n"
+        assert self.message(text) == "line 3: unknown alternative 'Z'"
+
+    def test_repeated_bad_line_names_its_first_occurrence(self):
+        text = "alternatives: A, B\n2: B > A\n" + "1: A > A\n2: B > A\n" * 300
+        assert self.message(text) == "line 3: alternative 'A' appears twice in ranking"
+
+    def test_repeated_bad_count_names_its_first_occurrence(self):
+        text = "alternatives: A, B\n1: A > B\n" + "0: B > A\n" * 50
+        assert self.message(text) == "line 3: ballot count must be positive"
+
+    def test_bad_line_after_many_good_repeats(self):
+        text = "alternatives: A, B, C\n" + "3: A > B > C\n" * 1000 + "1: C > B\n" + "1: C > B\n"
+        assert self.message(text) == (
+            "line 1002: ranking is missing alternative(s) ['A']; rankings must be complete"
+        )
+
+    def test_crlf_line_endings(self):
+        profile = parse_profile("alternatives: A, B\r\n2: A > B\r\n\r\n1: B > A\r\n2: A > B\r\n")
+        assert profile.alternatives == ("A", "B")
+        assert profile.ballots == (
+            RankingBallot(("A", "B"), 2), RankingBallot(("B", "A"), 1), RankingBallot(("A", "B"), 2)
+        )
+        assert profile.merged == (RankingBallot(("A", "B"), 4), RankingBallot(("B", "A"), 1))
+        assert self.message("alternatives: A, B\r\n1: A > B\r\n1: A\r\n") == (
+            "line 3: ranking is missing alternative(s) ['B']; rankings must be complete"
+        )
+
+    def test_differently_spaced_ranking_merges_into_one_entry(self):
+        text = "alternatives: A, B, C\n1: A > B > C\n2: A>B>C\n1: C > B > A\n3:  A >B>  C \n"
+        profile = parse_profile(text)
+        assert profile.merged == (
+            RankingBallot(("A", "B", "C"), 6), RankingBallot(("C", "B", "A"), 1)
+        )
+        assert [b.weight for b in profile.ballots] == [1, 2, 1, 3]
+        assert profile.num_voters == 7
+        assert profile.unit_rankings().count(("A", "B", "C")) == 6
+
+
 class TestProfileValidation:
     def test_duplicate_alternatives_rejected(self):
         with pytest.raises(BallotParseError, match="duplicate"):
