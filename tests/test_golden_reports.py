@@ -23,6 +23,11 @@ Each file under `golden/expected/` is the stdout of one command line:
   `golden/weighted_m10.vote` (weighted ballots that repeat rankings in
   differently spaced text; m=10 is above the cycle-enumeration cap), as
   JSON and as CSV, frozen before the CLI's imports were made lazy.
+- `aggregate_<rule>`, `committee_<rule>_k<k>` and `cycle` on
+  `golden/repeats_m4.vote` and `golden/repeats_m12.vote` (a few rankings
+  over hundreds of lines, most lines repeated byte for byte, some in
+  differently spaced text, with comments between them), as JSON and as CSV,
+  frozen before the parser read each distinct line once.
 
 To regenerate after a deliberate output change, run the case's command line
 from the repository root with `PYTHONPATH=src python -m socialchoice.cli`
@@ -51,7 +56,8 @@ SIMULATE = [
 
 RATINGS = (DATA / "ratings.json", GOLDEN / "ratings_rich.json")
 FIG1, M6, M10 = DATA / "fig1.vote", GOLDEN / "weighted_m6.vote", GOLDEN / "weighted_m10.vote"
-VOTES = (*sorted(DATA.glob("*.vote")), M6, M10)
+REPEATS = (GOLDEN / "repeats_m4.vote", GOLDEN / "repeats_m12.vote")
+VOTES = (*sorted(DATA.glob("*.vote")), M6, M10, *REPEATS)
 ORDINAL = ("plurality", "borda", "instant_runoff", "ranked_pairs")
 FORMATS = ("json", "csv")
 # (profile, target, copies, split) per clone audit.
@@ -79,7 +85,7 @@ CASES = [
       for rule in (*ORDINAL, "random_dictator") for path in VOTES for fmt in FORMATS],
     *[(f"committee_{rule}_k{k}.{path.stem}.{fmt}",
        ["committee", "--rule", rule, "--profile", str(path), "--k", str(k), "--format", fmt])
-      for rule in ("k_borda", "greedy_cc") for path in (FIG1, M6, M10) for k in (1, 2, 3)
+      for rule in ("k_borda", "greedy_cc") for path in (FIG1, M6, M10, *REPEATS) for k in (1, 2, 3)
       for fmt in FORMATS],
     *[(f"parse_feedback.feedback.{fmt}",
        ["parse-feedback", "--statements", str(DATA / "feedback.txt"), "--context", "A,B,C",
