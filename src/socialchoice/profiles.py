@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,7 +52,13 @@ class RankingBallot(NamedTuple):
 
 @dataclass(frozen=True)
 class OrdinalProfile:
-    """An immutable election: alternatives plus weighted strict rankings."""
+    """An immutable election: alternatives plus weighted strict rankings.
+
+    `OrdinalProfile(alternatives, ballots)` checks the ballots and merges
+    them; `parse_profile` builds the merge as it reads and hands it over
+    checked.  `ballots`, in input order, is read only to render the profile,
+    expand it into unit rankings and compare profiles.
+    """
 
     alternatives: tuple[str, ...]
     ballots: tuple[RankingBallot, ...]
@@ -93,6 +100,20 @@ class OrdinalProfile:
                 "rankings must be complete"
             )
         object.__setattr__(self, "merged", tuple(starmap(RankingBallot, merged.items())))
+
+    @classmethod
+    def _trusted(
+        cls,
+        alternatives: tuple[str, ...],
+        ballots: tuple[RankingBallot, ...],
+        merged: dict[tuple[str, ...], int],
+    ) -> OrdinalProfile:
+        """A profile whose alternatives, ballots and merge were built and checked by its caller."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "alternatives", alternatives)
+        object.__setattr__(profile, "ballots", ballots)
+        object.__setattr__(profile, "merged", tuple(starmap(RankingBallot, merged.items())))
+        return profile
 
     @cached_property
     def _position_tally(self) -> tuple[np.ndarray, np.ndarray]:
@@ -168,63 +189,106 @@ def _raise_ranking_error(
     )
 
 
+def _parse_header(line: str, lineno: int) -> tuple[str, ...]:
+    if not line.startswith("alternatives:"):
+        raise BallotParseError("expected header 'alternatives: ...' before any ballot line", lineno)
+    tokens = [t.strip() for t in line[len("alternatives:"):].split(",")]
+    if tokens == [""]:
+        raise BallotParseError("empty alternative list", lineno)
+    try:
+        alts = tuple(validate_alternative_id(t) for t in tokens)
+    except BallotParseError as exc:
+        raise BallotParseError(str(exc), lineno) from None
+    if len(set(alts)) != len(alts):
+        raise BallotParseError("duplicate alternative id in header", lineno)
+    return alts
+
+
+def _parse_ballot(line: str, header_ids: dict[str, str], lineno: int) -> RankingBallot:
+    """One ballot line through every check in order; an error names `lineno`."""
+    count_part, sep, ranking_part = line.partition(":")
+    if not sep:
+        raise BallotParseError("expected 'COUNT: X > Y > ...'", lineno)
+    count_token = count_part.strip()
+    if not count_token.isdigit():
+        raise BallotParseError(f"ballot count must be a positive integer, got {count_token!r}", lineno)
+    count = int(count_token)
+    if count < 1:
+        raise BallotParseError("ballot count must be positive", lineno)
+    tokens = tuple(map(str.strip, ranking_part.split(">")))
+    if len(tokens) != len(header_ids) or set(tokens) != header_ids.keys():
+        _raise_ranking_error(tokens, tuple(header_ids), lineno)
+    # Rankings hold the header's id strings, not the line's tokens.
+    return RankingBallot(tuple(map(header_ids.__getitem__, tokens)), count)
+
+
+def _read_profile(lines: list[str]) -> tuple[tuple[str, ...] | None, dict, dict]:
+    """Alternatives, summed weight per ranking and ballot per distinct ballot line.
+
+    Byte-identical lines parse alike, so each distinct line is read once, in
+    first-occurrence order, and its error is located at its first
+    occurrence: the first failing distinct line is the file's first failing
+    line.  The header is the one line whose copies differ: a second copy is a
+    ballot line, and a bad one.
+    """
+    repeats = Counter(lines)
+    alternatives = None
+    merged: dict[tuple[str, ...], int] = {}
+    ballots: dict[str, RankingBallot] = {}
+    for raw, times in repeats.items():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if alternatives is None:
+            lineno = lines.index(raw) + 1
+            alternatives = _parse_header(line, lineno)
+            m = len(alternatives)
+            header_ids = {a: a for a in alternatives}
+            if times > 1:
+                # The error is in the lines before the copy, or else it is the
+                # copy's, whose count 'alternatives' fails.
+                again = lines.index(raw, lineno)
+                _read_profile(lines[:again])
+                _parse_ballot(line, header_ids, again + 1)
+            # Equal rankings share one tuple, however their lines are spaced.
+            interned: dict[tuple[str, ...], tuple[str, ...]] = {}
+            continue
+        # The common line, "COUNT: X > Y > Z" with single spaces, is checked
+        # in one pass; any other goes through every check in order.
+        count_part, sep, ranking_part = line.partition(":")
+        count_token = count_part.strip()
+        ranking = tuple(map(header_ids.get, ranking_part.strip().split(" > ")))
+        if not (
+            sep and count_token.isdigit() and len(ranking) == m and None not in ranking
+            and len(set(ranking)) == m and (count := int(count_token)) > 0
+        ):
+            ranking, count = _parse_ballot(line, header_ids, lines.index(raw) + 1)
+        ranking = interned.setdefault(ranking, ranking)
+        ballots[raw] = RankingBallot(ranking, count)
+        merged[ranking] = merged.get(ranking, 0) + count * times
+    return alternatives, merged, ballots
+
+
 def parse_profile(text: str) -> OrdinalProfile:
     """Parse the on-disk ballot format.
 
     Lines starting with '#' are comments.  The first content line is
     ``alternatives: A, B, C``; each following line is ``COUNT: X > Y > Z``
     with COUNT a positive decimal integer and the ranking a permutation of
-    the declared alternatives.  Whitespace around tokens is ignored.
+    the declared alternatives.  Whitespace around tokens is ignored.  Equal
+    rankings are merged however they are spaced, and an error names the
+    first offending line.
     """
-    alternatives: tuple[str, ...] | None = None
-    ballots: list[RankingBallot] = []
-    # Validated rankings by their text, each tokenized and checked once and
-    # shared by every ballot that repeats it.  Rankings hold the header's id
-    # strings, so a ballot line's tokens are not kept.
-    distinct: dict[str, tuple[str, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if alternatives is None:
-            if not line.startswith("alternatives:"):
-                raise BallotParseError(
-                    "expected header 'alternatives: ...' before any ballot line", lineno
-                )
-            tokens = [t.strip() for t in line[len("alternatives:"):].split(",")]
-            if tokens == [""]:
-                raise BallotParseError("empty alternative list", lineno)
-            try:
-                alts = tuple(validate_alternative_id(t) for t in tokens)
-            except BallotParseError as exc:
-                raise BallotParseError(str(exc), lineno) from None
-            if len(set(alts)) != len(alts):
-                raise BallotParseError("duplicate alternative id in header", lineno)
-            alternatives = alts
-            alt_set = set(alts)
-            header_ids = {a: a for a in alts}
-            continue
-        count_part, sep, ranking_part = line.partition(":")
-        if not sep:
-            raise BallotParseError("expected 'COUNT: X > Y > ...'", lineno)
-        count_token = count_part.strip()
-        if not count_token.isdigit():
-            raise BallotParseError(f"ballot count must be a positive integer, got {count_token!r}", lineno)
-        count = int(count_token)
-        if count < 1:
-            raise BallotParseError("ballot count must be positive", lineno)
-        ranking = distinct.get(ranking_part)
-        if ranking is None:
-            tokens = tuple(map(str.strip, ranking_part.split(">")))
-            if len(tokens) != len(alternatives) or set(tokens) != alt_set:
-                _raise_ranking_error(tokens, alternatives, lineno)
-            ranking = distinct[ranking_part] = tuple(map(header_ids.__getitem__, tokens))
-        ballots.append(RankingBallot(ranking, count))
+    lines = text.splitlines()
+    alternatives, merged, ballots = _read_profile(lines)
     if alternatives is None:
         raise BallotParseError("no 'alternatives:' header found")
     if not ballots:
         raise BallotParseError("no ballot lines found")
-    return OrdinalProfile(alternatives, tuple(ballots))
+    # The file-order ballots: each ballot line's parsed ballot, shared by its
+    # repeats, with comments, blank lines and the header dropped.
+    in_order = tuple(filter(None, map(ballots.get, lines)))
+    return OrdinalProfile._trusted(alternatives, in_order, merged)
 
 
 def format_profile(profile: OrdinalProfile) -> str:

@@ -186,6 +186,15 @@ class TestProfileValidation:
         with pytest.raises(BallotParseError, match=r"unknown alternative\(s\) \['Z'\]"):
             OrdinalProfile(("A", "B", "C"), ballots[2:3] + ballots[:2])
 
+    def test_parsed_profile_is_not_checked_again(self, monkeypatch):
+        def check_again(profile):
+            raise AssertionError("a parsed profile went through the checking constructor")
+
+        monkeypatch.setattr(OrdinalProfile, "__post_init__", check_again)
+        profile = parse_profile(THREE_WAY + "4: A > B > C\n")
+        assert profile.merged[0] == RankingBallot(("A", "B", "C"), 8)
+        assert profile.num_voters == 27
+
     def test_unit_rankings_expand_weights(self):
         profile = parse_profile("alternatives: A, B\n2: A > B\n1: B > A\n")
         assert profile.unit_rankings() == (("A", "B"), ("A", "B"), ("B", "A"))
