@@ -30,32 +30,40 @@ class RatingProfile:
         object.__setattr__(
             self, "ratings", {e: dict(row) for e, row in self.ratings.items()}
         )
-        if not self.alternatives:
-            raise ValueError("a rating profile needs at least one alternative")
-        if not self.evaluators:
-            raise ValueError("a rating profile needs at least one evaluator")
-        if len(set(self.alternatives)) != len(self.alternatives):
-            raise ValueError("duplicate alternative ids")
-        if len(set(self.evaluators)) != len(self.evaluators):
-            raise ValueError("duplicate evaluator ids")
-        for alt in self.alternatives:
-            validate_alternative_id(alt)
+        _check_ids(self.alternatives, self.evaluators)
         if set(self.ratings) != set(self.evaluators):
             raise ValueError("ratings must cover exactly the declared evaluators")
         for evaluator, row in self.ratings.items():
-            if set(row) != set(self.alternatives):
-                raise ValueError(
-                    f"evaluator {evaluator!r} must rate exactly the declared alternatives"
-                )
+            _check_row(evaluator, row, self.alternatives)
             for alt, value in row.items():
-                if not RATING_MIN <= value <= RATING_MAX:
-                    raise ValueError(
-                        f"rating {value} for ({evaluator!r}, {alt!r}) outside [0, 10]"
-                    )
+                _check_rating(evaluator, alt, value)
 
     def column(self, alt: str) -> list[float]:
         """All evaluators' ratings of one alternative, in evaluator order."""
         return [self.ratings[e][alt] for e in self.evaluators]
+
+
+def _check_ids(alternatives: tuple[str, ...], evaluators: tuple[str, ...]) -> None:
+    if not alternatives:
+        raise ValueError("a rating profile needs at least one alternative")
+    if not evaluators:
+        raise ValueError("a rating profile needs at least one evaluator")
+    if len(set(alternatives)) != len(alternatives):
+        raise ValueError("duplicate alternative ids")
+    if len(set(evaluators)) != len(evaluators):
+        raise ValueError("duplicate evaluator ids")
+    for alt in alternatives:
+        validate_alternative_id(alt)
+
+
+def _check_row(evaluator: str, row: Mapping[str, float], alternatives: tuple[str, ...]) -> None:
+    if set(row) != set(alternatives):
+        raise ValueError(f"evaluator {evaluator!r} must rate exactly the declared alternatives")
+
+
+def _check_rating(evaluator: str, alt: str, value: float) -> None:
+    if not RATING_MIN <= value <= RATING_MAX:
+        raise ValueError(f"rating {value} for ({evaluator!r}, {alt!r}) outside [0, 10]")
 
 
 def rating_profile_from_json(text: str) -> RatingProfile:
@@ -63,6 +71,12 @@ def rating_profile_from_json(text: str) -> RatingProfile:
     alternatives, ratings = load(text).fields("alternatives", "ratings")
     alts = tuple(alt.string() for alt in alternatives.members())
     rows = {e: {alt: value.number() for alt, value in row.items()} for e, row in ratings.items()}
+    # The profile's checks in its order, each row's and rating's at its node.
+    _check_ids(alts, tuple(rows))
+    for evaluator, row in ratings.items():
+        row.build(_check_row, evaluator, rows[evaluator], alts)
+        for alt, value in row.items():
+            value.build(_check_rating, evaluator, alt, rows[evaluator][alt])
     return RatingProfile(alts, tuple(rows), rows)
 
 

@@ -19,7 +19,11 @@ MAX_AGENDA_ATOMS = 20
 MAX_CONSTRAINT_DEPTH = 100
 
 
-class ConstraintSyntaxError(ValueError):
+class ConstraintError(ValueError):
+    """The constraint is not well-formed, names an undeclared atom or cannot hold."""
+
+
+class ConstraintSyntaxError(ConstraintError):
     """The constraint formula text is not well-formed."""
 
 
@@ -190,10 +194,10 @@ class Agenda:
         node = _Parser(_tokenize(self.constraint)).parse()
         unknown = _atoms_in(node) - set(self.atoms)
         if unknown:
-            raise ValueError(f"constraint mentions undeclared atom(s) {sorted(unknown)}")
+            raise ConstraintError(f"constraint mentions undeclared atom(s) {sorted(unknown)}")
         object.__setattr__(self, "_node", node)
         if not any(True for _ in self.satisfying_assignments()):
-            raise ValueError("constraint is unsatisfiable")
+            raise ConstraintError("constraint is unsatisfiable")
 
     def satisfies(self, js: JudgmentSet) -> bool:
         self._check_total(js)
@@ -221,7 +225,7 @@ def agenda_from_json(text: str) -> Agenda:
 def _agenda_from_node(node: Node) -> Agenda:
     atoms, constraint = node.fields("atoms", "constraint")
     atoms = tuple(atom.string() for atom in atoms.members())
-    return constraint.build(Agenda, atoms, constraint.string(), errors=ConstraintSyntaxError)
+    return constraint.build(Agenda, atoms, constraint.string(), errors=ConstraintError)
 
 
 def agenda_to_json(agenda: Agenda) -> str:

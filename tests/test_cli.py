@@ -524,6 +524,10 @@ class TestRatingsErrors:
              "ratings.e1.A: expected a finite number, got true"),
             ({"alternatives": ["A"], "ratings": {"e1": {"A": "6"}}},
              'ratings.e1.A: expected a finite number, got "6"'),
+            ({"alternatives": ["x"], "ratings": {"e1": {"x": 3}, "e2": {"x": 11}}},
+             "ratings.e2.x: rating 11.0 for ('e2', 'x') outside [0, 10]"),
+            ({"alternatives": ["x", "y"], "ratings": {"e1": {"x": 3}}},
+             "ratings.e1: evaluator 'e1' must rate exactly the declared alternatives"),
         ],
     )
     @pytest.mark.parametrize("command", [["rate"], ["audit", "anonymity"]])
@@ -616,6 +620,10 @@ class TestJudgmentErrors:
              'judgments.E1.safe: expected true or false, got "false"'),
             (lambda d: d["judgments"]["E3"].update(give=1),
              "judgments.E3.give: expected true or false, got 1"),
+            (lambda d: d["agenda"].update(constraint="give & !give"),
+             "agenda.constraint: constraint is unsatisfiable"),
+            (lambda d: d["agenda"].update(constraint="give <-> (safe & kind)"),
+             "agenda.constraint: constraint mentions undeclared atom(s) ['kind']"),
         ],
     )
     def test_malformed_judgments_exit_1_with_their_location(
