@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 
 from .jsonin import Node, load
@@ -40,30 +41,11 @@ class ConstraintSyntaxError(ConstraintError):
 # ("or", l, r), ("iff", l, r).
 
 _Node = tuple
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif text.startswith("<->", i):
-            tokens.append("<->")
-            i += 3
-        elif ch in "!&|()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ConstraintSyntaxError(f"unexpected character {ch!r} in constraint")
-    return tokens
+# A token is '<->', one of '!&|()' or an atom: a run of letters, digits
+# (str.isalnum) and '_'.  Any other character but whitespace is group 1.
+_TOKEN = re.compile(r"<->|[!&|()]|\w+|(\S)")
+# The binary connectives and their nodes, loosest first.
+_BINARY = (("<->", "iff"), ("|", "or"), ("&", "and"))
 
 
 def _too_deep() -> ConstraintSyntaxError:
@@ -83,10 +65,15 @@ def _height(node: _Node) -> int:
 
 
 class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = []
+        for match in _TOKEN.finditer(text):
+            if match[1]:
+                raise ConstraintSyntaxError(f"unexpected character {match[1]!r} in constraint")
+            self.tokens.append(match[0])
         self.pos = 0
         self.open = 0  # parentheses and '!'s open around the current token
+        self.atoms: set[str] = set()
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -98,33 +85,24 @@ class _Parser:
         self.pos += 1
         return token
 
-    def parse(self) -> _Node:
-        node = self.iff()
+    def parse(self) -> tuple[_Node, set[str]]:
+        """The formula's tree and the atoms it names."""
+        node = self.chain()
         if self.peek() is not None:
             raise ConstraintSyntaxError(f"unexpected token {self.peek()!r}")
         if _height(node) > MAX_CONSTRAINT_DEPTH:
             raise _too_deep()
-        return node
+        return node, self.atoms
 
-    def iff(self) -> _Node:
-        node = self.or_()
-        while self.peek() == "<->":
+    def chain(self, level: int = 0) -> _Node:
+        # The connective at `level` joining operands of the tighter levels.
+        if level == len(_BINARY):
+            return self.unary()
+        symbol, kind = _BINARY[level]
+        node = self.chain(level + 1)
+        while self.peek() == symbol:
             self.take()
-            node = ("iff", node, self.or_())
-        return node
-
-    def or_(self) -> _Node:
-        node = self.and_()
-        while self.peek() == "|":
-            self.take()
-            node = ("or", node, self.and_())
-        return node
-
-    def and_(self) -> _Node:
-        node = self.unary()
-        while self.peek() == "&":
-            self.take()
-            node = ("and", node, self.unary())
+            node = (kind, node, self.chain(level + 1))
         return node
 
     def unary(self) -> _Node:
@@ -132,12 +110,13 @@ class _Parser:
         if token == "!":
             return ("not", self.nested(self.unary))
         if token == "(":
-            node = self.nested(self.iff)
+            node = self.nested(self.chain)
             if self.take() != ")":
                 raise ConstraintSyntaxError("expected ')'")
             return node
         if token in {"&", "|", "<->", ")"}:
             raise ConstraintSyntaxError(f"unexpected token {token!r}")
+        self.atoms.add(token)
         return ("atom", token)
 
     def nested(self, parse) -> _Node:
@@ -165,12 +144,6 @@ def _evaluate(node: _Node, assignment: JudgmentSet) -> bool:
     raise AssertionError(f"unreachable node {node!r}")
 
 
-def _atoms_in(node: _Node) -> set[str]:
-    if node[0] == "atom":
-        return {node[1]}
-    return set().union(*(_atoms_in(child) for child in node[1:]))
-
-
 @dataclass(frozen=True)
 class Agenda:
     """An ordered set of atomic propositions plus a consistency constraint.
@@ -191,8 +164,8 @@ class Agenda:
             raise ValueError(f"agenda exceeds {MAX_AGENDA_ATOMS} atoms")
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("duplicate agenda atoms")
-        node = _Parser(_tokenize(self.constraint)).parse()
-        unknown = _atoms_in(node) - set(self.atoms)
+        node, atoms = _Parser(self.constraint).parse()
+        unknown = atoms - set(self.atoms)
         if unknown:
             raise ConstraintError(f"constraint mentions undeclared atom(s) {sorted(unknown)}")
         object.__setattr__(self, "_node", node)

@@ -6,7 +6,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, starmap
+from itertools import chain, islice, starmap
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 if TYPE_CHECKING:
@@ -222,53 +222,6 @@ def _parse_ballot(line: str, header_ids: dict[str, str], lineno: int) -> Ranking
     return RankingBallot(tuple(map(header_ids.__getitem__, tokens)), count)
 
 
-def _read_profile(lines: list[str]) -> tuple[tuple[str, ...] | None, dict, dict]:
-    """Alternatives, summed weight per ranking and ballot per distinct ballot line.
-
-    Byte-identical lines parse alike, so each distinct line is read once, in
-    first-occurrence order, and its error is located at its first
-    occurrence: the first failing distinct line is the file's first failing
-    line.  The header is the one line whose copies differ: a second copy is a
-    ballot line, and a bad one.
-    """
-    repeats = Counter(lines)
-    alternatives = None
-    merged: dict[tuple[str, ...], int] = {}
-    ballots: dict[str, RankingBallot] = {}
-    for raw, times in repeats.items():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if alternatives is None:
-            lineno = lines.index(raw) + 1
-            alternatives = _parse_header(line, lineno)
-            m = len(alternatives)
-            header_ids = {a: a for a in alternatives}
-            if times > 1:
-                # The error is in the lines before the copy, or else it is the
-                # copy's, whose count 'alternatives' fails.
-                again = lines.index(raw, lineno)
-                _read_profile(lines[:again])
-                _parse_ballot(line, header_ids, again + 1)
-            # Equal rankings share one tuple, however their lines are spaced.
-            interned: dict[tuple[str, ...], tuple[str, ...]] = {}
-            continue
-        # The common line, "COUNT: X > Y > Z" with single spaces, is checked
-        # in one pass; any other goes through every check in order.
-        count_part, sep, ranking_part = line.partition(":")
-        count_token = count_part.strip()
-        ranking = tuple(map(header_ids.get, ranking_part.strip().split(" > ")))
-        if not (
-            sep and count_token.isdigit() and len(ranking) == m and None not in ranking
-            and len(set(ranking)) == m and (count := int(count_token)) > 0
-        ):
-            ranking, count = _parse_ballot(line, header_ids, lines.index(raw) + 1)
-        ranking = interned.setdefault(ranking, ranking)
-        ballots[raw] = RankingBallot(ranking, count)
-        merged[ranking] = merged.get(ranking, 0) + count * times
-    return alternatives, merged, ballots
-
-
 def parse_profile(text: str) -> OrdinalProfile:
     """Parse the on-disk ballot format.
 
@@ -280,9 +233,41 @@ def parse_profile(text: str) -> OrdinalProfile:
     first offending line.
     """
     lines = text.splitlines()
-    alternatives, merged, ballots = _read_profile(lines)
-    if alternatives is None:
+    for lineno, raw in enumerate(lines, start=1):
+        header = raw.strip()
+        if header and not header.startswith("#"):
+            break
+    else:
         raise BallotParseError("no 'alternatives:' header found")
+    alternatives = _parse_header(header, lineno)
+    m = len(alternatives)
+    header_ids = {a: a for a in alternatives}
+    merged: dict[tuple[str, ...], int] = {}
+    ballots: dict[str, RankingBallot] = {}
+    # Equal rankings share one tuple, however their lines are spaced.
+    interned: dict[tuple[str, ...], tuple[str, ...]] = {}
+    # The ballot lines start at index `lineno`, just past the header.
+    # Byte-identical lines parse alike, so each distinct one is read once, in
+    # first-occurrence order, and its error is located at its first
+    # occurrence: the first failing distinct line is the file's first failing
+    # line.  A copy of the header is a ballot line, and a bad one.
+    for raw, times in Counter(islice(lines, lineno, None)).items():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        # The common line, "COUNT: X > Y > Z" with single spaces, is checked
+        # in one pass; any other goes through every check in order.
+        count_part, sep, ranking_part = line.partition(":")
+        count_token = count_part.strip()
+        ranking = tuple(map(header_ids.get, ranking_part.strip().split(" > ")))
+        if not (
+            sep and count_token.isdigit() and len(ranking) == m and None not in ranking
+            and len(set(ranking)) == m and (count := int(count_token)) > 0
+        ):
+            ranking, count = _parse_ballot(line, header_ids, lines.index(raw, lineno) + 1)
+        ranking = interned.setdefault(ranking, ranking)
+        ballots[raw] = RankingBallot(ranking, count)
+        merged[ranking] = merged.get(ranking, 0) + count * times
     if not ballots:
         raise BallotParseError("no ballot lines found")
     # The file-order ballots: each ballot line's parsed ballot, shared by its
