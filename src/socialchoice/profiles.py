@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -210,8 +211,11 @@ def _parse_ballot(line: str, header_ids: dict[str, str], lineno: int) -> Ranking
     if not sep:
         raise BallotParseError("expected 'COUNT: X > Y > ...'", lineno)
     count_token = count_part.strip()
-    if not count_token.isdigit():
+    if not count_token.isdecimal():  # exactly the digits int() reads
         raise BallotParseError(f"ballot count must be a positive integer, got {count_token!r}", lineno)
+    limit = sys.get_int_max_str_digits()
+    if limit and len(count_token) > limit:
+        raise BallotParseError(f"ballot count has more than {limit} digits", lineno)
     count = int(count_token)
     if count < 1:
         raise BallotParseError("ballot count must be positive", lineno)
@@ -242,6 +246,8 @@ def parse_profile(text: str) -> OrdinalProfile:
     alternatives = _parse_header(header, lineno)
     m = len(alternatives)
     header_ids = {a: a for a in alternatives}
+    # A longer count fails int(), so it goes to _parse_ballot, which reports it.
+    max_digits = sys.get_int_max_str_digits() or len(text)
     merged: dict[tuple[str, ...], int] = {}
     ballots: dict[str, RankingBallot] = {}
     # Equal rankings share one tuple, however their lines are spaced.
@@ -261,8 +267,9 @@ def parse_profile(text: str) -> OrdinalProfile:
         count_token = count_part.strip()
         ranking = tuple(map(header_ids.get, ranking_part.strip().split(" > ")))
         if not (
-            sep and count_token.isdigit() and len(ranking) == m and None not in ranking
-            and len(set(ranking)) == m and (count := int(count_token)) > 0
+            sep and count_token.isdecimal() and len(count_token) <= max_digits
+            and len(ranking) == m and None not in ranking and len(set(ranking)) == m
+            and (count := int(count_token)) > 0
         ):
             ranking, count = _parse_ballot(line, header_ids, lines.index(raw, lineno) + 1)
         ranking = interned.setdefault(ranking, ranking)

@@ -12,10 +12,16 @@ differently spaced text, comments and blank lines, LF, CRLF or CR line
 ends), then the same files with lines and bytes mutated: a repeated or moved
 header, zero, non-digit and huge counts, unknown, duplicate and missing ids,
 empty tokens, lost separators and edited bytes.
+
+The reference's one departure from the old parser is its count check: like
+`parse_profile`, it takes exactly the digits `int()` reads and locates a
+count longer than Python's integer-string limit, where the old parser let
+`int()` raise its own unlocated message.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import NoReturn
 
 from hypothesis import HealthCheck, given, settings
@@ -87,10 +93,13 @@ def reference_parse(text: str) -> OrdinalProfile:
         if not sep:
             raise BallotParseError("expected 'COUNT: X > Y > ...'", lineno)
         count_token = count_part.strip()
-        if not count_token.isdigit():
+        if not count_token.isdecimal():
             raise BallotParseError(
                 f"ballot count must be a positive integer, got {count_token!r}", lineno
             )
+        limit = sys.get_int_max_str_digits()
+        if limit and len(count_token) > limit:
+            raise BallotParseError(f"ballot count has more than {limit} digits", lineno)
         count = int(count_token)
         if count < 1:
             raise BallotParseError("ballot count must be positive", lineno)

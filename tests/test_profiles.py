@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -313,6 +314,38 @@ class TestParserHeaderAndLineErrors:
         with pytest.raises(BallotParseError) as exc:
             parse_profile(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("ballot", ["{}: A > B", "{}:A>B"], ids=["single-spaced", "unspaced"])
+    @pytest.mark.parametrize(
+        "count, message",
+        [
+            ("\u00b2", "line 3: ballot count must be a positive integer, got '\u00b2'"),
+            ("9" * 5000, "line 3: ballot count has more than 4300 digits"),
+            ("0" * 4300 + "1", "line 3: ballot count has more than 4300 digits"),
+        ],
+        ids=["superscript", "5000-digits", "4301-digits"],
+    )
+    def test_bad_count_names_the_line(self, ballot, count, message):
+        text = "alternatives: A, B\n1: B > A\n" + ballot.format(count) + "\n"
+        with pytest.raises(BallotParseError) as exc:
+            parse_profile(text)
+        assert str(exc.value) == message
+
+    def test_counts_read_every_decimal_digit_int_reads(self):
+        # Arabic-Indic three, and a count at the integer-string limit.
+        text = "alternatives: A, B\n\u0663: A > B\n" + "0" * 4299 + "2: B > A\n"
+        assert parse_profile(text).merged == (
+            RankingBallot(("A", "B"), 3), RankingBallot(("B", "A"), 2)
+        )
+
+    def test_count_past_a_lifted_digit_limit_parses(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            profile = parse_profile("alternatives: A, B\n" + "9" * 5000 + ": A > B\n")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert profile.num_voters == 10**5000 - 1
 
 
 BALLOT_FAULTS = [
