@@ -30,7 +30,8 @@ class RatingProfile:
         object.__setattr__(
             self, "ratings", {e: dict(row) for e, row in self.ratings.items()}
         )
-        _check_ids(self.alternatives, self.evaluators)
+        _check_alternatives(self.alternatives)
+        _check_evaluators(self.evaluators)
         if set(self.ratings) != set(self.evaluators):
             raise ValueError("ratings must cover exactly the declared evaluators")
         for evaluator, row in self.ratings.items():
@@ -43,17 +44,20 @@ class RatingProfile:
         return [self.ratings[e][alt] for e in self.evaluators]
 
 
-def _check_ids(alternatives: tuple[str, ...], evaluators: tuple[str, ...]) -> None:
+def _check_alternatives(alternatives: tuple[str, ...]) -> None:
     if not alternatives:
         raise ValueError("a rating profile needs at least one alternative")
-    if not evaluators:
-        raise ValueError("a rating profile needs at least one evaluator")
     if len(set(alternatives)) != len(alternatives):
         raise ValueError("duplicate alternative ids")
-    if len(set(evaluators)) != len(evaluators):
-        raise ValueError("duplicate evaluator ids")
     for alt in alternatives:
         validate_alternative_id(alt)
+
+
+def _check_evaluators(evaluators: tuple[str, ...]) -> None:
+    if not evaluators:
+        raise ValueError("a rating profile needs at least one evaluator")
+    if len(set(evaluators)) != len(evaluators):
+        raise ValueError("duplicate evaluator ids")
 
 
 def _check_row(evaluator: str, row: Mapping[str, float], alternatives: tuple[str, ...]) -> None:
@@ -71,8 +75,9 @@ def rating_profile_from_json(text: str) -> RatingProfile:
     alternatives, ratings = load(text).fields("alternatives", "ratings")
     alts = tuple(alt.string() for alt in alternatives.members())
     rows = {e: {alt: value.number() for alt, value in row.items()} for e, row in ratings.items()}
-    # The profile's checks in its order, each row's and rating's at its node.
-    _check_ids(alts, tuple(rows))
+    # The profile's checks in its order, each at its node.
+    alternatives.build(_check_alternatives, alts)
+    ratings.build(_check_evaluators, tuple(rows))
     for evaluator, row in ratings.items():
         row.build(_check_row, evaluator, rows[evaluator], alts)
         for alt, value in row.items():

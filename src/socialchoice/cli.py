@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report = args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

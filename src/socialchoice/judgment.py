@@ -144,6 +144,15 @@ def _evaluate(node: _Node, assignment: JudgmentSet) -> bool:
     raise AssertionError(f"unreachable node {node!r}")
 
 
+def _check_atoms(atoms: tuple[str, ...]) -> None:
+    if not atoms:
+        raise ValueError("an agenda needs at least one atom")
+    if len(atoms) > MAX_AGENDA_ATOMS:
+        raise ValueError(f"agenda exceeds {MAX_AGENDA_ATOMS} atoms")
+    if len(set(atoms)) != len(atoms):
+        raise ValueError("duplicate agenda atoms")
+
+
 @dataclass(frozen=True)
 class Agenda:
     """An ordered set of atomic propositions plus a consistency constraint.
@@ -158,12 +167,7 @@ class Agenda:
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        if not self.atoms:
-            raise ValueError("an agenda needs at least one atom")
-        if len(self.atoms) > MAX_AGENDA_ATOMS:
-            raise ValueError(f"agenda exceeds {MAX_AGENDA_ATOMS} atoms")
-        if len(set(self.atoms)) != len(self.atoms):
-            raise ValueError("duplicate agenda atoms")
+        _check_atoms(self.atoms)
         node, atoms = _Parser(self.constraint).parse()
         unknown = atoms - set(self.atoms)
         if unknown:
@@ -197,8 +201,11 @@ def agenda_from_json(text: str) -> Agenda:
 
 def _agenda_from_node(node: Node) -> Agenda:
     atoms, constraint = node.fields("atoms", "constraint")
-    atoms = tuple(atom.string() for atom in atoms.members())
-    return constraint.build(Agenda, atoms, constraint.string(), errors=ConstraintError)
+    ids = tuple(atom.string() for atom in atoms.members())
+    text = constraint.string()
+    # The agenda's checks in its order, each at its node.
+    atoms.build(_check_atoms, ids)
+    return constraint.build(Agenda, ids, text, errors=ConstraintError)
 
 
 def agenda_to_json(agenda: Agenda) -> str:

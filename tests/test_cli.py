@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from socialchoice import cli
 from socialchoice.cli import main
 from socialchoice.judgment import MAX_CONSTRAINT_DEPTH
 from socialchoice.profiles import parse_profile
@@ -335,6 +336,36 @@ class TestExitCodes:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "ballot, message",
+        [
+            ("\u00b2: A > B", "line 2: ballot count must be a positive integer, got '\u00b2'"),
+            ("9" * 5000 + ": A > B", "line 2: ballot count has more than 4300 digits"),
+            ("9" * 5000 + ":A>B", "line 2: ballot count has more than 4300 digits"),
+        ],
+        ids=["superscript", "5000-digits", "5000-digits-unspaced"],
+    )
+    def test_bad_ballot_count_names_the_line(self, capsys, tmp_path, ballot, message):
+        vote = tmp_path / "bad.vote"
+        vote.write_text(f"alternatives: A, B\n{ballot}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "aggregate", "--rule", "borda", "--profile", str(vote))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_stray_key_error_is_an_internal_error(self, capsys, monkeypatch):
+        # No input fault raises KeyError, so one that escapes a command is a bug.
+        def broken(args):
+            raise KeyError("x")
+
+        monkeypatch.setattr(cli, "cmd_aggregate", broken)
+        code, out, err = run_cli(
+            capsys, "aggregate", "--rule", "borda", "--profile", str(DATA / "fig1.vote")
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "internal error: KeyError: 'x'\n"
+
     @pytest.mark.parametrize("document", ["config", "dataset", "ratings", "judgments"])
     def test_over_deep_json_is_input_error(self, capsys, tmp_path, document):
         # Nesting past the JSON parser's recursion limit, fed to each loader.
@@ -528,6 +559,14 @@ class TestRatingsErrors:
              "ratings.e2.x: rating 11.0 for ('e2', 'x') outside [0, 10]"),
             ({"alternatives": ["x", "y"], "ratings": {"e1": {"x": 3}}},
              "ratings.e1: evaluator 'e1' must rate exactly the declared alternatives"),
+            ({"alternatives": ["x", "x"], "ratings": {"e1": {"x": 3}}},
+             "alternatives: duplicate alternative ids"),
+            ({"alternatives": [], "ratings": {"e1": {}}},
+             "alternatives: a rating profile needs at least one alternative"),
+            ({"alternatives": ["x y"], "ratings": {"e1": {"x y": 3}}},
+             "alternatives: alternative id 'x y' contains whitespace"),
+            ({"alternatives": ["x"], "ratings": {}},
+             "ratings: a rating profile needs at least one evaluator"),
         ],
     )
     @pytest.mark.parametrize("command", [["rate"], ["audit", "anonymity"]])
@@ -624,6 +663,12 @@ class TestJudgmentErrors:
              "agenda.constraint: constraint is unsatisfiable"),
             (lambda d: d["agenda"].update(constraint="give <-> (safe & kind)"),
              "agenda.constraint: constraint mentions undeclared atom(s) ['kind']"),
+            (lambda d: d["agenda"].update(atoms=["safe", "safe", "give"]),
+             "agenda.atoms: duplicate agenda atoms"),
+            (lambda d: d["agenda"].update(atoms=[]),
+             "agenda.atoms: an agenda needs at least one atom"),
+            (lambda d: d["agenda"].update(atoms=[f"p{i}" for i in range(21)]),
+             "agenda.atoms: agenda exceeds 20 atoms"),
         ],
     )
     def test_malformed_judgments_exit_1_with_their_location(
