@@ -9,8 +9,8 @@ Four variants, each ending in a desk-scale reward model or a chosen response:
                 evaluator population, aggregated pointwise by a cardinal W.
   "collective": simulated evaluators vote (through induced rankings) per
                 prompt; winners become supervised (prompt, response) pairs.
-  "inference":  fresh evaluator samples vote over the candidates at decision
-                time, an inference-time choice with no learning step at all.
+  "inference":  fresh evaluator samples vote, through the individual model,
+                over the candidates at decision time; no reward model is fit.
 """
 
 from __future__ import annotations
@@ -306,7 +306,7 @@ def inference_time_choice(
     seed: int,
     k: int | None = None,
 ) -> ResponseRecord | Committee:
-    """Choose among freshly generated candidates with no learning step.
+    """Choose among freshly generated candidates without fitting a reward model.
 
     The generator stands in for a pretrained LLM: it maps (prompt, seed) to
     candidate responses.  Evaluator features and candidates get separate
