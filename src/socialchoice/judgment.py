@@ -86,7 +86,6 @@ class _Parser:
         return token
 
     def parse(self) -> tuple[_Node, set[str]]:
-        """The formula's tree and the atoms it names."""
         node = self.chain()
         if self.peek() is not None:
             raise ConstraintSyntaxError(f"unexpected token {self.peek()!r}")

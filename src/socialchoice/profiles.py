@@ -7,7 +7,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, starmap
+from itertools import chain, starmap
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 if TYPE_CHECKING:
@@ -252,12 +252,14 @@ def parse_profile(text: str) -> OrdinalProfile:
     ballots: dict[str, RankingBallot] = {}
     # Equal rankings share one tuple, however their lines are spaced.
     interned: dict[tuple[str, ...], tuple[str, ...]] = {}
-    # The ballot lines start at index `lineno`, just past the header.
+    # Only the ballot lines stay, the one at index i on line lineno + i + 1
+    # (counting an islice of the lines read 10,000-line files 1-2% slower).
+    del lines[:lineno]
     # Byte-identical lines parse alike, so each distinct one is read once, in
     # first-occurrence order, and its error is located at its first
     # occurrence: the first failing distinct line is the file's first failing
     # line.  A copy of the header is a ballot line, and a bad one.
-    for raw, times in Counter(islice(lines, lineno, None)).items():
+    for raw, times in Counter(lines).items():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -271,14 +273,14 @@ def parse_profile(text: str) -> OrdinalProfile:
             and len(ranking) == m and None not in ranking and len(set(ranking)) == m
             and (count := int(count_token)) > 0
         ):
-            ranking, count = _parse_ballot(line, header_ids, lines.index(raw, lineno) + 1)
+            ranking, count = _parse_ballot(line, header_ids, lineno + lines.index(raw) + 1)
         ranking = interned.setdefault(ranking, ranking)
         ballots[raw] = RankingBallot(ranking, count)
         merged[ranking] = merged.get(ranking, 0) + count * times
     if not ballots:
         raise BallotParseError("no ballot lines found")
     # The file-order ballots: each ballot line's parsed ballot, shared by its
-    # repeats, with comments, blank lines and the header dropped.
+    # repeats, with comments and blank lines dropped.
     in_order = tuple(filter(None, map(ballots.get, lines)))
     return OrdinalProfile._trusted(alternatives, in_order, merged)
 
