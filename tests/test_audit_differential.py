@@ -1,0 +1,253 @@
+"""The ordinal auditors against the rebuild path they were written on.
+
+Each misreport and each anonymity shuffle gives a new profile over the same
+alternatives.  The references below build it the plain way: expand the
+profile into one ranking per voter, edit or reorder that list, and hand it
+to `profile_from_rankings`, which merges and checks every ranking again.
+The auditors' profiles must equal those field for field: `==` (alternatives
+and `ballots`), `merged` in its order, and every registry rule's full result.
+So a rule that reads `ballots`, `unit_rankings()` or the order of `merged`
+sees the same profile either way, and `anonymity_check` keeps its power.
+
+The profiles are unit and weighted ones over 1 to 6 alternatives, built by
+the constructor or parsed from text, with rankings repeated across ballots.
+An invalid misreport (short, with a duplicate or with an unknown id) must
+raise the same exception type with the same message.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations
+from random import Random
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from socialchoice import audits
+from socialchoice.audits import (
+    ANONYMITY_PERMUTATIONS,
+    ManipulationWitness,
+    anonymity_check,
+    manipulation_search_ordinal,
+    reverify_ordinal_witness,
+)
+from socialchoice.ordinal import ORDINAL_RULES, ordinal_rule, random_dictator
+from socialchoice.profiles import (
+    OrdinalProfile,
+    RankingBallot,
+    format_profile,
+    parse_profile,
+    profile_from_rankings,
+)
+from socialchoice.rules import rule_ids
+
+
+def fuzz(max_examples: int):
+    return settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=max_examples,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+IDS = ("A", "B", "C", "D", "E", "F")
+
+
+def reference_replace_unit_ballot(
+    profile: OrdinalProfile, voter: int, ranking: tuple[str, ...]
+) -> OrdinalProfile:
+    units = list(profile.unit_rankings())
+    units[voter] = ranking
+    return profile_from_rankings(units, profile.alternatives)
+
+
+def reference_reassign(profile: OrdinalProfile, order) -> OrdinalProfile:
+    voters = profile.unit_rankings()
+    return profile_from_rankings([voters[i] for i in order], profile.alternatives)
+
+
+def reference_search(rule_id: str, profile: OrdinalProfile, voter: int):
+    rule = ordinal_rule(rule_id)
+    truthful = profile.unit_rankings()[voter]
+    honest_winner = rule(profile).winner
+    honest_rank = truthful.index(honest_winner)
+    if honest_rank == 0:
+        return None
+    for misreport in permutations(sorted(profile.alternatives)):
+        if misreport == truthful:
+            continue
+        new_winner = rule(reference_replace_unit_ballot(profile, voter, misreport)).winner
+        if truthful.index(new_winner) < honest_rank:
+            return ManipulationWitness(voter, truthful, misreport, honest_winner, new_winner)
+    return None
+
+
+def reference_reverify(rule_id: str, profile: OrdinalProfile, witness) -> bool:
+    rule = ordinal_rule(rule_id)
+    if rule(profile).winner != witness.honest_outcome:
+        return False
+    shifted = reference_replace_unit_ballot(profile, witness.voter, tuple(witness.misreport))
+    if rule(shifted).winner != witness.manipulated_outcome:
+        return False
+    truthful = tuple(witness.truthful)
+    return truthful.index(witness.manipulated_outcome) < truthful.index(witness.honest_outcome)
+
+
+def reference_anonymity(fn, profile: OrdinalProfile, seed: int) -> bool:
+    rng = Random(seed)
+    baseline = fn(profile)
+    n = profile.num_voters
+    return all(
+        fn(reference_reassign(profile, rng.sample(range(n), n))) == baseline
+        for _ in range(ANONYMITY_PERMUTATIONS)
+    )
+
+
+def full_results(profile: OrdinalProfile) -> list:
+    """Every registry rule's result on `profile`, with the fields `==` skips."""
+    out = []
+    for rid in rule_ids("ordinal"):
+        result = ORDINAL_RULES[rid](profile)
+        out.append((rid, result, result.elimination_order, result.locked_pairs))
+    for seed in (0, 1):
+        out.append(("random_dictator", seed, random_dictator(profile, seed)))
+    return out
+
+
+def assert_same_profile(derived: OrdinalProfile, rebuilt: OrdinalProfile) -> None:
+    assert derived == rebuilt
+    assert derived.alternatives == rebuilt.alternatives
+    assert derived.ballots == rebuilt.ballots
+    assert derived.merged == rebuilt.merged
+    assert derived.unit_rankings() == rebuilt.unit_rankings()
+    assert derived.num_voters == rebuilt.num_voters
+    assert full_results(derived) == full_results(rebuilt)
+
+
+@st.composite
+def profiles(
+    draw, min_m: int = 1, min_ballots: int = 1, max_ballots: int = 6
+) -> OrdinalProfile:
+    """Unit or weighted ballots drawn from a few random rankings, so rankings repeat.
+
+    There are at least `min_ballots` ballots and as many rankings to draw from.
+    """
+    m = draw(st.integers(min_m, len(IDS)))
+    alternatives = tuple(draw(st.permutations(IDS[:m])))
+    # Hypothesis picks the sizes; a seeded Random picks rankings and weights,
+    # which Hypothesis would shrink towards one repeated ranking.
+    rng = Random(draw(st.integers(0, 2**32)))
+    pool = [
+        tuple(rng.sample(alternatives, m)) for _ in range(draw(st.integers(min_ballots, 4)))
+    ]
+    top_weight = draw(st.sampled_from((1, 4)))
+    ballots = [
+        RankingBallot(rng.choice(pool), rng.randint(1, top_weight))
+        for _ in range(draw(st.integers(min_ballots, max_ballots)))
+    ]
+    profile = OrdinalProfile(alternatives, tuple(ballots))
+    if draw(st.booleans()):
+        profile = parse_profile(format_profile(profile))
+    return profile
+
+
+@st.composite
+def misreports(draw, alternatives: tuple[str, ...]) -> tuple[str, ...]:
+    """A valid ranking, or one that is short, repeats an id or names an unknown one."""
+    ranking = list(draw(st.permutations(alternatives)))
+    kind = draw(st.sampled_from(("valid", "valid", "short", "duplicate", "unknown")))
+    at = draw(st.integers(0, len(ranking) - 1))
+    if kind == "short":
+        del ranking[at]
+    elif kind == "duplicate":
+        ranking.insert(at, draw(st.sampled_from(alternatives)))
+        if draw(st.booleans()):
+            del ranking[-1]
+    elif kind == "unknown":
+        ranking[at] = draw(st.sampled_from(("Z", "a", "A ", "")))
+    return tuple(ranking)
+
+
+def outcome(make):
+    """The profile `make()` builds, or the type and message of its exception."""
+    try:
+        return make()
+    except Exception as exc:  # noqa: BLE001 - the exception is the result compared
+        return type(exc), str(exc)
+
+
+@fuzz(300)
+@given(st.data())
+def test_misreported_profile_equals_rebuilt(data):
+    profile = data.draw(profiles())
+    voter = data.draw(st.integers(0, profile.num_voters - 1))
+    misreport = data.draw(misreports(profile.alternatives))
+    derived = outcome(lambda: audits._replace_unit_ballot(profile, voter, misreport))
+    rebuilt = outcome(lambda: reference_replace_unit_ballot(profile, voter, misreport))
+    if isinstance(rebuilt, tuple):
+        assert derived == rebuilt
+    else:
+        assert_same_profile(derived, rebuilt)
+
+
+@fuzz(200)
+@given(profiles(), st.integers(0, 2**31 - 1))
+def test_shuffled_profiles_equal_rebuilt(profile, seed):
+    # A rule that records what it is given sees every shuffled profile.
+    seen = []
+
+    def record(shuffled):
+        seen.append(shuffled)
+        return 0
+
+    assert anonymity_check(record, profile, seed)
+    assert seen[0] is profile
+    rng = Random(seed)
+    n = profile.num_voters
+    assert len(seen) == ANONYMITY_PERMUTATIONS + 1
+    for shuffled in seen[1:]:
+        assert_same_profile(shuffled, reference_reassign(profile, rng.sample(range(n), n)))
+
+
+# Rules that read who voted how, or the order rankings first occur in.
+MUTANTS = (
+    lambda p: p.merged[0].ranking[0],
+    lambda p: p.ballots[0].ranking[0],
+    lambda p: p.unit_rankings()[0][0],
+    lambda p: p.ballots[0].weight,
+    lambda p: tuple(ranking for ranking, _ in p.merged),
+)
+
+
+@fuzz(150)
+@given(profiles(), st.integers(0, 2**31 - 1))
+def test_anonymity_verdicts_match_reference(profile, seed):
+    for rid in rule_ids("ordinal"):
+        rule = ORDINAL_RULES[rid]
+        assert anonymity_check(rid, profile, seed) == reference_anonymity(rule, profile, seed)
+    for mutant in MUTANTS:
+        assert anonymity_check(mutant, profile, seed) == reference_anonymity(mutant, profile, seed)
+
+
+@fuzz(150)
+@given(st.data())
+def test_manipulation_search_matches_reference(data):
+    # At least three alternatives and two ballots, so that some searches find
+    # a witness; at most five ballots keep the m = 6 searches short.
+    profile = data.draw(profiles(min_m=3, min_ballots=2, max_ballots=5))
+    rid = data.draw(st.sampled_from(rule_ids("ordinal")))
+    for voter in range(profile.num_voters):
+        witness = manipulation_search_ordinal(rid, profile, voter)
+        assert witness == reference_search(rid, profile, voter)
+        if witness is not None:
+            assert reverify_ordinal_witness(rid, profile, witness)
+        # A claimed witness for an arbitrary misreport, true or false: both
+        # re-verifications must give the same verdict.
+        truthful = profile.unit_rankings()[voter]
+        misreport = data.draw(st.permutations(profile.alternatives))
+        winner = ORDINAL_RULES[rid](profile).winner
+        claim = ManipulationWitness(voter, truthful, tuple(misreport), winner, truthful[0])
+        assert reverify_ordinal_witness(rid, profile, claim) == reference_reverify(
+            rid, profile, claim
+        )

@@ -273,6 +273,19 @@ class TestAnonymity:
         profile = profile_from_rankings([("A", "B"), ("B", "A")], ("A", "B"))
         assert not anonymity_check(biased_borda, profile, seed=4)
 
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            lambda p: p.merged[0].ranking[0],
+            lambda p: p.ballots[0].ranking[0],
+            lambda p: p.unit_rankings()[0][0],
+        ],
+        ids=["top_of_first_merged", "top_of_first_ballot", "top_of_first_voter"],
+    )
+    def test_rule_reading_the_voter_order_is_not_anonymous(self, rule):
+        profile = profile_from_rankings([("A", "B", "C"), ("C", "B", "A")] * 2, ("A", "B", "C"))
+        assert not anonymity_check(rule, profile, seed=4)
+
     def test_unsupported_profile_type_rejected(self):
         with pytest.raises(TypeError):
             anonymity_check("mean", 42, seed=0)
