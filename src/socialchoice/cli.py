@@ -214,7 +214,14 @@ def cmd_audit(args) -> RunReport:
             items = [v.strip() for v in args.ratings.split(",")]
             if "" in items:
                 raise UsageError(f"--ratings item {items.index('')} is empty: {args.ratings!r}")
-            subject = [float(v) for v in items]
+            subject = []
+            for i, item in enumerate(items):
+                try:
+                    subject.append(float(item))
+                except ValueError:
+                    raise UsageError(
+                        f"--ratings item {i}: expected a number, got {item!r}"
+                    ) from None
             inputs = {"ratings": args.ratings}
             rule = resolve_rule(args.w, "cardinal")
             search, reverify = manipulation_search_cardinal, reverify_cardinal_witness

@@ -43,7 +43,8 @@ class ConstraintSyntaxError(ConstraintError):
 _Node = tuple
 # A token is '<->', one of '!&|()' or an atom: a run of letters, digits
 # (str.isalnum) and '_'.  Any other character but whitespace is group 1.
-_TOKEN = re.compile(r"<->|[!&|()]|\w+|(\S)")
+_ATOM = re.compile(r"\w+")
+_TOKEN = re.compile(rf"<->|[!&|()]|{_ATOM.pattern}|(\S)")
 # The binary connectives and their nodes, loosest first.
 _BINARY = (("<->", "iff"), ("|", "or"), ("&", "and"))
 
@@ -148,6 +149,10 @@ def _check_atoms(atoms: tuple[str, ...]) -> None:
         raise ValueError("an agenda needs at least one atom")
     if len(atoms) > MAX_AGENDA_ATOMS:
         raise ValueError(f"agenda exceeds {MAX_AGENDA_ATOMS} atoms")
+    for atom in atoms:
+        # Only an atom the scanner reads as one token can occur in a constraint.
+        if not (isinstance(atom, str) and _ATOM.fullmatch(atom)):
+            raise ValueError(f"agenda atom {atom!r} is not a run of letters, digits and '_'")
     if len(set(atoms)) != len(atoms):
         raise ValueError("duplicate agenda atoms")
 

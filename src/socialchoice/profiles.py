@@ -7,7 +7,8 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, starmap
+from itertools import chain, filterfalse, starmap
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 if TYPE_CHECKING:
@@ -51,6 +52,20 @@ class RankingBallot(NamedTuple):
     weight: int = 1
 
 
+def _check_ranking(ranking: tuple[str, ...], alt_set: set[str]) -> None:
+    if len(ranking) == len(alt_set) and set(ranking) == alt_set:
+        return
+    if len(set(ranking)) != len(ranking):
+        raise BallotParseError(f"duplicate alternative in ranking {ranking}")
+    unknown = set(ranking) - alt_set
+    if unknown:
+        raise BallotParseError(f"ballot {ranking} ranks unknown alternative(s) {sorted(unknown)}")
+    raise BallotParseError(
+        f"ballot {ranking} omits alternative(s) {sorted(alt_set - set(ranking))}; "
+        "rankings must be complete"
+    )
+
+
 @dataclass(frozen=True)
 class OrdinalProfile:
     """An immutable election: alternatives plus weighted strict rankings.
@@ -87,19 +102,7 @@ class OrdinalProfile:
         # Each distinct ranking is checked once, in first-occurrence order, so
         # the first offending ballot is still the one reported.
         for ranking in merged:
-            if len(ranking) == len(alt_set) and set(ranking) == alt_set:
-                continue
-            if len(set(ranking)) != len(ranking):
-                raise BallotParseError(f"duplicate alternative in ranking {ranking}")
-            unknown = set(ranking) - alt_set
-            if unknown:
-                raise BallotParseError(
-                    f"ballot {ranking} ranks unknown alternative(s) {sorted(unknown)}"
-                )
-            raise BallotParseError(
-                f"ballot {ranking} omits alternative(s) {sorted(alt_set - set(ranking))}; "
-                "rankings must be complete"
-            )
+            _check_ranking(ranking, alt_set)
         object.__setattr__(self, "merged", tuple(starmap(RankingBallot, merged.items())))
 
     @classmethod
@@ -115,6 +118,31 @@ class OrdinalProfile:
         object.__setattr__(profile, "ballots", ballots)
         object.__setattr__(profile, "merged", tuple(starmap(RankingBallot, merged.items())))
         return profile
+
+    @cached_property
+    def _unit_ballots(self) -> tuple[RankingBallot, ...]:
+        """One weight-1 ballot per voter, in ballot order; a ballot's voters share one."""
+        units: list[RankingBallot] = []
+        for ranking, weight in self.ballots:
+            units += [RankingBallot(ranking)] * weight
+        return tuple(units)
+
+    @cached_property
+    def _merged_rankings(self) -> frozenset[tuple[str, ...]]:
+        return frozenset(ranking for ranking, _ in self.merged)
+
+    def _from_unit_ballots(self, ballots: tuple[RankingBallot, ...]) -> OrdinalProfile:
+        """`OrdinalProfile(self.alternatives, ballots)` for weight-1 `ballots`.
+
+        For the profiles the auditors derive from this one by replacing or
+        reordering its `_unit_ballots`: the merge is counted in C, in
+        first-occurrence order, and only rankings this profile's merge lacks
+        are checked, so an invalid one raises the constructor's error.
+        """
+        merged = Counter(map(itemgetter(0), ballots))
+        for ranking in filterfalse(self._merged_rankings.__contains__, merged):
+            _check_ranking(ranking, set(self.alternatives))
+        return OrdinalProfile._trusted(self.alternatives, ballots, merged)
 
     @cached_property
     def _position_tally(self) -> tuple[np.ndarray, np.ndarray]:

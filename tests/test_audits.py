@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 from socialchoice.audits import (
+    MAX_CLONE_COPIES,
     CloneSpec,
     ManipulationWitness,
     anonymity_check,
@@ -60,6 +61,11 @@ class TestCloneSpec:
     def test_zero_copies_rejected(self):
         with pytest.raises(ValueError, match="at least 1"):
             CloneSpec("C", 0)
+
+    def test_copies_above_the_cap_rejected(self):
+        assert CloneSpec("C", MAX_CLONE_COPIES).copies == MAX_CLONE_COPIES
+        with pytest.raises(ValueError, match=rf"^copies must be at most {MAX_CLONE_COPIES}$"):
+            CloneSpec("C", MAX_CLONE_COPIES + 1)
 
     def test_negative_ballot_index_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

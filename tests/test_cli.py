@@ -241,6 +241,17 @@ class TestAudit:
         assert report["payload"]["verdict"] == "independent"
         assert report["payload"]["cloned_winner"] in ["C1", "C2"]
 
+    def test_clone_copies_above_the_cap_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "audit", "clones", "--rule", "plurality",
+            "--profile", str(DATA / "fig1.vote"),
+            "--target", "C", "--copies", "101",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: copies must be at most 100\n"
+
     def test_cardinal_manipulation_median_robust(self, capsys):
         report = run_json(
             capsys,
@@ -669,6 +680,12 @@ class TestJudgmentErrors:
              "agenda.atoms: an agenda needs at least one atom"),
             (lambda d: d["agenda"].update(atoms=[f"p{i}" for i in range(21)]),
              "agenda.atoms: agenda exceeds 20 atoms"),
+            (lambda d: d["agenda"]["atoms"].append("x y"),
+             "agenda.atoms: agenda atom 'x y' is not a run of letters, digits and '_'"),
+            (lambda d: d["agenda"]["atoms"].append(""),
+             "agenda.atoms: agenda atom '' is not a run of letters, digits and '_'"),
+            (lambda d: d["agenda"]["atoms"].__setitem__(0, "safe-ish"),
+             "agenda.atoms: agenda atom 'safe-ish' is not a run of letters, digits and '_'"),
         ],
     )
     def test_malformed_judgments_exit_1_with_their_location(
@@ -711,6 +728,8 @@ class TestCardinalManipulationRatings:
             ("2,3,-3", "rater 2: expected a finite rating in [0, 10], got -3.0"),
             ("1,,2", "--ratings item 1 is empty: '1,,2'"),
             ("1,2, ", "--ratings item 2 is empty: '1,2, '"),
+            ("3,abc,6", "--ratings item 1: expected a number, got 'abc'"),
+            ("3,6,6x", "--ratings item 2: expected a number, got '6x'"),
         ],
     )
     def test_unsearchable_ratings_exit_1(self, capsys, ratings, message):

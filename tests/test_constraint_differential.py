@@ -167,7 +167,7 @@ UNDECLARED = "constraint mentions undeclared atom(s) "
 def production(text: str):
     """The tree and atom set `Agenda` reads from `text`, or its exception."""
     try:
-        _Probe((" ",), text)  # no atom is named ' ', so every atom is undeclared
+        _Probe(("z",), text)  # no drawn text holds a 'z', so every atom is undeclared
     except ConstraintSyntaxError as exc:
         return type(exc), str(exc)
     except ConstraintError as exc:

@@ -98,6 +98,13 @@ class TestConstraintParsing:
         with pytest.raises(ValueError, match="atoms"):
             Agenda(atoms, "p0")
 
+    @pytest.mark.parametrize("atom", ["x y", "", "a-b", "a&b", " a", 7])
+    def test_atom_must_be_one_constraint_token(self, atom):
+        message = f"agenda atom {atom!r} is not a run of letters, digits and '_'"
+        with pytest.raises(ValueError) as info:
+            Agenda(("a", atom), "a")
+        assert str(info.value) == message
+
 
 class TestAgendaJson:
     def test_round_trip(self):
@@ -107,6 +114,11 @@ class TestAgendaJson:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="constraint"):
             agenda_from_json('{"atoms": ["a"]}')
+
+    def test_bad_atom_is_located_at_the_atom_list(self):
+        with pytest.raises(ValueError) as info:
+            agenda_from_json('{"atoms": ["a", "x y"], "constraint": "a"}')
+        assert str(info.value) == "atoms: agenda atom 'x y' is not a run of letters, digits and '_'"
 
 
 class TestMajorityJudgments:
