@@ -181,10 +181,7 @@ class OrdinalProfile:
 
     def unit_rankings(self) -> tuple[tuple[str, ...], ...]:
         """Expand weighted ballots into one ranking per voter, in ballot order."""
-        out: list[tuple[str, ...]] = []
-        for ballot in self.ballots:
-            out.extend([ballot.ranking] * ballot.weight)
-        return tuple(out)
+        return tuple(map(itemgetter(0), self._unit_ballots))
 
 
 def profile_from_rankings(
