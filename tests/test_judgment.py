@@ -115,11 +115,6 @@ class TestAgendaJson:
         with pytest.raises(ValueError, match="constraint"):
             agenda_from_json('{"atoms": ["a"]}')
 
-    def test_bad_atom_is_located_at_the_atom_list(self):
-        with pytest.raises(ValueError) as info:
-            agenda_from_json('{"atoms": ["a", "x y"], "constraint": "a"}')
-        assert str(info.value) == "atoms: agenda atom 'x y' is not a run of letters, digits and '_'"
-
 
 class TestMajorityJudgments:
     def test_paradox_profile_majority(self):
