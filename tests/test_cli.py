@@ -206,6 +206,91 @@ class TestSimulateConfigErrors:
         assert out == ""
         assert err.startswith("error: ") and named in err
 
+    # Every config fault, one at a time, and its whole message.  The dataset
+    # is missing, so a check made only after reading it would show here.
+    KNOWN = "('rankings', 'features', 'collective', 'inference')"
+    ORDINAL = "borda, instant_runoff, plurality, ranked_pairs"
+    ORDINAL_OR_COMMITTEE = "borda, greedy_cc, instant_runoff, k_borda, plurality, ranked_pairs"
+    K_TAIL = '"k" applies only to the committee rules k_borda, greedy_cc; '
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"variant": "offline"}, f"unknown variant 'offline'; expected one of {KNOWN}"),
+            ({"variant": []}, f"unknown variant []; expected one of {KNOWN}"),
+            ({"variant": {}}, f"unknown variant {{}}; expected one of {KNOWN}"),
+            ({"variant": 7}, f"unknown variant 7; expected one of {KNOWN}"),
+            ({"variant": "rankings"}, "variant 'rankings' needs rule F"),
+            ({"variant": "features", "N": 9}, "variant 'features' needs rule W"),
+            ({"variant": "collective", "N": 9}, "variant 'collective' needs rule C"),
+            ({"variant": "inference", "N": 9}, "variant 'inference' needs rule C"),
+            ({"variant": "rankings", "F": "k_borda"},
+             f"\"F\": unknown ordinal rule 'k_borda' (kind: committee); known rules: {ORDINAL}"),
+            ({"variant": "features", "W": "borda", "N": 9},
+             "\"W\": unknown cardinal rule 'borda' (kind: ordinal); known rules: mean, median"),
+            ({"variant": "collective", "C": "mean", "N": 9},
+             "\"C\": unknown ordinal rule or committee rule 'mean' (kind: cardinal); "
+             f"known rules: {ORDINAL_OR_COMMITTEE}"),
+            ({"variant": "inference", "C": "random_dictator", "N": 9},
+             "\"C\": unknown ordinal rule or committee rule 'random_dictator' (kind: lottery); "
+             f"known rules: {ORDINAL_OR_COMMITTEE}"),
+            ({"variant": "features", "W": "mean"}, "variant 'features' needs a population size N"),
+            ({"variant": "collective", "C": "borda", "N": "23"},
+             "\"N\" must be a positive integer, got '23'"),
+            ({"variant": "collective", "C": "borda", "N": 1e9},
+             '"N" must be a positive integer, got 1000000000.0'),
+            ({"variant": "collective", "C": "borda", "N": True},
+             '"N" must be a positive integer, got True'),
+            ({"variant": "collective", "C": "borda", "N": 0},
+             "variant 'collective' needs a population size N"),
+            ({"variant": "collective", "C": "greedy_cc", "N": 9},
+             "committee rule C 'greedy_cc' needs a committee size \"k\""),
+            ({"variant": "inference", "C": "k_borda", "N": 9},
+             "committee rule C 'k_borda' needs a committee size \"k\""),
+            ({"variant": "rankings", "F": "borda", "k": 2}, K_TAIL + "rule C is None"),
+            ({"variant": "features", "W": "mean", "N": 9, "k": 2}, K_TAIL + "rule C is None"),
+            ({"variant": "collective", "C": "ranked_pairs", "N": 9, "k": 2},
+             K_TAIL + "rule C is 'ranked_pairs'"),
+            ({"variant": "inference", "C": "instant_runoff", "N": 9, "k": 2},
+             K_TAIL + "rule C is 'instant_runoff'"),
+            ({"variant": "collective", "C": "greedy_cc", "N": 9, "k": "2"},
+             "\"k\" must be a positive integer, got '2'"),
+            ({"variant": "collective", "C": "greedy_cc", "N": 9, "k": 0},
+             '"k" must be a positive integer, got 0'),
+            ({"variant": "collective", "C": "borda", "N": 9, "seed": "x"},
+             "\"seed\" must be an integer, got 'x'"),
+            ({"variant": "collective", "C": "borda", "N": 9, "seed": 1.5},
+             '"seed" must be an integer, got 1.5'),
+            ({"variant": "collective", "C": "borda", "N": 9, "dataset": 5},
+             '"dataset" must be a file name, got 5'),
+            ({"variant": "collective", "C": "borda", "N": 9, "ridge_lambda": None},
+             '"ridge_lambda": expected a finite number, got null'),
+            ({"variant": "collective", "C": "borda", "N": 9, "ridge_lambda": -1},
+             "ridge_lambda must be non-negative"),
+            ([], 'pipeline config must be an object with a "variant"'),
+            ("collective", 'pipeline config must be an object with a "variant"'),
+            ({}, 'pipeline config must be an object with a "variant"'),
+            # Another variant's rule key.
+            ({"variant": "rankings", "F": "borda", "W": "borda"},
+             "\"W\": unknown cardinal rule 'borda' (kind: ordinal); known rules: mean, median"),
+            ({"variant": "features", "W": "mean", "N": 9, "C": "mean"},
+             "\"C\": unknown ordinal rule or committee rule 'mean' (kind: cardinal); "
+             f"known rules: {ORDINAL_OR_COMMITTEE}"),
+            ({"variant": "collective", "C": "borda", "N": 9, "F": "mean"},
+             f"\"F\": unknown ordinal rule 'mean' (kind: cardinal); known rules: {ORDINAL}"),
+            ({"variant": "inference", "C": "borda", "N": 9, "W": "borda"},
+             "\"W\": unknown cardinal rule 'borda' (kind: ordinal); known rules: mean, median"),
+        ],
+    )
+    def test_each_fault_exits_1_with_its_exact_message(self, capsys, tmp_path, config, message):
+        if isinstance(config, dict):
+            config = {"dataset": "no-such-file.json", **config}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_k_with_a_committee_rule_is_accepted(self, capsys, tmp_path):
         config = {
             "variant": "collective", "C": "greedy_cc", "N": 23, "k": 2,
