@@ -387,24 +387,28 @@ def dataset_from_json(text: str) -> SimulationDataset:
     return SimulationDataset(cases, population, world.build(GroundTruthWorld, M_star, noise_sigma))
 
 
-VARIANTS = ("rankings", "features", "collective", "inference")
-# Config rule fields: attribute, config key, the rule kinds it takes, the
-# variants that need it.
-_RULE_FIELDS = (
-    ("rule_f", "F", ("ordinal",), ("rankings",)),
-    ("rule_w", "W", ("cardinal",), ("features",)),
-    ("rule_c", "C", ("ordinal", "committee"), ("collective", "inference")),
-)
+# variant: (config rule key, the rule kinds it takes, samples N evaluators and trains psi)
+VARIANTS: dict[str, tuple[str, tuple[str, ...], bool]] = {
+    "rankings": ("F", ("ordinal",), False),
+    "features": ("W", ("cardinal",), True),
+    "collective": ("C", ("ordinal", "committee"), True),
+    "inference": ("C", ("ordinal", "committee"), True),
+}
+
+
+def _variant(name) -> tuple[str, tuple[str, ...], bool]:
+    # A list or object is unhashable, so it is refused before the lookup.
+    if not isinstance(name, str) or name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}; expected one of {tuple(VARIANTS)}")
+    return VARIANTS[name]
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """A parsed simulate configuration; fields are variant-dependent."""
+    """A parsed simulate configuration; `rule` is read from the variant's rule key."""
 
     variant: str
-    rule_f: str | None = None
-    rule_w: str | None = None
-    rule_c: str | None = None
+    rule: str | None = None
     k: int | None = None
     n_evaluators: int | None = None
     ridge_lambda: float = 1e-6
@@ -413,29 +417,25 @@ class PipelineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ridge_lambda", Node(self.ridge_lambda, '"ridge_lambda"').number())
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        for attr, flag, kinds, variants in _RULE_FIELDS:
-            name = getattr(self, attr)
-            if name is None and self.variant in variants:
-                raise ValueError(f"variant {self.variant!r} needs rule {flag}")
-            if name is not None:
-                try:
-                    object.__setattr__(self, attr, resolve_rule(name, *kinds).id)
-                except ValueError as exc:
-                    raise ValueError(f'"{flag}": {exc}') from None
-        if self.variant in ("features", "collective", "inference") and not self.n_evaluators:
+        key, kinds, population = _variant(self.variant)
+        if self.rule is None:
+            raise ValueError(f"variant {self.variant!r} needs rule {key}")
+        try:
+            object.__setattr__(self, "rule", resolve_rule(self.rule, *kinds).id)
+        except ValueError as exc:
+            raise ValueError(f'"{key}": {exc}') from None
+        if population and not self.n_evaluators:
             raise ValueError(f"variant {self.variant!r} needs a population size N")
         if self.n_evaluators is not None and not _is_positive_int(self.n_evaluators):
             raise ValueError(f'"N" must be a positive integer, got {self.n_evaluators!r}')
         committees = rule_ids("committee")
-        if self.rule_c in committees and self.k is None:
-            raise ValueError(f'committee rule C {self.rule_c!r} needs a committee size "k"')
+        if self.rule in committees and self.k is None:
+            raise ValueError(f'committee rule {key} {self.rule!r} needs a committee size "k"')
         if self.k is not None:
-            if self.rule_c not in committees:
+            if self.rule not in committees:
                 raise ValueError(
                     f'"k" applies only to the committee rules {", ".join(committees)}; '
-                    f"rule C is {self.rule_c!r}"
+                    f"rule {key} is {self.rule!r}"
                 )
             if not _is_positive_int(self.k):
                 raise ValueError(f'"k" must be a positive integer, got {self.k!r}')
@@ -455,11 +455,12 @@ def config_from_json(text: str) -> PipelineConfig:
     data = load(text).value
     if not isinstance(data, dict) or "variant" not in data:
         raise ValueError('pipeline config must be an object with a "variant"')
+    key = _variant(data["variant"])[0]
+    for other in sorted(data.keys() & {row[0] for row in VARIANTS.values()} - {key}):
+        raise ValueError(f'"{other}": variant {data["variant"]!r} reads its rule from "{key}"')
     return PipelineConfig(
         variant=data["variant"],
-        rule_f=data.get("F"),
-        rule_w=data.get("W"),
-        rule_c=data.get("C"),
+        rule=data.get(key),
         k=data.get("k"),
         n_evaluators=data.get("N"),
         ridge_lambda=data.get("ridge_lambda", 1e-6),
@@ -506,18 +507,17 @@ def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
     The config's own seed, when present, takes precedence over the caller's.
     """
     master = config.seed if config.seed is not None else seed
-    payload: dict = {"variant": config.variant, "seed": master}
-    sft_lines = None
+    key = VARIANTS[config.variant][0]
+    payload = {"variant": config.variant, "seed": master, f"rule_{key}": config.rule}
     if config.variant == "rankings":
-        targets = [variant1_targets(case, config.rule_f) for case in dataset.cases]
+        targets = [variant1_targets(case, config.rule) for case in dataset.cases]
         model = _fit_targets(dataset.cases, targets, config.ridge_lambda)
-        payload["rule_F"] = config.rule_f
         payload["model"] = {"weights": list(model.weights), "intercept": model.intercept}
         payload["cases"] = [
             {"prompt": case.prompt, "targets": scores, **_scored(model, case)}
             for case, scores in zip(dataset.cases, targets)
         ]
-        return payload, sft_lines
+        return payload, None
 
     _check_design_size(config.n_evaluators, dataset)
     sample = sample_population(
@@ -526,15 +526,13 @@ def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
     psi = _train_psi(dataset, sample, config.ridge_lambda, master)
     payload["n_evaluators"] = config.n_evaluators
     if config.variant == "features":
-        model = rlchf_from_features(psi, sample, config.rule_w)
-        payload["rule_W"] = config.rule_w
+        model = rlchf_from_features(psi, sample, config.rule)
         payload["cases"] = [{"prompt": c.prompt, **_scored(model, c)} for c in dataset.cases]
     else:
-        payload["rule_C"] = config.rule_c
         payload["cases"] = []
         for ci, case in enumerate(dataset.cases):
             if config.variant == "collective":
-                chosen = simulate_collective_decision(case, psi, sample, config.rule_c, config.k)
+                chosen = simulate_collective_decision(case, psi, sample, config.rule, config.k)
             else:
                 # With no live LLM, the stored responses stand in for fresh generations.
                 chosen = inference_time_choice(
@@ -543,7 +541,7 @@ def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
                     dataset.population,
                     config.n_evaluators,
                     psi,
-                    config.rule_c,
+                    config.rule,
                     derive_seed(master, "inference-case", ci),
                     config.k,
                 )
@@ -551,6 +549,6 @@ def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
                 payload["cases"].append({"prompt": case.prompt, "committee": chosen.winners})
             else:
                 payload["cases"].append({"prompt": case.prompt, "chosen": chosen.id})
-        if config.variant == "collective" and config.rule_c not in rule_ids("committee"):
-            sft_lines = sft_jsonl_lines([(c["prompt"], c["chosen"]) for c in payload["cases"]])
-    return payload, sft_lines
+        if config.variant == "collective" and config.rule not in rule_ids("committee"):
+            return payload, sft_jsonl_lines([(c["prompt"], c["chosen"]) for c in payload["cases"]])
+    return payload, None

@@ -247,8 +247,8 @@ class TestSimulateConfigErrors:
              "committee rule C 'greedy_cc' needs a committee size \"k\""),
             ({"variant": "inference", "C": "k_borda", "N": 9},
              "committee rule C 'k_borda' needs a committee size \"k\""),
-            ({"variant": "rankings", "F": "borda", "k": 2}, K_TAIL + "rule C is None"),
-            ({"variant": "features", "W": "mean", "N": 9, "k": 2}, K_TAIL + "rule C is None"),
+            ({"variant": "rankings", "F": "borda", "k": 2}, K_TAIL + "rule F is 'borda'"),
+            ({"variant": "features", "W": "mean", "N": 9, "k": 2}, K_TAIL + "rule W is 'mean'"),
             ({"variant": "collective", "C": "ranked_pairs", "N": 9, "k": 2},
              K_TAIL + "rule C is 'ranked_pairs'"),
             ({"variant": "inference", "C": "instant_runoff", "N": 9, "k": 2},
@@ -270,16 +270,21 @@ class TestSimulateConfigErrors:
             ([], 'pipeline config must be an object with a "variant"'),
             ("collective", 'pipeline config must be an object with a "variant"'),
             ({}, 'pipeline config must be an object with a "variant"'),
-            # Another variant's rule key.
+            # Another variant's rule key, valid or not.
             ({"variant": "rankings", "F": "borda", "W": "borda"},
-             "\"W\": unknown cardinal rule 'borda' (kind: ordinal); known rules: mean, median"),
+             '"W": variant \'rankings\' reads its rule from "F"'),
             ({"variant": "features", "W": "mean", "N": 9, "C": "mean"},
-             "\"C\": unknown ordinal rule or committee rule 'mean' (kind: cardinal); "
-             f"known rules: {ORDINAL_OR_COMMITTEE}"),
+             '"C": variant \'features\' reads its rule from "W"'),
             ({"variant": "collective", "C": "borda", "N": 9, "F": "mean"},
-             f"\"F\": unknown ordinal rule 'mean' (kind: cardinal); known rules: {ORDINAL}"),
+             '"F": variant \'collective\' reads its rule from "C"'),
             ({"variant": "inference", "C": "borda", "N": 9, "W": "borda"},
-             "\"W\": unknown cardinal rule 'borda' (kind: ordinal); known rules: mean, median"),
+             '"W": variant \'inference\' reads its rule from "C"'),
+            ({"variant": "rankings", "F": "borda", "W": "mean"},
+             '"W": variant \'rankings\' reads its rule from "F"'),
+            ({"variant": "rankings", "F": "borda", "C": "greedy_cc", "k": 2},
+             '"C": variant \'rankings\' reads its rule from "F"'),
+            ({"variant": "rankings", "F": "borda", "W": "mean", "C": "borda"},
+             '"C": variant \'rankings\' reads its rule from "F"'),
         ],
     )
     def test_each_fault_exits_1_with_its_exact_message(self, capsys, tmp_path, config, message):

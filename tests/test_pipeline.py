@@ -519,7 +519,7 @@ class TestConfigAndDataset:
             '{"variant": "collective", "C": "ranked_pairs", "N": 23,'
             ' "seed": 7, "ridge_lambda": 0.001, "dataset": "cases.json"}'
         )
-        assert config.rule_c == "ranked_pairs"
+        assert config.rule == "ranked_pairs"
         assert config.n_evaluators == 23
         assert config.seed == 7
         assert config.dataset == "cases.json"
@@ -538,13 +538,13 @@ class TestConfigAndDataset:
 
     def test_population_size_required_for_simulated_variants(self):
         with pytest.raises(ValueError, match="population size"):
-            PipelineConfig("features", rule_w="mean")
+            PipelineConfig("features", rule="mean")
 
 
 class TestRunPipeline:
     def test_rankings_variant_reports_targets_and_choice(self):
         dataset = dataset_from_json(jury_dataset_json())
-        config = PipelineConfig("rankings", rule_f="borda", ridge_lambda=1e-9)
+        config = PipelineConfig("rankings", rule="borda", ridge_lambda=1e-9)
         payload, sft = run_pipeline(config, dataset, seed=0)
         assert sft is None
         case = payload["cases"][0]
@@ -554,7 +554,7 @@ class TestRunPipeline:
 
     def test_collective_variant_emits_dataset_deterministically(self):
         dataset = dataset_from_json(jury_dataset_json())
-        config = PipelineConfig("collective", rule_c="borda", n_evaluators=9)
+        config = PipelineConfig("collective", rule="borda", n_evaluators=9)
         runs = [run_pipeline(config, dataset, seed=5) for _ in range(2)]
         assert runs[0] == runs[1]
         payload, sft = runs[0]
@@ -565,7 +565,7 @@ class TestRunPipeline:
 
     def test_features_variant_scores_every_response(self):
         dataset = dataset_from_json(jury_dataset_json())
-        config = PipelineConfig("features", rule_w="median", n_evaluators=7)
+        config = PipelineConfig("features", rule="median", n_evaluators=7)
         payload, sft = run_pipeline(config, dataset, seed=3)
         assert sft is None
         rewards = payload["cases"][0]["rewards"]
@@ -576,13 +576,13 @@ class TestRunPipeline:
 
     def test_inference_variant_reports_choice(self):
         dataset = dataset_from_json(jury_dataset_json())
-        config = PipelineConfig("inference", rule_c="instant_runoff", n_evaluators=5)
+        config = PipelineConfig("inference", rule="instant_runoff", n_evaluators=5)
         payload, _ = run_pipeline(config, dataset, seed=1)
         assert payload["cases"][0]["chosen"] in {"A", "B", "C"}
 
     def test_config_seed_overrides_caller_seed(self):
         dataset = dataset_from_json(jury_dataset_json())
-        pinned = PipelineConfig("collective", rule_c="borda", n_evaluators=9, seed=5)
+        pinned = PipelineConfig("collective", rule="borda", n_evaluators=9, seed=5)
         payload_a, _ = run_pipeline(pinned, dataset, seed=0)
         payload_b, _ = run_pipeline(pinned, dataset, seed=99)
         assert payload_a == payload_b
@@ -599,8 +599,8 @@ class TestComposedModelType:
 @pytest.mark.parametrize(
     "config",
     [
-        PipelineConfig("rankings", rule_f="borda", ridge_lambda=1e-9),
-        PipelineConfig("features", rule_w="median", n_evaluators=7),
+        PipelineConfig("rankings", rule="borda", ridge_lambda=1e-9),
+        PipelineConfig("features", rule="median", n_evaluators=7),
     ],
 )
 def test_run_pipeline_computes_each_target_and_reward_once(monkeypatch, config):
