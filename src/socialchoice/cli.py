@@ -309,7 +309,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write the supervised dataset (JSONL) here")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("audit", parents=[common], help="check social-choice properties")
+    p = sub.add_parser("audit", help="check social-choice properties")
     audit_sub = p.add_subparsers(dest="kind", required=True)
 
     clones = audit_sub.add_parser("clones", parents=[common])

@@ -391,6 +391,29 @@ class TestAudit:
         )
         assert cardinal["payload"]["anonymous"] is True
 
+    def test_seed_after_the_kind_is_reported(self, capsys):
+        report = run_json(
+            capsys,
+            "audit", "anonymity", "--seed", "7", "--rule", "borda",
+            "--profile", str(DATA / "fig1.vote"),
+        )
+        assert report["seed"] == 7
+
+    # Before the kind these flags were read and then overwritten by the
+    # kind's defaults: the report said seed 0, or came out as JSON.
+    @pytest.mark.parametrize(
+        "flags, kind",
+        [
+            (["--seed", "7"], ["anonymity", "--rule", "borda"]),
+            (["--format", "csv"], ["cycle"]),
+        ],
+    )
+    def test_common_flags_before_the_kind_are_usage_errors(self, capsys, flags, kind):
+        argv = ["audit", *flags, *kind, "--profile", str(DATA / "fig1.vote")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: argument kind: invalid choice: {flags[1]!r}")
+
     def test_cycle_report(self, capsys):
         report = run_json(
             capsys, "audit", "cycle", "--profile", str(DATA / "condorcet.vote")
