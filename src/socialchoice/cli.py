@@ -138,6 +138,11 @@ def cmd_simulate(args) -> RunReport:
 
     config_text = _read(args.config)
     config = config_from_json(config_text)
+    if args.out and not config.emits_sft:
+        raise UsageError(
+            f"--out: variant {config.variant!r} with rule {config.rule!r} emits no SFT lines; "
+            "only variant 'collective' with a single-winner rule C does"
+        )
     if config.dataset is None:
         raise UsageError("pipeline config must name a dataset file")
     dataset_path = Path(config.dataset)

@@ -446,6 +446,11 @@ class PipelineConfig:
         if self.ridge_lambda < 0:
             raise ValueError("ridge_lambda must be non-negative")
 
+    @property
+    def emits_sft(self) -> bool:
+        """Whether run_pipeline returns SFT lines: collective choices by a single-winner rule."""
+        return self.variant == "collective" and self.rule not in rule_ids("committee")
+
 
 def _is_positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
@@ -501,6 +506,16 @@ def _check_design_size(n_evaluators: int, dataset: SimulationDataset) -> None:
         )
 
 
+def _check_committee_size(k: int | None, dataset: SimulationDataset) -> None:
+    # A committee rule fails on a case with fewer responses than k; refuse the
+    # run before any population is sampled.
+    for ci, case in enumerate(dataset.cases):
+        if k is not None and k > len(case.responses):
+            raise ValueError(
+                f'"k": committee size {k} exceeds the {len(case.responses)} responses of cases[{ci}]'
+            )
+
+
 def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
     """Execute one variant; returns (report payload, SFT lines or None).
 
@@ -520,6 +535,7 @@ def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
         return payload, None
 
     _check_design_size(config.n_evaluators, dataset)
+    _check_committee_size(config.k, dataset)
     sample = sample_population(
         dataset.population, config.n_evaluators, derive_seed(master, "population")
     )
@@ -549,6 +565,6 @@ def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
                 payload["cases"].append({"prompt": case.prompt, "committee": chosen.winners})
             else:
                 payload["cases"].append({"prompt": case.prompt, "chosen": chosen.id})
-        if config.variant == "collective" and config.rule not in rule_ids("committee"):
+        if config.emits_sft:
             return payload, sft_jsonl_lines([(c["prompt"], c["chosen"]) for c in payload["cases"]])
     return payload, None

@@ -757,6 +757,46 @@ class TestSimulationSizeCap:
         with pytest.raises(ValueError, match='"N": .* x 12 responses'):
             _check_design_size(MAX_DESIGN_ROWS // 12 + 1, dataset)
 
+    @pytest.mark.parametrize("variant", ["collective", "inference"])
+    def test_committee_larger_than_a_case_exits_1_before_sampling(
+        self, capsys, tmp_path, monkeypatch, variant
+    ):
+        import socialchoice.pipeline as pipeline
+
+        def refuse(*args):
+            raise AssertionError("population sampled for an impossible committee")
+
+        monkeypatch.setattr(pipeline, "sample_population", refuse)
+        config = write_config(tmp_path, variant=variant, C="k_borda", k=99)
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert (code, out) == (1, "")
+        assert err == 'error: "k": committee size 99 exceeds the 3 responses of cases[0]\n'
+
+    def test_committee_of_every_response_runs(self, capsys, tmp_path):
+        config = write_config(tmp_path, variant="collective", C="greedy_cc", k=3)
+        report = run_json(capsys, "simulate", "--config", config)
+        assert sorted(report["payload"]["cases"][0]["committee"]) == ["A", "B", "C"]
+
+
+class TestSimulateOut:
+    # Only collective choices by a single-winner rule are SFT lines.
+    @pytest.mark.parametrize("fields", [
+        {"variant": "rankings", "F": "borda"},
+        {"variant": "features", "W": "mean"},
+        {"variant": "inference", "C": "borda"},
+        {"variant": "collective", "C": "greedy_cc", "k": 2},
+    ])
+    def test_out_without_sft_lines_exits_1_before_the_dataset_is_read(
+        self, capsys, tmp_path, fields
+    ):
+        config = write_config(tmp_path, **fields, dataset="no-such-file.json")
+        sft = tmp_path / "sft.jsonl"
+        code, out, err = run_cli(capsys, "simulate", "--config", config, "--out", str(sft))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --out: variant {fields['variant']!r} with rule ")
+        assert "emits no SFT lines" in err and "no-such-file" not in err
+        assert not sft.exists()
+
 
 def mutated_judgments(tmp_path, mutate):
     data = json.loads((DATA / "judgments.json").read_text())
