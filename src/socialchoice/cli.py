@@ -159,13 +159,16 @@ def cmd_simulate(args) -> RunReport:
     return make_report("simulate", inputs, args.seed, payload)
 
 
-def _alternating_orders(spec, n_voters: int):
+def _alternating_orders(spec, profile):
     # Rotate the lexicographic clone order one step per voter, so two copies
     # split a bloc's first-place votes evenly.
+    from .audits import check_audit_voters
+
+    check_audit_voters(profile)
     clones = spec.clone_ids()
     orders = {
         i: tuple(clones[(i + j) % len(clones)] for j in range(len(clones)))
-        for i in range(n_voters)
+        for i in range(profile.num_voters)
     }
     return replace(spec, orders=orders)
 
@@ -190,7 +193,7 @@ def cmd_audit(args) -> RunReport:
         rule = resolve_rule(args.rule, "ordinal").id
         spec = CloneSpec(args.target, args.copies)
         if args.split == "alternating":
-            spec = _alternating_orders(spec, profile.num_voters)
+            spec = _alternating_orders(spec, profile)
         result = clone_test(rule, profile, spec)
         payload = {
             "audit": "clones",

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from socialchoice import cli
+from socialchoice.audits import MAX_AUDIT_VOTERS
 from socialchoice.cli import main
 from socialchoice.judgment import MAX_CONSTRAINT_DEPTH
 from socialchoice.profiles import parse_profile
@@ -429,6 +430,29 @@ class TestAudit:
         report = run_json(capsys, "audit", "cycle", "--profile", str(vote))
         assert report["payload"]["has_condorcet_winner"] is True
         assert report["payload"]["condorcet_winner"] == "A"
+
+
+class TestAuditVoterCap:
+    # The last voter ranks B > C > A, so the manipulation search tries every
+    # misreport.
+    @pytest.mark.parametrize("argv", [
+        ["anonymity", "--rule", "borda"],
+        ["clones", "--rule", "borda", "--target", "A"],
+        ["clones", "--rule", "borda", "--target", "A", "--split", "lexicographic"],
+        ["manipulation", "--rule", "borda", "--voter", str(MAX_AUDIT_VOTERS - 1)],
+    ])
+    def test_cap_passes_and_one_voter_more_exits_1(self, capsys, tmp_path, argv):
+        for extra, code in ((0, 0), (1, 1)):
+            vote = tmp_path / "cap.vote"
+            vote.write_text(f"alternatives: A, B, C\n{MAX_AUDIT_VOTERS - 1 + extra}: A > B > C\n"
+                            "1: B > C > A\n")
+            got, out, err = run_cli(capsys, "audit", *argv, "--profile", str(vote))
+            assert got == code, err
+        assert out == ""
+        assert err == (
+            "error: the profile has more than 100,000 voters, the cap for auditors that "
+            "expand each voter into a ballot\n"
+        )
 
 
 class TestExitCodes:
