@@ -159,16 +159,13 @@ def cmd_simulate(args) -> RunReport:
     return make_report("simulate", inputs, args.seed, payload)
 
 
-def _alternating_orders(spec, profile):
+def _alternating_orders(spec, n_voters: int):
     # Rotate the lexicographic clone order one step per voter, so two copies
     # split a bloc's first-place votes evenly.
-    from .audits import check_audit_voters
-
-    check_audit_voters(profile)
     clones = spec.clone_ids()
     orders = {
         i: tuple(clones[(i + j) % len(clones)] for j in range(len(clones)))
-        for i in range(profile.num_voters)
+        for i in range(n_voters)
     }
     return replace(spec, orders=orders)
 
@@ -178,6 +175,7 @@ def cmd_audit(args) -> RunReport:
         ANONYMITY_PERMUTATIONS,
         CloneSpec,
         anonymity_check,
+        check_audit_voters,
         clone_test,
         manipulation_search_cardinal,
         manipulation_search_ordinal,
@@ -192,8 +190,9 @@ def cmd_audit(args) -> RunReport:
         profile = parse_profile(text)
         rule = resolve_rule(args.rule, "ordinal").id
         spec = CloneSpec(args.target, args.copies)
+        check_audit_voters(profile)  # before the alternating orders, one per voter
         if args.split == "alternating":
-            spec = _alternating_orders(spec, profile)
+            spec = _alternating_orders(spec, profile.num_voters)
         result = clone_test(rule, profile, spec)
         payload = {
             "audit": "clones",

@@ -512,7 +512,8 @@ def _check_committee_size(k: int | None, dataset: SimulationDataset) -> None:
     for ci, case in enumerate(dataset.cases):
         if k is not None and k > len(case.responses):
             raise ValueError(
-                f'"k": committee size {k} exceeds the {len(case.responses)} responses of cases[{ci}]'
+                f'"k": committee size {k} exceeds the {len(case.responses)} responses '
+                f"of cases[{ci}]"
             )
 
 

@@ -10,6 +10,7 @@ from random import Random
 import pytest
 
 from socialchoice.audits import (
+    MAX_AUDIT_VOTERS,
     MAX_CLONE_COPIES,
     CloneSpec,
     ManipulationWitness,
@@ -25,7 +26,12 @@ from socialchoice.audits import (
 )
 from socialchoice.cardinal import RatingProfile
 from socialchoice.ordinal import first_place_counts, ordinal_rule, random_dictator
-from socialchoice.profiles import margin_matrix, profile_from_rankings
+from socialchoice.profiles import (
+    OrdinalProfile,
+    RankingBallot,
+    margin_matrix,
+    profile_from_rankings,
+)
 
 FIG_RANKINGS = (
     [("A", "B", "C")] * 4
@@ -295,6 +301,20 @@ class TestAnonymity:
     def test_unsupported_profile_type_rejected(self):
         with pytest.raises(TypeError):
             anonymity_check("mean", 42, seed=0)
+
+
+class TestAuditVoterCap:
+    @pytest.mark.parametrize("audit", [
+        lambda profile: cloned_profile(profile, CloneSpec("A")),
+        lambda profile: anonymity_check("borda", profile, 0),
+        lambda profile: manipulation_search_ordinal("borda", profile, MAX_AUDIT_VOTERS),
+    ])
+    def test_refused_before_any_voter_is_expanded(self, audit):
+        heavy = RankingBallot(("A", "B", "C"), MAX_AUDIT_VOTERS)
+        profile = OrdinalProfile(("A", "B", "C"), (heavy, RankingBallot(("B", "C", "A"))))
+        with pytest.raises(ValueError, match="more than 100,000 voters, the cap"):
+            audit(profile)
+        assert "_unit_ballots" not in vars(profile)
 
 
 class TestRandomGenerators:
