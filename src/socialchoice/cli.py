@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .reports import RunReport, make_report, report_csv, report_json
@@ -159,23 +159,12 @@ def cmd_simulate(args) -> RunReport:
     return make_report("simulate", inputs, args.seed, payload)
 
 
-def _alternating_orders(spec, n_voters: int):
-    # Rotate the lexicographic clone order one step per voter, so two copies
-    # split a bloc's first-place votes evenly.
-    clones = spec.clone_ids()
-    orders = {
-        i: tuple(clones[(i + j) % len(clones)] for j in range(len(clones)))
-        for i in range(n_voters)
-    }
-    return replace(spec, orders=orders)
-
-
 def cmd_audit(args) -> RunReport:
     from .audits import (
         ANONYMITY_PERMUTATIONS,
         CloneSpec,
+        alternating_clone_spec,
         anonymity_check,
-        check_audit_voters,
         clone_test,
         manipulation_search_cardinal,
         manipulation_search_ordinal,
@@ -190,9 +179,8 @@ def cmd_audit(args) -> RunReport:
         profile = parse_profile(text)
         rule = resolve_rule(args.rule, "ordinal").id
         spec = CloneSpec(args.target, args.copies)
-        check_audit_voters(profile)  # before the alternating orders, one per voter
         if args.split == "alternating":
-            spec = _alternating_orders(spec, profile.num_voters)
+            spec = alternating_clone_spec(profile, spec)
         result = clone_test(rule, profile, spec)
         payload = {
             "audit": "clones",

@@ -175,7 +175,7 @@ class OrdinalProfile:
     def num_alternatives(self) -> int:
         return len(self.alternatives)
 
-    @property
+    @cached_property
     def num_voters(self) -> int:
         return sum(weight for _, weight in self.merged)
 

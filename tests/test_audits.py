@@ -24,6 +24,7 @@ from socialchoice.audits import (
     reverify_cardinal_witness,
     reverify_ordinal_witness,
 )
+from socialchoice.audits import alternating_clone_spec as alternating_split
 from socialchoice.cardinal import RatingProfile
 from socialchoice.ordinal import first_place_counts, ordinal_rule, random_dictator
 from socialchoice.profiles import (
@@ -317,6 +318,29 @@ class TestAuditVoterCap:
         assert "_unit_ballots" not in vars(profile)
 
 
+
+class TestEveryVoterExpansionIsCapped:
+    # Borda elects A, so the witness's honest outcome holds and reverifying
+    # goes on to replace the last voter's ballot.
+    @pytest.mark.parametrize("expand", [
+        lambda profile: random_clone_spec(Random(0), profile),
+        lambda profile: alternating_split(profile, CloneSpec("A")),
+        lambda profile: reverify_ordinal_witness("borda", profile, ManipulationWitness(
+            MAX_AUDIT_VOTERS, ("B", "C", "A"), ("C", "B", "A"), "A", "B",
+        )),
+    ], ids=["random_clone_spec", "alternating_clone_spec", "reverify_ordinal_witness"])
+    def test_refused_before_any_order_or_ballot_is_built(self, expand):
+        heavy = RankingBallot(("A", "B", "C"), MAX_AUDIT_VOTERS)
+        profile = OrdinalProfile(("A", "B", "C"), (heavy, RankingBallot(("B", "C", "A"))))
+        with pytest.raises(ValueError, match="more than 100,000 voters, the cap"):
+            expand(profile)
+        assert "_unit_ballots" not in vars(profile)
+
+    def test_cap_itself_passes(self):
+        profile = OrdinalProfile(("A", "B"), (RankingBallot(("A", "B"), MAX_AUDIT_VOTERS),))
+        assert len(random_clone_spec(Random(0), profile).orders) == MAX_AUDIT_VOTERS
+        assert len(alternating_split(profile, CloneSpec("B")).orders) == MAX_AUDIT_VOTERS
+
 class TestRandomGenerators:
     def test_random_strict_profile_shape(self):
         rng = Random(0)
@@ -335,6 +359,25 @@ class TestRandomGenerators:
         for order in spec.orders.values():
             assert sorted(order) == sorted(spec.clone_ids())
 
+
+
+class TestAlternatingCloneSpec:
+    @pytest.mark.parametrize("copies", [1, 2, 3, 11])
+    def test_rotates_the_clone_order_one_step_per_voter(self, copies):
+        profile = profile_from_rankings(FIG_RANKINGS, ("A", "B", "C"))
+        spec = alternating_split(profile, CloneSpec("C", copies))
+        clones = spec.clone_ids()
+        assert (spec.target, spec.copies) == ("C", copies)
+        assert spec.orders == {
+            i: tuple(clones[(i + j) % copies] for j in range(copies)) for i in range(23)
+        }
+        # One tuple per rotation, shared by every voter at that rotation.
+        assert len({id(order) for order in spec.orders.values()}) == min(copies, 23)
+
+    def test_two_copies_split_a_bloc_evenly(self):
+        profile = profile_from_rankings([("A", "B", "C")] * 4, ("A", "B", "C"))
+        expanded = cloned_profile(profile, alternating_split(profile, CloneSpec("A")))
+        assert first_place_counts(expanded) == {"A1": 2, "A2": 2, "B": 0, "C": 0}
 
 @pytest.fixture(scope="module")
 def clone_sweep_counts():
