@@ -32,6 +32,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _AfterKind(argparse.Action):
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise UsageError(f"{option_string} goes after the audit kind: audit <kind> {option_string} …")
+
+
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -136,6 +141,8 @@ def cmd_parse_feedback(args) -> RunReport:
 def cmd_simulate(args) -> RunReport:
     from .pipeline import config_from_json, dataset_from_json, run_pipeline
 
+    if args.out == "":
+        raise UsageError("--out needs a file path")
     config_text = _read(args.config)
     config = config_from_json(config_text)
     if args.out and not config.emits_sft:
@@ -305,6 +312,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("audit", help="check social-choice properties")
+    # The kind's parser reads --seed and --format; given before the kind they
+    # are refused here, not left for argparse to take as the kind.
+    p.add_argument(
+        "--seed", "--format", action=_AfterKind, default=argparse.SUPPRESS, help=argparse.SUPPRESS
+    )
     audit_sub = p.add_subparsers(dest="kind", required=True)
 
     clones = audit_sub.add_parser("clones", parents=[common])

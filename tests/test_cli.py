@@ -400,8 +400,9 @@ class TestAudit:
         )
         assert report["seed"] == 7
 
-    # Before the kind these flags were read and then overwritten by the
-    # kind's defaults: the report said seed 0, or came out as JSON.
+    # Before the kind these flags were once read and then overwritten by the
+    # kind's defaults (the report said seed 0, or came out as JSON), and then
+    # taken by argparse as the kind itself (invalid choice: '7').
     @pytest.mark.parametrize(
         "flags, kind",
         [
@@ -413,7 +414,7 @@ class TestAudit:
         argv = ["audit", *flags, *kind, "--profile", str(DATA / "fig1.vote")]
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith(f"error: argument kind: invalid choice: {flags[1]!r}")
+        assert err == f"error: {flags[0]} goes after the audit kind: audit <kind> {flags[0]} …\n"
 
     def test_cycle_report(self, capsys):
         report = run_json(
@@ -821,6 +822,14 @@ class TestSimulateOut:
         assert "emits no SFT lines" in err and "no-such-file" not in err
         assert not sft.exists()
 
+    # An empty path used to pass for "no --out": exit 0 and no file.
+    @pytest.mark.parametrize("config", ["pipeline_collective.json", "pipeline_features.json"])
+    def test_empty_out_exits_1_before_anything_is_read(self, capsys, tmp_path, monkeypatch, config):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(DATA / config), "--out", "")
+        assert (code, out, err) == (1, "", "error: --out needs a file path\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 def mutated_judgments(tmp_path, mutate):
     data = json.loads((DATA / "judgments.json").read_text())
@@ -1017,3 +1026,40 @@ class TestBuiltObjectFaults:
         assert code == 1
         assert out == ""
         assert err == f"error: population: group weights sum to {total}, expected 1\n"
+
+
+class TestRefusalsNamedAtTheirSource:
+    @pytest.mark.parametrize("sigma", [3.0, -1, 1e-9])
+    def test_population_noise_points_to_the_world_noise(self, capsys, tmp_path, sigma):
+        config = mutated_dataset(tmp_path, lambda d: d["population"].update(noise_sigma=sigma))
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: population.noise_sigma: expected 0, got {sigma}; "
+            "set rating noise with world.noise_sigma\n"
+        )
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d["population"].update(noise_sigma=0),
+        lambda d: d["population"].pop("noise_sigma"),
+    ], ids=["zero", "absent"])
+    def test_population_noise_of_zero_loads(self, capsys, tmp_path, mutate):
+        plain = run_json(capsys, "simulate", "--config", mutated_dataset(tmp_path, lambda d: d))
+        report = run_json(capsys, "simulate", "--config", mutated_dataset(tmp_path, mutate))
+        assert report["payload"] == plain["payload"]
+
+    def test_empty_cases_are_located(self, capsys, tmp_path):
+        config = mutated_dataset(tmp_path, lambda d: d.update(cases=[]))
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert (code, out, err) == (1, "", "error: cases: a dataset needs at least one case\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["parse-feedback", "--statements", str(DATA / "feedback.txt"), "--context", " , "],
+         "--context needs at least one response id"),
+        (["audit", "manipulation", "--w", "mean", "--voter", "0"],
+         "--w needs --ratings, e.g. --ratings 3,6,6"),
+        (["audit", "anonymity", "--rule", "mean", "--profile", str(DATA / "fig1.vote")],
+         "rule 'mean' needs --ratings"),
+    ], ids=["empty_context", "w_without_ratings", "cardinal_anonymity_without_ratings"])
+    def test_cli_refusal_exits_1_with_its_message(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
