@@ -348,8 +348,12 @@ def _population_from_json(node: Node) -> PopulationSpec:
             for c in group.get("components").members()
         )
         groups.append(group.build(GroupSpec, weight, components))
-    noise_sigma = node.get("noise_sigma", 0.0).number()
-    return node.build(PopulationSpec, node.get("d").integer(), tuple(groups), noise_sigma)
+    noise = node.get("noise_sigma", 0.0)
+    if noise.number() != 0:
+        raise ValueError(
+            f"{noise.path}: expected 0, got {noise.value}; set rating noise with world.noise_sigma"
+        )
+    return node.build(PopulationSpec, node.get("d").integer(), tuple(groups))
 
 
 def _case_from_json(node: Node) -> PromptCase:
@@ -379,12 +383,14 @@ def dataset_from_json(text: str) -> SimulationDataset:
     node the object was read from, as in `cases[0]: ...`.
     """
     root = load(text)
-    cases = tuple(_case_from_json(case) for case in root.get("cases").members())
+    cases = root.get("cases")
+    prompt_cases = tuple(_case_from_json(case) for case in cases.members())
     population = _population_from_json(root.get("population"))
     world = root.get("world")
     M_star = tuple(tuple(x.number() for x in row.members()) for row in world.get("M_star").members())
     noise_sigma = world.get("noise_sigma", 0.0).number()
-    return SimulationDataset(cases, population, world.build(GroundTruthWorld, M_star, noise_sigma))
+    world_model = world.build(GroundTruthWorld, M_star, noise_sigma)
+    return cases.build(SimulationDataset, prompt_cases, population, world_model)
 
 
 # variant: (config rule key, the rule kinds it takes, samples N evaluators and trains psi)

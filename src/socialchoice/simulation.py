@@ -99,7 +99,7 @@ class PopulationSpec:
     """A stratified population: groups whose weights sum to one.
 
     `noise_sigma` is checked but never used: rating noise comes from
-    `GroundTruthWorld.noise_sigma`.
+    `GroundTruthWorld.noise_sigma`, and the dataset loader refuses a nonzero one.
     """
 
     d: int
