@@ -33,8 +33,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _AfterKind(argparse.Action):
-    def __call__(self, parser, namespace, values, option_string=None):
-        raise UsageError(f"{option_string} goes after the audit kind: audit <kind> {option_string} …")
+    def __call__(self, parser, namespace, values, flag=None):
+        raise UsageError(f"{flag} goes after the audit kind: audit <kind> {flag} …")
 
 
 def _read(path: str) -> str:
@@ -314,9 +314,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("audit", help="check social-choice properties")
     # The kind's parser reads --seed and --format; given before the kind they
     # are refused here, not left for argparse to take as the kind.
-    p.add_argument(
-        "--seed", "--format", action=_AfterKind, default=argparse.SUPPRESS, help=argparse.SUPPRESS
-    )
+    for flag in ("--seed", "--format"):
+        p.add_argument(flag, action=_AfterKind, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     audit_sub = p.add_subparsers(dest="kind", required=True)
 
     clones = audit_sub.add_parser("clones", parents=[common])

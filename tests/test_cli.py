@@ -400,9 +400,8 @@ class TestAudit:
         )
         assert report["seed"] == 7
 
-    # Before the kind these flags were once read and then overwritten by the
-    # kind's defaults (the report said seed 0, or came out as JSON), and then
-    # taken by argparse as the kind itself (invalid choice: '7').
+    # Before the kind these flags were read and then overwritten by the
+    # kind's defaults: the report said seed 0, or came out as JSON.
     @pytest.mark.parametrize(
         "flags, kind",
         [
@@ -532,6 +531,17 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err == "error: JSON input nests too deeply\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["parse-feedback", "--statements", str(DATA / "feedback.txt"), "--context", " , "],
+         "--context needs at least one response id"),
+        (["audit", "manipulation", "--w", "mean", "--voter", "0"],
+         "--w needs --ratings, e.g. --ratings 3,6,6"),
+        (["audit", "anonymity", "--rule", "mean", "--profile", str(DATA / "fig1.vote")],
+         "rule 'mean' needs --ratings"),
+    ], ids=["empty_context", "w_without_ratings", "cardinal_anonymity_without_ratings"])
+    def test_cli_refusal_exits_1_with_its_message(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 class TestFormats:
@@ -822,9 +832,9 @@ class TestSimulateOut:
         assert "emits no SFT lines" in err and "no-such-file" not in err
         assert not sft.exists()
 
-    # An empty path used to pass for "no --out": exit 0 and no file.
+    # An empty path is not the absence of --out.
     @pytest.mark.parametrize("config", ["pipeline_collective.json", "pipeline_features.json"])
-    def test_empty_out_exits_1_before_anything_is_read(self, capsys, tmp_path, monkeypatch, config):
+    def test_empty_out_exits_1_and_writes_nothing(self, capsys, tmp_path, monkeypatch, config):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, "simulate", "--config", str(DATA / config), "--out", "")
         assert (code, out, err) == (1, "", "error: --out needs a file path\n")
@@ -935,6 +945,10 @@ class TestDatasetNumbers:
              'world.noise_sigma: expected a finite number, got "0.5"'),
             (lambda d: d["population"].update(noise_sigma="0.5"),
              'population.noise_sigma: expected a finite number, got "0.5"'),
+            # Only world.noise_sigma adds rating noise.
+            (lambda d: d["population"].update(noise_sigma=3.0),
+             "population.noise_sigma: expected 0, got 3.0; "
+             "set rating noise with world.noise_sigma"),
             (lambda d: d["population"]["groups"][1]["components"][0].update(a=True),
              "population.groups[1].components[0].a: expected a finite number, got true"),
             (lambda d: d["population"]["groups"][0].update(weight=None),
@@ -1007,6 +1021,7 @@ class TestBuiltObjectFaults:
              "population: group has 5 component distributions, expected 4"),
             (lambda d: d["world"].update(noise_sigma=-1),
              "world: noise_sigma must be non-negative"),
+            (lambda d: d.update(cases=[]), "cases: a dataset needs at least one case"),
         ],
     )
     def test_fault_exits_1_located_at_its_object(self, capsys, tmp_path, mutate, message):
@@ -1027,39 +1042,3 @@ class TestBuiltObjectFaults:
         assert out == ""
         assert err == f"error: population: group weights sum to {total}, expected 1\n"
 
-
-class TestRefusalsNamedAtTheirSource:
-    @pytest.mark.parametrize("sigma", [3.0, -1, 1e-9])
-    def test_population_noise_points_to_the_world_noise(self, capsys, tmp_path, sigma):
-        config = mutated_dataset(tmp_path, lambda d: d["population"].update(noise_sigma=sigma))
-        code, out, err = run_cli(capsys, "simulate", "--config", config)
-        assert (code, out) == (1, "")
-        assert err == (
-            f"error: population.noise_sigma: expected 0, got {sigma}; "
-            "set rating noise with world.noise_sigma\n"
-        )
-
-    @pytest.mark.parametrize("mutate", [
-        lambda d: d["population"].update(noise_sigma=0),
-        lambda d: d["population"].pop("noise_sigma"),
-    ], ids=["zero", "absent"])
-    def test_population_noise_of_zero_loads(self, capsys, tmp_path, mutate):
-        plain = run_json(capsys, "simulate", "--config", mutated_dataset(tmp_path, lambda d: d))
-        report = run_json(capsys, "simulate", "--config", mutated_dataset(tmp_path, mutate))
-        assert report["payload"] == plain["payload"]
-
-    def test_empty_cases_are_located(self, capsys, tmp_path):
-        config = mutated_dataset(tmp_path, lambda d: d.update(cases=[]))
-        code, out, err = run_cli(capsys, "simulate", "--config", config)
-        assert (code, out, err) == (1, "", "error: cases: a dataset needs at least one case\n")
-
-    @pytest.mark.parametrize("argv, message", [
-        (["parse-feedback", "--statements", str(DATA / "feedback.txt"), "--context", " , "],
-         "--context needs at least one response id"),
-        (["audit", "manipulation", "--w", "mean", "--voter", "0"],
-         "--w needs --ratings, e.g. --ratings 3,6,6"),
-        (["audit", "anonymity", "--rule", "mean", "--profile", str(DATA / "fig1.vote")],
-         "rule 'mean' needs --ratings"),
-    ], ids=["empty_context", "w_without_ratings", "cardinal_anonymity_without_ratings"])
-    def test_cli_refusal_exits_1_with_its_message(self, capsys, argv, message):
-        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
