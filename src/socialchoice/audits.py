@@ -85,7 +85,6 @@ def _voters(profile: OrdinalProfile) -> tuple[RankingBallot, ...]:
 
 def cloned_profile(profile: OrdinalProfile, spec: CloneSpec) -> OrdinalProfile:
     """Expand the profile per the clone spec, one unit ballot per voter."""
-    voters = _voters(profile)
     if spec.target not in profile.alternatives:
         raise ValueError(f"clone target {spec.target!r} is not an alternative")
     clones = spec.clone_ids()
@@ -94,6 +93,7 @@ def cloned_profile(profile: OrdinalProfile, spec: CloneSpec) -> OrdinalProfile:
     if collisions:
         raise ValueError(f"clone id(s) {collisions} collide with existing alternatives")
     default_order = tuple(sorted(clones))
+    voters = _voters(profile)
     orders = spec.orders or {}
     for index, order in orders.items():
         if index >= len(voters):
@@ -133,6 +133,9 @@ def clone_test(rule_id: str, profile: OrdinalProfile, spec: CloneSpec) -> CloneT
     violation.
     """
     rule = ordinal_rule(rule_id)
+    # Capped before the base election too: a count too large for a float
+    # would otherwise fail inside a rule's tally, not at the cap.
+    _voters(profile)
     base_winner = rule(profile).winner
     expanded = cloned_profile(profile, spec)
     cloned_winner = rule(expanded).winner
@@ -241,6 +244,7 @@ def reverify_ordinal_witness(
 ) -> bool:
     """Re-run the election with the misreport and confirm the claimed flip."""
     rule = ordinal_rule(rule_id)
+    _voters(profile)
     if rule(profile).winner != witness.honest_outcome:
         return False
     shifted = _replace_unit_ballot(profile, witness.voter, tuple(witness.misreport))

@@ -455,6 +455,24 @@ class TestAuditVoterCap:
         )
 
 
+class TestAuditCapBeforeAnyElection:
+    @pytest.mark.parametrize("argv", [
+        ["anonymity", "--rule", "plurality"],
+        ["clones", "--rule", "plurality", "--target", "A"],
+        ["clones", "--rule", "plurality", "--target", "A", "--split", "lexicographic"],
+        ["manipulation", "--rule", "plurality", "--voter", "0"],
+    ])
+    def test_a_count_too_large_for_a_float_exits_1_at_the_cap(self, capsys, tmp_path, argv):
+        # Plurality's tally of a 401-digit count overflows a float, so the cap
+        # must fire before any election is run.
+        vote = tmp_path / "huge.vote"
+        vote.write_text(f"alternatives: A, B, C\n1{'0' * 400}: A > B > C\n1: B > C > A\n")
+        assert run_cli(capsys, "audit", *argv, "--profile", str(vote)) == (1, "", (
+            "error: the profile has more than 100,000 voters, the cap for auditors that "
+            "expand each voter into a ballot\n"
+        ))
+
+
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run_cli(
@@ -1041,4 +1059,3 @@ class TestBuiltObjectFaults:
         assert code == 1
         assert out == ""
         assert err == f"error: population: group weights sum to {total}, expected 1\n"
-
