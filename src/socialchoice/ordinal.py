@@ -1,13 +1,24 @@
-"""Ordinal social welfare functions: full social rankings from ranking profiles."""
+"""Ordinal social welfare functions: full social rankings from ranking profiles.
+
+Each deterministic rule is `decide(tally(profile))`.  A tally is additive, the
+weighted sum of its rankings' tallies, so the manipulation search can decide
+a misreport from the base tally without rebuilding the profile:
+
+- plurality: `first_place_counts`, decided by `_score_ranking`;
+- Borda: `borda_scores`, decided by `_score_ranking`;
+- instant runoff: `first_place_counts` per active set, decided by `_runoff_ranking`;
+- ranked pairs: `profiles.margin_matrix`, decided by `_locked_ranking`.
+"""
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Set
 from dataclasses import dataclass, field
+from functools import partial
 
-from .profiles import OrdinalProfile, margin_matrix
+from .profiles import MarginMatrix, OrdinalProfile, margin_matrix
 from .rules import resolve_rule, rule_ids
 
 LOTTERY_SUM_TOL = 1e-12
@@ -63,7 +74,9 @@ class Lottery:
         return self.probabilities.get(alt, 0.0)
 
 
-def _groups_by_score(ordered: list[str], scores: dict[str, float]) -> tuple[tuple[str, ...], ...]:
+def _groups_by_score(
+    ordered: list[str], scores: Mapping[str, int | float]
+) -> tuple[tuple[str, ...], ...]:
     groups: list[list[str]] = []
     for alt in ordered:
         if groups and scores[groups[-1][-1]] == scores[alt]:
@@ -73,14 +86,23 @@ def _groups_by_score(ordered: list[str], scores: dict[str, float]) -> tuple[tupl
     return tuple(tuple(g) for g in groups)
 
 
-def _score_ranking(scores: dict[str, float]) -> SocialRanking:
-    # Descending score, lexicographic id within equal scores.
+def _score_ranking(scores: Mapping[str, int | float]) -> SocialRanking:
+    """Plurality's and Borda's decide step: rank a score tally.
+
+    Descending score, lexicographic id within equal scores.  Sorting and
+    grouping read the tally as given, so integer tallies rank exactly at any
+    size; only the reported `scores` are floats.
+    """
     ordered = sorted(scores, key=lambda a: (-scores[a], a))
-    return SocialRanking(tuple(ordered), _groups_by_score(ordered, scores), scores)
+    reported = {a: float(s) for a, s in scores.items()}
+    return SocialRanking(tuple(ordered), _groups_by_score(ordered, scores), reported)
 
 
-def first_place_counts(profile: OrdinalProfile, active: set[str] | None = None) -> dict[str, int]:
-    """Weighted count of ballots whose top-ranked active alternative is each id."""
+def first_place_counts(profile: OrdinalProfile, active: Set[str] | None = None) -> dict[str, int]:
+    """Weighted count of ballots whose top-ranked active alternative is each id.
+
+    Plurality's tally over all alternatives, and instant runoff's per active set.
+    """
     if active is None:
         active = set(profile.alternatives)
     counts = {a: 0 for a in profile.alternatives if a in active}
@@ -92,42 +114,42 @@ def first_place_counts(profile: OrdinalProfile, active: set[str] | None = None) 
     return counts
 
 
-def plurality(profile: OrdinalProfile) -> SocialRanking:
-    """Rank alternatives by how often they appear at the very top of a ballot."""
-    counts = first_place_counts(profile)
-    return _score_ranking({a: float(c) for a, c in counts.items()})
-
-
-def borda(profile: OrdinalProfile) -> SocialRanking:
-    """Rank by Borda score: m-1 points for a first place down to 0 for a last place."""
+def borda_scores(profile: OrdinalProfile) -> dict[str, int]:
+    """Borda's tally: m-1 points per voter for a first place down to 0 for a last place."""
     scores = dict.fromkeys(profile.alternatives, 0)
     for ranking, weight in profile.merged:
         for points, alt in enumerate(reversed(ranking)):
             scores[alt] += weight * points
-    return _score_ranking({a: float(s) for a, s in scores.items()})
+    return scores
 
 
-def instant_runoff(profile: OrdinalProfile) -> SocialRanking:
-    """Repeatedly eliminate the alternative with fewest current first places.
+def plurality(profile: OrdinalProfile) -> SocialRanking:
+    """Rank alternatives by how often they appear at the very top of a ballot."""
+    return _score_ranking(first_place_counts(profile))
 
-    The lexicographically largest id is eliminated when several share the
-    fewest count.  The social ranking is the reverse elimination order; the
-    recorded score of each alternative is its first-place count in the round
-    it went out.
-    """
-    active = set(profile.alternatives)
+
+def borda(profile: OrdinalProfile) -> SocialRanking:
+    """Rank by Borda score: m-1 points for a first place down to 0 for a last place."""
+    return _score_ranking(borda_scores(profile))
+
+
+def _runoff_ranking(
+    alternatives: tuple[str, ...], firsts: Callable[[frozenset[str]], Mapping[str, int]]
+) -> SocialRanking:
+    """Instant runoff's decide step, reading each round's tally as `firsts(active set)`."""
+    active = frozenset(alternatives)
     eliminated: list[str] = []
     argmin_sets: list[set[str]] = []
     scores: dict[str, float] = {}
     while active:
-        counts = first_place_counts(profile, active)
+        counts = firsts(active)
         fewest = min(counts.values())
         losers = {a for a, c in counts.items() if c == fewest}
         out = max(losers)
         eliminated.append(out)
         argmin_sets.append(losers)
         scores[out] = float(counts[out])
-        active.remove(out)
+        active = active - {out}
     ranking = tuple(reversed(eliminated))
     # Adjacent alternatives were tie-broken when the higher-ranked one sat in
     # the same fewest-firsts set at the round the lower one went out.
@@ -141,34 +163,43 @@ def instant_runoff(profile: OrdinalProfile) -> SocialRanking:
     return SocialRanking(ranking, tie_groups, scores, elimination_order=tuple(eliminated))
 
 
-def ranked_pairs(profile: OrdinalProfile) -> SocialRanking:
-    """Tideman's method: lock majority pairs from largest margin down, skip cycles.
+def instant_runoff(profile: OrdinalProfile) -> SocialRanking:
+    """Repeatedly eliminate the alternative with fewest current first places.
 
-    Strict-majority pairs are considered from largest margin down, margin ties
-    in lexicographic (winner, loser) order; a pair is skipped when it would
-    close a cycle with the pairs already locked.  The output is the
-    topological order of the locked digraph, choosing the lexicographically
-    smallest available alternative at each step; blocks of mutually unordered
-    alternatives are reported as tie groups, and the lock order as
-    `locked_pairs`.  After the margin tally this costs O(m^3): one
-    reachability-bitset test per pair and an O(m) bitset update per lock that
-    orders a new pair.
+    The lexicographically largest id is eliminated when several share the
+    fewest count.  The social ranking is the reverse elimination order; the
+    recorded score of each alternative is its first-place count in the round
+    it went out.
+    """
+    return _runoff_ranking(profile.alternatives, partial(first_place_counts, profile))
+
+
+def _locked_ranking(matrix: MarginMatrix) -> SocialRanking:
+    """Ranked pairs' decide step: lock a margin tally's pairs and order the result.
+
+    After the tally this costs O(m^3): one reachability-bitset test per pair
+    and an O(m) bitset update per lock that orders a new pair.
     """
     # reach[i] is the bitset of alternatives that i reaches in the locked
     # digraph, i itself included; it is kept transitively closed.
-    matrix = margin_matrix(profile)
-    alts = profile.alternatives
+    alts = matrix.alternatives
     m = len(alts)
-    index = {a: i for i, a in enumerate(alts)}
     reach = [1 << i for i in range(m)]
     children: list[list[int]] = [[] for _ in range(m)]
     indegree = [0] * m
     locked: list[tuple[str, str, int]] = []
-    for winner, loser, margin in sorted(matrix.positive_pairs(), key=lambda p: (-p[2], p[0], p[1])):
-        w, l = index[winner], index[loser]
+    # Largest margin first, then by (winner, loser) id: the indices that
+    # follow the ids never decide the order.
+    pairs = sorted(
+        (-margin, alts[w], alts[l], w, l)
+        for w, row in enumerate(matrix.entries)
+        for l, margin in enumerate(row)
+        if margin > 0
+    )
+    for negated, winner, loser, w, l in pairs:
         if reach[l] >> w & 1:
             continue
-        locked.append((winner, loser, margin))
+        locked.append((winner, loser, -negated))
         children[w].append(l)
         indegree[l] += 1
         if not reach[w] >> l & 1:
@@ -176,9 +207,6 @@ def ranked_pairs(profile: OrdinalProfile) -> SocialRanking:
             for u in range(m):
                 if reach[u] & w_bit:
                     reach[u] |= gained
-    assert not any(
-        reach[j] >> i & 1 for i in range(m) for j in range(m) if i != j and reach[i] >> j & 1
-    ), "locked digraph has a cycle"
 
     available = [(alts[i], i) for i in range(m) if indegree[i] == 0]
     heapq.heapify(available)
@@ -190,6 +218,8 @@ def ranked_pairs(profile: OrdinalProfile) -> SocialRanking:
             indegree[j] -= 1
             if indegree[j] == 0:
                 heapq.heappush(available, (alts[j], j))
+    # The topological order reaches every alternative only if no cycle was locked.
+    assert len(order) == m, "locked digraph has a cycle"
 
     # Two adjacent alternatives are tied when the locked digraph never orders
     # them, directly or transitively.
@@ -202,6 +232,20 @@ def ranked_pairs(profile: OrdinalProfile) -> SocialRanking:
     return SocialRanking(
         tuple(alts[i] for i in order), tuple(tuple(g) for g in groups), locked_pairs=tuple(locked)
     )
+
+
+def ranked_pairs(profile: OrdinalProfile) -> SocialRanking:
+    """Tideman's method: lock majority pairs from largest margin down, skip cycles.
+
+    Strict-majority pairs are considered from largest margin down, margin ties
+    in lexicographic (winner, loser) order; a pair is skipped when it would
+    close a cycle with the pairs already locked.  The output is the
+    topological order of the locked digraph, choosing the lexicographically
+    smallest available alternative at each step; blocks of mutually unordered
+    alternatives are reported as tie groups, and the lock order as
+    `locked_pairs`.
+    """
+    return _locked_ranking(margin_matrix(profile))
 
 
 def ranked_pairs_locks(profile: OrdinalProfile) -> tuple[tuple[str, str, int], ...]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from itertools import permutations
 from random import Random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -251,3 +252,25 @@ def test_manipulation_search_matches_reference(data):
         assert reverify_ordinal_witness(rid, profile, claim) == reference_reverify(
             rid, profile, claim
         )
+
+
+# The bench's audit_sweep shape: m = 3..6 and 29 to 101 unit voters, searched
+# for a voter whose top choice loses, so that every misreport is tried or the
+# search stops at a witness.  Seeded, so the same profiles run every time.
+BENCH_SHAPES = [(m, n) for m in range(3, 7) for n in (29, 53, 77, 101)]
+
+
+@pytest.mark.parametrize("m, n", BENCH_SHAPES)
+def test_manipulation_search_matches_reference_at_bench_shape(m, n):
+    rng = Random(f"bench-shape:{m}:{n}")
+    alternatives = IDS[:m]
+    rankings = [tuple(rng.sample(alternatives, m)) for _ in range(n)]
+    profile = profile_from_rankings(rankings, alternatives)
+    for rid in rule_ids("ordinal"):
+        winner = ORDINAL_RULES[rid](profile).winner
+        losers = [i for i, ranking in enumerate(rankings) if ranking[0] != winner]
+        voter = rng.choice(losers)
+        witness = manipulation_search_ordinal(rid, profile, voter)
+        assert witness == reference_search(rid, profile, voter)
+        if witness is not None:
+            assert reverify_ordinal_witness(rid, profile, witness)

@@ -226,6 +226,45 @@ class TestManipulationSearchOrdinal:
         assert not reverify_ordinal_witness("borda", profile, fake)
 
 
+class TestWitnessFromTheTieBreak:
+    """Each first witness wins only through the lexicographic tie-break.
+
+    Voter 0 misreports, and the misreported election ties at its deciding
+    step.  Broken the other way, that tie elects an alternative the voter
+    likes no better than the honest winner, and no later misreport helps,
+    so the search would find no witness.
+    """
+
+    @staticmethod
+    def witness(rule, rankings, misreport, honest, manipulated):
+        profile = profile_from_rankings(rankings, ("A", "B", "C"))
+        witness = manipulation_search_ordinal(rule, profile, 0)
+        assert witness == ManipulationWitness(0, rankings[0], misreport, honest, manipulated)
+        assert reverify_ordinal_witness(rule, profile, witness)
+
+    def test_plurality_first_place_tie(self):
+        # Honest firsts A 1, B 1, C 2.  Topping B gives B 2, C 2: B wins the tie.
+        rankings = [("A", "B", "C"), ("B", "A", "C"), ("C", "A", "B"), ("C", "A", "B")]
+        self.witness("plurality", rankings, ("B", "A", "C"), "C", "B")
+
+    def test_borda_score_tie(self):
+        # Honest scores A 2, B 3, C 1.  A > C > B scores all three 2: A wins the tie.
+        rankings = [("A", "B", "C"), ("B", "C", "A")]
+        self.witness("borda", rankings, ("A", "C", "B"), "B", "A")
+
+    def test_instant_runoff_last_round_tie(self):
+        # Topping B knocks A out with no first places; the last round is B 2,
+        # C 2, and the lexicographically largest, C, goes out.
+        rankings = [("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B"), ("C", "A", "B")]
+        self.witness("instant_runoff", rankings, ("B", "A", "C"), "C", "B")
+
+    def test_ranked_pairs_equal_margin_cycle(self):
+        # Honestly C beats both by 1.  A > B > C makes the cycle A > B > C > A,
+        # every margin 1: (A, B) and (B, C) lock first, and C > A is skipped.
+        rankings = [("A", "C", "B"), ("B", "C", "A"), ("C", "A", "B")]
+        self.witness("ranked_pairs", rankings, ("A", "B", "C"), "C", "A")
+
+
 class TestManipulationSearchCardinal:
     def test_mean_is_manipulable_on_3_6_6(self):
         witness = manipulation_search_cardinal("mean", (3, 6, 6), 0)

@@ -85,6 +85,30 @@ class TestAggregate:
         assert first == second
 
 
+class TestCountsBeyondFloatPrecision:
+    # Both counts round to the float 1e20, but B has one more first place and
+    # one more Borda point: the ranking must read the exact tallies.
+    @pytest.mark.parametrize("argv", [
+        ["aggregate", "--rule", "plurality"],
+        ["aggregate", "--rule", "borda"],
+        ["committee", "--rule", "k-borda", "--k", "1"],
+    ])
+    def test_one_more_voter_above_2_to_the_53_wins(self, capsys, tmp_path, argv):
+        vote = tmp_path / "big.vote"
+        vote.write_text(
+            "alternatives: A, B\n"
+            "100000000000000000000: A > B\n"
+            "100000000000000000001: B > A\n"
+        )
+        payload = run_json(capsys, *argv, "--profile", str(vote))["payload"]
+        if argv[0] == "aggregate":
+            assert payload["winner"] == "B"
+            assert payload["ranking"] == ["B", "A"]
+            assert payload["tie_groups"] == [["B"], ["A"]]
+        else:
+            assert payload["winners"] == ["B"]
+
+
 class TestRateAndCommittee:
     def test_rate_median(self, capsys):
         report = run_json(

@@ -46,6 +46,17 @@ NUMPY_FREE = {
         "audit", "manipulation", "--w", "mean", "--ratings", "3,6,6", "--voter", "0",
     ],
     "audit-anonymity-borda": ["audit", "anonymity", "--rule", "borda", "--profile", "data/fig1.vote"],
+    # Each voter's top choice loses (plurality elects B, Borda C and instant
+    # runoff A), so every search runs.
+    "audit-manipulation-plurality": [
+        "audit", "manipulation", "--rule", "plurality", "--profile", "data/fig1.vote", "--voter", "0",
+    ],
+    "audit-manipulation-borda": [
+        "audit", "manipulation", "--rule", "borda", "--profile", "data/fig1.vote", "--voter", "0",
+    ],
+    "audit-manipulation-irv": [
+        "audit", "manipulation", "--rule", "irv", "--profile", "data/fig1.vote", "--voter", "8",
+    ],
 }
 
 # Every name the package exported before its imports became lazy.
