@@ -8,7 +8,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 from .jsonin import load
-from .ordinal import borda
+from .ordinal import borda, reported_score
 from .profiles import OrdinalProfile, validate_alternative_id
 from .rules import resolve_rule, rule_ids
 
@@ -153,12 +153,12 @@ def k_borda(profile: OrdinalProfile, k: int) -> Committee:
     return Committee(borda(profile).ranking[:k])
 
 
-def cc_score(profile: OrdinalProfile, committee: tuple[str, ...]) -> float:
+def cc_score(profile: OrdinalProfile, committee: tuple[str, ...]) -> int | float:
     """Chamberlin-Courant objective: each voter counts their best committee member."""
     positions, weights = profile._position_tally
     index = {a: i for i, a in enumerate(profile.alternatives)}
     best = positions[:, [index[alt] for alt in committee]].min(axis=1)
-    return float(weights @ (profile.num_alternatives - 1 - best))
+    return reported_score(int(weights @ (profile.num_alternatives - 1 - best)))
 
 
 def greedy_cc(profile: OrdinalProfile, k: int) -> Committee:

@@ -357,13 +357,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report = args.func(args)
+        # An exact number past Python's digit limit fails here, naming the limit.
+        text = report_json(report) if args.format == "json" else report_csv(report)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    text = report_json(report) if args.format == "json" else report_csv(report)
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
 

@@ -40,7 +40,7 @@ class SocialRanking:
 
     ranking: tuple[str, ...]
     tie_groups: tuple[tuple[str, ...], ...]
-    scores: dict[str, float] | None = None
+    scores: dict[str, int | float] | None = None
     elimination_order: tuple[str, ...] | None = field(default=None, compare=False)
     locked_pairs: tuple[tuple[str, str, int], ...] | None = field(default=None, compare=False)
 
@@ -74,6 +74,11 @@ class Lottery:
         return self.probabilities.get(alt, 0.0)
 
 
+def reported_score(score: int) -> int | float:
+    """A tally as reports show it: a float while that is exact (|s| <= 2**53), else the int."""
+    return float(score) if abs(score) <= 2**53 else score
+
+
 def _groups_by_score(
     ordered: list[str], scores: Mapping[str, int | float]
 ) -> tuple[tuple[str, ...], ...]:
@@ -91,10 +96,10 @@ def _score_ranking(scores: Mapping[str, int | float]) -> SocialRanking:
 
     Descending score, lexicographic id within equal scores.  Sorting and
     grouping read the tally as given, so integer tallies rank exactly at any
-    size; only the reported `scores` are floats.
+    size; the reported `scores` go through `reported_score`.
     """
     ordered = sorted(scores, key=lambda a: (-scores[a], a))
-    reported = {a: float(s) for a, s in scores.items()}
+    reported = {a: reported_score(s) for a, s in scores.items()}
     return SocialRanking(tuple(ordered), _groups_by_score(ordered, scores), reported)
 
 
@@ -140,7 +145,7 @@ def _runoff_ranking(
     active = frozenset(alternatives)
     eliminated: list[str] = []
     argmin_sets: list[set[str]] = []
-    scores: dict[str, float] = {}
+    scores: dict[str, int | float] = {}
     while active:
         counts = firsts(active)
         fewest = min(counts.values())
@@ -148,7 +153,7 @@ def _runoff_ranking(
         out = max(losers)
         eliminated.append(out)
         argmin_sets.append(losers)
-        scores[out] = float(counts[out])
+        scores[out] = reported_score(counts[out])
         active = active - {out}
     ranking = tuple(reversed(eliminated))
     # Adjacent alternatives were tie-broken when the higher-ranked one sat in
@@ -256,14 +261,16 @@ def ranked_pairs_locks(profile: OrdinalProfile) -> tuple[tuple[str, str, int], .
 def random_dictator(profile: OrdinalProfile, seed: int) -> tuple[Lottery, str]:
     """First-place-share lottery plus one winner sampled with the seeded generator.
 
-    The lottery itself does not depend on the seed; only the sampled winner does.
+    The lottery itself does not depend on the seed; only the sampled winner
+    does, through the ticket `rng.random() * n` for n <= 2**53 voters and the
+    exact uniform integer `rng.randrange(n)` above that.
     """
     n = profile.num_voters
     counts = first_place_counts(profile)
     lottery = Lottery({a: c / n for a, c in counts.items()})
     rng = random.Random(seed)
-    ticket = rng.random() * n
-    cumulative = 0.0
+    ticket = rng.random() * n if n <= 2**53 else rng.randrange(n)
+    cumulative = 0
     winner = profile.alternatives[0]
     for alt in profile.alternatives:
         cumulative += counts[alt]

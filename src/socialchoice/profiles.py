@@ -7,7 +7,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, filterfalse, starmap
+from itertools import chain, starmap
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
@@ -71,9 +71,10 @@ class OrdinalProfile:
     """An immutable election: alternatives plus weighted strict rankings.
 
     `OrdinalProfile(alternatives, ballots)` checks the ballots and merges
-    them; `parse_profile` builds the merge as it reads and hands it over
-    checked.  `ballots`, in input order, is read only to render the profile,
-    expand it into unit rankings and compare profiles.
+    them.  `parse_profile` and the anonymity check's voter shuffle build
+    the merge themselves and hand it over checked.  `ballots`, in input
+    order, is read only to render the profile, expand it into unit rankings
+    and compare profiles.
     """
 
     alternatives: tuple[str, ...]
@@ -127,22 +128,15 @@ class OrdinalProfile:
             units += [RankingBallot(ranking)] * weight
         return tuple(units)
 
-    @cached_property
-    def _merged_rankings(self) -> frozenset[tuple[str, ...]]:
-        return frozenset(ranking for ranking, _ in self.merged)
-
     def _from_unit_ballots(self, ballots: tuple[RankingBallot, ...]) -> OrdinalProfile:
-        """`OrdinalProfile(self.alternatives, ballots)` for weight-1 `ballots`.
+        """This profile with its voters reordered, for the anonymity check.
 
-        For the profiles the auditors derive from this one by replacing or
-        reordering its `_unit_ballots`: the merge is counted in C, in
-        first-occurrence order, and only rankings this profile's merge lacks
-        are checked, so an invalid one raises the constructor's error.
+        `ballots` must be a reordering of this profile's own `_unit_ballots`,
+        so no ranking is checked again; the merge is counted in C.
         """
-        merged = Counter(map(itemgetter(0), ballots))
-        for ranking in filterfalse(self._merged_rankings.__contains__, merged):
-            _check_ranking(ranking, set(self.alternatives))
-        return OrdinalProfile._trusted(self.alternatives, ballots, merged)
+        return OrdinalProfile._trusted(
+            self.alternatives, ballots, Counter(map(itemgetter(0), ballots))
+        )
 
     @cached_property
     def _position_tally(self) -> tuple[np.ndarray, np.ndarray]:

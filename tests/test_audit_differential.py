@@ -1,18 +1,24 @@
 """The ordinal auditors against the rebuild path they were written on.
 
-Each misreport and each anonymity shuffle gives a new profile over the same
-alternatives.  The references below build it the plain way: expand the
-profile into one ranking per voter, edit or reorder that list, and hand it
-to `profile_from_rankings`, which merges and checks every ranking again.
-The auditors' profiles must equal those field for field: `==` (alternatives
+Each anonymity shuffle reorders the checked profile's unit ballots and
+checks no ranking again.  The reference builds the shuffle the plain way:
+expand the profile into one ranking per voter, reorder that list, and hand
+it to `profile_from_rankings`, which merges and checks every ranking again.
+The shuffled profiles must equal those field for field: `==` (alternatives
 and `ballots`), `merged` in its order, and every registry rule's full result.
 So a rule that reads `ballots`, `unit_rankings()` or the order of `merged`
 sees the same profile either way, and `anonymity_check` keeps its power.
 
+The manipulation search builds no profile, and must find the witness the
+reference finds by rerunning the rule on every rebuilt misreported profile.
+`reverify_ordinal_witness` builds the misreported profile with the
+`OrdinalProfile` constructor.  On claims true or false, it must give the
+reference's verdict, and an invalid misreport (short, with a duplicate or
+with an unknown id) must raise the same exception type with the same message.
+
 The profiles are unit and weighted ones over 1 to 6 alternatives, built by
 the constructor or parsed from text, with rankings repeated across ballots.
-An invalid misreport (short, with a duplicate or with an unknown id) must
-raise the same exception type with the same message.
+Both oracles also run at the shapes of the bench's audit_sweep.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from socialchoice import audits
 from socialchoice.audits import (
     ANONYMITY_PERMUTATIONS,
     ManipulationWitness,
@@ -180,21 +185,23 @@ def outcome(make):
 
 @fuzz(300)
 @given(st.data())
-def test_misreported_profile_equals_rebuilt(data):
+def test_reverified_claims_match_reference(data):
     profile = data.draw(profiles())
+    rid = data.draw(st.sampled_from(rule_ids("ordinal")))
     voter = data.draw(st.integers(0, profile.num_voters - 1))
+    truthful = profile.unit_rankings()[voter]
     misreport = data.draw(misreports(profile.alternatives))
-    derived = outcome(lambda: audits._replace_unit_ballot(profile, voter, misreport))
-    rebuilt = outcome(lambda: reference_replace_unit_ballot(profile, voter, misreport))
-    if isinstance(rebuilt, tuple):
-        assert derived == rebuilt
-    else:
-        assert_same_profile(derived, rebuilt)
+    # Mostly the true honest winner, so that the misreported profile is built.
+    honest = ORDINAL_RULES[rid](profile).winner
+    claimed_honest = data.draw(st.sampled_from((honest, honest, *profile.alternatives)))
+    claimed_new = data.draw(st.sampled_from(profile.alternatives))
+    claim = ManipulationWitness(voter, truthful, misreport, claimed_honest, claimed_new)
+    assert outcome(lambda: reverify_ordinal_witness(rid, profile, claim)) == outcome(
+        lambda: reference_reverify(rid, profile, claim)
+    )
 
 
-@fuzz(200)
-@given(profiles(), st.integers(0, 2**31 - 1))
-def test_shuffled_profiles_equal_rebuilt(profile, seed):
+def assert_shuffles_equal_rebuilt(profile: OrdinalProfile, seed: int) -> None:
     # A rule that records what it is given sees every shuffled profile.
     seen = []
 
@@ -209,6 +216,12 @@ def test_shuffled_profiles_equal_rebuilt(profile, seed):
     assert len(seen) == ANONYMITY_PERMUTATIONS + 1
     for shuffled in seen[1:]:
         assert_same_profile(shuffled, reference_reassign(profile, rng.sample(range(n), n)))
+
+
+@fuzz(200)
+@given(profiles(), st.integers(0, 2**31 - 1))
+def test_shuffled_profiles_equal_rebuilt(profile, seed):
+    assert_shuffles_equal_rebuilt(profile, seed)
 
 
 # Rules that read who voted how, or the order rankings first occur in.
@@ -256,7 +269,8 @@ def test_manipulation_search_matches_reference(data):
 
 # The bench's audit_sweep shape: m = 3..6 and 29 to 101 unit voters, searched
 # for a voter whose top choice loses, so that every misreport is tried or the
-# search stops at a witness.  Seeded, so the same profiles run every time.
+# search stops at a witness, and shuffled as the anonymity check shuffles
+# them.  Seeded, so the same profiles run every time.
 BENCH_SHAPES = [(m, n) for m in range(3, 7) for n in (29, 53, 77, 101)]
 
 
@@ -274,3 +288,4 @@ def test_manipulation_search_matches_reference_at_bench_shape(m, n):
         assert witness == reference_search(rid, profile, voter)
         if witness is not None:
             assert reverify_ordinal_witness(rid, profile, witness)
+    assert_shuffles_equal_rebuilt(profile, rng.randrange(2**31))

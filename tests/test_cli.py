@@ -108,6 +108,34 @@ class TestCountsBeyondFloatPrecision:
         else:
             assert payload["winners"] == ["B"]
 
+    # A 401-digit count, beyond the largest float: every tally stays exact,
+    # and a score is reported as the exact int once it passes 2**53.
+    BIG = 10**400
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["aggregate", "--rule", "plurality"],
+         {"winner": "A", "scores": {"A": BIG, "B": 1.0, "C": 0.0}}),
+        (["aggregate", "--rule", "borda"],
+         {"winner": "A", "scores": {"A": 2 * BIG, "B": BIG + 2, "C": 1.0}}),
+        (["aggregate", "--rule", "irv"],
+         {"winner": "A", "scores": {"A": BIG + 1, "B": 1.0, "C": 0.0},
+          "elimination_order": ["C", "B", "A"]}),
+        (["aggregate", "--rule", "random-dictator"],
+         {"winner": "A", "lottery": {"A": 1.0, "B": 0.0, "C": 0.0}}),
+        (["aggregate", "--rule", "ranked-pairs"],
+         {"winner": "A",
+          "locked_pairs": [["B", "C", BIG + 1], ["A", "B", BIG - 1], ["A", "C", BIG - 1]]}),
+        (["committee", "--rule", "k-borda", "--k", "1"],
+         {"winners": ["A"], "cc_score": 2 * BIG}),
+        (["committee", "--rule", "greedy-cc", "--k", "2"],
+         {"winners": ["A", "B"], "cc_score": 2 * BIG + 2}),
+    ])
+    def test_counts_beyond_the_largest_float_stay_exact(self, capsys, tmp_path, argv, expected):
+        vote = tmp_path / "huge.vote"
+        vote.write_text(f"alternatives: A, B, C\n{self.BIG}: A > B > C\n1: B > C > A\n")
+        payload = run_json(capsys, *argv, "--profile", str(vote))["payload"]
+        assert {key: payload[key] for key in expected} == expected
+
 
 class TestRateAndCommittee:
     def test_rate_median(self, capsys):

@@ -12,12 +12,15 @@ exit 2, the internal-error code.  Every mutation starts from a fixture:
 (c) The ballot files and the feedback statements with bytes replaced,
     inserted or deleted, run through aggregate, committee, audit cycle and
     parse-feedback.
+(d) Valid ballot files with counts too large for a float, or whose sums
+    print with more digits than Python allows, under every profile command.
 """
 
 import contextlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,3 +246,38 @@ def test_mutated_text_inputs_are_handled(workdir, mutation):
     path = workdir / fixture.name
     path.write_bytes(data)
     assert_handled(*run([*command, path]))
+
+
+# A count of 401 digits, beyond the largest float, and three counts at the
+# integer-to-text digit limit, whose sums in the tallies print with more.
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+HUGE_VOTES = {
+    "401_digits": "alternatives: A, B, C\n1" + "0" * 400 + ": A > B > C\n1: B > C > A\n",
+    "limit_nines": "alternatives: A, B\n" + ("9" * (DIGIT_LIMIT or 4300) + ": A > B\n") * 3
+    + "1: B > A\n",
+}
+PROFILE_COMMANDS = [
+    ["aggregate", "--rule", "plurality"],
+    *VOTE_COMMANDS,
+    ["audit", "clones", "--rule", "borda", "--target", "A"],
+    ["audit", "manipulation", "--rule", "borda", "--voter", "0"],
+    ["audit", "anonymity", "--rule", "borda"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", PROFILE_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("name", sorted(HUGE_VOTES))
+def test_huge_counts_are_handled(workdir, name, command, fmt):
+    path = workdir / f"{name}.vote"
+    path.write_text(HUGE_VOTES[name])
+    code, err = run([*command, "--profile", path, "--format", fmt])
+    assert_handled(code, err)
+    if command[0] == "audit" and command[1] != "cycle":
+        # The auditors that expand each voter refuse before any tally.
+        assert code == 1 and "100,000 voters" in err, err
+    elif name == "limit_nines" and DIGIT_LIMIT and "random-dictator" not in command:
+        # A count, score or margin is too long to print: the error names the limit.
+        assert code == 1 and f"{DIGIT_LIMIT} digits" in err, err
+    else:
+        assert code == 0, err

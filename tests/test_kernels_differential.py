@@ -10,11 +10,12 @@ import itertools
 import random
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialchoice.cardinal import cc_score, greedy_cc
-from socialchoice.ordinal import ranked_pairs, ranked_pairs_locks
+from socialchoice.ordinal import instant_runoff, random_dictator, ranked_pairs, ranked_pairs_locks
 from socialchoice.profiles import (
     MAX_ENUMERATED_ALTERNATIVES,
     MarginMatrix,
@@ -279,7 +280,47 @@ class TestChamberlinCourant:
         # Round one: C gains 2 big + 2 against B's 2 big + 1, a difference
         # that float gains would round away; round two: A adds 2 big.
         assert greedy_cc(profile, 2).winners == ("C", "A")
-        assert cc_score(profile, ("A",)) == float(2 * big)
+        assert cc_score(profile, ("A",)) == 2 * big
+        assert type(cc_score(profile, ("A",))) is int
+
+
+class TestInstantRunoff:
+    @pytest.mark.parametrize("big", [2**53 - 1, 2**62, 10**400])
+    def test_weights_beyond_int64_stay_exact(self, big):
+        profile = OrdinalProfile(
+            ("A", "B", "C"),
+            (RankingBallot(("A", "B", "C"), big), RankingBallot(("B", "A", "C"), big + 1),
+             RankingBallot(("C", "A", "B"), 2)),
+        )
+        # Round two: A has big + 2 first places to B's big + 1.  A score is a
+        # float up to 2**53 and the exact int above.
+        result = instant_runoff(profile)
+        assert result.elimination_order == ("C", "B", "A")
+        assert result.scores == {"C": 2, "B": big + 1, "A": 2 * big + 3}
+        assert [type(result.scores[alt]) for alt in "CBA"] == [
+            float, float if big + 1 <= 2**53 else int, int
+        ]
+
+
+class TestRandomDictator:
+    @pytest.mark.parametrize("big", [2**53, 2**62, 10**400])
+    def test_weights_beyond_int64_stay_exact(self, big):
+        profile = OrdinalProfile(
+            ("A", "B", "C"),
+            (RankingBallot(("A", "B", "C"), big), RankingBallot(("B", "A", "C"), 1),
+             RankingBallot(("C", "A", "B"), big)),
+        )
+        n = 2 * big + 1
+        # Past 2**53 voters the ticket is the exact draw randrange(n), and
+        # voters [0, big) rank A first, voter big B and the rest C.
+        winners = set()
+        for seed in range(20):
+            ticket = random.Random(seed).randrange(n)
+            lottery, winner = random_dictator(profile, seed)
+            assert winner == ("A" if ticket < big else "B" if ticket == big else "C")
+            assert lottery.probabilities == {"A": big / n, "B": 1 / n, "C": big / n}
+            winners.add(winner)
+        assert winners == {"A", "C"}
 
 
 class TestCycleWitness:
