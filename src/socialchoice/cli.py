@@ -357,8 +357,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report = args.func(args)
-        # An exact number past Python's digit limit fails here, naming the limit.
-        text = report_json(report) if args.format == "json" else report_csv(report)
+        try:
+            text = report_json(report) if args.format == "json" else report_csv(report)
+        except ValueError:
+            # The payload is canonical by now (finite floats, string keys), so
+            # the one fault left is an exact number past the digit limit.
+            raise ValueError(
+                f"a number in the report has more than {sys.get_int_max_str_digits()} digits, "
+                "Python's limit for integer-to-text conversion; rerun with the environment "
+                "variable PYTHONINTMAXSTRDIGITS set higher, or to 0 for no limit"
+            ) from None
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

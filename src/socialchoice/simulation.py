@@ -206,6 +206,27 @@ def bilinear(F: np.ndarray, M: np.ndarray, G: np.ndarray) -> np.ndarray:
     return np.matmul(FM[:, None, None, :], G[None, :, :, None])[..., 0, 0]
 
 
+# SplitMix64 (Steele, Lea & Flood 2014): output c of the generator seeded
+# with key is the finalizer applied to key + (c + 1) * gamma, mod 2**64.
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
+
+
+def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
+    """One uniform in [0, 1) per broadcast (key, counter) pair of uint64 arrays.
+
+    Each is SplitMix64's output number `counter` for the seed `key`, cut to
+    its top 53 bits.  The arithmetic wraps mod 2**64, which numpy does
+    silently on arrays (on 0-d scalars it warns), so both inputs must be arrays.
+    """
+    z = keys + (counters + np.uint64(1)) * _SPLITMIX_GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_MUL1
+    z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_MUL2
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 def true_ratings(
     world: GroundTruthWorld,
     F: np.ndarray,
@@ -215,19 +236,20 @@ def true_ratings(
 ) -> np.ndarray:
     """Ground-truth ratings of every response by every evaluator row of F.
 
-    Row i is evaluator `first_index + i`.  Each (evaluator, response) pair
-    draws its noise from its own stream, derived from (seed, evaluator index,
-    response id), so a rating never depends on what else was rated.
+    Row i is evaluator `first_index + i`.  Response y's noise comes from a
+    counter-based stream keyed by `derive_seed(seed, "noise", y.id)`:
+    evaluator e draws the SplitMix64 uniforms u1, u2 at counters 2e and
+    2e + 1 and adds sigma * sqrt(-2 log1p(-u1)) * cos(2 pi u2) (Box-Muller).
+    So a rating depends only on (seed, response id, evaluator index), never
+    on the block size, `first_index` or what else was rated.
     """
     values = bilinear(F, np.asarray(world.M_star), response_matrix(responses, world.q))
     if world.noise_sigma > 0:
-        values += [
-            [
-                random.Random(derive_seed(seed, "noise", ei, y.id)).gauss(0.0, world.noise_sigma)
-                for y in responses
-            ]
-            for ei in range(first_index, first_index + len(F))
-        ]
+        keys = np.array([derive_seed(seed, "noise", y.id) for y in responses], dtype=np.uint64)
+        counters = 2 * np.arange(first_index, first_index + len(F), dtype=np.uint64)[:, None]
+        u1 = _uniforms(keys, counters)
+        u2 = _uniforms(keys, counters + np.uint64(1))
+        values += world.noise_sigma * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
     return clamp_ratings(values)
 
 

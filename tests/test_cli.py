@@ -136,6 +136,26 @@ class TestCountsBeyondFloatPrecision:
         payload = run_json(capsys, *argv, "--profile", str(vote))["payload"]
         assert {key: payload[key] for key in expected} == expected
 
+    # Three counts at the 4300-digit integer-to-text limit: the tallies print
+    # with more digits, so the report cannot be written.
+    NINES = "alternatives: A, B\n" + ("9" * 4300 + ": A > B\n") * 3 + "1: B > A\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["aggregate", "--rule", "borda"],
+        ["audit", "cycle", "--format", "csv"],
+        ["committee", "--rule", "greedy-cc", "--k", "1"],
+    ])
+    def test_number_past_the_digit_limit_names_the_variable(self, capsys, tmp_path, argv):
+        vote = tmp_path / "nines.vote"
+        vote.write_text(self.NINES)
+        code, out, err = run_cli(capsys, *argv, "--profile", str(vote))
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: a number in the report has more than 4300 digits, Python's limit for "
+            "integer-to-text conversion; rerun with the environment variable "
+            "PYTHONINTMAXSTRDIGITS set higher, or to 0 for no limit\n"
+        )
+
 
 class TestRateAndCommittee:
     def test_rate_median(self, capsys):

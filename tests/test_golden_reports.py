@@ -8,7 +8,10 @@ Each file under `golden/expected/` is the stdout of one command line:
   runs on the noise-free one-case `data/cases.json`; the
   `golden/noisy_*.json` configs run on a three-case dataset with rating
   noise, ratings clamped at both ends and two responses with equal features
-  (their predicted ratings tie and break by id).
+  (their predicted ratings tie and break by id).  The two
+  `noisy_features_*` reports were regenerated when the rating noise moved
+  to counter-based SplitMix64 streams, since their rewards read the noisy
+  fit directly; every other `simulate` report kept its bytes.
 - `rate_<rule>.<input>.<format>`, `judge.<input>.<format>` and
   `anonymity_median.<input>.<format>`: `rate`, `judge` and
   `audit anonymity --rule median` on `data/ratings.json`,

@@ -18,12 +18,12 @@ import socialchoice
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-# Runs `main(argv)`, then reports on stderr whether numpy was imported.
+# Runs `main(argv)`, then reports on stderr whether a module was imported.
 PROBE = (
     "import sys\n"
     "from socialchoice.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "print('{0} loaded:', '{0}' in sys.modules, file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 
@@ -109,16 +109,28 @@ def run_fresh(*args):
 
 @pytest.mark.parametrize("argv", NUMPY_FREE.values(), ids=NUMPY_FREE)
 def test_command_runs_without_numpy(argv):
-    proc = run_fresh("-c", PROBE, *argv)
+    proc = run_fresh("-c", PROBE.format("numpy"), *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "numpy loaded: False\n"
 
 
 def test_probe_sees_numpy_when_a_command_needs_it():
     # Ranked pairs tallies margins with numpy: shows the probe can see it.
-    proc = run_fresh("-c", PROBE, "aggregate", "--rule", "ranked-pairs", "--profile", "data/fig1.vote")
+    argv = ["aggregate", "--rule", "ranked-pairs", "--profile", "data/fig1.vote"]
+    proc = run_fresh("-c", PROBE.format("numpy"), *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "numpy loaded: True\n"
+
+
+def test_noisy_simulation_never_loads_numpy_random():
+    # Rating noise is drawn without numpy.random, whose import alone adds
+    # about 6 MB to the resident set of a fresh interpreter.
+    argv = ["simulate", "--config", "tests/golden/noisy_features_median.json", "--seed", "3"]
+    proc = run_fresh("-c", PROBE.format("numpy.random"), *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "numpy.random loaded: False\n"
+    golden = ROOT / "tests" / "golden" / "expected" / "noisy_features_median.seed3.json"
+    assert proc.stdout == golden.read_text(encoding="utf-8")
 
 
 def test_importing_the_package_and_its_names_loads_no_numpy():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from socialchoice.simulation import (
     principle_panel,
     sample_population,
     true_rating,
+    true_ratings,
 )
 
 
@@ -149,6 +151,44 @@ class TestTrueRating:
         world = GroundTruthWorld(((1.0, 2.0),))
         with pytest.raises(ValueError, match="features"):
             true_rating(world, (0.5, 0.5), ResponseRecord("y", "t", (1.0, 1.0)), 0, 0)
+
+
+class TestNoiseStream:
+    # f' M g is 5 for every pair, so sigma = 0.5 keeps 10 sigma from either
+    # clamp and each rating minus 5 is the noise draw itself.
+    WORLD = GroundTruthWorld(((10.0,),), noise_sigma=0.5)
+    RESPONSES = tuple(ResponseRecord(f"y{j}", "", (1.0,)) for j in range(50))
+
+    def block(self, n, responses=RESPONSES, first_index=0, seed=11):
+        F = np.full((n, 1), 0.5)
+        return true_ratings(self.WORLD, F, responses, seed, first_index)
+
+    def test_rows_depend_only_on_the_evaluator_index(self):
+        full = self.block(40)
+        for k in (1, 17, 39):
+            assert np.array_equal(self.block(40 - k, first_index=k), full[k:])
+            assert np.array_equal(self.block(1, first_index=k), full[k : k + 1])
+
+    def test_columns_depend_only_on_the_response(self):
+        full = self.block(30)
+        picked = [7, 2, 41, 2, 0]
+        got = self.block(30, tuple(self.RESPONSES[j] for j in picked))
+        assert np.array_equal(got, full[:, picked])
+        assert not np.array_equal(full[:, 0], full[:, 1])
+
+    def test_draws_are_normal_with_sigma(self):
+        noise = (self.block(2000) - 5.0).ravel()
+        sigma = self.WORLD.noise_sigma
+        assert noise.size == 10**5
+        assert abs(noise.mean()) <= 5 * sigma / math.sqrt(noise.size)
+        assert abs(noise.var() / sigma**2 - 1) <= 0.02
+
+    def test_no_runtime_warnings(self):
+        # uint64 arithmetic must wrap silently, and log1p(-u) must stay finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.block(500, first_index=2**40)
+            true_rating(self.WORLD, (0.5,), self.RESPONSES[0], 11, 3)
 
 
 class TestFitIndividualModel:

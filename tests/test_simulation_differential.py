@@ -2,12 +2,11 @@
 
 The reference functions below are the per-(evaluator, response)
 implementations the batched kernels replaced: one `(f @ M) @ g` product,
-noise draw and clamp per pair, one `np.kron` design row per training sample,
-and one sort per induced ranking.  The kernels must reproduce them exactly
+noise draw (SplitMix64 on Python ints, then Box-Muller) and clamp per pair,
+one `np.kron` design row per training sample, and one sort per induced
+ranking.  The kernels must reproduce them exactly
 (`==`, never approximately), including the lambda = 0 rank-deficiency error.
 """
-
-import random
 
 import numpy as np
 from hypothesis import given, settings
@@ -50,11 +49,28 @@ def reference_clamp(value):
     return min(RATING_MAX, max(RATING_MIN, float(value)))
 
 
+MASK64 = (1 << 64) - 1
+
+
+def reference_uniform(key, counter):
+    # SplitMix64's output number `counter` for the seed `key`, on Python
+    # ints masked to 64 bits, cut to its top 53 bits.
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+
+
 def reference_true_rating(world, f, y, seed, evaluator_index):
     value = float(np.asarray(f) @ np.asarray(world.M_star) @ np.asarray(y.features))
     if world.noise_sigma > 0:
-        rng = random.Random(derive_seed(seed, "noise", evaluator_index, y.id))
-        value += rng.gauss(0.0, world.noise_sigma)
+        key = derive_seed(seed, "noise", y.id)
+        u1 = reference_uniform(key, 2 * evaluator_index)
+        u2 = reference_uniform(key, 2 * evaluator_index + 1)
+        # numpy's scalar log1p, sqrt and cos give the kernel's vector results
+        # bit for bit; math.log1p and math.cos differ in about 3.6% of draws.
+        value += (world.noise_sigma * np.sqrt(-2.0 * np.log1p(np.float64(-u1)))
+                  * np.cos(2.0 * np.pi * np.float64(u2)))
     return reference_clamp(value)
 
 
@@ -140,7 +156,7 @@ POPULATION = PopulationSpec(1, (GroupSpec(1.0, (ComponentDist("uniform", 0.0, 1.
 
 class TestTrueRatings:
     @settings(max_examples=150, deadline=None)
-    @given(blocks(max_cases=2), st.sampled_from([0.0, 0.5]), st.integers(0, 10**6),
+    @given(blocks(max_cases=2), st.sampled_from([0.0, 0.5, 0.3]), st.integers(0, 10**6),
            st.sampled_from([0.0, 1e-6, 0.5]))
     def test_training_matches_reference(self, block, sigma, seed, ridge_lambda):
         M, sample, cases = block
