@@ -22,8 +22,7 @@ _EXPORTS = {
         ),
         "cardinal": (
             "CARDINAL_RULES", "Committee", "RatingProfile", "aggregate_ratings", "cardinal_rule",
-            "cc_score", "compose_multiwinner_response", "greedy_cc", "k_borda",
-            "rating_profile_from_json", "rating_profile_to_json",
+            "cc_score", "greedy_cc", "k_borda", "rating_profile_from_json",
         ),
         "feedback": (
             "FeedbackInconsistencyError", "FeedbackParseError", "PartialPreference",
@@ -38,14 +37,12 @@ _EXPORTS = {
             "plurality", "random_dictator", "ranked_pairs", "ranked_pairs_locks",
         ),
         "pipeline": (
-            "PromptCase", "SelectionPolicy", "emit_sft_dataset", "evaluate_reward",
-            "inference_time_choice", "rlchf_from_features", "rlchf_from_rankings",
-            "select_response", "simulate_collective_decision",
+            "PromptCase", "SelectionPolicy", "evaluate_reward", "inference_time_choice",
+            "rlchf_from_features", "select_response", "simulate_collective_decision",
         ),
         "profiles": (
             "BallotParseError", "CycleReport", "MarginMatrix", "OrdinalProfile", "RankingBallot",
-            "detect_cycles", "format_profile", "margin_matrix", "parse_profile",
-            "profile_from_rankings",
+            "detect_cycles", "margin_matrix", "parse_profile", "profile_from_rankings",
         ),
         "simulation": (
             "GroundTruthWorld", "IndividualPreferenceModel", "PopulationSpec", "ResponseRecord",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import statistics
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
@@ -85,14 +84,6 @@ def rating_profile_from_json(text: str) -> RatingProfile:
     return RatingProfile(alts, tuple(rows), rows)
 
 
-def rating_profile_to_json(rp: RatingProfile) -> str:
-    return json.dumps(
-        {"alternatives": list(rp.alternatives), "ratings": rp.ratings},
-        indent=2,
-        sort_keys=True,
-    )
-
-
 def mean(values: list[float]) -> float:
     """The arithmetic mean of the ratings."""
     return statistics.fmean(values)
@@ -132,10 +123,6 @@ class Committee:
             raise ValueError("a committee needs at least one winner")
         if len(set(self.winners)) != len(self.winners):
             raise ValueError("committee winners must be distinct")
-
-    @property
-    def size(self) -> int:
-        return len(self.winners)
 
 
 def _check_committee_size(profile: OrdinalProfile, k: int):
@@ -188,16 +175,3 @@ def greedy_cc(profile: OrdinalProfile, k: int) -> Committee:
         current = np.maximum(current, satisfaction[:, best, None])
     return Committee(tuple(alts[i] for i in chosen))
 
-
-RESPONSE_HEADER = "The following are {n} typical answers to your question:"
-
-
-def compose_multiwinner_response(committee: Committee, response_texts: Mapping[str, str]) -> str:
-    """Merge a committee's answers into one bullet-point response."""
-    missing = [w for w in committee.winners if w not in response_texts]
-    if missing:
-        raise KeyError(f"no response text for committee winner(s) {missing}")
-    lines = [RESPONSE_HEADER.format(n=committee.size)]
-    for winner in committee.winners:
-        lines.append(f"- {response_texts[winner]}")
-    return "\n".join(lines)

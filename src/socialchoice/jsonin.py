@@ -18,11 +18,32 @@ _REQUIRED = object()
 
 
 def load(text: str) -> Node:
-    """The root of the JSON document `text`."""
+    """The root of the JSON document `text`, in which no object repeats a key."""
+    repeats = {}  # id of each object that repeats a key -> (the object, kept alive; its key)
+
+    def to_dict(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            repeats[id(obj)] = (obj, next(k for k, _ in pairs if k in seen or seen.add(k)))
+        return obj
+
     try:
-        return Node(json.loads(text), "")
+        root = Node(json.loads(text, object_pairs_hook=to_dict), "")
     except RecursionError:
         raise ValueError("JSON input nests too deeply") from None
+    # Name the first repeating object in document order.  One that its
+    # parent's own repeat dropped is not in the tree, but that parent is.
+    stack = [root] if repeats else []
+    while stack:
+        node = stack.pop()
+        if id(node.value) in repeats:
+            raise node._error(f"duplicate key {json.dumps(repeats[id(node.value)][1])}")
+        if isinstance(node.value, dict):
+            stack += reversed([child for _, child in node.items()])
+        elif isinstance(node.value, list):
+            stack += reversed(node.members())
+    return root
 
 
 class Node(NamedTuple):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass
 
@@ -198,11 +197,6 @@ class Agenda:
             )
 
 
-def agenda_from_json(text: str) -> Agenda:
-    """Load the {"atoms": [...], "constraint": "..."} schema."""
-    return _agenda_from_node(load(text))
-
-
 def _agenda_from_node(node: Node) -> Agenda:
     atoms, constraint = node.fields("atoms", "constraint")
     ids = tuple(atom.string() for atom in atoms.members())
@@ -210,14 +204,6 @@ def _agenda_from_node(node: Node) -> Agenda:
     # The agenda's checks in its order, each at its node.
     atoms.build(_check_atoms, ids)
     return constraint.build(Agenda, ids, text, errors=ConstraintError)
-
-
-def agenda_to_json(agenda: Agenda) -> str:
-    return json.dumps(
-        {"atoms": list(agenda.atoms), "constraint": agenda.constraint},
-        indent=2,
-        sort_keys=True,
-    )
 
 
 @dataclass(frozen=True)

@@ -70,9 +70,6 @@ class Lottery:
         if abs(total - 1.0) > LOTTERY_SUM_TOL:
             raise ValueError(f"lottery probabilities sum to {total}, expected 1")
 
-    def probability(self, alt: str) -> float:
-        return self.probabilities.get(alt, 0.0)
-
 
 def reported_score(score: int) -> int | float:
     """A tally as reports show it: a float while that is exact (|s| <= 2**53), else the int."""

@@ -150,19 +150,18 @@ def variant1_targets(case: PromptCase, rule_f: str) -> dict[str, float]:
     return rank_target_scores(ranking)
 
 
-def rlchf_from_rankings(
-    cases: Sequence[PromptCase], rule_f: str, ridge_lambda: float
-) -> FittedRewardModel:
-    """Variant 1: fit a linear reward model to jury-aggregated target scores."""
-    return _fit_targets(cases, [variant1_targets(case, rule_f) for case in cases], ridge_lambda)
-
-
 def _fit_targets(
     cases: Sequence[PromptCase], targets: Sequence[dict[str, float]], ridge_lambda: float
 ) -> FittedRewardModel:
     # targets[i] maps each response id of cases[i] to its target score.
     if not cases:
         raise ValueError("need at least one prompt case")
+    widths = [len(case.responses[0].features) for case in cases]
+    for ci, q in enumerate(widths):
+        if q != widths[0]:
+            raise ValueError(
+                f"cases[{ci}]: responses have {q} features, cases[0] responses have {widths[0]}"
+            )
     X = np.asarray([y.features for case in cases for y in case.responses], dtype=float)
     r = np.asarray([scores[y.id] for case, scores in zip(cases, targets) for y in case.responses])
     # Center so the intercept absorbs the means and stays unpenalized.
@@ -264,25 +263,6 @@ def simulate_collective_decision(
     if chosen.kind == "committee":
         return chosen.fn(profile, k)
     return case.response(chosen.fn(profile).winner)
-
-
-def emit_sft_dataset(
-    cases: Sequence[PromptCase],
-    psi: IndividualPreferenceModel,
-    sample: Sequence[EvaluatorFeatures],
-    rule: str,
-) -> tuple[tuple[str, str], ...]:
-    """One (prompt, winning response id) pair per case, in case order.
-
-    Only ordinal rules fit the dataset schema; committee selection has no
-    single `chosen` id to record.
-    """
-    resolve_rule(rule, "ordinal")
-    pairs = []
-    for case in cases:
-        winner = simulate_collective_decision(case, psi, sample, rule)
-        pairs.append((case.prompt, winner.id))
-    return tuple(pairs)
 
 
 def sft_jsonl_lines(pairs: Sequence[tuple[str, str]]) -> tuple[str, ...]:

@@ -304,14 +304,6 @@ def parse_profile(text: str) -> OrdinalProfile:
     return OrdinalProfile._trusted(alternatives, in_order, merged)
 
 
-def format_profile(profile: OrdinalProfile) -> str:
-    """Render a profile in canonical form: single spaces, ballots in file order."""
-    lines = ["alternatives: " + ", ".join(profile.alternatives)]
-    for ballot in profile.ballots:
-        lines.append(f"{ballot.weight}: " + " > ".join(ballot.ranking))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class MarginMatrix:
     """Pairwise net majority margins, indexed by the profile's alternative order.
@@ -327,15 +319,6 @@ class MarginMatrix:
         i = self.alternatives.index(a)
         j = self.alternatives.index(b)
         return self.entries[i][j]
-
-    def positive_pairs(self) -> list[tuple[str, str, int]]:
-        """All strict majority pairs as (winner, loser, margin), margin > 0."""
-        out = []
-        for i, a in enumerate(self.alternatives):
-            for j, b in enumerate(self.alternatives):
-                if self.entries[i][j] > 0:
-                    out.append((a, b, self.entries[i][j]))
-        return out
 
 
 def margin_matrix(profile: OrdinalProfile) -> MarginMatrix:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cardinal import RATING_MAX, RATING_MIN, RatingProfile
+from .cardinal import RATING_MAX, RATING_MIN
 from .seeding import derive_seed
 
 # An evaluator is a point in [0, 1]^d.
@@ -358,46 +358,3 @@ def predict_rating(psi: IndividualPreferenceModel, f: EvaluatorFeatures, y: Resp
     """Model rating of one response by one evaluator: clamp(f' M_hat g(y), 0, 10)."""
     return float(predicted_ratings(psi, evaluator_matrix([f], psi.d), [y])[0, 0])
 
-
-@dataclass(frozen=True)
-class Principle:
-    """A named scoring rule over response features, usable as a synthetic voter."""
-
-    name: str
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(v) for v in self.weights))
-        if not self.name:
-            raise ValueError("principle name must be non-empty")
-        if not all(math.isfinite(v) for v in self.weights):
-            raise ValueError(f"non-finite weight in principle {self.name!r}")
-
-
-def principle_panel(
-    principles: list[Principle], responses: list[ResponseRecord]
-) -> RatingProfile:
-    """Rate every response by every principle: rating = clamp(weights . g(y)).
-
-    The result is an ordinary rating profile, so principles can vote through
-    any cardinal rule or, via induced rankings, any ordinal rule.
-    """
-    if not principles:
-        raise ValueError("need at least one principle")
-    q = len(responses[0].features) if responses else 0
-    ratings = {}
-    for principle in principles:
-        if len(principle.weights) != q:
-            raise ValueError(
-                f"principle {principle.name!r} scores {len(principle.weights)} features, "
-                f"responses have {q}"
-            )
-        ratings[principle.name] = {
-            y.id: clamp_rating(float(np.dot(principle.weights, y.features)))
-            for y in responses
-        }
-    return RatingProfile(
-        tuple(y.id for y in responses),
-        tuple(p.name for p in principles),
-        ratings,
-    )

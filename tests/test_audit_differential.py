@@ -41,7 +41,6 @@ from socialchoice.ordinal import ORDINAL_RULES, ordinal_rule, random_dictator
 from socialchoice.profiles import (
     OrdinalProfile,
     RankingBallot,
-    format_profile,
     parse_profile,
     profile_from_rankings,
 )
@@ -131,6 +130,13 @@ def assert_same_profile(derived: OrdinalProfile, rebuilt: OrdinalProfile) -> Non
     assert full_results(derived) == full_results(rebuilt)
 
 
+def profile_text(profile: OrdinalProfile) -> str:
+    """The profile as ballot-file text: one line per ballot, in order."""
+    lines = ["alternatives: " + ", ".join(profile.alternatives)]
+    lines += [f"{b.weight}: " + " > ".join(b.ranking) for b in profile.ballots]
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def profiles(
     draw, min_m: int = 1, min_ballots: int = 1, max_ballots: int = 6
@@ -154,7 +160,7 @@ def profiles(
     ]
     profile = OrdinalProfile(alternatives, tuple(ballots))
     if draw(st.booleans()):
-        profile = parse_profile(format_profile(profile))
+        profile = parse_profile(profile_text(profile))
     return profile
 
 

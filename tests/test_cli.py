@@ -634,6 +634,26 @@ class TestExitCodes:
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+class TestDuplicateKeys:
+    # A repeated key would otherwise let its last value win and drop a voter.
+    def test_repeated_judge_exits_1_naming_it(self, capsys, tmp_path):
+        text = (DATA / "judgments.json").read_text().replace(
+            '"E3": {"safe": true, "helpful": true, "give": true}',
+            '"E3": {"safe": true, "helpful": true, "give": true},\n'
+            '    "E1": {"safe": true, "helpful": true, "give": true}',
+        )
+        path = tmp_path / "judgments.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "judge", "--profile", str(path))
+        assert (code, out, err) == (1, "", 'error: judgments: duplicate key "E1"\n')
+
+    def test_repeated_rater_exits_1_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "ratings.json"
+        path.write_text('{"alternatives": ["x"], "ratings": {"e1": {"x": 3}, "e1": {"x": 9}}}')
+        code, out, err = run_cli(capsys, "rate", "--rule", "mean", "--ratings", str(path))
+        assert (code, out, err) == (1, "", 'error: ratings: duplicate key "e1"\n')
+
+
 class TestFormats:
     def test_csv_and_json_numbers_agree(self, capsys):
         args = ("rate", "--rule", "mean", "--ratings", str(DATA / "ratings.json"))
@@ -778,6 +798,11 @@ class TestDatasetErrors:
             (lambda d: d["cases"][0].update(prompt=7), "cases[0].prompt: expected a string, got 7"),
             (lambda d: d["cases"][0]["responses"][0].update(text=["A"]),
              "cases[0].responses[0].text: expected a string, got list"),
+            (lambda d: d["cases"].append({
+                **d["cases"][0],
+                "responses": [{**r, "features": r["features"][:2]}
+                              for r in d["cases"][0]["responses"]],
+            }), "cases[1]: responses have 2 features, cases[0] responses have 3"),
         ],
     )
     def test_malformed_dataset_exits_1_with_its_location(self, capsys, tmp_path, mutate, message):

@@ -96,6 +96,24 @@ def test_over_deep_nesting_is_a_value_error():
         load("[" * 200_000)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"a": 1, "a": 2}', 'duplicate key "a"'),
+        ('{"judgments": {"E1": {}, "E2": {}, "E1": {"x": 1}}}', 'judgments: duplicate key "E1"'),
+        ('[0, {"b": {"c": 1, "d": 2, "c": 1}}]', '[1].b: duplicate key "c"'),
+        # The first repeating object in document order is the one named.
+        ('{"p": {"t": 1, "t": 2}, "q": {"u": 1, "u": 2}}', 'p: duplicate key "t"'),
+        # An inner repeat lost to its parent's own repeat: the parent is named.
+        ('{"a": {"x": 1, "x": 2}, "a": 3}', 'duplicate key "a"'),
+    ],
+)
+def test_a_repeated_key_is_refused_at_its_object(text, message):
+    with pytest.raises(ValueError) as caught:
+        load(text)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("value", [0, -1.5, 10**300, 1.7e308])
 def test_finite_numbers_read_as_floats(value):
     assert Node(value, "x").number() == float(value)

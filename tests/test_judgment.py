@@ -10,8 +10,6 @@ from socialchoice.judgment import (
     Agenda,
     ConstraintSyntaxError,
     JudgmentProfile,
-    agenda_from_json,
-    agenda_to_json,
     check_consistency,
     closest_consistent,
     judgment_profile_from_json,
@@ -104,16 +102,6 @@ class TestConstraintParsing:
         with pytest.raises(ValueError) as info:
             Agenda(("a", atom), "a")
         assert str(info.value) == message
-
-
-class TestAgendaJson:
-    def test_round_trip(self):
-        text = agenda_to_json(SAFE_HELPFUL_GIVE)
-        assert agenda_from_json(text) == SAFE_HELPFUL_GIVE
-
-    def test_missing_key(self):
-        with pytest.raises(ValueError, match="constraint"):
-            agenda_from_json('{"atoms": ["a"]}')
 
 
 class TestMajorityJudgments:
@@ -246,3 +234,7 @@ class TestProfileJson:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="judgments"):
             judgment_profile_from_json('{"agenda": {"atoms": ["a"], "constraint": "a"}}')
+
+    def test_agenda_missing_key(self):
+        with pytest.raises(ValueError, match="constraint"):
+            judgment_profile_from_json('{"agenda": {"atoms": ["a"]}, "judgments": {}}')

@@ -65,8 +65,17 @@ def _reaches(edges, start, goal):
 
 def reference_ranked_pairs(profile):
     """(ranking, tie groups, locks) by the edge-scan reachability test."""
-    matrix = MarginMatrix(profile.alternatives, reference_margin_matrix(profile))
-    pairs = sorted(matrix.positive_pairs(), key=lambda p: (-p[2], p[0], p[1]))
+    alts = profile.alternatives
+    entries = reference_margin_matrix(profile)
+    pairs = sorted(
+        (
+            (a, b, entries[i][j])
+            for i, a in enumerate(alts)
+            for j, b in enumerate(alts)
+            if entries[i][j] > 0
+        ),
+        key=lambda p: (-p[2], p[0], p[1]),
+    )
     locks = []
     edges = set()
     for winner, loser, margin in pairs:

@@ -260,7 +260,7 @@ class TestNeutrality:
             return len(set(result.scores.values())) == len(result.scores)
         if rule is instant_runoff:
             return irv_is_tie_free(profile)
-        margins = [m for _, _, m in margin_matrix(profile).positive_pairs()]
+        margins = [m for row in margin_matrix(profile).entries for m in row if m > 0]
         return len(set(margins)) == len(margins) and all(len(g) == 1 for g in result.tie_groups)
 
     def test_relabeling_commutes(self):

@@ -10,22 +10,21 @@ import json
 
 import pytest
 
-from socialchoice.cardinal import Committee, compose_multiwinner_response
+from socialchoice.cardinal import Committee
 from socialchoice.pipeline import (
     ComposedRewardModel,
     FittedRewardModel,
     PipelineConfig,
     PromptCase,
     SelectionPolicy,
+    _fit_targets,
     config_from_json,
     dataset_from_json,
-    emit_sft_dataset,
     evaluate_reward,
     inference_time_choice,
     induced_ranking,
     rank_target_scores,
     rlchf_from_features,
-    rlchf_from_rankings,
     run_pipeline,
     select_response,
     sft_jsonl_lines,
@@ -142,9 +141,14 @@ class TestVariant1Targets:
         assert orders == {("C", "B", "A"), ("B", "C", "A"), ("A", "B", "C")}
 
 
-class TestRlchfFromRankings:
+def fit_jury_targets(cases, rule_f, ridge_lambda):
+    """The rankings variant's reward model: each jury aggregated by rule_f, then fitted."""
+    return _fit_targets(cases, [variant1_targets(case, rule_f) for case in cases], ridge_lambda)
+
+
+class TestFitJuryTargets:
     def test_fitted_model_reproduces_targets(self, jury_case):
-        model = rlchf_from_rankings([jury_case], "borda", 1e-9)
+        model = fit_jury_targets([jury_case], "borda", 1e-9)
         targets = {"A": 0.0, "B": 5.0, "C": 10.0}
         for y in jury_case.responses:
             assert evaluate_reward(model, jury_case.prompt, y) == pytest.approx(
@@ -158,23 +162,23 @@ class TestRlchfFromRankings:
         )
         case = PromptCase("x", responses, (RankingBallot(("A", "B"), 3),))
         assert variant1_targets(case, "plurality") == {"A": 10.0, "B": 0.0}
-        model = rlchf_from_rankings([case], "plurality", 1e-9)
+        model = fit_jury_targets([case], "plurality", 1e-9)
         assert evaluate_reward(model, "x", responses[0]) == pytest.approx(10.0, abs=1e-6)
         assert evaluate_reward(model, "x", responses[1]) == pytest.approx(0.0, abs=1e-6)
 
     def test_rule_choice_changes_fitted_model(self, jury_case):
-        borda_model = rlchf_from_rankings([jury_case], "borda", 1e-9)
-        rp_model = rlchf_from_rankings([jury_case], "ranked_pairs", 1e-9)
+        borda_model = fit_jury_targets([jury_case], "borda", 1e-9)
+        rp_model = fit_jury_targets([jury_case], "ranked_pairs", 1e-9)
         assert borda_model.weights != rp_model.weights
 
     def test_case_without_jury_rejected(self):
         case = PromptCase("x", one_hot_responses())
         with pytest.raises(ValueError, match="jury"):
-            rlchf_from_rankings([case], "borda", 1e-9)
+            variant1_targets(case, "borda")
 
     def test_no_cases_rejected(self):
-        with pytest.raises(ValueError):
-            rlchf_from_rankings([], "borda", 1e-9)
+        with pytest.raises(ValueError, match="at least one prompt case"):
+            _fit_targets([], [], 1e-9)
 
     def test_lambda_zero_exact_fit_on_full_rank_design(self):
         # Two feature columns plus the intercept exactly span three targets.
@@ -184,14 +188,14 @@ class TestRlchfFromRankings:
             ResponseRecord("C", "c", (0.0, 1.0)),
         )
         case = PromptCase("x", responses, JURY)
-        model = rlchf_from_rankings([case], "borda", 0.0)
+        model = fit_jury_targets([case], "borda", 0.0)
         assert evaluate_reward(model, "x", responses[2]) == pytest.approx(10.0, abs=1e-9)
         assert evaluate_reward(model, "x", responses[1]) == pytest.approx(5.0, abs=1e-9)
 
     def test_lambda_zero_rank_deficient_design_rejected(self, jury_case):
         # One-hot columns become collinear once centered against the intercept.
         with pytest.raises(ValueError, match="rank deficient"):
-            rlchf_from_rankings([jury_case], "borda", 0.0)
+            fit_jury_targets([jury_case], "borda", 0.0)
 
 
 class TestComposedModel:
@@ -271,7 +275,7 @@ class TestEvaluateReward:
 
 class TestSelectResponse:
     def test_argmax_picks_top_fitted_target(self, jury_case):
-        model = rlchf_from_rankings([jury_case], "borda", 1e-9)
+        model = fit_jury_targets([jury_case], "borda", 1e-9)
         assert select_response(model, jury_case, SelectionPolicy(0.0), 0).id == "C"
 
     def test_argmax_tie_breaks_lexicographically(self, jury_case):
@@ -370,46 +374,13 @@ class TestSimulateCollectiveDecision:
         with pytest.raises(ValueError, match="committee size"):
             simulate_collective_decision(case, figure_psi(), figure_sample(), "k_borda")
 
-    def test_committee_composes_into_bulleted_response(self):
-        case = PromptCase("x", one_hot_responses())
-        committee = simulate_collective_decision(
-            case, figure_psi(), figure_sample(), "k_borda", k=3
-        )
-        text = compose_multiwinner_response(
-            committee, {y.id: y.text for y in case.responses}
-        )
-        assert text.startswith("The following are 3 typical answers to your question:")
-        assert text.count("\n- ") == 3
-
     def test_unknown_rule_rejected(self):
         case = PromptCase("x", one_hot_responses())
         with pytest.raises(ValueError, match="unknown ordinal rule"):
             simulate_collective_decision(case, figure_psi(), figure_sample(), "approval")
 
 
-class TestEmitSftDataset:
-    def test_single_case_single_pair(self):
-        case = PromptCase("x", one_hot_responses())
-        pairs = emit_sft_dataset([case], figure_psi(), figure_sample(), "ranked_pairs")
-        assert pairs == (("x", "B"),)
-
-    def test_pairs_follow_case_order(self):
-        first = PromptCase("first?", one_hot_responses())
-        second = PromptCase("second?", one_hot_responses())
-        pairs = emit_sft_dataset([first, second], figure_psi(), figure_sample(), "borda")
-        assert pairs == (("first?", "C"), ("second?", "C"))
-
-    def test_multiwinner_rule_rejected(self):
-        case = PromptCase("x", one_hot_responses())
-        with pytest.raises(ValueError, match="committee"):
-            emit_sft_dataset([case], figure_psi(), figure_sample(), "k_borda")
-
-    def test_repeated_runs_identical(self):
-        cases = [PromptCase("x", one_hot_responses())]
-        first = emit_sft_dataset(cases, figure_psi(), figure_sample(), "instant_runoff")
-        second = emit_sft_dataset(cases, figure_psi(), figure_sample(), "instant_runoff")
-        assert first == second
-
+class TestSftLines:
     def test_jsonl_lines_schema(self):
         lines = sft_jsonl_lines((("why?", "B"), ("how?", "A")))
         assert lines == (
@@ -573,6 +544,17 @@ class TestRunPipeline:
         # The world rates C above B above A for every evaluator.
         assert rewards["C"] > rewards["B"] > rewards["A"]
         assert payload["cases"][0]["chosen"] == "C"
+
+    def test_collective_sft_lines_follow_case_order(self):
+        data = json.loads(jury_dataset_json())
+        first = data["cases"][0]
+        data["cases"] = [{**first, "prompt": "first?"}, {**first, "prompt": "second?"}]
+        dataset = dataset_from_json(json.dumps(data))
+        config = PipelineConfig("collective", rule="borda", n_evaluators=9)
+        payload, sft = run_pipeline(config, dataset, seed=5)
+        records = [json.loads(line) for line in sft]
+        assert [r["prompt"] for r in records] == ["first?", "second?"]
+        assert records == [{"prompt": c["prompt"], "chosen": c["chosen"]} for c in payload["cases"]]
 
     def test_inference_variant_reports_choice(self):
         dataset = dataset_from_json(jury_dataset_json())

@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-from socialchoice.cardinal import aggregate_ratings
 from socialchoice.seeding import derive_seed
 from socialchoice.simulation import (
     ComponentDist,
@@ -15,13 +14,11 @@ from socialchoice.simulation import (
     GroupSpec,
     IndividualPreferenceModel,
     PopulationSpec,
-    Principle,
     ResponseRecord,
     clamp_rating,
     fit_individual_model,
     group_quotas,
     predict_rating,
-    principle_panel,
     sample_population,
     true_rating,
     true_ratings,
@@ -278,41 +275,6 @@ class TestPredictRating:
     def test_scalar_case(self):
         psi = IndividualPreferenceModel(((10.0,),), ridge_lambda=0.0)
         assert predict_rating(psi, (0.3,), ResponseRecord("y", "t", (1.0,))) == pytest.approx(3.0)
-
-
-class TestPrinciplePanel:
-    def test_unit_weight_reads_one_feature(self):
-        responses = [
-            ResponseRecord("y0", "t", (0.2, 7.0)),
-            ResponseRecord("y1", "t", (0.9, 3.0)),
-        ]
-        panel = principle_panel([Principle("honesty", (0.0, 1.0))], responses)
-        assert panel.ratings == {"honesty": {"y0": 7.0, "y1": 3.0}}
-
-    def test_opposed_principles(self):
-        responses = [ResponseRecord("y0", "t", (4.0,)), ResponseRecord("y1", "t", (9.0,))]
-        panel = principle_panel(
-            [Principle("up", (1.0,)), Principle("down", (-1.0,))], responses
-        )
-        assert panel.ratings["up"] == {"y0": 4.0, "y1": 9.0}
-        assert panel.ratings["down"] == {"y0": 0.0, "y1": 0.0}
-        medians = aggregate_ratings(panel, "median")
-        for rid in ("y0", "y1"):
-            pair = (panel.ratings["up"][rid], panel.ratings["down"][rid])
-            assert medians[rid] == sum(pair) / 2
-
-    def test_zero_principles_rate_everything_zero(self):
-        responses = [ResponseRecord("y0", "t", (1.0, 2.0))]
-        panel = principle_panel(
-            [Principle("a", (0.0, 0.0)), Principle("b", (0.0, 0.0))], responses
-        )
-        assert all(v == 0.0 for row in panel.ratings.values() for v in row.values())
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="features"):
-            principle_panel(
-                [Principle("a", (1.0,))], [ResponseRecord("y", "t", (1.0, 2.0))]
-            )
 
 
 class TestClamp:
