@@ -5,11 +5,11 @@ concrete witness that can be re-run to reproduce the failure.  Searches are
 exhaustive within small caps, so "none" is a proof over the searched domain,
 not a sampling statement.
 
-The ordinal manipulation search tries every misreport in lexicographic
-order but builds no misreported profile: it decides each one from the rule's
-additive tally (the base tally minus the truthful ballot, plus the
-misreport) with the rule's own decide step, so it finds the same first
-witness as rerunning the rule would.  `reverify_ordinal_witness` reruns the
+The ordinal manipulation search is one loop for every rule: it tries each
+misreport in lexicographic order and decides it with the rule's
+`ordinal.ORDINAL_TALLIES` row, from the base tally minus the truthful ballot
+plus the misreport, so it finds the first witness that rerunning the rule
+would, without building a profile.  `reverify_ordinal_witness` reruns the
 rule on a profile rebuilt by the constructor, as an independent check.
 """
 
@@ -21,21 +21,8 @@ from itertools import permutations
 from random import Random
 
 from .cardinal import RATING_MAX, RATING_MIN, RatingProfile, aggregate_ratings, cardinal_rule
-from .ordinal import (
-    _locked_ranking,
-    _runoff_ranking,
-    _score_ranking,
-    borda_scores,
-    first_place_counts,
-    ordinal_rule,
-)
-from .profiles import (
-    MarginMatrix,
-    OrdinalProfile,
-    RankingBallot,
-    margin_matrix,
-    profile_from_rankings,
-)
+from .ordinal import ORDINAL_TALLIES, ordinal_rule
+from .profiles import OrdinalProfile, RankingBallot, profile_from_rankings
 from .rules import resolve_rule
 
 MAX_MANIPULATION_ALTERNATIVES = 6
@@ -181,100 +168,6 @@ class ManipulationWitness:
     manipulated_outcome: str | float
 
 
-def _plurality_winners(profile: OrdinalProfile, truthful: tuple[str, ...]):
-    # A misreport moves one first place, so there are m outcomes, one per top choice.
-    base = first_place_counts(profile)
-    base[truthful[0]] -= 1
-    memo: dict[str, str] = {}
-
-    def winner(misreport: tuple[str, ...]) -> str:
-        top = misreport[0]
-        if top not in memo:
-            memo[top] = _score_ranking({**base, top: base[top] + 1}).winner
-        return memo[top]
-
-    return winner
-
-
-def _borda_winners(profile: OrdinalProfile, truthful: tuple[str, ...]):
-    base = borda_scores(profile)
-    for points, alt in enumerate(reversed(truthful)):
-        base[alt] -= points
-
-    def winner(misreport: tuple[str, ...]) -> str:
-        scores = base.copy()
-        for points, alt in enumerate(reversed(misreport)):
-            scores[alt] += points
-        return _score_ranking(scores).winner
-
-    return winner
-
-
-def _top(ranking: tuple[str, ...], active: frozenset[str]) -> str | None:
-    """The highest alternative of `ranking` still in `active`."""
-    for alt in ranking:
-        if alt in active:
-            return alt
-    return None
-
-
-def _runoff_winners(profile: OrdinalProfile, truthful: tuple[str, ...]):
-    # At most 2^m active sets, each tallied once without the truthful ballot.
-    base: dict[frozenset[str], dict[str, int]] = {}
-
-    def base_firsts(active: frozenset[str]) -> dict[str, int]:
-        counts = base.get(active)
-        if counts is None:
-            counts = base[active] = first_place_counts(profile, active)
-            counts[_top(truthful, active)] -= 1
-        return counts
-
-    def winner(misreport: tuple[str, ...]) -> str:
-        def firsts(active: frozenset[str]) -> dict[str, int]:
-            counts = base_firsts(active).copy()
-            counts[_top(misreport, active)] += 1
-            return counts
-
-        return _runoff_ranking(profile.alternatives, firsts).winner
-
-    return winner
-
-
-def _ranked_pairs_winners(profile: OrdinalProfile, truthful: tuple[str, ...]):
-    alternatives = profile.alternatives
-    index = {a: i for i, a in enumerate(alternatives)}
-
-    def plus_ballot(entries, ranking: tuple[str, ...], sign: int):
-        # One voter adds `sign` to each pair it ranks in order and takes it
-        # from the reverse pair.
-        rows = [list(row) for row in entries]
-        order = [index[alt] for alt in ranking]
-        for position, above in enumerate(order):
-            for below in order[position + 1:]:
-                rows[above][below] += sign
-                rows[below][above] -= sign
-        return tuple(map(tuple, rows))
-
-    base = plus_ballot(margin_matrix(profile).entries, truthful, -1)
-
-    def winner(misreport: tuple[str, ...]) -> str:
-        return _locked_ranking(MarginMatrix(alternatives, plus_ballot(base, misreport, 1))).winner
-
-    return winner
-
-
-# Per ordinal rule: from the profile and one voter's truthful ranking, the
-# winner once that voter's ballot is replaced by a misreport.  Each subtracts
-# the truthful ballot from the rule's tally once and decides the base tally
-# plus the misreport's, with the rule's own decide step.
-_MISREPORT_WINNERS = {
-    "plurality": _plurality_winners,
-    "borda": _borda_winners,
-    "instant_runoff": _runoff_winners,
-    "ranked_pairs": _ranked_pairs_winners,
-}
-
-
 def manipulation_search_ordinal(
     rule_id: str, profile: OrdinalProfile, voter: int
 ) -> ManipulationWitness | None:
@@ -283,9 +176,11 @@ def manipulation_search_ordinal(
     Misreports are tried in lexicographic order over all permutations of the
     alternatives; improvement means the new winner sits strictly higher in
     the voter's truthful ranking.  The honest election runs the registry
-    rule; each misreport is decided from the rule's tally of the profile
-    with the voter's truthful ballot taken out and the misreport put in, by
-    the rule's own decide step, so no misreported profile is built.
+    rule.  Each misreport is decided by the rule's `ORDINAL_TALLIES` row:
+    the profile's tally with the truthful ballot taken out is built once,
+    and each misreport is `decide(add(base, misreport, +1))`, so no
+    misreported profile is built.  Misreports that share the leading places
+    the tally reads are contiguous in this order, and are decided once.
     """
     m = len(profile.alternatives)
     if m > MAX_MANIPULATION_ALTERNATIVES:
@@ -302,11 +197,15 @@ def manipulation_search_ordinal(
     honest_rank = truthful.index(honest_winner)
     if honest_rank == 0:
         return None
-    winner_of = _MISREPORT_WINNERS[rule.id](profile, truthful)
+    tally, add, decide, reads = ORDINAL_TALLIES[rule.id]
+    base = add(tally(profile), truthful, -1)
+    decided = new_winner = None
     for misreport in permutations(sorted(profile.alternatives)):
         if misreport == truthful:
             continue
-        new_winner = winner_of(misreport)
+        if misreport[:reads] != decided:
+            decided = misreport[:reads]
+            new_winner = decide(add(base, misreport, 1)).winner
         if truthful.index(new_winner) < honest_rank:
             return ManipulationWitness(voter, truthful, misreport, honest_winner, new_winner)
     return None

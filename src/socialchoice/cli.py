@@ -206,9 +206,11 @@ def cmd_audit(args) -> RunReport:
         if (args.rule is None) == (args.w is None):
             raise UsageError("pick exactly one of --rule (ordinal) or --w (cardinal)")
         if args.rule is not None:
+            rule = resolve_rule(args.rule, "ordinal")
+            if args.profile is None:
+                raise UsageError(f"rule {rule.id!r} needs --profile")
             text = _read(args.profile)
             subject, inputs = parse_profile(text), {"profile": text}
-            rule = resolve_rule(args.rule, "ordinal")
             search, reverify = manipulation_search_ordinal, reverify_ordinal_witness
         else:
             if args.ratings is None:

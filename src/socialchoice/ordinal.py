@@ -1,13 +1,8 @@
 """Ordinal social welfare functions: full social rankings from ranking profiles.
 
-Each deterministic rule is `decide(tally(profile))`.  A tally is additive, the
-weighted sum of its rankings' tallies, so the manipulation search can decide
-a misreport from the base tally without rebuilding the profile:
-
-- plurality: `first_place_counts`, decided by `_score_ranking`;
-- Borda: `borda_scores`, decided by `_score_ranking`;
-- instant runoff: `first_place_counts` per active set, decided by `_runoff_ranking`;
-- ranked pairs: `profiles.margin_matrix`, decided by `_locked_ranking`.
+Each deterministic rule is `decide(tally(profile))` of its `ORDINAL_TALLIES`
+row, whose `tally` is additive over ballots and whose `add` is the tally of one
+ballot, so a misreport is decided from the base tally without a new profile.
 """
 
 from __future__ import annotations
@@ -16,7 +11,8 @@ import heapq
 import random
 from collections.abc import Callable, Mapping, Set
 from dataclasses import dataclass, field
-from functools import partial
+from itertools import chain
+from typing import Any, NamedTuple
 
 from .profiles import MarginMatrix, OrdinalProfile, margin_matrix
 from .rules import resolve_rule, rule_ids
@@ -46,9 +42,8 @@ class SocialRanking:
 
     def __post_init__(self):
         object.__setattr__(self, "ranking", tuple(self.ranking))
-        object.__setattr__(self, "tie_groups", tuple(tuple(g) for g in self.tie_groups))
-        flattened = tuple(a for group in self.tie_groups for a in group)
-        if flattened != self.ranking:
+        object.__setattr__(self, "tie_groups", tuple(map(tuple, self.tie_groups)))
+        if tuple(chain.from_iterable(self.tie_groups)) != self.ranking:
             raise ValueError("tie_groups must partition the ranking in order")
 
     @property
@@ -95,7 +90,8 @@ def _score_ranking(scores: Mapping[str, int | float]) -> SocialRanking:
     grouping read the tally as given, so integer tallies rank exactly at any
     size; the reported `scores` go through `reported_score`.
     """
-    ordered = sorted(scores, key=lambda a: (-scores[a], a))
+    # Stable: the descending sort keeps equal scores in id order.
+    ordered = sorted(sorted(scores), key=scores.__getitem__, reverse=True)
     reported = {a: reported_score(s) for a, s in scores.items()}
     return SocialRanking(tuple(ordered), _groups_by_score(ordered, scores), reported)
 
@@ -125,6 +121,18 @@ def borda_scores(profile: OrdinalProfile) -> dict[str, int]:
     return scores
 
 
+def _add_first_place(counts: dict[str, int], ranking: tuple[str, ...], sign: int) -> dict[str, int]:
+    top = ranking[0]
+    return {**counts, top: counts[top] + sign}
+
+
+def _add_borda_points(scores: dict[str, int], ranking: tuple[str, ...], sign: int) -> dict[str, int]:
+    scores = scores.copy()
+    for points, alt in enumerate(reversed(ranking)):
+        scores[alt] += sign * points
+    return scores
+
+
 def plurality(profile: OrdinalProfile) -> SocialRanking:
     """Rank alternatives by how often they appear at the very top of a ballot."""
     return _score_ranking(first_place_counts(profile))
@@ -135,32 +143,57 @@ def borda(profile: OrdinalProfile) -> SocialRanking:
     return _score_ranking(borda_scores(profile))
 
 
-def _runoff_ranking(
-    alternatives: tuple[str, ...], firsts: Callable[[frozenset[str]], Mapping[str, int]]
-) -> SocialRanking:
-    """Instant runoff's decide step, reading each round's tally as `firsts(active set)`."""
-    active = frozenset(alternatives)
+# Instant runoff's tally: the profile, its first places per active set (each
+# counted when a round first reads it) and the (ranking, sign) ballots added
+# since, which each round adds in.  A tally made by `add` shares its source's
+# first places, which no decide step changes.
+RunoffTally = tuple[
+    OrdinalProfile,
+    dict[frozenset[str], dict[str, int]],
+    tuple[tuple[tuple[str, ...], int], ...],
+]
+
+
+def _runoff_tally(profile: OrdinalProfile) -> RunoffTally:
+    return profile, {}, ()
+
+
+def _add_pending(tally: RunoffTally, ranking: tuple[str, ...], sign: int) -> RunoffTally:
+    profile, firsts, pending = tally
+    return profile, firsts, (*pending, (ranking, sign))
+
+
+def _runoff_ranking(tally: RunoffTally) -> SocialRanking:
+    """Instant runoff's decide step: eliminate round by round from each active set's firsts."""
+    profile, firsts, pending = tally
+    active = frozenset(profile.alternatives)
     eliminated: list[str] = []
-    argmin_sets: list[set[str]] = []
+    groups: list[list[str]] = []
     scores: dict[str, int | float] = {}
     while active:
-        counts = firsts(active)
+        counts = firsts.get(active)
+        if counts is None:
+            counts = firsts[active] = first_place_counts(profile, active)
+        if pending:
+            counts = counts.copy()
+            for ranking, sign in pending:
+                for alt in ranking:
+                    if alt in active:
+                        counts[alt] += sign
+                        break
         fewest = min(counts.values())
-        losers = {a for a, c in counts.items() if c == fewest}
-        out = max(losers)
-        eliminated.append(out)
-        argmin_sets.append(losers)
-        scores[out] = reported_score(counts[out])
-        active = active - {out}
-    ranking = tuple(reversed(eliminated))
-    # Adjacent alternatives were tie-broken when the higher-ranked one sat in
-    # the same fewest-firsts set at the round the lower one went out.
-    groups: list[list[str]] = [[eliminated[0]]]
-    for rnd in range(1, len(eliminated)):
-        if eliminated[rnd] in argmin_sets[rnd - 1]:
-            groups[-1].append(eliminated[rnd])
+        out = max([a for a, c in counts.items() if c == fewest])
+        # `out` was tie-broken against the previous round's loser when it
+        # had that round's fewest count too.
+        if eliminated and last_counts[out] == last_fewest:
+            groups[-1].append(out)
         else:
-            groups.append([eliminated[rnd]])
+            groups.append([out])
+        last_counts, last_fewest = counts, fewest
+        eliminated.append(out)
+        scores[out] = reported_score(counts[out])
+        active = active.difference((out,))
+    ranking = tuple(reversed(eliminated))
     tie_groups = tuple(tuple(reversed(g)) for g in reversed(groups))
     return SocialRanking(ranking, tie_groups, scores, elimination_order=tuple(eliminated))
 
@@ -173,7 +206,7 @@ def instant_runoff(profile: OrdinalProfile) -> SocialRanking:
     recorded score of each alternative is its first-place count in the round
     it went out.
     """
-    return _runoff_ranking(profile.alternatives, partial(first_place_counts, profile))
+    return _runoff_ranking(_runoff_tally(profile))
 
 
 def _locked_ranking(matrix: MarginMatrix) -> SocialRanking:
@@ -192,12 +225,13 @@ def _locked_ranking(matrix: MarginMatrix) -> SocialRanking:
     locked: list[tuple[str, str, int]] = []
     # Largest margin first, then by (winner, loser) id: the indices that
     # follow the ids never decide the order.
-    pairs = sorted(
+    pairs = [
         (-margin, alts[w], alts[l], w, l)
         for w, row in enumerate(matrix.entries)
         for l, margin in enumerate(row)
         if margin > 0
-    )
+    ]
+    pairs.sort()
     for negated, winner, loser, w, l in pairs:
         if reach[l] >> w & 1:
             continue
@@ -234,6 +268,18 @@ def _locked_ranking(matrix: MarginMatrix) -> SocialRanking:
     return SocialRanking(
         tuple(alts[i] for i in order), tuple(tuple(g) for g in groups), locked_pairs=tuple(locked)
     )
+
+
+def _add_margins(matrix: MarginMatrix, ranking: tuple[str, ...], sign: int) -> MarginMatrix:
+    # One ballot adds `sign` to each pair it ranks in order and takes it from
+    # the reverse pair.
+    rows = [list(row) for row in matrix.entries]
+    order = list(map(matrix.alternatives.index, ranking))
+    for position, above in enumerate(order):
+        for below in order[position + 1:]:
+            rows[above][below] += sign
+            rows[below][above] -= sign
+    return MarginMatrix(matrix.alternatives, tuple(map(tuple, rows)))
 
 
 def ranked_pairs(profile: OrdinalProfile) -> SocialRanking:
@@ -276,6 +322,28 @@ def random_dictator(profile: OrdinalProfile, seed: int) -> tuple[Lottery, str]:
             break
     return lottery, winner
 
+
+class TallyRow(NamedTuple):
+    """A deterministic ordinal rule as `decide(tally(profile))`.
+
+    `add(t, ranking, sign)` is tally `t` plus `sign` times the tally of one
+    unit ballot; it returns a new tally.  `reads` is how many leading places
+    of a ballot its tally depends on, None for all of them.
+    """
+
+    tally: Callable[[OrdinalProfile], Any]
+    add: Callable[[Any, tuple[str, ...], int], Any]
+    decide: Callable[[Any], SocialRanking]
+    reads: int | None = None
+
+
+# One row per registry id of kind "ordinal"; its function is `decide(tally(profile))`.
+ORDINAL_TALLIES: dict[str, TallyRow] = {
+    "plurality": TallyRow(first_place_counts, _add_first_place, _score_ranking, reads=1),
+    "borda": TallyRow(borda_scores, _add_borda_points, _score_ranking),
+    "instant_runoff": TallyRow(_runoff_tally, _add_pending, _runoff_ranking),
+    "ranked_pairs": TallyRow(margin_matrix, _add_margins, _locked_ranking),
+}
 
 # Each registry id of kind "ordinal" names its function in this module.
 ORDINAL_RULES: dict[str, Callable[[OrdinalProfile], SocialRanking]] = {

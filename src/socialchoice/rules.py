@@ -3,7 +3,8 @@
 An id is also its function's name, in `ordinal` for the ordinal
 (profile -> SocialRanking) and lottery ((profile, seed) -> (Lottery, winner))
 rules and in `cardinal` for the committee ((profile, k) -> Committee) and
-cardinal (ratings -> rating) rules.  A new rule takes its function and one row.
+cardinal (ratings -> rating) rules.  A new rule takes its function and one row
+here; a deterministic ordinal rule also takes one `ordinal.ORDINAL_TALLIES` row.
 """
 
 from __future__ import annotations

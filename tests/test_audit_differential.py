@@ -9,8 +9,12 @@ and `ballots`), `merged` in its order, and every registry rule's full result.
 So a rule that reads `ballots`, `unit_rankings()` or the order of `merged`
 sees the same profile either way, and `anonymity_check` keeps its power.
 
-The manipulation search builds no profile, and must find the witness the
-reference finds by rerunning the rule on every rebuilt misreported profile.
+Each deterministic ordinal rule is `decide(tally(profile))` of its
+`ORDINAL_TALLIES` row, and adding and taking out one unit ballot's tally
+must decide as the rule does on the rebuilt profile: the contract every row
+keeps.  The manipulation search builds no profile, and must find the witness
+the reference finds by rerunning the rule on every rebuilt misreported
+profile.
 `reverify_ordinal_witness` builds the misreported profile with the
 `OrdinalProfile` constructor.  On claims true or false, it must give the
 reference's verdict, and an invalid misreport (short, with a duplicate or
@@ -37,7 +41,7 @@ from socialchoice.audits import (
     manipulation_search_ordinal,
     reverify_ordinal_witness,
 )
-from socialchoice.ordinal import ORDINAL_RULES, ordinal_rule, random_dictator
+from socialchoice.ordinal import ORDINAL_RULES, ORDINAL_TALLIES, ordinal_rule, random_dictator
 from socialchoice.profiles import (
     OrdinalProfile,
     RankingBallot,
@@ -248,6 +252,49 @@ def test_anonymity_verdicts_match_reference(profile, seed):
         assert anonymity_check(rid, profile, seed) == reference_anonymity(rule, profile, seed)
     for mutant in MUTANTS:
         assert anonymity_check(mutant, profile, seed) == reference_anonymity(mutant, profile, seed)
+
+
+def decided(result) -> tuple:
+    """A rule's result with the fields `==` skips."""
+    return result, result.scores, result.elimination_order, result.locked_pairs
+
+
+def test_tally_rows_cover_the_ordinal_rules():
+    assert tuple(ORDINAL_TALLIES) == rule_ids("ordinal")
+
+
+@fuzz(300)
+@given(st.data())
+def test_tally_rows_decide_as_their_rules(data):
+    profile = data.draw(profiles())
+    voter = data.draw(st.integers(0, profile.num_voters - 1))
+    unit = profile.unit_rankings()[voter]
+    misreport = tuple(data.draw(st.permutations(profile.alternatives)))
+    rebuilt = reference_replace_unit_ballot(profile, voter, misreport)
+    for rid, (tally, add, decide, _) in ORDINAL_TALLIES.items():
+        rule = ORDINAL_RULES[rid]
+        assert decided(decide(tally(profile))) == decided(rule(profile))
+        swapped = add(add(tally(profile), unit, -1), misreport, +1)
+        assert decided(decide(swapped)) == decided(rule(rebuilt))
+
+
+def test_plurality_search_decides_once_per_top_choice(monkeypatch):
+    # A keeps ten first places against at most one for any other under every
+    # misreport, so no witness exists and every misreport is tried;
+    # plurality's tally reads only the top choice.
+    profile = profile_from_rankings(
+        [("B", "C", "D", "E", "F", "A")] + [("A", "B", "C", "D", "E", "F")] * 10, IDS
+    )
+    row = ORDINAL_TALLIES["plurality"]
+    calls = []
+
+    def spy(tally):
+        calls.append(tally)
+        return row.decide(tally)
+
+    monkeypatch.setitem(ORDINAL_TALLIES, "plurality", row._replace(decide=spy))
+    assert manipulation_search_ordinal("plurality", profile, 0) is None
+    assert 0 < len(calls) <= len(IDS)
 
 
 @fuzz(150)

@@ -629,7 +629,12 @@ class TestExitCodes:
          "--w needs --ratings, e.g. --ratings 3,6,6"),
         (["audit", "anonymity", "--rule", "mean", "--profile", str(DATA / "fig1.vote")],
          "rule 'mean' needs --ratings"),
-    ], ids=["empty_context", "w_without_ratings", "cardinal_anonymity_without_ratings"])
+        (["audit", "manipulation", "--rule", "borda", "--voter", "0"],
+         "rule 'borda' needs --profile"),
+    ], ids=[
+        "empty_context", "w_without_ratings", "cardinal_anonymity_without_ratings",
+        "ordinal_manipulation_without_profile",
+    ])
     def test_cli_refusal_exits_1_with_its_message(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
