@@ -11,6 +11,10 @@ misreport in lexicographic order and decides it with the rule's
 plus the misreport, so it finds the first witness that rerunning the rule
 would, without building a profile.  `reverify_ordinal_witness` reruns the
 rule on a profile rebuilt by the constructor, as an independent check.
+
+The other auditors read the weighted ballots, as the rules do.  Only
+cloning, whose `CloneSpec` fixes a clone order per voter, expands a profile
+into one ballot per voter, so only it is capped by `MAX_AUDIT_VOTERS`.
 """
 
 from __future__ import annotations
@@ -32,11 +36,10 @@ MAX_MANIPULATION_ALTERNATIVES = 6
 # but took about a minute with 1,000.
 MAX_CLONE_COPIES = 100
 MAX_MANIPULATION_RATERS = 7
-# The anonymity check, the ordinal manipulation search and cloning expand a
-# profile into one ballot per voter, so their time and memory follow the
-# ballot counts, not the file: with 1,000,000 voters on two lines, `audit
-# anonymity --rule borda` took 28.5 s and `audit clones --rule borda` 330 MB
-# peak RSS (2-vCPU VM, Python 3.11.7).  At this cap they take 2.1 s and 53 MB.
+# Cloning expands a profile into one ballot per voter, so its memory follows
+# the counts, not the file: with 1,000,000 voters on two lines, `audit clones
+# --rule borda` would take 268 MB peak RSS, and takes 47 MB at this cap
+# (2-vCPU VM, Python 3.11.7).
 MAX_AUDIT_VOTERS = 100_000
 DEFAULT_RATING_GRID = tuple(float(v) for v in range(11))
 ANONYMITY_PERMUTATIONS = 20
@@ -76,11 +79,8 @@ class CloneSpec:
         return tuple(f"{self.target}{i}" for i in range(1, self.copies + 1))
 
 
-def _voters(profile: OrdinalProfile) -> tuple[RankingBallot, ...]:
-    """One weight-1 ballot per voter, refused past MAX_AUDIT_VOTERS before any is built.
-
-    The one place the auditors expand a profile into its voters.
-    """
+def _capped_voters(profile: OrdinalProfile) -> int:
+    """The voter count, refused past MAX_AUDIT_VOTERS before anything per voter is built."""
     # The count itself is not shown: a sum of 4,300-digit counts may be too
     # long to print.
     if profile.num_voters > MAX_AUDIT_VOTERS:
@@ -88,7 +88,18 @@ def _voters(profile: OrdinalProfile) -> tuple[RankingBallot, ...]:
             f"the profile has more than {MAX_AUDIT_VOTERS:,} voters, the cap for "
             "auditors that expand each voter into a ballot"
         )
-    return profile._unit_ballots
+    return profile.num_voters
+
+
+def _voter_ballot(profile: OrdinalProfile, voter: int) -> tuple[int, int]:
+    """The index in `profile.ballots` of the voter's ballot, and the voter's offset in it."""
+    start = 0
+    for index, (_, weight) in enumerate(profile.ballots):
+        if 0 <= voter - start < weight:
+            return index, voter - start
+        start += weight
+    # The count is not shown, as above.
+    raise ValueError(f"voter index {voter} out of range for the profile's voters")
 
 
 def cloned_profile(profile: OrdinalProfile, spec: CloneSpec) -> OrdinalProfile:
@@ -101,11 +112,11 @@ def cloned_profile(profile: OrdinalProfile, spec: CloneSpec) -> OrdinalProfile:
     if collisions:
         raise ValueError(f"clone id(s) {collisions} collide with existing alternatives")
     default_order = tuple(sorted(clones))
-    voters = _voters(profile)
+    n = _capped_voters(profile)
     orders = spec.orders or {}
     for index, order in orders.items():
-        if index >= len(voters):
-            raise ValueError(f"ballot index {index} out of range for {len(voters)} voters")
+        if index >= n:
+            raise ValueError(f"ballot index {index} out of range for {n} voters")
         if sorted(order) != sorted(clones):
             raise ValueError(f"order for ballot {index} is not a permutation of {clones}")
 
@@ -115,7 +126,7 @@ def cloned_profile(profile: OrdinalProfile, spec: CloneSpec) -> OrdinalProfile:
 
     rankings = [
         splice(ranking, orders.get(index, default_order))
-        for index, (ranking, _) in enumerate(voters)
+        for index, ranking in enumerate(profile.unit_rankings())
     ]
     return profile_from_rankings(rankings, splice(profile.alternatives, default_order))
 
@@ -141,9 +152,6 @@ def clone_test(rule_id: str, profile: OrdinalProfile, spec: CloneSpec) -> CloneT
     violation.
     """
     rule = ordinal_rule(rule_id)
-    # Capped before the base election too: a count too large for a float
-    # would otherwise fail inside a rule's tally, not at the cap.
-    _voters(profile)
     base_winner = rule(profile).winner
     expanded = cloned_profile(profile, spec)
     cloned_winner = rule(expanded).winner
@@ -188,11 +196,9 @@ def manipulation_search_ordinal(
             f"{m} alternatives exceed the exhaustive-search cap "
             f"({MAX_MANIPULATION_ALTERNATIVES}); the misreport space is m!"
         )
-    units = _voters(profile)
-    if not 0 <= voter < len(units):
-        raise ValueError(f"voter index {voter} out of range for {len(units)} voters")
+    index, _ = _voter_ballot(profile, voter)
     rule = resolve_rule(rule_id, "ordinal")
-    truthful = units[voter].ranking
+    truthful = profile.ballots[index].ranking
     honest_winner = rule.fn(profile).winner
     honest_rank = truthful.index(honest_winner)
     if honest_rank == 0:
@@ -252,14 +258,19 @@ def reverify_ordinal_witness(
 ) -> bool:
     """Re-run the election with the misreport and confirm the claimed flip.
 
-    The `OrdinalProfile` constructor checks the misreported profile as it checks any input.
+    The voter's ballot is split around the voter, whose ranking becomes the
+    misreport, so the voters keep their order.  The `OrdinalProfile`
+    constructor checks the misreported profile as it checks any input.
     """
     rule = ordinal_rule(rule_id)
-    units = list(_voters(profile))
+    index, offset = _voter_ballot(profile, witness.voter)
     if rule(profile).winner != witness.honest_outcome:
         return False
-    units[witness.voter] = RankingBallot(tuple(witness.misreport))
-    shifted = OrdinalProfile(profile.alternatives, tuple(units))
+    ranking, weight = profile.ballots[index]
+    split = (RankingBallot(ranking, offset), RankingBallot(tuple(witness.misreport)),
+             RankingBallot(ranking, weight - offset - 1))
+    ballots = profile.ballots[:index] + tuple(b for b in split if b.weight) + profile.ballots[index + 1:]
+    shifted = OrdinalProfile(profile.alternatives, ballots)
     if rule(shifted).winner != witness.manipulated_outcome:
         return False
     truthful = tuple(witness.truthful)
@@ -288,13 +299,16 @@ def anonymity_check(rule, profile, seed: int) -> bool:
     `rule` is an ordinal or cardinal rule id, or any callable on the profile
     type; `profile` is an OrdinalProfile or a RatingProfile.  Twenty seeded
     permutations are tried; True means all outcomes matched the original.
+    An ordinal permutation reorders the distinct rankings of `merged`, as
+    both ballots and merge: voters who cast one ranking are interchangeable.
     """
     if isinstance(profile, OrdinalProfile):
         fn = ordinal_rule(rule) if isinstance(rule, str) else rule
-        voters = _voters(profile)
+        voters = profile.merged
 
         def reassign(order):
-            return profile._from_unit_ballots(tuple(map(voters.__getitem__, order)))
+            permuted = tuple(map(voters.__getitem__, order))
+            return OrdinalProfile._trusted(profile.alternatives, permuted, dict(permuted))
     elif isinstance(profile, RatingProfile):
         fn = (lambda rp: aggregate_ratings(rp, rule)) if isinstance(rule, str) else rule
         voters = list(profile.evaluators)
@@ -321,17 +335,15 @@ def random_strict_profile(rng: Random, m: int, n: int) -> OrdinalProfile:
 
 def random_clone_spec(rng: Random, profile: OrdinalProfile, copies: int = 2) -> CloneSpec:
     """Clone a random alternative with independently shuffled per-voter orders."""
-    voters = _voters(profile)
     target = rng.choice(profile.alternatives)
     clones = CloneSpec(target, copies).clone_ids()
-    orders = {i: tuple(rng.sample(clones, len(clones))) for i in range(len(voters))}
+    orders = {i: tuple(rng.sample(clones, len(clones))) for i in range(_capped_voters(profile))}
     return CloneSpec(target, copies, orders)
 
 
 def alternating_clone_spec(profile: OrdinalProfile, spec: CloneSpec) -> CloneSpec:
     """Rotate the clone order one step per voter, so two copies split a bloc's first places."""
-    voters = _voters(profile)
     clones = spec.clone_ids()
     rotations = [clones[j:] + clones[:j] for j in range(len(clones))]
-    orders = {i: rotations[i % len(clones)] for i in range(len(voters))}
+    orders = {i: rotations[i % len(clones)] for i in range(_capped_voters(profile))}
     return CloneSpec(spec.target, spec.copies, orders)

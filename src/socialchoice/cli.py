@@ -335,16 +335,19 @@ def build_parser() -> _Parser:
 
     manip = audit_sub.add_parser("manipulation", parents=[common])
     manip.add_argument("--rule", help="ordinal rule id (with --profile)")
-    manip.add_argument("--profile", help="ballot file (ordinal search)")
     manip.add_argument("--w", help="cardinal rule id (with --ratings)")
-    manip.add_argument("--ratings", help="comma-separated ratings (cardinal search)")
+    # A rule reads one of the two inputs; the other is refused, not ignored.
+    inputs = manip.add_mutually_exclusive_group()
+    inputs.add_argument("--profile", help="ballot file (ordinal search)")
+    inputs.add_argument("--ratings", help="comma-separated ratings (cardinal search)")
     manip.add_argument("--voter", required=True, type=int)
     manip.set_defaults(func=cmd_audit, kind="manipulation")
 
     anon = audit_sub.add_parser("anonymity", parents=[common])
     anon.add_argument("--rule", required=True, help="any ordinal or cardinal rule id")
-    anon.add_argument("--profile", help="ballot file (ordinal rules)")
-    anon.add_argument("--ratings", help="rating profile JSON file (cardinal rules)")
+    inputs = anon.add_mutually_exclusive_group()
+    inputs.add_argument("--profile", help="ballot file (ordinal rules)")
+    inputs.add_argument("--ratings", help="rating profile JSON file (cardinal rules)")
     anon.set_defaults(func=cmd_audit, kind="anonymity")
 
     cycle = audit_sub.add_parser("cycle", parents=[common])

@@ -7,8 +7,7 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, starmap
-from operator import itemgetter
+from itertools import chain, repeat, starmap
 from typing import TYPE_CHECKING, NamedTuple, NoReturn
 
 if TYPE_CHECKING:
@@ -71,10 +70,11 @@ class OrdinalProfile:
     """An immutable election: alternatives plus weighted strict rankings.
 
     `OrdinalProfile(alternatives, ballots)` checks the ballots and merges
-    them.  `parse_profile` and the anonymity check's voter shuffle build
-    the merge themselves and hand it over checked.  `ballots`, in input
-    order, is read only to render the profile, expand it into unit rankings
-    and compare profiles.
+    them.  `parse_profile` and the anonymity check's shuffle of the distinct
+    rankings build the merge themselves and hand it over checked.
+    `ballots`, in input order, is read only to render the profile, find a
+    voter's ballot, expand it into unit rankings for cloning and compare
+    profiles.
     """
 
     alternatives: tuple[str, ...]
@@ -121,24 +121,6 @@ class OrdinalProfile:
         return profile
 
     @cached_property
-    def _unit_ballots(self) -> tuple[RankingBallot, ...]:
-        """One weight-1 ballot per voter, in ballot order; a ballot's voters share one."""
-        units: list[RankingBallot] = []
-        for ranking, weight in self.ballots:
-            units += [RankingBallot(ranking)] * weight
-        return tuple(units)
-
-    def _from_unit_ballots(self, ballots: tuple[RankingBallot, ...]) -> OrdinalProfile:
-        """This profile with its voters reordered, for the anonymity check.
-
-        `ballots` must be a reordering of this profile's own `_unit_ballots`,
-        so no ranking is checked again; the merge is counted in C.
-        """
-        return OrdinalProfile._trusted(
-            self.alternatives, ballots, Counter(map(itemgetter(0), ballots))
-        )
-
-    @cached_property
     def _position_tally(self) -> tuple[np.ndarray, np.ndarray]:
         """Equal rankings merged: a read-only k x m position array and k summed weights.
 
@@ -175,7 +157,7 @@ class OrdinalProfile:
 
     def unit_rankings(self) -> tuple[tuple[str, ...], ...]:
         """Expand weighted ballots into one ranking per voter, in ballot order."""
-        return tuple(map(itemgetter(0), self._unit_ballots))
+        return tuple(chain.from_iterable(starmap(repeat, self.ballots)))
 
 
 def profile_from_rankings(

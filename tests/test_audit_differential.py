@@ -1,22 +1,24 @@
 """The ordinal auditors against the rebuild path they were written on.
 
-Each anonymity shuffle reorders the checked profile's unit ballots and
-checks no ranking again.  The reference builds the shuffle the plain way:
-expand the profile into one ranking per voter, reorder that list, and hand
-it to `profile_from_rankings`, which merges and checks every ranking again.
-The shuffled profiles must equal those field for field: `==` (alternatives
-and `ballots`), `merged` in its order, and every registry rule's full result.
+Each anonymity shuffle permutes the checked profile's distinct rankings,
+each with its summed weight, and hands them over as both ballots and merge,
+checking no ranking again.  The reference builds the shuffle the plain way:
+the same permutation of `merged` handed to the `OrdinalProfile`
+constructor, which merges and checks every ranking again.  The shuffled
+profiles must equal those field for field: `==` (alternatives and
+`ballots`), `merged` in its order, and every registry rule's full result.
 So a rule that reads `ballots`, `unit_rankings()` or the order of `merged`
 sees the same profile either way, and `anonymity_check` keeps its power.
 
 Each deterministic ordinal rule is `decide(tally(profile))` of its
 `ORDINAL_TALLIES` row, and adding and taking out one unit ballot's tally
 must decide as the rule does on the rebuilt profile: the contract every row
-keeps.  The manipulation search builds no profile, and must find the witness
-the reference finds by rerunning the rule on every rebuilt misreported
-profile.
-`reverify_ordinal_witness` builds the misreported profile with the
-`OrdinalProfile` constructor.  On claims true or false, it must give the
+keeps.  The manipulation search builds no profile and expands no voter, and
+must find the witness the reference finds by expanding the profile into one
+ranking per voter and rerunning the rule on every rebuilt misreported
+profile.  `reverify_ordinal_witness` splits the voter's weighted ballot
+around them and builds the misreported profile with the `OrdinalProfile`
+constructor.  On claims true or false, it must give the unit-expansion
 reference's verdict, and an invalid misreport (short, with a duplicate or
 with an unknown id) must raise the same exception type with the same message.
 
@@ -72,8 +74,7 @@ def reference_replace_unit_ballot(
 
 
 def reference_reassign(profile: OrdinalProfile, order) -> OrdinalProfile:
-    voters = profile.unit_rankings()
-    return profile_from_rankings([voters[i] for i in order], profile.alternatives)
+    return OrdinalProfile(profile.alternatives, tuple(profile.merged[i] for i in order))
 
 
 def reference_search(rule_id: str, profile: OrdinalProfile, voter: int):
@@ -106,7 +107,7 @@ def reference_reverify(rule_id: str, profile: OrdinalProfile, witness) -> bool:
 def reference_anonymity(fn, profile: OrdinalProfile, seed: int) -> bool:
     rng = Random(seed)
     baseline = fn(profile)
-    n = profile.num_voters
+    n = len(profile.merged)
     return all(
         fn(reference_reassign(profile, rng.sample(range(n), n))) == baseline
         for _ in range(ANONYMITY_PERMUTATIONS)
@@ -222,7 +223,7 @@ def assert_shuffles_equal_rebuilt(profile: OrdinalProfile, seed: int) -> None:
     assert anonymity_check(record, profile, seed)
     assert seen[0] is profile
     rng = Random(seed)
-    n = profile.num_voters
+    n = len(profile.merged)
     assert len(seen) == ANONYMITY_PERMUTATIONS + 1
     for shuffled in seen[1:]:
         assert_same_profile(shuffled, reference_reassign(profile, rng.sample(range(n), n)))

@@ -4,7 +4,7 @@ Sweep sizes here are trimmed; the acceptance suite runs the full 1000-profile
 versions with its own seed.
 """
 
-from itertools import permutations, product
+from itertools import permutations, product, starmap
 from random import Random
 
 import pytest
@@ -345,54 +345,83 @@ class TestAnonymity:
             anonymity_check("mean", 42, seed=0)
 
 
+@pytest.fixture
+def no_expansion(monkeypatch):
+    """Fail the test if any voter is expanded into a ballot."""
+    def expand(profile):
+        pytest.fail("a profile was expanded into one ballot per voter")
+
+    monkeypatch.setattr(OrdinalProfile, "unit_rankings", expand)
+
+
+def past_the_cap(weight=MAX_AUDIT_VOTERS):
+    heavy = RankingBallot(("A", "B", "C"), weight)
+    return OrdinalProfile(("A", "B", "C"), (heavy, RankingBallot(("B", "C", "A"))))
+
+
 class TestAuditVoterCap:
-    @pytest.mark.parametrize("audit", [
-        lambda profile: cloned_profile(profile, CloneSpec("A")),
-        lambda profile: anonymity_check("borda", profile, 0),
-        lambda profile: manipulation_search_ordinal("borda", profile, MAX_AUDIT_VOTERS),
-    ])
-    def test_refused_before_any_voter_is_expanded(self, audit):
-        heavy = RankingBallot(("A", "B", "C"), MAX_AUDIT_VOTERS)
-        profile = OrdinalProfile(("A", "B", "C"), (heavy, RankingBallot(("B", "C", "A"))))
+    def test_cloning_is_refused_before_any_voter_is_expanded(self, no_expansion):
         with pytest.raises(ValueError, match="more than 100,000 voters, the cap"):
-            audit(profile)
-        assert "_unit_ballots" not in vars(profile)
+            cloned_profile(past_the_cap(), CloneSpec("A"))
+
+    # The last voter ranks B > C > A, and no misreport of theirs beats A.
+    @pytest.mark.parametrize("audit, expected", [
+        (lambda profile: anonymity_check("borda", profile, 0), True),
+        (lambda profile: manipulation_search_ordinal("borda", profile, MAX_AUDIT_VOTERS), None),
+    ], ids=["anonymity_check", "manipulation_search_ordinal"])
+    def test_past_the_cap_reading_the_merge_gives_the_answer(self, no_expansion, audit, expected):
+        assert audit(past_the_cap()) == expected
+
+    # A and B tie at 3N + 1 Borda points and the tie goes to A; the last
+    # voter, C > B > A, makes B win by ranking it first.
+    @pytest.mark.parametrize("n", [10**20, 10**400], ids=["1e20", "1e400"])
+    def test_witness_in_a_huge_profile_is_found_and_reverified(self, no_expansion, n):
+        ballots = ((("A", "B", "C"), n), (("B", "A", "C"), n), (("C", "A", "B"), 1),
+                   (("C", "B", "A"), 1))
+        profile = OrdinalProfile(("A", "B", "C"), tuple(starmap(RankingBallot, ballots)))
+        witness = manipulation_search_ordinal("borda", profile, 2 * n + 1)
+        assert witness == ManipulationWitness(
+            2 * n + 1, ("C", "B", "A"), ("B", "C", "A"), "A", "B"
+        )
+        assert reverify_ordinal_witness("borda", profile, witness)
+
+    def test_voter_past_a_huge_count_is_out_of_range(self, no_expansion):
+        profile = past_the_cap(10**5000)
+        with pytest.raises(ValueError, match=r"^voter index -1 out of range for the profile's"):
+            manipulation_search_ordinal("borda", profile, -1)
+        with pytest.raises(ValueError, match=r"^voter index 3 out of range"):
+            reverify_ordinal_witness(
+                "borda", past_the_cap(1), ManipulationWitness(3, ("A",), ("A",), "A", "A")
+            )
 
 
 class TestEveryVoterExpansionIsCapped:
-    # Borda elects A, so past the cap the witness's honest outcome would hold
-    # and reverifying would go on to replace the last voter's ballot.
     @pytest.mark.parametrize("expand", [
         lambda profile: random_clone_spec(Random(0), profile),
         lambda profile: alternating_split(profile, CloneSpec("A")),
-        lambda profile: reverify_ordinal_witness("borda", profile, ManipulationWitness(
-            MAX_AUDIT_VOTERS, ("B", "C", "A"), ("C", "B", "A"), "A", "B",
-        )),
-    ], ids=["random_clone_spec", "alternating_clone_spec", "reverify_ordinal_witness"])
-    def test_refused_before_any_order_or_ballot_is_built(self, expand):
-        heavy = RankingBallot(("A", "B", "C"), MAX_AUDIT_VOTERS)
-        profile = OrdinalProfile(("A", "B", "C"), (heavy, RankingBallot(("B", "C", "A"))))
+        lambda profile: clone_test("plurality", profile, CloneSpec("A")),
+    ], ids=["random_clone_spec", "alternating_clone_spec", "clone_test"])
+    def test_refused_before_any_order_or_ballot_is_built(self, no_expansion, expand):
         with pytest.raises(ValueError, match="more than 100,000 voters, the cap"):
-            expand(profile)
-        assert "_unit_ballots" not in vars(profile)
+            expand(past_the_cap())
 
     def test_cap_itself_passes(self):
         profile = OrdinalProfile(("A", "B"), (RankingBallot(("A", "B"), MAX_AUDIT_VOTERS),))
         assert len(random_clone_spec(Random(0), profile).orders) == MAX_AUDIT_VOTERS
         assert len(alternating_split(profile, CloneSpec("B")).orders) == MAX_AUDIT_VOTERS
 
-    @pytest.mark.parametrize("audit", [
-        lambda profile: clone_test("plurality", profile, CloneSpec("A")),
-        lambda profile: reverify_ordinal_witness("plurality", profile, ManipulationWitness(
-            1, ("B", "C", "A"), ("C", "B", "A"), "A", "B",
-        )),
-    ], ids=["clone_test", "reverify_ordinal_witness"])
-    def test_refused_before_the_base_election(self, audit):
-        # Plurality's tally of a 401-digit count overflows a float.
-        heavy = RankingBallot(("A", "B", "C"), 10**400)
-        profile = OrdinalProfile(("A", "B", "C"), (heavy, RankingBallot(("B", "C", "A"))))
+    # Voter 1 sits inside the heavy ballot, which the re-check splits around
+    # them; under the claimed misreport A still wins, at any count.
+    @pytest.mark.parametrize("weight", [MAX_AUDIT_VOTERS, 10**400], ids=["cap", "401_digits"])
+    def test_reverify_reads_the_merge_past_the_cap(self, no_expansion, weight):
+        claim = ManipulationWitness(1, ("B", "C", "A"), ("C", "B", "A"), "A", "B")
+        assert reverify_ordinal_witness("borda", past_the_cap(weight), claim) is False
+        assert reverify_ordinal_witness("plurality", past_the_cap(weight), claim) is False
+
+    def test_clone_test_runs_the_base_election_then_refuses(self):
+        # Plurality is exact on a 401-digit count, so the cap fires at cloning.
         with pytest.raises(ValueError, match="more than 100,000 voters, the cap"):
-            audit(profile)
+            clone_test("plurality", past_the_cap(10**400), CloneSpec("A"))
 
 
 class TestRandomGenerators:

@@ -504,15 +504,18 @@ class TestAudit:
         assert report["payload"]["condorcet_winner"] == "A"
 
 
+CAP_MESSAGE = (
+    "error: the profile has more than 100,000 voters, the cap for auditors that "
+    "expand each voter into a ballot\n"
+)
+
+
 class TestAuditVoterCap:
-    # The last voter ranks B > C > A, so the manipulation search tries every
-    # misreport.
+    # Only cloning builds a ballot per voter, so only it is capped.
     @pytest.mark.parametrize("argv", [
-        ["anonymity", "--rule", "borda"],
         ["clones", "--rule", "borda", "--target", "A"],
         ["clones", "--rule", "borda", "--target", "A", "--split", "lexicographic"],
-        ["manipulation", "--rule", "borda", "--voter", str(MAX_AUDIT_VOTERS - 1)],
-    ])
+    ], ids=["clones", "clones_lexicographic"])
     def test_cap_passes_and_one_voter_more_exits_1(self, capsys, tmp_path, argv):
         for extra, code in ((0, 0), (1, 1)):
             vote = tmp_path / "cap.vote"
@@ -520,29 +523,62 @@ class TestAuditVoterCap:
                             "1: B > C > A\n")
             got, out, err = run_cli(capsys, "audit", *argv, "--profile", str(vote))
             assert got == code, err
-        assert out == ""
-        assert err == (
-            "error: the profile has more than 100,000 voters, the cap for auditors that "
-            "expand each voter into a ballot\n"
-        )
+        assert (out, err) == ("", CAP_MESSAGE)
+
+    # The last voter ranks B > C > A, so the manipulation search tries every
+    # misreport, and none beats A.
+    @pytest.mark.parametrize("argv, field, expected", [
+        (["anonymity", "--rule", "borda"], "anonymous", True),
+        (["manipulation", "--rule", "borda", "--voter", str(MAX_AUDIT_VOTERS)], "witness", None),
+    ], ids=["anonymity", "manipulation"])
+    def test_past_the_cap_the_merge_readers_answer(self, capsys, tmp_path, argv, field, expected):
+        vote = tmp_path / "cap.vote"
+        vote.write_text(f"alternatives: A, B, C\n{MAX_AUDIT_VOTERS}: A > B > C\n1: B > C > A\n")
+        report = run_json(capsys, "audit", *argv, "--profile", str(vote))
+        assert report["payload"][field] == expected
+
+    # A and B tie at 3N + 1 Borda points and the tie goes to A; the last
+    # voter, C > B > A, makes B win by ranking it first.
+    @pytest.mark.parametrize("n", [10**20, 10**400], ids=["1e20", "1e400"])
+    def test_witness_in_a_huge_profile(self, capsys, tmp_path, n):
+        vote = tmp_path / "huge.vote"
+        vote.write_text(f"alternatives: A, B, C\n{n}: A > B > C\n{n}: B > A > C\n"
+                        "1: C > A > B\n1: C > B > A\n")
+        report = run_json(capsys, "audit", "manipulation", "--rule", "borda",
+                          "--profile", str(vote), "--voter", str(2 * n + 1))
+        assert report["payload"]["witness"] == {
+            "voter": 2 * n + 1,
+            "truthful": ["C", "B", "A"],
+            "misreport": ["B", "C", "A"],
+            "honest_outcome": "A",
+            "manipulated_outcome": "B",
+        }
+        assert report["payload"]["reverified"] is True
 
 
-class TestAuditCapBeforeAnyElection:
+class TestAuditsOnACountTooLargeForAFloat:
+    # Every rule tallies a 401-digit count exactly; cloning refuses it at the
+    # cap, and the auditors that read the merge answer.
+    HUGE = f"alternatives: A, B, C\n1{'0' * 400}: A > B > C\n1: B > C > A\n"
+
     @pytest.mark.parametrize("argv", [
-        ["anonymity", "--rule", "plurality"],
         ["clones", "--rule", "plurality", "--target", "A"],
         ["clones", "--rule", "plurality", "--target", "A", "--split", "lexicographic"],
-        ["manipulation", "--rule", "plurality", "--voter", "0"],
-    ])
-    def test_a_count_too_large_for_a_float_exits_1_at_the_cap(self, capsys, tmp_path, argv):
-        # Plurality's tally of a 401-digit count overflows a float, so the cap
-        # must fire before any election is run.
+    ], ids=["clones", "clones_lexicographic"])
+    def test_cloning_exits_1_at_the_cap(self, capsys, tmp_path, argv):
         vote = tmp_path / "huge.vote"
-        vote.write_text(f"alternatives: A, B, C\n1{'0' * 400}: A > B > C\n1: B > C > A\n")
-        assert run_cli(capsys, "audit", *argv, "--profile", str(vote)) == (1, "", (
-            "error: the profile has more than 100,000 voters, the cap for auditors that "
-            "expand each voter into a ballot\n"
-        ))
+        vote.write_text(self.HUGE)
+        assert run_cli(capsys, "audit", *argv, "--profile", str(vote)) == (1, "", CAP_MESSAGE)
+
+    @pytest.mark.parametrize("argv, field, expected", [
+        (["anonymity", "--rule", "plurality"], "anonymous", True),
+        (["manipulation", "--rule", "plurality", "--voter", "0"], "witness", None),
+    ], ids=["anonymity", "manipulation"])
+    def test_the_merge_readers_answer(self, capsys, tmp_path, argv, field, expected):
+        vote = tmp_path / "huge.vote"
+        vote.write_text(self.HUGE)
+        report = run_json(capsys, "audit", *argv, "--profile", str(vote))
+        assert report["payload"][field] == expected
 
 
 class TestExitCodes:
@@ -631,9 +667,20 @@ class TestExitCodes:
          "rule 'mean' needs --ratings"),
         (["audit", "manipulation", "--rule", "borda", "--voter", "0"],
          "rule 'borda' needs --profile"),
+        # The input a rule does not read is refused, even one naming no file.
+        (["audit", "manipulation", "--w", "mean", "--ratings", "3,6,6",
+          "--profile", "/nonexistent", "--voter", "0"],
+         "argument --profile: not allowed with argument --ratings"),
+        (["audit", "manipulation", "--rule", "borda", "--profile", str(DATA / "fig1.vote"),
+          "--ratings", "3,6,6", "--voter", "0"],
+         "argument --ratings: not allowed with argument --profile"),
+        (["audit", "anonymity", "--rule", "borda", "--profile", str(DATA / "fig1.vote"),
+          "--ratings", "/nonexistent"],
+         "argument --ratings: not allowed with argument --profile"),
     ], ids=[
         "empty_context", "w_without_ratings", "cardinal_anonymity_without_ratings",
-        "ordinal_manipulation_without_profile",
+        "ordinal_manipulation_without_profile", "cardinal_manipulation_with_profile",
+        "ordinal_manipulation_with_ratings", "ordinal_anonymity_with_ratings",
     ])
     def test_cli_refusal_exits_1_with_its_message(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

@@ -264,6 +264,8 @@ PROFILE_COMMANDS = [
     ["audit", "anonymity", "--rule", "borda"],
 ]
 
+EXACT_AUDITS = {"anonymity": ("anonymous", True), "manipulation": ("witness", None)}
+
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("command", PROFILE_COMMANDS, ids=" ".join)
@@ -273,11 +275,28 @@ def test_huge_counts_are_handled(workdir, name, command, fmt):
     path.write_text(HUGE_VOTES[name])
     code, err = run([*command, "--profile", path, "--format", fmt])
     assert_handled(code, err)
-    if command[0] == "audit" and command[1] != "cycle":
-        # The auditors that expand each voter refuse before any tally.
+    if command[1] == "clones":
+        # Cloning expands each voter, and refuses past the voter cap.
         assert code == 1 and "100,000 voters" in err, err
+    elif command[1] in EXACT_AUDITS:
+        # These read the merge and answer exactly: every rule is anonymous,
+        # and voter 0's top choice wins, so no misreport helps them.
+        assert code == 0, err
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main([*command, "--profile", str(path)])
+        field, expected = EXACT_AUDITS[command[1]]
+        assert json.loads(out.getvalue())["payload"][field] == expected
     elif name == "limit_nines" and DIGIT_LIMIT and "random-dictator" not in command:
         # A count, score or margin is too long to print: the error names the limit.
         assert code == 1 and f"{DIGIT_LIMIT} digits" in err, err
     else:
         assert code == 0, err
+
+
+def test_voter_out_of_range_names_the_index_not_the_count(workdir):
+    # The count has more digits than Python prints; the message never shows it.
+    path = workdir / "limit_nines.vote"
+    path.write_text(HUGE_VOTES["limit_nines"])
+    argv = ["audit", "manipulation", "--rule", "borda", "--profile", path, "--voter", "-1"]
+    assert run(argv) == (1, "error: voter index -1 out of range for the profile's voters\n")
