@@ -3,6 +3,8 @@
 Each deterministic rule is `decide(tally(profile))` of its `ORDINAL_TALLIES`
 row, whose `tally` is additive over ballots and whose `add` is the tally of one
 ballot, so a misreport is decided from the base tally without a new profile.
+The row's `reads` and `settled` tell the manipulation search which misreports
+cannot change what it has decided.
 """
 
 from __future__ import annotations
@@ -323,26 +325,77 @@ def random_dictator(profile: OrdinalProfile, seed: int) -> tuple[Lottery, str]:
     return lottery, winner
 
 
+def _reads_top(result: SocialRanking, ranking: tuple[str, ...]) -> int:
+    return 1
+
+
+def _reads_all(result: SocialRanking, ranking: tuple[str, ...]) -> int:
+    return len(ranking)
+
+
+def _runoff_reads(result: SocialRanking, ranking: tuple[str, ...]) -> int:
+    """The leading places of `ranking` that instant runoff read in reaching `result`.
+
+    Each round adds the ballot to its first active alternative, and the
+    active sets only shrink, so the round with the two finalists reads
+    furthest; the last round, with one alternative left, changes nothing.
+    """
+    return 1 + min(map(ranking.index, result.elimination_order[-2:]))
+
+
+def _margins_settled(matrix: MarginMatrix) -> bool:
+    """Does some alternative beat every other by at least 2?
+
+    One ballot moves each margin by at most 1, so that alternative stays a
+    strict Condorcet winner, and ranked pairs elects it: no locked pair
+    reaches it, so every pair it wins locks and it alone is left unbeaten.
+    """
+    return any(all(margin >= 2 for j, margin in enumerate(row) if j != i)
+               for i, row in enumerate(matrix.entries))
+
+
+def _scores_settled(scores: dict[str, int]) -> bool:
+    """Does the Borda leader stay first whatever one more ballot adds?
+
+    A ballot gives each alternative between 0 and m - 1 points, so it closes
+    a gap by at most m - 1, and a gap it closes exactly is a tie that
+    `_score_ranking` gives the smaller id.
+    """
+    # `max` keeps the first of equal scores, so the leader is the smallest id.
+    leader = max(sorted(scores), key=scores.__getitem__)
+    most = len(scores) - 1
+    return all(
+        scores[leader] - scores[y] > most or (scores[leader] - scores[y] == most and leader < y)
+        for y in scores if y != leader
+    )
+
+
 class TallyRow(NamedTuple):
     """A deterministic ordinal rule as `decide(tally(profile))`.
 
     `add(t, ranking, sign)` is tally `t` plus `sign` times the tally of one
-    unit ballot; it returns a new tally.  `reads` is how many leading places
-    of a ballot its tally depends on, None for all of them.
+    unit ballot; it returns a new tally.  `reads(result, ranking)` is how
+    many leading places of `ranking` deciding `add(t, ranking, 1)` read to
+    reach `result`: every ranking that shares them decides the same.
+    `settled(t)`, where a row has it, is true only when no one ballot added
+    to tally `t` can change its winner.
     """
 
     tally: Callable[[OrdinalProfile], Any]
     add: Callable[[Any, tuple[str, ...], int], Any]
     decide: Callable[[Any], SocialRanking]
-    reads: int | None = None
+    reads: Callable[[SocialRanking, tuple[str, ...]], int]
+    settled: Callable[[Any], bool] | None = None
 
 
 # One row per registry id of kind "ordinal"; its function is `decide(tally(profile))`.
 ORDINAL_TALLIES: dict[str, TallyRow] = {
-    "plurality": TallyRow(first_place_counts, _add_first_place, _score_ranking, reads=1),
-    "borda": TallyRow(borda_scores, _add_borda_points, _score_ranking),
-    "instant_runoff": TallyRow(_runoff_tally, _add_pending, _runoff_ranking),
-    "ranked_pairs": TallyRow(margin_matrix, _add_margins, _locked_ranking),
+    "plurality": TallyRow(first_place_counts, _add_first_place, _score_ranking, _reads_top),
+    "borda": TallyRow(borda_scores, _add_borda_points, _score_ranking, _reads_all, _scores_settled),
+    "instant_runoff": TallyRow(_runoff_tally, _add_pending, _runoff_ranking, _runoff_reads),
+    "ranked_pairs": TallyRow(
+        margin_matrix, _add_margins, _locked_ranking, _reads_all, _margins_settled
+    ),
 }
 
 # Each registry id of kind "ordinal" names its function in this module.

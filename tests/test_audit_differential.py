@@ -2,13 +2,15 @@
 
 Each anonymity shuffle permutes the checked profile's distinct rankings,
 each with its summed weight, and hands them over as both ballots and merge,
-checking no ranking again.  The reference builds the shuffle the plain way:
-the same permutation of `merged` handed to the `OrdinalProfile`
-constructor, which merges and checks every ranking again.  The shuffled
-profiles must equal those field for field: `==` (alternatives and
-`ballots`), `merged` in its order, and every registry rule's full result.
-So a rule that reads `ballots`, `unit_rankings()` or the order of `merged`
-sees the same profile either way, and `anonymity_check` keeps its power.
+checking no ranking again: every order but the identity when there are at
+most `ANONYMITY_PERMUTATIONS`, else that many seeded ones.  The reference
+builds the shuffle the plain way: the same permutation of `merged` handed to
+the `OrdinalProfile` constructor, which merges and checks every ranking
+again.  The shuffled profiles must equal those field for field: `==`
+(alternatives and `ballots`), `merged` in its order, and every registry
+rule's full result.  So a rule that reads `ballots`, `unit_rankings()` or
+the order of `merged` sees the same profile either way, and
+`anonymity_check` keeps its power.
 
 Each deterministic ordinal rule is `decide(tally(profile))` of its
 `ORDINAL_TALLIES` row, and adding and taking out one unit ballot's tally
@@ -16,11 +18,15 @@ must decide as the rule does on the rebuilt profile: the contract every row
 keeps.  The manipulation search builds no profile and expands no voter, and
 must find the witness the reference finds by expanding the profile into one
 ranking per voter and rerunning the rule on every rebuilt misreported
-profile.  `reverify_ordinal_witness` splits the voter's weighted ballot
-around them and builds the misreported profile with the `OrdinalProfile`
-constructor.  On claims true or false, it must give the unit-expansion
-reference's verdict, and an invalid misreport (short, with a duplicate or
-with an unknown id) must raise the same exception type with the same message.
+profile.  Its two prunes, skipping the misreports that share the places a
+decision read and stopping when a row's `settled` test holds, must not
+change that witness, also on even voter counts, where one ballot can tie a
+pair.  `reverify_ordinal_witness` checks the claimed truthful ranking
+against the voter's ballot, splits that weighted ballot around them and
+builds the misreported profile with the `OrdinalProfile` constructor.  On
+claims true or false, it must give the unit-expansion reference's verdict,
+and an invalid misreport (short, with a duplicate or with an unknown id)
+must raise the same exception type with the same message.
 
 The profiles are unit and weighted ones over 1 to 6 alternatives, built by
 the constructor or parsed from text, with rankings repeated across ballots.
@@ -30,6 +36,8 @@ Both oracles also run at the shapes of the bench's audit_sweep.
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -95,6 +103,8 @@ def reference_search(rule_id: str, profile: OrdinalProfile, voter: int):
 
 def reference_reverify(rule_id: str, profile: OrdinalProfile, witness) -> bool:
     rule = ordinal_rule(rule_id)
+    if tuple(witness.truthful) != profile.unit_rankings()[witness.voter]:
+        return False
     if rule(profile).winner != witness.honest_outcome:
         return False
     shifted = reference_replace_unit_ballot(profile, witness.voter, tuple(witness.misreport))
@@ -104,13 +114,19 @@ def reference_reverify(rule_id: str, profile: OrdinalProfile, witness) -> bool:
     return truthful.index(witness.manipulated_outcome) < truthful.index(witness.honest_outcome)
 
 
-def reference_anonymity(fn, profile: OrdinalProfile, seed: int) -> bool:
+def reference_orders(n: int, seed: int) -> list:
+    """Every order of n entries but the identity when that is at most the cap, else seeded ones."""
+    if factorial(n) <= ANONYMITY_PERMUTATIONS:
+        return list(permutations(range(n)))[1:]
     rng = Random(seed)
+    return [rng.sample(range(n), n) for _ in range(ANONYMITY_PERMUTATIONS)]
+
+
+def reference_anonymity(fn, profile: OrdinalProfile, seed: int) -> bool:
     baseline = fn(profile)
-    n = len(profile.merged)
     return all(
-        fn(reference_reassign(profile, rng.sample(range(n), n))) == baseline
-        for _ in range(ANONYMITY_PERMUTATIONS)
+        fn(reference_reassign(profile, order)) == baseline
+        for order in reference_orders(len(profile.merged), seed)
     )
 
 
@@ -200,7 +216,10 @@ def test_reverified_claims_match_reference(data):
     profile = data.draw(profiles())
     rid = data.draw(st.sampled_from(rule_ids("ordinal")))
     voter = data.draw(st.integers(0, profile.num_voters - 1))
-    truthful = profile.unit_rankings()[voter]
+    # Mostly the voter's own ranking, so that the rest of the claim is checked.
+    unit = profile.unit_rankings()[voter]
+    other = tuple(data.draw(st.permutations(profile.alternatives)))
+    truthful = data.draw(st.sampled_from((unit, unit, other)))
     misreport = data.draw(misreports(profile.alternatives))
     # Mostly the true honest winner, so that the misreported profile is built.
     honest = ORDINAL_RULES[rid](profile).winner
@@ -222,11 +241,10 @@ def assert_shuffles_equal_rebuilt(profile: OrdinalProfile, seed: int) -> None:
 
     assert anonymity_check(record, profile, seed)
     assert seen[0] is profile
-    rng = Random(seed)
-    n = len(profile.merged)
-    assert len(seen) == ANONYMITY_PERMUTATIONS + 1
-    for shuffled in seen[1:]:
-        assert_same_profile(shuffled, reference_reassign(profile, rng.sample(range(n), n)))
+    orders = reference_orders(len(profile.merged), seed)
+    assert len(seen) == len(orders) + 1
+    for shuffled, order in zip(seen[1:], orders):
+        assert_same_profile(shuffled, reference_reassign(profile, order))
 
 
 @fuzz(200)
@@ -272,11 +290,31 @@ def test_tally_rows_decide_as_their_rules(data):
     unit = profile.unit_rankings()[voter]
     misreport = tuple(data.draw(st.permutations(profile.alternatives)))
     rebuilt = reference_replace_unit_ballot(profile, voter, misreport)
-    for rid, (tally, add, decide, _) in ORDINAL_TALLIES.items():
+    for rid, (tally, add, decide, reads, settled) in ORDINAL_TALLIES.items():
         rule = ORDINAL_RULES[rid]
         assert decided(decide(tally(profile))) == decided(rule(profile))
-        swapped = add(add(tally(profile), unit, -1), misreport, +1)
-        assert decided(decide(swapped)) == decided(rule(rebuilt))
+        base = add(tally(profile), unit, -1)
+        result = decide(add(base, misreport, +1))
+        assert decided(result) == decided(rule(rebuilt))
+        # A ranking that shares the places the decision read decides the same.
+        depth = reads(result, misreport)
+        sharing = misreport[:depth] + tuple(data.draw(st.permutations(misreport[depth:])))
+        assert decided(decide(add(base, sharing, +1))) == decided(result)
+        if settled is not None and settled(base):
+            assert result.winner == rule(profile).winner
+
+
+def count_decides(monkeypatch, rid: str, profile: OrdinalProfile, voter: int):
+    """The search's witness and how many tallies it decided."""
+    row = ORDINAL_TALLIES[rid]
+    calls = []
+
+    def spy(tally):
+        calls.append(tally)
+        return row.decide(tally)
+
+    monkeypatch.setitem(ORDINAL_TALLIES, rid, row._replace(decide=spy))
+    return manipulation_search_ordinal(rid, profile, voter), len(calls)
 
 
 def test_plurality_search_decides_once_per_top_choice(monkeypatch):
@@ -286,16 +324,93 @@ def test_plurality_search_decides_once_per_top_choice(monkeypatch):
     profile = profile_from_rankings(
         [("B", "C", "D", "E", "F", "A")] + [("A", "B", "C", "D", "E", "F")] * 10, IDS
     )
-    row = ORDINAL_TALLIES["plurality"]
-    calls = []
+    witness, decides = count_decides(monkeypatch, "plurality", profile, 0)
+    assert witness is None
+    assert 0 < decides <= len(IDS)
 
-    def spy(tally):
-        calls.append(tally)
-        return row.decide(tally)
 
-    monkeypatch.setitem(ORDINAL_TALLIES, "plurality", row._replace(decide=spy))
-    assert manipulation_search_ordinal("plurality", profile, 0) is None
-    assert 0 < len(calls) <= len(IDS)
+WEIGHTED_M6 = parse_profile((Path(__file__).parent / "golden" / "weighted_m6.vote").read_text())
+
+
+@pytest.mark.parametrize("rid, most", [("instant_runoff", 130), ("borda", 0)])
+def test_weighted_m6_search_skips_what_it_never_reads(monkeypatch, rid, most):
+    # Voter 5 has no witness under either rule, out of 719 misreports.
+    # Instant runoff decides each block of misreports that share the places
+    # its runs read once; Borda's leader is settled before any decide.
+    witness, decides = count_decides(monkeypatch, rid, WEIGHTED_M6, 5)
+    assert witness is None
+    assert decides <= most
+    assert reference_search(rid, WEIGHTED_M6, 5) is None
+
+
+PRUNE_SWEEP_PROFILES = {3: 300, 4: 150, 5: 40, 6: 12}
+
+
+# Voter 0's ballot taken out, the base tally sits at the edge of `settled`:
+# (rule, rankings, settled, the witness).
+SETTLED_EDGES = [
+    # Borda base A 4, B 2, C 0: B trails by exactly m - 1 and loses the tie
+    # to A, the smaller id, so no ballot changes the winner.
+    ("borda", [("C", "A", "B"), ("A", "B", "C"), ("A", "B", "C")], True, None),
+    # Borda base C 6, A 4, B 2: A trails by exactly m - 1 and wins the tie
+    # A > B > C makes.
+    ("borda", [("A", "C", "B"), ("A", "B", "C"), ("C", "B", "A"), ("C", "A", "B"),
+               ("C", "A", "B")], False, (("A", "B", "C"), "C", "A")),
+    # Ranked pairs base C > A > B twice: C beats each by 2, and one ballot
+    # leaves it the strict Condorcet winner.
+    ("ranked_pairs", [("B", "A", "C"), ("C", "A", "B"), ("C", "A", "B")], True, None),
+    # Even n: base C > A > B once, so C beats each by 1, and B > C > A ties
+    # C with B, which then wins as the smaller unbeaten id.
+    ("ranked_pairs", [("B", "A", "C"), ("C", "A", "B")], False, (("B", "C", "A"), "A", "B")),
+]
+
+
+@pytest.mark.parametrize("rid, rankings, settled, witness", SETTLED_EDGES)
+def test_settled_at_its_edge(monkeypatch, rid, rankings, settled, witness):
+    profile = profile_from_rankings(rankings, IDS[:3])
+    row = ORDINAL_TALLIES[rid]
+    assert row.settled(row.add(row.tally(profile), rankings[0], -1)) is settled
+    found, decides = count_decides(monkeypatch, rid, profile, 0)
+    assert (decides == 0) is settled
+    expected = None if witness is None else ManipulationWitness(0, rankings[0], *witness)
+    assert found == expected == reference_search(rid, profile, 0)
+
+
+def even_profile(rng: Random, m: int, weighted: bool) -> OrdinalProfile:
+    """Ballots drawn from a few rankings, unit or weighted, with an even voter count."""
+    alternatives = IDS[:m]
+    pool = [tuple(rng.sample(alternatives, m)) for _ in range(rng.randint(2, 4))]
+    ballots = [
+        RankingBallot(rng.choice(pool), rng.randint(1, 3) if weighted else 1)
+        for _ in range(rng.randint(2, 6))
+    ]
+    if sum(b.weight for b in ballots) % 2:
+        ballots.append(RankingBallot(rng.choice(pool)))
+    return OrdinalProfile(alternatives, tuple(ballots))
+
+
+# Even voter counts, where one ballot can tie a pair, with unit and weighted
+# ballots, so that both prunes meet their edges.  Seeded, so the same
+# profiles run every time.
+@pytest.mark.parametrize("m", range(3, 7))
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+def test_pruned_search_matches_reference_at_even_n(m, weighted):
+    rng = Random(f"even-n:{m}:{weighted}")
+    witnesses = 0
+    for _ in range(PRUNE_SWEEP_PROFILES[m]):
+        profile = even_profile(rng, m, weighted)
+        units = profile.unit_rankings()
+        for rid in rule_ids("ordinal"):
+            # A voter whose top choice loses, so that the search runs.
+            winner = ORDINAL_RULES[rid](profile).winner
+            losers = [i for i, ranking in enumerate(units) if ranking[0] != winner]
+            if not losers:
+                continue
+            voter = rng.choice(losers)
+            witness = manipulation_search_ordinal(rid, profile, voter)
+            assert witness == reference_search(rid, profile, voter)
+            witnesses += witness is not None
+    assert witnesses > 0
 
 
 @fuzz(150)

@@ -5,6 +5,7 @@ versions with its own seed.
 """
 
 from itertools import permutations, product, starmap
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -33,8 +34,11 @@ from socialchoice.profiles import (
     OrdinalProfile,
     RankingBallot,
     margin_matrix,
+    parse_profile,
     profile_from_rankings,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 FIG_RANKINGS = (
     [("A", "B", "C")] * 4
@@ -225,6 +229,15 @@ class TestManipulationSearchOrdinal:
         fake = ManipulationWitness(0, ("A", "B", "C"), ("C", "A", "B"), "B", "A")
         assert not reverify_ordinal_witness("borda", profile, fake)
 
+    @pytest.mark.parametrize("rule", ["plurality", "borda", "instant_runoff", "ranked_pairs"])
+    def test_witness_with_another_truthful_ranking_fails_reverification(self, rule):
+        # The flip to C happens and improves on the claimed truthful ranking,
+        # but voter 0 ranks A > B > C, so C is their last choice.
+        profile = profile_from_rankings([("A", "B", "C"), ("B", "A", "C"), ("C", "B", "A")])
+        honest = ordinal_rule(rule)(profile).winner
+        claim = ManipulationWitness(0, ("C", "B", "A"), ("C", "A", "B"), honest, "C")
+        assert not reverify_ordinal_witness(rule, profile, claim)
+
 
 class TestWitnessFromTheTieBreak:
     """Each first witness wins only through the lexicographic tie-break.
@@ -340,6 +353,19 @@ class TestAnonymity:
         profile = profile_from_rankings([("A", "B", "C"), ("C", "B", "A")] * 2, ("A", "B", "C"))
         assert not anonymity_check(rule, profile, seed=4)
 
+    def test_each_order_of_few_rankings_is_tried_once(self):
+        # Two distinct rankings have 2! orders: the identity, run as the
+        # baseline, and one swap, the 2! - 1 shuffled runs.
+        profile = parse_profile((DATA / "restaurant.vote").read_text())
+        seen = []
+
+        def record(shuffled):
+            seen.append(shuffled.merged)
+            return 0
+
+        assert anonymity_check(record, profile, seed=0)
+        assert seen == [profile.merged, profile.merged[::-1]]
+
     def test_unsupported_profile_type_rejected(self):
         with pytest.raises(TypeError):
             anonymity_check("mean", 42, seed=0)
@@ -414,7 +440,7 @@ class TestEveryVoterExpansionIsCapped:
     # them; under the claimed misreport A still wins, at any count.
     @pytest.mark.parametrize("weight", [MAX_AUDIT_VOTERS, 10**400], ids=["cap", "401_digits"])
     def test_reverify_reads_the_merge_past_the_cap(self, no_expansion, weight):
-        claim = ManipulationWitness(1, ("B", "C", "A"), ("C", "B", "A"), "A", "B")
+        claim = ManipulationWitness(1, ("A", "B", "C"), ("C", "B", "A"), "A", "B")
         assert reverify_ordinal_witness("borda", past_the_cap(weight), claim) is False
         assert reverify_ordinal_witness("plurality", past_the_cap(weight), claim) is False
 
