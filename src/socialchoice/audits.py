@@ -314,6 +314,23 @@ def reverify_cardinal_witness(
     return abs(witness.manipulated_outcome - truth) < honest_gap - IMPROVEMENT_TOL
 
 
+def anonymity_orders(profile, seed: int) -> list[Sequence[int]]:
+    """The orders `anonymity_check` tries on `profile`'s k interchangeable entries.
+
+    The entries are the evaluators of ratings, or the distinct rankings of an
+    ordinal profile's `merged`.  When k! - 1 < ANONYMITY_PERMUTATIONS, every
+    order but the identity, once, in `itertools.permutations` order;
+    otherwise ANONYMITY_PERMUTATIONS seeded permutations.
+    """
+    n = len(profile.merged if isinstance(profile, OrdinalProfile) else profile.evaluators)
+    # n! <= ANONYMITY_PERMUTATIONS exactly when min(n, cap + 1)! is, as
+    # (cap + 1)! > cap; the min keeps the factorial small for large n.
+    if factorial(min(n, ANONYMITY_PERMUTATIONS + 1)) <= ANONYMITY_PERMUTATIONS:
+        return list(islice(permutations(range(n)), 1, None))
+    rng = Random(seed)
+    return [rng.sample(range(n), n) for _ in range(ANONYMITY_PERMUTATIONS)]
+
+
 def anonymity_check(rule, profile, seed: int) -> bool:
     """Is the outcome invariant under shuffling who cast which ballot?
 
@@ -321,10 +338,9 @@ def anonymity_check(rule, profile, seed: int) -> bool:
     type; `profile` is an OrdinalProfile or a RatingProfile.  A permutation
     reorders the evaluators of ratings, or the distinct rankings of an
     ordinal profile's `merged`, as both ballots and merge: voters who cast
-    one ranking are interchangeable.  When those k entries have at most
-    ANONYMITY_PERMUTATIONS orders, each order but the identity is tried
-    once, in `itertools.permutations` order; otherwise that many seeded
-    permutations are.  True means all outcomes matched the original.
+    one ranking are interchangeable.  The orders tried are
+    `anonymity_orders(profile, seed)`.  True means all outcomes matched the
+    original.
     """
     if isinstance(profile, OrdinalProfile):
         fn = ordinal_rule(rule) if isinstance(rule, str) else rule
@@ -343,15 +359,7 @@ def anonymity_check(rule, profile, seed: int) -> bool:
     else:
         raise TypeError(f"cannot audit anonymity on {type(profile).__name__}")
     baseline = fn(profile)
-    n = len(voters)
-    # n! <= ANONYMITY_PERMUTATIONS exactly when min(n, cap + 1)! is, as
-    # (cap + 1)! > cap; the min keeps the factorial small for large n.
-    if factorial(min(n, ANONYMITY_PERMUTATIONS + 1)) <= ANONYMITY_PERMUTATIONS:
-        orders = islice(permutations(range(n)), 1, None)
-    else:
-        rng = Random(seed)
-        orders = (rng.sample(range(n), n) for _ in range(ANONYMITY_PERMUTATIONS))
-    return all(fn(reassign(order)) == baseline for order in orders)
+    return all(fn(reassign(order)) == baseline for order in anonymity_orders(profile, seed))
 
 
 def random_strict_profile(rng: Random, m: int, n: int) -> OrdinalProfile:

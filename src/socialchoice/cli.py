@@ -168,10 +168,10 @@ def cmd_simulate(args) -> RunReport:
 
 def cmd_audit(args) -> RunReport:
     from .audits import (
-        ANONYMITY_PERMUTATIONS,
         CloneSpec,
         alternating_clone_spec,
         anonymity_check,
+        anonymity_orders,
         clone_test,
         manipulation_search_cardinal,
         manipulation_search_ordinal,
@@ -245,11 +245,12 @@ def cmd_audit(args) -> RunReport:
         if getattr(args, flag) is None:
             raise UsageError(f"rule {rule.id!r} needs --{flag}")
         text = _read(getattr(args, flag))
+        profile = load(text)
         payload = {
             "audit": "anonymity",
             "rule": rule.id,
-            "anonymous": anonymity_check(rule.id, load(text), args.seed),
-            "permutations": ANONYMITY_PERMUTATIONS,
+            "anonymous": anonymity_check(rule.id, profile, args.seed),
+            "permutations": len(anonymity_orders(profile, args.seed)),
         }
         return make_report("audit", {flag: text}, args.seed, payload)
 

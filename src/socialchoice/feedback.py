@@ -198,10 +198,13 @@ class PartialPreference:
         for a, b in order:
             if a == b or (b, a) in order:
                 raise FeedbackInconsistencyError(f"order is cyclic at ({a!r}, {b!r})")
+        beats: dict[str, set[str]] = {}
         for a, b in order:
-            for c, d in order:
-                if b == c and (a, d) not in order:
-                    raise ValueError(f"order not transitively closed: ({a!r}, {d!r}) missing")
+            beats.setdefault(a, set()).add(b)
+        for a, b in order:
+            if not beats.get(b, set()) <= beats[a]:
+                d = next(d for c, d in order if c == b and (a, d) not in order)
+                raise ValueError(f"order not transitively closed: ({a!r}, {d!r}) missing")
         for alt, (lo, hi) in self.bounds.items():
             if not (RATING_MIN <= lo <= hi <= RATING_MAX):
                 raise ValueError(f"invalid bounds [{lo}, {hi}] for {alt!r}")

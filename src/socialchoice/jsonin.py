@@ -5,7 +5,8 @@ returns its value or raises `<path>: expected <what>, got <got>`.  The path
 runs from the root, as in `cases[0].jury[1].ranking[2]`, and is left out at
 the root itself.  `got` names the type when a list or object was expected or
 given (`got int`, `got list`) and shows the JSON value otherwise (`got "6"`,
-`got true`, `got NaN`).
+`got true`, `got NaN`).  `only(*keys)` refuses an object member outside
+`keys` with `<path>: unknown key "<key>"; expected one of <keys>`.
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ class Node(NamedTuple):
             names = " and ".join(f'"{key}"' for key in keys)
             raise self._error(f"expected an object with keys {names}")
         return [self.get(key) for key in keys]
+
+    def only(self, *keys: str) -> Node:
+        """This object, once no member has a key outside `keys`."""
+        for key in self._object():
+            if key not in keys:
+                expected = ", ".join(json.dumps(k) for k in keys)
+                raise self._error(f"unknown key {json.dumps(key)}; expected one of {expected}")
+        return self
 
     def members(self) -> list[Node]:
         items = self._expect(isinstance(self.value, list), "a list", True)

@@ -321,10 +321,12 @@ class SimulationDataset:
 
 def _population_from_json(node: Node) -> PopulationSpec:
     groups = []
-    for group in node.get("groups").members():
-        weight = group.get("weight").number()
+    for group in node.only("d", "noise_sigma", "groups").get("groups").members():
+        weight = group.only("weight", "components").get("weight").number()
         components = tuple(
-            c.build(ComponentDist, c.get("kind").string(), c.get("a").number(), c.get("b").number())
+            c.only("kind", "a", "b").build(
+                ComponentDist, c.get("kind").string(), c.get("a").number(), c.get("b").number()
+            )
             for c in group.get("components").members()
         )
         groups.append(group.build(GroupSpec, weight, components))
@@ -336,37 +338,37 @@ def _population_from_json(node: Node) -> PopulationSpec:
     return node.build(PopulationSpec, node.get("d").integer(), tuple(groups))
 
 
+def _ballot_from_json(node: Node) -> RankingBallot:
+    ranking = node.only("ranking", "weight").get("ranking").members()
+    return RankingBallot(tuple(alt.string() for alt in ranking), node.get("weight", 1).integer())
+
+
 def _case_from_json(node: Node) -> PromptCase:
     responses = []
-    for r in node.get("responses").members():
-        rid = r.get("id").string()
+    for r in node.only("prompt", "responses", "jury").get("responses").members():
+        rid = r.only("id", "text", "features").get("id").string()
         text = r.get("text", rid).string()
         features = tuple(x.number() for x in r.get("features").members())
         responses.append(r.build(ResponseRecord, rid, text, features))
     jury = None
     if "jury" in node:
-        jury = tuple(
-            RankingBallot(
-                tuple(alt.string() for alt in b.get("ranking").members()),
-                b.get("weight", 1).integer(),
-            )
-            for b in node.get("jury").members()
-        )
+        jury = tuple(_ballot_from_json(b) for b in node.get("jury").members())
     return node.build(PromptCase, node.get("prompt").string(), tuple(responses), jury)
 
 
 def dataset_from_json(text: str) -> SimulationDataset:
     """Load {"cases": [...], "population": {...}, "world": {...}}.
 
-    A check that a built object makes on itself (a jury ballot naming an
-    unknown response, group weights that do not sum to 1) is located at the
-    node the object was read from, as in `cases[0]: ...`.
+    A key that no reader takes is refused at its object.  A check that a
+    built object makes on itself (a jury ballot naming an unknown response,
+    group weights that do not sum to 1) is located at the node the object
+    was read from, as in `cases[0]: ...`.
     """
-    root = load(text)
+    root = load(text).only("cases", "population", "world")
     cases = root.get("cases")
     prompt_cases = tuple(_case_from_json(case) for case in cases.members())
     population = _population_from_json(root.get("population"))
-    world = root.get("world")
+    world = root.get("world").only("M_star", "noise_sigma")
     M_star = tuple(tuple(x.number() for x in row.members()) for row in world.get("M_star").members())
     noise_sigma = world.get("noise_sigma", 0.0).number()
     world_model = world.build(GroundTruthWorld, M_star, noise_sigma)
@@ -443,12 +445,14 @@ def _is_positive_int(value) -> bool:
 
 
 def config_from_json(text: str) -> PipelineConfig:
-    data = load(text).value
+    root = load(text)
+    data = root.value
     if not isinstance(data, dict) or "variant" not in data:
         raise ValueError('pipeline config must be an object with a "variant"')
     key = _variant(data["variant"])[0]
     for other in sorted(data.keys() & {row[0] for row in VARIANTS.values()} - {key}):
         raise ValueError(f'"{other}": variant {data["variant"]!r} reads its rule from "{key}"')
+    root.only("variant", key, "k", "N", "ridge_lambda", "seed", "dataset")
     return PipelineConfig(
         variant=data["variant"],
         rule=data.get(key),

@@ -48,6 +48,7 @@ from socialchoice.audits import (
     ANONYMITY_PERMUTATIONS,
     ManipulationWitness,
     anonymity_check,
+    anonymity_orders,
     manipulation_search_ordinal,
     reverify_ordinal_witness,
 )
@@ -242,6 +243,7 @@ def assert_shuffles_equal_rebuilt(profile: OrdinalProfile, seed: int) -> None:
     assert anonymity_check(record, profile, seed)
     assert seen[0] is profile
     orders = reference_orders(len(profile.merged), seed)
+    assert list(map(list, anonymity_orders(profile, seed))) == list(map(list, orders))
     assert len(seen) == len(orders) + 1
     for shuffled, order in zip(seen[1:], orders):
         assert_same_profile(shuffled, reference_reassign(profile, order))

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, driven through main() with captured stdout."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,43 @@ class TestJudge:
         assert payload["repair"] == {"safe": True, "helpful": True, "give": True}
         assert payload["distance"] == 1
 
+    # 20 atoms have 2**20 assignments.  Deciding them one at a time took
+    # 4-8 s for each of these; the agenda's truth table takes 0.1 s.
+    ATOMS = [f"x{i}" for i in range(20)]
+
+    def judge_timed(self, capsys, tmp_path, constraint, judgments):
+        path = tmp_path / "judgments.json"
+        agenda = {"atoms": self.ATOMS, "constraint": constraint}
+        path.write_text(json.dumps({"agenda": agenda, "judgments": judgments}))
+        start = time.perf_counter()
+        result = run_cli(capsys, "judge", "--profile", str(path))
+        return result, time.perf_counter() - start
+
+    def test_unsatisfiable_20_atom_agenda_exits_1_quickly(self, capsys, tmp_path):
+        some = " | ".join(self.ATOMS)
+        none = {"E1": dict.fromkeys(self.ATOMS, False)}
+        result, seconds = self.judge_timed(capsys, tmp_path, f"({some}) & !({some})", none)
+        assert result == (1, "", "error: agenda.constraint: constraint is unsatisfiable\n")
+        assert seconds < 2
+
+    def test_20_atom_repair_runs_quickly(self, capsys, tmp_path):
+        none = dict.fromkeys(self.ATOMS, False)
+        judgments = {
+            "E1": {**none, "x0": True},
+            "E2": {**none, "x1": True},
+            "E3": {**none, "x0": True, "x1": True, "x19": True},
+        }
+        (code, out, err), seconds = self.judge_timed(
+            capsys, tmp_path, "x19 <-> (x0 & x1)", judgments
+        )
+        assert code == 0, err
+        payload = json.loads(out)["payload"]
+        majority = {**none, "x0": True, "x1": True}
+        assert (payload["majority"], payload["consistent"]) == (majority, False)
+        assert payload["repair"] == {**majority, "x19": True}
+        assert payload["distance"] == 1
+        assert seconds < 2
+
 
 class TestParseFeedback:
     def test_compiles_to_ratings(self, capsys):
@@ -201,6 +239,22 @@ class TestParseFeedback:
         payload = report["payload"]
         assert payload["ratings"] == {"A": 9.0, "B": 5.0, "C": 2.0}
         assert payload["order"] == [["A", "B"], ["A", "C"], ["B", "C"]]
+
+    def test_200_id_ranking_compiles_quickly(self, capsys, tmp_path):
+        # Checking the closure pair against pair took over 25 s at 200 ids.
+        ids = [f"a{i}" for i in range(200)]
+        path = tmp_path / "rank.txt"
+        path.write_text("rank " + " > ".join(ids) + "\n")
+        start = time.perf_counter()
+        report = run_json(
+            capsys, "parse-feedback", "--statements", str(path), "--context", ",".join(ids)
+        )
+        seconds = time.perf_counter() - start
+        payload = report["payload"]
+        assert len(payload["order"]) == 200 * 199 // 2
+        ratings = [payload["ratings"][a] for a in ids]
+        assert ratings == sorted(ratings, reverse=True) and len(set(ratings)) == 200
+        assert seconds < 10
 
     def test_unknown_id_is_input_error(self, capsys):
         code, _, err = run_cli(
@@ -463,6 +517,17 @@ class TestAudit:
             "--ratings", str(DATA / "ratings.json"),
         )
         assert cardinal["payload"]["anonymous"] is True
+
+    # k interchangeable entries give k! - 1 shuffled orders when that is
+    # under 20: 3 evaluators, and 2 distinct rankings.
+    @pytest.mark.parametrize("argv, tried", [
+        (["--rule", "median", "--ratings", str(DATA / "ratings.json")], 5),
+        (["--rule", "borda", "--profile", str(DATA / "restaurant.vote")], 1),
+        (["--rule", "borda", "--profile", str(DATA / "fig1.vote")], 20),
+    ])
+    def test_anonymity_reports_the_orders_it_tried(self, capsys, argv, tried):
+        report = run_json(capsys, "audit", "anonymity", *argv)
+        assert report["payload"]["permutations"] == tried
 
     def test_seed_after_the_kind_is_reported(self, capsys):
         report = run_json(
@@ -787,6 +852,16 @@ class TestSimulateConfigRules:
         assert out == ""
         assert err.startswith("error: ") and named in err and "no-such-file" not in err
 
+    def test_unknown_key_exits_1(self, capsys, tmp_path):
+        # A misspelled "seed" used to run with seed 0.
+        config = write_config(tmp_path, variant="collective", C="borda", Seed=5)
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert (code, out) == (1, "")
+        assert err == (
+            'error: unknown key "Seed"; expected one of '
+            '"variant", "C", "k", "N", "ridge_lambda", "seed", "dataset"\n'
+        )
+
     @pytest.mark.parametrize(
         "fields, canonical",
         [
@@ -850,6 +925,24 @@ class TestDatasetErrors:
             (lambda d: d["cases"][0].update(prompt=7), "cases[0].prompt: expected a string, got 7"),
             (lambda d: d["cases"][0]["responses"][0].update(text=["A"]),
              "cases[0].responses[0].text: expected a string, got list"),
+            (lambda d: d.update(Cases=[]),
+             'unknown key "Cases"; expected one of "cases", "population", "world"'),
+            (lambda d: d["cases"][0].update(jurry=d["cases"][0].pop("jury")),
+             'cases[0]: unknown key "jurry"; expected one of "prompt", "responses", "jury"'),
+            (lambda d: d["cases"][0]["responses"][1].update(feature=[]),
+             'cases[0].responses[1]: unknown key "feature"; '
+             'expected one of "id", "text", "features"'),
+            (lambda d: d["cases"][0]["jury"][2].update(weigth=2),
+             'cases[0].jury[2]: unknown key "weigth"; expected one of "ranking", "weight"'),
+            (lambda d: d["population"].update(N=5),
+             'population: unknown key "N"; expected one of "d", "noise_sigma", "groups"'),
+            (lambda d: d["population"]["groups"][0].update(name="g"),
+             'population.groups[0]: unknown key "name"; expected one of "weight", "components"'),
+            (lambda d: d["population"]["groups"][0]["components"][1].update(c=1),
+             'population.groups[0].components[1]: unknown key "c"; '
+             'expected one of "kind", "a", "b"'),
+            (lambda d: d["world"].update(noise_sigm=3.0),
+             'world: unknown key "noise_sigm"; expected one of "M_star", "noise_sigma"'),
             (lambda d: d["cases"].append({
                 **d["cases"][0],
                 "responses": [{**r, "features": r["features"][:2]}

@@ -10,11 +10,17 @@ The texts are random formulas over a few atoms, with varied spacing
 (Unicode spaces too), redundant parentheses, `!` chains and long chains of
 mixed connectives; fixed shapes at the nesting cap and one level past it;
 and the same formulas with bytes replaced, inserted or deleted.
+
+The agenda's truth table is checked against the per-assignment evaluator it
+replaced (`reference_evaluate`) over a brute-force enumeration of every
+assignment of up to five atoms: the refusal of an unsatisfiable constraint,
+`satisfies` on each assignment, and the repair `closest_consistent` picks.
 """
 
 from __future__ import annotations
 
 import ast
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +31,7 @@ from socialchoice.judgment import (
     Agenda,
     ConstraintError,
     ConstraintSyntaxError,
+    closest_consistent,
 )
 
 FUZZ = settings(
@@ -155,13 +162,18 @@ def reference(text: str):
 
 
 class _Probe(Agenda):
-    """An agenda that takes every constraint as satisfiable, so it keeps every tree it parses."""
+    """An agenda that keeps the tree it parses when no assignment satisfies it too."""
 
-    def satisfying_assignments(self):
-        yield {}
+    def __post_init__(self):
+        try:
+            super().__post_init__()
+        except ConstraintError as exc:
+            if str(exc) != UNSATISFIABLE:
+                raise
 
 
 UNDECLARED = "constraint mentions undeclared atom(s) "
+UNSATISFIABLE = "constraint is unsatisfiable"
 
 
 def production(text: str):
@@ -292,3 +304,53 @@ def test_shapes_at_the_nesting_cap(shape, levels):
     too_deep = (ConstraintSyntaxError, str(_too_deep()))
     assert (expected == too_deep) is (levels > MAX_CONSTRAINT_DEPTH)
     assert production(text) == expected
+
+
+def reference_evaluate(node: tuple, assignment: dict[str, bool]) -> bool:
+    match node:
+        case ("atom", name):
+            return assignment[name]
+        case ("not", x):
+            return not reference_evaluate(x, assignment)
+        case ("and", left, right):
+            return reference_evaluate(left, assignment) and reference_evaluate(right, assignment)
+        case ("or", left, right):
+            return reference_evaluate(left, assignment) or reference_evaluate(right, assignment)
+        case ("iff", left, right):
+            return reference_evaluate(left, assignment) == reference_evaluate(right, assignment)
+    raise AssertionError(f"unreachable node {node!r}")
+
+
+def reference_repair(js: dict[str, bool], atoms: tuple[str, ...], consistent: list[dict]) -> dict:
+    """The nearest consistent set: fewest flips, then flips latest in `atoms`, then values."""
+
+    def key(candidate):
+        flips = tuple(candidate[a] != js[a] for a in atoms)
+        return (sum(flips), flips, tuple(candidate[a] for a in atoms))
+
+    return min(consistent, key=key)
+
+
+# A drawn formula as it is, or wrapped so that it always fails or always holds.
+WRAPPINGS = ("{}", "({}) & !({})", "({}) <-> !({})", "({}) | !({})")
+
+
+@FUZZ
+@given(formulas, st.sampled_from(WRAPPINGS), st.permutations(ATOMS), st.integers(0, len(ATOMS)))
+def test_truth_table_matches_brute_force(formula, wrapping, order, extra):
+    text = wrapping.format(formula, formula)
+    node, mentioned = reference(text)
+    # The agenda declares the atoms the text mentions and `extra` more, in a drawn order.
+    unused = [a for a in order if a not in mentioned][:extra]
+    atoms = tuple(a for a in order if a in mentioned or a in unused)
+    every = [dict(zip(atoms, bits)) for bits in itertools.product((False, True), repeat=len(atoms))]
+    consistent = [js for js in every if reference_evaluate(node, js)]
+    if not consistent:
+        with pytest.raises(ConstraintError) as info:
+            Agenda(atoms, text)
+        assert str(info.value) == UNSATISFIABLE
+        return
+    agenda = Agenda(atoms, text)
+    for js in every:
+        assert agenda.satisfies(js) is reference_evaluate(node, js)
+        assert closest_consistent(js, agenda) == reference_repair(js, atoms, consistent)

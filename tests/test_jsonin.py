@@ -91,6 +91,16 @@ def test_fields_want_exactly_the_keys():
     assert str(caught.value) == 'agenda: expected an object with keys "atoms" and "constraint"'
 
 
+def test_only_refuses_a_key_outside_the_allowed_ones():
+    node = load('{"a": {"x": 1}}').get("a")
+    assert node.only("x", "y") is node  # an absent allowed key is fine
+    with pytest.raises(ValueError) as caught:
+        node.only("y", "z")
+    assert str(caught.value) == 'a: unknown key "x"; expected one of "y", "z"'
+    with pytest.raises(ValueError, match='^expected an object, got list$'):
+        load("[]").only("x")
+
+
 def test_over_deep_nesting_is_a_value_error():
     with pytest.raises(ValueError, match="^JSON input nests too deeply$"):
         load("[" * 200_000)

@@ -19,6 +19,12 @@ from socialchoice.judgment import (
 SAFE_HELPFUL_GIVE = Agenda(("safe", "helpful", "give"), "give <-> (safe & helpful)")
 
 
+def brute_force(agenda):
+    """Every judgment set that satisfies `agenda`, one assignment at a time, in product order."""
+    every = itertools.product((False, True), repeat=len(agenda.atoms))
+    return [js for js in (dict(zip(agenda.atoms, bits)) for bits in every) if agenda.satisfies(js)]
+
+
 def shg_profile():
     # Three individually consistent evaluators whose atom-wise majority is not.
     return JudgmentProfile(
@@ -135,7 +141,7 @@ class TestMajorityJudgments:
     def test_anonymity(self):
         rng = random.Random(2)
         agenda = Agenda(("x", "y", "z"), "z <-> (x | y)")
-        consistent = list(agenda.satisfying_assignments())
+        consistent = brute_force(agenda)
         for _ in range(10):
             sets = [rng.choice(consistent) for _ in range(5)]
             profile = JudgmentProfile(
@@ -180,7 +186,7 @@ class TestClosestConsistent:
         assert repaired == {"safe": True, "helpful": True, "give": True}
 
     def test_consistent_input_is_fixed_point(self):
-        for js in SAFE_HELPFUL_GIVE.satisfying_assignments():
+        for js in brute_force(SAFE_HELPFUL_GIVE):
             assert closest_consistent(js, SAFE_HELPFUL_GIVE) == js
 
     def test_single_atom_forced_flip(self):
@@ -198,7 +204,7 @@ class TestClosestConsistent:
         ]
         for constraint, atoms in formulas:
             agenda = Agenda(atoms, constraint)
-            consistent = list(agenda.satisfying_assignments())
+            consistent = brute_force(agenda)
             for bits in itertools.product((False, True), repeat=len(atoms)):
                 js = dict(zip(atoms, bits))
                 repaired = closest_consistent(js, agenda)
