@@ -19,6 +19,13 @@ decide, as no ballot, the truthful one included, can change the winner.
 `reverify_ordinal_witness` reruns the rule on a profile rebuilt by the
 constructor, as an independent check.
 
+The anonymity check shuffles the distinct rankings of `merged` and builds
+each shuffled profile once, handing its permuted tuple over as both ballots
+and merge.  A registry rule is checked through its `ORDINAL_TALLIES` row:
+the base tally is decided once, and a shuffle is decided only when its tally
+moves, as equal tallies decide alike.  A custom callable reruns in full on
+every shuffle.
+
 The other auditors read the weighted ballots, as the rules do.  Only
 cloning, whose `CloneSpec` fixes a clone order per voter, expands a profile
 into one ballot per voter, so only it is capped by `MAX_AUDIT_VOTERS`.
@@ -341,14 +348,31 @@ def anonymity_check(rule, profile, seed: int) -> bool:
     one ranking are interchangeable.  The orders tried are
     `anonymity_orders(profile, seed)`.  True means all outcomes matched the
     original.
+
+    An ordinal registry id is checked through its `ORDINAL_TALLIES` row: the
+    base tally is decided once, and a shuffle only when its tally differs
+    from the base tally; `decide` is deterministic, so the verdict is the
+    full rerun's.  Plurality and Borda tallies (dicts) and ranked pairs'
+    `MarginMatrix` compare by value; instant runoff's tally carries the
+    shuffled profile, so it decides every shuffle.  A custom callable, and
+    every rule on ratings, reruns in full.
     """
     if isinstance(profile, OrdinalProfile):
-        fn = ordinal_rule(rule) if isinstance(rule, str) else rule
         voters = profile.merged
 
         def reassign(order):
             permuted = tuple(map(voters.__getitem__, order))
-            return OrdinalProfile._trusted(profile.alternatives, permuted, dict(permuted))
+            return OrdinalProfile._trusted(profile.alternatives, permuted, permuted)
+
+        if isinstance(rule, str):
+            tally, _, decide, _, _ = ORDINAL_TALLIES[resolve_rule(rule, "ordinal").id]
+            base = tally(profile)
+            baseline = decide(base)
+            return all(
+                (moved := tally(reassign(order))) == base or decide(moved) == baseline
+                for order in anonymity_orders(profile, seed)
+            )
+        fn = rule
     elif isinstance(profile, RatingProfile):
         fn = (lambda rp: aggregate_ratings(rp, rule)) if isinstance(rule, str) else rule
         voters = list(profile.evaluators)

@@ -16,7 +16,9 @@ feedback: anything outside the grammar is rejected, never guessed.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cardinal import RATING_MAX, RATING_MIN
 
@@ -215,10 +217,22 @@ class PartialPreference:
                         f"bounds force {a!r} <= {b!r} but the order requires {a!r} > {b!r}"
                     )
 
+    @cached_property
+    def _degrees(self) -> tuple[Counter[str], Counter[str]]:
+        """How many ids each alternative beats, and is beaten by, in one pass over the order."""
+        below: Counter[str] = Counter()
+        above: Counter[str] = Counter()
+        for a, b in self.strict_order:
+            below[a] += 1
+            above[b] += 1
+        return below, above
+
 
 def _transitive_closure(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
     nodes = {x for pair in pairs for x in pair}
-    beats = {n: {b for a, b in pairs if a == n} for n in nodes}
+    beats: dict[str, set[str]] = {n: set() for n in nodes}
+    for a, b in pairs:
+        beats[a].add(b)
     for mid in nodes:
         for src in nodes:
             if mid in beats[src]:
@@ -288,8 +302,8 @@ def interpret_rating(pp: PartialPreference, y: str, context: tuple[str, ...]) ->
     if y in pp.bounds:
         lo, hi = pp.bounds[y]
         return (lo + hi) / 2
-    d_below = sum(1 for a, b in pp.strict_order if a == y)
-    d_above = sum(1 for a, b in pp.strict_order if b == y)
+    below, above = pp._degrees
+    d_below, d_above = below[y], above[y]
     if d_below + d_above == 0:
         return (RATING_MIN + RATING_MAX) / 2
     return RATING_MAX * d_below / (d_below + d_above)

@@ -71,7 +71,9 @@ class OrdinalProfile:
 
     `OrdinalProfile(alternatives, ballots)` checks the ballots and merges
     them.  `parse_profile` and the anonymity check's shuffle of the distinct
-    rankings build the merge themselves and hand it over checked.
+    rankings build the merge themselves and hand it over checked, through
+    `_trusted`, which keeps the tuple it is given; a shuffle's merge is the
+    permuted tuple of `RankingBallot`s, also its ballots.
     `ballots`, in input order, is read only to render the profile, find a
     voter's ballot, expand it into unit rankings for cloning and compare
     profiles.
@@ -111,13 +113,18 @@ class OrdinalProfile:
         cls,
         alternatives: tuple[str, ...],
         ballots: tuple[RankingBallot, ...],
-        merged: dict[tuple[str, ...], int],
+        merged: tuple[RankingBallot, ...],
     ) -> OrdinalProfile:
-        """A profile whose alternatives, ballots and merge were built and checked by its caller."""
+        """A profile whose alternatives, ballots and merge were built and checked by its caller.
+
+        `merged` is kept as given, the very tuple and its `RankingBallot`s,
+        so the caller builds each distinct ranking's entry once.  It must hold
+        each distinct ranking of `ballots` once with its summed weight.
+        """
         profile = object.__new__(cls)
         object.__setattr__(profile, "alternatives", alternatives)
         object.__setattr__(profile, "ballots", ballots)
-        object.__setattr__(profile, "merged", tuple(starmap(RankingBallot, merged.items())))
+        object.__setattr__(profile, "merged", merged)
         return profile
 
     @cached_property
@@ -283,7 +290,9 @@ def parse_profile(text: str) -> OrdinalProfile:
     # The file-order ballots: each ballot line's parsed ballot, shared by its
     # repeats, with comments and blank lines dropped.
     in_order = tuple(filter(None, map(ballots.get, lines)))
-    return OrdinalProfile._trusted(alternatives, in_order, merged)
+    return OrdinalProfile._trusted(
+        alternatives, in_order, tuple(starmap(RankingBallot, merged.items()))
+    )
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,7 @@ def fuzz(max_examples: int):
 
 
 IDS = ("A", "B", "C", "D", "E", "F")
+WEIGHTED_M6 = parse_profile((Path(__file__).parent / "golden" / "weighted_m6.vote").read_text())
 
 
 def reference_replace_unit_ballot(
@@ -275,6 +276,49 @@ def test_anonymity_verdicts_match_reference(profile, seed):
         assert anonymity_check(mutant, profile, seed) == reference_anonymity(mutant, profile, seed)
 
 
+SMALL = profile_from_rankings(
+    [("A", "B", "C"), ("B", "C", "A"), ("A", "B", "C"), ("C", "A", "B")], IDS[:3]
+)
+
+
+# Plurality's and Borda's tallies are dicts and ranked pairs' a MarginMatrix,
+# equal on every shuffle of an anonymous profile; instant runoff's carries
+# the shuffled profile, so every shuffle is decided.
+@pytest.mark.parametrize("rid, every_shuffle", [
+    ("plurality", False), ("borda", False), ("ranked_pairs", False), ("instant_runoff", True),
+])
+@pytest.mark.parametrize("profile", [WEIGHTED_M6, SMALL], ids=["weighted_m6", "small"])
+def test_anonymity_decides_only_tallies_that_move(monkeypatch, rid, every_shuffle, profile):
+    calls = spy_decides(monkeypatch, rid)
+    assert anonymity_check(rid, profile, 7)
+    shuffles = len(anonymity_orders(profile, 7))
+    assert len(calls) == 1 + (shuffles if every_shuffle else 0)
+
+
+def test_a_tally_that_reads_the_merge_order_is_not_anonymous(monkeypatch):
+    # The row's tally is the top choice of the first distinct ranking, which
+    # a shuffle moves: the moved tally is decided, and its winner differs.
+    row = ORDINAL_TALLIES["plurality"]
+    first_top = row._replace(tally=lambda p: {p.merged[0].ranking[0]: 1})
+    monkeypatch.setitem(ORDINAL_TALLIES, "plurality", first_top)
+    assert not anonymity_check("plurality", SMALL, 0)
+    assert not reference_anonymity(lambda p: first_top.decide(first_top.tally(p)), SMALL, 0)
+
+
+def test_shuffles_keep_the_merge_they_are_given():
+    # Each shuffle hands its permuted tuple as both ballots and merge, and
+    # `_trusted` keeps that very tuple: no ranking is wrapped again.
+    seen = []
+    assert anonymity_check(seen.append, WEIGHTED_M6, 7)
+    assert len(seen) == 1 + ANONYMITY_PERMUTATIONS
+    for shuffled in seen[1:]:
+        assert shuffled.merged is shuffled.ballots
+    merged = tuple(reversed(WEIGHTED_M6.merged))
+    trusted = OrdinalProfile._trusted(WEIGHTED_M6.alternatives, merged, merged)
+    assert trusted.merged is merged
+    assert_same_profile(trusted, reference_reassign(WEIGHTED_M6, range(len(merged) - 1, -1, -1)))
+
+
 def decided(result) -> tuple:
     """A rule's result with the fields `==` skips."""
     return result, result.scores, result.elimination_order, result.locked_pairs
@@ -306,8 +350,8 @@ def test_tally_rows_decide_as_their_rules(data):
             assert result.winner == rule(profile).winner
 
 
-def count_decides(monkeypatch, rid: str, profile: OrdinalProfile, voter: int):
-    """The search's witness and how many tallies it decided."""
+def spy_decides(monkeypatch, rid: str) -> list:
+    """The tallies that rule `rid`'s row decides from now on, in order."""
     row = ORDINAL_TALLIES[rid]
     calls = []
 
@@ -316,6 +360,12 @@ def count_decides(monkeypatch, rid: str, profile: OrdinalProfile, voter: int):
         return row.decide(tally)
 
     monkeypatch.setitem(ORDINAL_TALLIES, rid, row._replace(decide=spy))
+    return calls
+
+
+def count_decides(monkeypatch, rid: str, profile: OrdinalProfile, voter: int):
+    """The search's witness and how many tallies it decided."""
+    calls = spy_decides(monkeypatch, rid)
     return manipulation_search_ordinal(rid, profile, voter), len(calls)
 
 
@@ -329,9 +379,6 @@ def test_plurality_search_decides_once_per_top_choice(monkeypatch):
     witness, decides = count_decides(monkeypatch, "plurality", profile, 0)
     assert witness is None
     assert 0 < decides <= len(IDS)
-
-
-WEIGHTED_M6 = parse_profile((Path(__file__).parent / "golden" / "weighted_m6.vote").read_text())
 
 
 @pytest.mark.parametrize("rid, most", [("instant_runoff", 130), ("borda", 0)])

@@ -240,9 +240,12 @@ class TestParseFeedback:
         assert payload["ratings"] == {"A": 9.0, "B": 5.0, "C": 2.0}
         assert payload["order"] == [["A", "B"], ["A", "C"], ["B", "C"]]
 
-    def test_200_id_ranking_compiles_quickly(self, capsys, tmp_path):
-        # Checking the closure pair against pair took over 25 s at 200 ids.
-        ids = [f"a{i}" for i in range(200)]
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_long_ranking_compiles_quickly(self, capsys, tmp_path, n):
+        # Checking the closure pair against pair took over 25 s at 200 ids,
+        # and scanning the whole closed order twice per id to rate it took
+        # 9.6-12 s at 400.
+        ids = [f"a{i}" for i in range(n)]
         path = tmp_path / "rank.txt"
         path.write_text("rank " + " > ".join(ids) + "\n")
         start = time.perf_counter()
@@ -251,9 +254,9 @@ class TestParseFeedback:
         )
         seconds = time.perf_counter() - start
         payload = report["payload"]
-        assert len(payload["order"]) == 200 * 199 // 2
+        assert len(payload["order"]) == n * (n - 1) // 2
         ratings = [payload["ratings"][a] for a in ids]
-        assert ratings == sorted(ratings, reverse=True) and len(set(ratings)) == 200
+        assert ratings == sorted(ratings, reverse=True) and len(set(ratings)) == n
         assert seconds < 10
 
     def test_unknown_id_is_input_error(self, capsys):
