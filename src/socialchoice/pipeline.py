@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import starmap
 from random import Random
 
 import numpy as np
@@ -186,14 +188,27 @@ def evaluate_reward(model: RewardModel, prompt: str, y: ResponseRecord) -> float
     the reward interface honest for callers that iterate over cases.
     """
     del prompt
+    return _rewards(model, [y])[0]
+
+
+def _rewards(model: RewardModel, responses: Sequence[ResponseRecord]) -> list[float]:
+    # Each response's reward.  A composed model predicts the whole N x r
+    # block at once; its entries equal the one-response predictions bit for
+    # bit (see `bilinear`).
     if isinstance(model, FittedRewardModel):
-        if len(y.features) != len(model.weights):
-            raise ValueError(
-                f"response {y.id!r} has {len(y.features)} features, model expects {len(model.weights)}"
-            )
-        return clamp_rating(float(np.dot(model.weights, y.features)) + model.intercept)
-    ratings = predicted_ratings(model.psi, evaluator_matrix(model.sample, model.psi.d), [y])
-    return float(cardinal_rule(model.rule_id)(ratings[:, 0].tolist()))
+        for y in responses:
+            if len(y.features) != len(model.weights):
+                raise ValueError(
+                    f"response {y.id!r} has {len(y.features)} features, "
+                    f"model expects {len(model.weights)}"
+                )
+        return [
+            clamp_rating(float(np.dot(model.weights, y.features)) + model.intercept)
+            for y in responses
+        ]
+    ratings = predicted_ratings(model.psi, evaluator_matrix(model.sample, model.psi.d), responses)
+    aggregate = cardinal_rule(model.rule_id)
+    return [float(aggregate(column)) for column in ratings.T.tolist()]
 
 
 def select_response(
@@ -219,7 +234,7 @@ def select_response(
 
 def _scored(model: RewardModel, case: PromptCase) -> dict:
     # Each response's reward and the argmax choice, ties to the smallest id.
-    rewards = {y.id: evaluate_reward(model, case.prompt, y) for y in case.responses}
+    rewards = dict(zip(case.response_ids(), _rewards(model, case.responses)))
     top = max(rewards.values())
     return {"rewards": rewards, "chosen": min(rid for rid, r in rewards.items() if r == top)}
 
@@ -251,15 +266,20 @@ def simulate_collective_decision(
     """Let simulated evaluators vote over the case's responses.
 
     Each sampled evaluator contributes the ranking induced by their predicted
-    ratings; `rule` names an ordinal rule for a single winner, or a committee
-    rule (with committee size k) for a committee.
+    ratings, and equal rankings are counted into one weighted ballot, in
+    first-occurrence order: the merge the N unit ballots would give.  `rule`
+    names an ordinal rule for a single winner, or a committee rule (with
+    committee size k) for a committee.
     """
     chosen = resolve_rule(rule, "ordinal", "committee")
     if not sample:
         raise ValueError("need a non-empty evaluator sample")
     ratings = predicted_ratings(psi, evaluator_matrix(sample, psi.d), case.responses)
-    ballots = tuple(map(RankingBallot, _induced_rankings(ratings, case.response_ids())))
-    profile = OrdinalProfile(case.response_ids(), ballots)
+    # Each induced ranking is a permutation of the ids by construction, so the
+    # counted rankings are handed over checked, as both ballots and merge.
+    counted = Counter(_induced_rankings(ratings, case.response_ids()))
+    merged = tuple(starmap(RankingBallot, counted.items()))
+    profile = OrdinalProfile._trusted(case.response_ids(), merged, merged)
     if chosen.kind == "committee":
         return chosen.fn(profile, k)
     return case.response(chosen.fn(profile).winner)

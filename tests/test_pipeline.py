@@ -586,21 +586,25 @@ class TestComposedModelType:
     ],
 )
 def test_run_pipeline_computes_each_target_and_reward_once(monkeypatch, config):
+    # Rewards are computed a case at a time: one `_rewards` call per case, on
+    # that case's responses, and for the composed model one N x r prediction
+    # per case.
     import socialchoice.pipeline as pipeline
 
     dataset = dataset_from_json(jury_dataset_json())
     expected = run_pipeline(config, dataset, seed=3)
-    calls = {"variant1_targets": 0, "evaluate_reward": 0}
+    calls = {"variant1_targets": [], "_rewards": [], "predicted_ratings": []}
     for name in calls:
         original = getattr(pipeline, name)
 
         def counted(*args, _original=original, _name=name):
-            calls[_name] += 1
+            calls[_name].append(tuple(y.id for y in args[-1]) if _name != "variant1_targets" else 1)
             return _original(*args)
 
         monkeypatch.setattr(pipeline, name, counted)
     assert run_pipeline(config, dataset, seed=3) == expected
-    n_cases = len(dataset.cases)
-    n_responses = sum(len(case.responses) for case in dataset.cases)
-    targets = n_cases if config.variant == "rankings" else 0
-    assert calls == {"variant1_targets": targets, "evaluate_reward": n_responses}
+    per_case = [case.response_ids() for case in dataset.cases]
+    targets = [1] * len(per_case) if config.variant == "rankings" else []
+    predictions = per_case if config.variant == "features" else []
+    assert calls == {"variant1_targets": targets, "_rewards": per_case,
+                     "predicted_ratings": predictions}

@@ -25,6 +25,7 @@ from socialchoice.pipeline import (
     simulate_collective_decision,
 )
 from socialchoice.profiles import OrdinalProfile, RankingBallot
+from socialchoice.rules import resolve_rule, rule_ids
 from socialchoice.seeding import derive_seed
 from socialchoice.simulation import (
     ComponentDist,
@@ -220,6 +221,26 @@ class TestPredictions:
         for j, y in enumerate(responses):
             want_reward = float(cardinal_rule(rule_w)([row[j] for row in want]))
             assert evaluate_reward(model, "p", y) == want_reward
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks(), st.data())
+    def test_counted_ballots_decide_as_unit_ballots(self, block, data):
+        # The evaluators vote as counted rankings; each rule must decide as
+        # on the N unit ballots the constructor checks and merges.
+        M, sample, (responses,) = block
+        psi = IndividualPreferenceModel(M, 0.0)
+        case = PromptCase("p", responses)
+        rankings = _induced_rankings(
+            predicted_ratings(psi, evaluator_matrix(sample, psi.d), responses), case.response_ids()
+        )
+        units = OrdinalProfile(case.response_ids(), tuple(map(RankingBallot, rankings)))
+        for rule in rule_ids("ordinal"):
+            want = ordinal_rule(rule)(units).winner
+            assert simulate_collective_decision(case, psi, sample, rule).id == want
+        k = data.draw(st.integers(1, len(responses)))
+        for rule in rule_ids("committee"):
+            want = resolve_rule(rule).fn(units, k)
+            assert simulate_collective_decision(case, psi, sample, rule, k) == want
 
     def test_equal_ratings_rank_by_id(self):
         psi = IndividualPreferenceModel(((1.0,),), 0.0)
