@@ -70,12 +70,13 @@ class OrdinalProfile:
     """An immutable election: alternatives plus weighted strict rankings.
 
     `OrdinalProfile(alternatives, ballots)` checks the ballots and merges
-    them.  `parse_profile` and the anonymity check's shuffle of the distinct
-    rankings build the merge themselves and hand it over checked, through
-    `_trusted`, which keeps the tuple it is given; a shuffle's merge is the
-    permuted tuple of `RankingBallot`s, also its ballots.
+    them.  `parse_profile`, the anonymity check's shuffle of the distinct
+    rankings and the simulated evaluators' counted rankings build the merge
+    themselves and hand it over checked, through `_trusted`, which keeps the
+    tuple it is given; a shuffle's merge is the permuted tuple of
+    `RankingBallot`s, also its ballots, and so are the counted rankings.
     `ballots`, in input order, is read only to render the profile, find a
-    voter's ballot, expand it into unit rankings for cloning and compare
+    voter's ballot, read each voter's ranking for cloning and compare
     profiles.
     """
 

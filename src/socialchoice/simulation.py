@@ -7,12 +7,17 @@ M* by ridge regression on the vectorized outer-product design.
 Ratings are computed a block at a time: every evaluator row of an N x d
 matrix F against every response row of an r x q matrix G.  The per-pair
 functions (`true_rating`, `predict_rating`) are one-row uses of the blocks.
+
+All randomness is counter-based: a SplitMix64 output (`_uniforms`) for a
+derived key and a stated counter, never `random.Random` or `numpy.random`.
+Rating noise is Box-Muller over it (`true_ratings`); a population is drawn
+whole, every group and dimension in one batch, with Marsaglia-Tsang gammas
+for its beta components (`sample_population`).
 """
 
 from __future__ import annotations
 
 import math
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -75,11 +80,6 @@ class ComponentDist:
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 
-    def sample(self, rng: random.Random) -> float:
-        if self.kind == "uniform":
-            return rng.uniform(self.a, self.b)
-        return rng.betavariate(self.a, self.b)
-
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -133,19 +133,6 @@ def group_quotas(weights: list[float], n: int) -> list[int]:
     for i in by_remainder[:shortfall]:
         base[i] += 1
     return base
-
-
-def sample_population(spec: PopulationSpec, n: int, seed: int) -> tuple[EvaluatorFeatures, ...]:
-    """Draw n evaluators, stratified by group quotas, deterministically in seed."""
-    if n < 1:
-        raise ValueError("population sample size must be at least 1")
-    quotas = group_quotas([g.weight for g in spec.groups], n)
-    evaluators: list[EvaluatorFeatures] = []
-    for gi, (group, quota) in enumerate(zip(spec.groups, quotas)):
-        rng = random.Random(derive_seed(seed, "population-group", gi))
-        for _ in range(quota):
-            evaluators.append(tuple(dist.sample(rng) for dist in group.components))
-    return tuple(evaluators)
 
 
 def _as_matrix(entries) -> np.ndarray:
@@ -225,6 +212,88 @@ def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_MUL2
     z ^= z >> np.uint64(31)
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+# Uniforms per (evaluator, dimension) of a population draw, and the stride of
+# a gamma's rejection attempts: attempt t reads its counters plus t * 2**48,
+# so the counters of different draws never meet below 2**45 evaluator-dimension
+# pairs and 2**16 attempts.
+_DRAW_SLOTS = 8
+_ATTEMPT_STRIDE = np.uint64(2**48)
+_ATTEMPT_SLOTS = np.arange(3, dtype=np.uint64)
+
+
+def _gammas(keys: np.ndarray, counters: np.ndarray, shapes: np.ndarray) -> np.ndarray:
+    """One gamma(shape, 1) draw per entry, by Marsaglia & Tsang (2000).
+
+    With s = shape (shape + 1 below 1), dd = s - 1/3 and c = 1 / (3 sqrt(dd)),
+    attempt t reads the uniforms u1, u2, u3 at `counters` + 0, 1, 2 plus
+    t * 2**48 of `keys`: x = sqrt(-2 log1p(-u1)) cos(2 pi u2) as in
+    `true_ratings`, v = (1 + c x)^3, and the attempt is accepted when v > 0
+    and log1p(-u3) < x^2 / 2 + dd - dd v + dd log v, giving dd v.  Each
+    round redraws only the entries it rejected.  A shape below 1 then scales
+    the draw by (1 - u4)^(1 / shape), with u4 at `counters` + 3.
+    """
+    boosted = shapes < 1
+    dd = np.where(boosted, shapes + 1.0, shapes) - 1.0 / 3.0
+    c = 1.0 / (3.0 * np.sqrt(dd))
+    out = np.empty_like(shapes)
+    pending = np.arange(len(shapes))
+    attempt = np.uint64(0)
+    while pending.size:
+        at = counters[pending] + attempt * _ATTEMPT_STRIDE
+        u1, u2, u3 = _uniforms(keys[pending, None], at[:, None] + _ATTEMPT_SLOTS).T
+        x = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+        dp = dd[pending]
+        v = 1.0 + c[pending] * x
+        v = v * v * v
+        positive = v > 0
+        log_v = np.log(np.where(positive, v, 1.0))
+        accept = positive & (np.log1p(-u3) < 0.5 * x * x + dp - dp * v + dp * log_v)
+        out[pending[accept]] = (dp * v)[accept]
+        pending = pending[~accept]
+        attempt += np.uint64(1)
+    boost = (1.0 - _uniforms(keys, counters + np.uint64(3))) ** (1.0 / shapes)
+    return np.where(boosted, out * boost, out)
+
+
+def sample_population(spec: PopulationSpec, n: int, seed: int) -> tuple[EvaluatorFeatures, ...]:
+    """Draw n evaluators, stratified by group quotas, deterministically in seed.
+
+    Rows come group by group.  Evaluator e of group g (counted within the
+    group) reads dimension j from the SplitMix64 stream keyed by
+    `derive_seed(seed, "population-group", g)`, at the 8 counters from
+    8 * (d * e + j) (see `_uniforms`).  uniform(a, b) is a + (b - a) * u,
+    from the first.  beta(a, b) is X / (X + Y) of the gammas X ~ gamma(a)
+    and Y ~ gamma(b) of `_gammas`, X from the first four counters and Y
+    from the last four, and 0.0 when X underflows to 0, as
+    `random.betavariate` gives.  So a value depends only on (seed, g, e, j):
+    a group's first k rows are the same for every n whose quota reaches k.
+    """
+    if n < 1:
+        raise ValueError("population sample size must be at least 1")
+    quotas = group_quotas([g.weight for g in spec.groups], n)
+    group = np.repeat(np.arange(len(quotas)), quotas)
+    within = np.arange(n) - np.repeat(np.cumsum(quotas) - quotas, quotas)
+    counters = (_DRAW_SLOTS * (spec.d * within[:, None] + np.arange(spec.d))).astype(np.uint64)
+    group_keys = [derive_seed(seed, "population-group", gi) for gi in range(len(quotas))]
+    keys = np.broadcast_to(np.array(group_keys, dtype=np.uint64)[group, None], counters.shape)
+    dists = [g.components for g in spec.groups]
+    beta = np.array([[c.kind == "beta" for c in row] for row in dists])[group]
+    a = np.array([[c.a for c in row] for row in dists], dtype=float)[group]
+    b = np.array([[c.b for c in row] for row in dists], dtype=float)[group]
+    values = a + (b - a) * _uniforms(keys, counters)
+    if beta.any():
+        base = counters[beta]
+        gammas = _gammas(
+            np.concatenate([keys[beta]] * 2),
+            np.concatenate([base, base + np.uint64(_DRAW_SLOTS // 2)]),
+            np.concatenate([a[beta], b[beta]]),
+        )
+        x, y = gammas[: len(base)], gammas[len(base) :]
+        drawn = x > 0
+        values[beta] = np.where(drawn, x / np.where(drawn, x + y, 1.0), 0.0)
+    return tuple(map(tuple, values.tolist()))
 
 
 def true_ratings(

@@ -100,6 +100,30 @@ class TestClonedProfile:
             ("C2", "C1", "A", "B"),
         )
 
+    def test_counted_ballots_merge_as_one_ballot_per_voter(self):
+        # Reference: splice every voter's ranking with their own clone order.
+        rng = Random(5)
+        for trial in range(40):
+            m, n = rng.randint(2, 5), rng.randint(1, 30)
+            rankings = [tuple(rng.sample("ABCDE"[:m], m)) for _ in range(rng.randint(1, 6))]
+            ballots = tuple(RankingBallot(r, rng.randint(1, 8)) for r in rankings)
+            profile = OrdinalProfile(tuple("ABCDE"[:m]), ballots)
+            spec = CloneSpec("A", rng.randint(1, 3))
+            if trial % 3 == 1:
+                spec = alternating_split(profile, spec)
+            elif trial % 3 == 2:
+                spec = random_clone_spec(rng, profile, spec.copies)
+            orders = spec.orders or {}
+            default = tuple(sorted(spec.clone_ids()))
+            units = []
+            for voter, ranking in enumerate(profile.unit_rankings()):
+                i = ranking.index(spec.target)
+                units.append(ranking[:i] + orders.get(voter, default) + ranking[i + 1:])
+            counted = cloned_profile(profile, spec)
+            want = profile_from_rankings(units, counted.alternatives)
+            assert counted.merged == want.merged
+            assert counted.ballots == counted.merged
+
     def test_single_copy_is_identity(self, three_way):
         expanded = cloned_profile(three_way, CloneSpec("B", 1))
         assert expanded.alternatives == three_way.alternatives

@@ -574,12 +574,12 @@ class TestAudit:
 
 CAP_MESSAGE = (
     "error: the profile has more than 100,000 voters, the cap for auditors that "
-    "expand each voter into a ballot\n"
+    "read each voter\n"
 )
 
 
 class TestAuditVoterCap:
-    # Only cloning builds a ballot per voter, so only it is capped.
+    # Only cloning reads each voter, so only it is capped.
     @pytest.mark.parametrize("argv", [
         ["clones", "--rule", "borda", "--target", "A"],
         ["clones", "--rule", "borda", "--target", "A", "--split", "lexicographic"],

@@ -11,7 +11,14 @@ Each file under `golden/expected/` is the stdout of one command line:
   (their predicted ratings tie and break by id).  The two
   `noisy_features_*` reports were regenerated when the rating noise moved
   to counter-based SplitMix64 streams, since their rewards read the noisy
-  fit directly; every other `simulate` report kept its bytes.
+  fit directly; every other `simulate` report kept its bytes.  The same
+  two, `noisy_features_median.seed3.json` and
+  `noisy_features_mean.seed3.json`, were regenerated again when the
+  population draws moved to counter-based SplitMix64 streams (beta
+  components by Marsaglia-Tsang gammas), since their rewards aggregate
+  over the drawn evaluators; every other report kept its bytes, because
+  `data/cases.json` draws only degenerate uniform(a, a) components and the
+  other noisy reports record only the chosen responses.
 - `rate_<rule>.<input>.<format>`, `judge.<input>.<format>` and
   `anonymity_median.<input>.<format>`: `rate`, `judge` and
   `audit anonymity --rule median` on `data/ratings.json`,

@@ -593,18 +593,25 @@ def test_run_pipeline_computes_each_target_and_reward_once(monkeypatch, config):
 
     dataset = dataset_from_json(jury_dataset_json())
     expected = run_pipeline(config, dataset, seed=3)
-    calls = {"variant1_targets": [], "_rewards": [], "predicted_ratings": []}
+    # Each counted function records the response ids of the case it was called for.
+    ids = {
+        "variant1_targets": lambda case, rule: case.response_ids(),
+        "_rewards": lambda model, responses: tuple(y.id for y in responses),
+        "predicted_ratings": lambda psi, F, responses: tuple(y.id for y in responses),
+    }
+    calls = {name: [] for name in ids}
     for name in calls:
         original = getattr(pipeline, name)
 
         def counted(*args, _original=original, _name=name):
-            calls[_name].append(tuple(y.id for y in args[-1]) if _name != "variant1_targets" else 1)
+            calls[_name].append(ids[_name](*args))
             return _original(*args)
 
         monkeypatch.setattr(pipeline, name, counted)
     assert run_pipeline(config, dataset, seed=3) == expected
     per_case = [case.response_ids() for case in dataset.cases]
-    targets = [1] * len(per_case) if config.variant == "rankings" else []
-    predictions = per_case if config.variant == "features" else []
-    assert calls == {"variant1_targets": targets, "_rewards": per_case,
-                     "predicted_ratings": predictions}
+    assert calls == {
+        "variant1_targets": per_case if config.variant == "rankings" else [],
+        "_rewards": per_case,
+        "predicted_ratings": per_case if config.variant == "features" else [],
+    }

@@ -112,6 +112,54 @@ class TestSamplePopulation:
             sample_population(spec, 0, seed=0)
 
 
+def beta_group(weight, a, b, d=1):
+    return GroupSpec(weight, tuple(ComponentDist("beta", a, b) for _ in range(d)))
+
+
+class TestPopulationDraws:
+    def test_a_groups_first_rows_do_not_depend_on_n(self):
+        spec = PopulationSpec(2, (beta_group(0.3, 0.5, 2.0, d=2), uniform_group(0.7, 0.1, 0.8, d=2)))
+        full = sample_population(spec, 200, seed=9)
+        quotas = group_quotas([0.3, 0.7], 200)
+        groups = (full[: quotas[0]], full[quotas[0] :])
+        for n in (1, 2, 7, 50, 199):
+            rows = sample_population(spec, n, seed=9)
+            k = group_quotas([0.3, 0.7], n)
+            assert rows == groups[0][: k[0]] + groups[1][: k[1]]
+
+    @pytest.mark.parametrize("a, b", [(0.3, 1.0), (1.0, 2.5), (2.5, 40.0), (40.0, 0.3), (0.3, 0.3)])
+    def test_beta_mean_and_variance(self, a, b):
+        # Tolerances are 5 standard errors: sqrt(var / n) for the mean and
+        # var * sqrt((excess kurtosis + 2) / n) for the variance.
+        n = 10**5
+        x = np.array(sample_population(PopulationSpec(1, (beta_group(1.0, a, b),)), n, seed=17))
+        s = a + b
+        mean, var = a / s, a * b / (s * s * (s + 1))
+        excess = 6 * ((a - b) ** 2 * (s + 1) - a * b * (s + 2)) / (a * b * (s + 2) * (s + 3))
+        assert abs(x.mean() - mean) <= 5 * math.sqrt(var / n)
+        assert abs(x.var() - var) <= 5 * var * math.sqrt((excess + 2) / n)
+
+    def test_degenerate_uniform_is_its_bound(self):
+        # Acceptance check 8 reads one-hot evaluators from uniform(a, a).
+        values = [0.0, 0.3, 1 / 3, 1.0]
+        spec = PopulationSpec(4, (GroupSpec(1.0, tuple(ComponentDist("uniform", v, v) for v in values)),))
+        assert set(sample_population(spec, 50, seed=2)) == {tuple(values)}
+
+    @pytest.mark.parametrize("shape", [1e-3, 1e6])
+    def test_extreme_shapes_stay_finite(self, shape):
+        spec = PopulationSpec(2, (beta_group(1.0, shape, shape, d=2),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = np.array(sample_population(spec, 2000, seed=4))
+        assert np.isfinite(x).all() and (x >= 0).all() and (x <= 1).all()
+        if shape < 1:
+            # Both gammas underflow to 0 in most draws; the draw is then 0.0,
+            # as random.betavariate gives, and never 0 / 0.
+            assert (x == 0.0).mean() > 0.3
+        else:
+            assert abs(x.mean() - 0.5) < 1e-3
+
+
 def one_hot_response(rid, j, q):
     features = [0.0] * q
     features[j] = 1.0

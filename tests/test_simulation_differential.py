@@ -36,8 +36,10 @@ from socialchoice.simulation import (
     ResponseRecord,
     evaluator_matrix,
     fit_individual_model,
+    group_quotas,
     predict_rating,
     predicted_ratings,
+    sample_population,
     true_rating,
     true_ratings,
 )
@@ -73,6 +75,48 @@ def reference_true_rating(world, f, y, seed, evaluator_index):
         value += (world.noise_sigma * np.sqrt(-2.0 * np.log1p(np.float64(-u1)))
                   * np.cos(2.0 * np.pi * np.float64(u2)))
     return reference_clamp(value)
+
+
+def reference_gamma(key, counter, shape):
+    # Marsaglia & Tsang, one attempt at a time: attempt t reads u1, u2, u3 at
+    # counter + 0, 1, 2 plus t * 2**48, and a shape below 1 is boosted from
+    # shape + 1 by (1 - u4)^(1 / shape), u4 at counter + 3.  numpy's scalar
+    # log and power give the kernel's vector results, as log1p and cos do.
+    dd = np.float64(shape + 1.0 if shape < 1 else shape) - 1.0 / 3.0
+    c = 1.0 / (3.0 * np.sqrt(dd))
+    attempt = 0
+    while True:
+        at = counter + attempt * 2**48
+        u1, u2, u3 = (reference_uniform(key, at + slot) for slot in range(3))
+        x = np.sqrt(-2.0 * np.log1p(np.float64(-u1))) * np.cos(2.0 * np.pi * np.float64(u2))
+        v = 1.0 + c * x
+        v = v * v * v
+        if v > 0 and np.log1p(np.float64(-u3)) < 0.5 * x * x + dd - dd * v + dd * np.log(v):
+            break
+        attempt += 1
+    if shape < 1:
+        return dd * v * np.power(np.float64(1.0 - reference_uniform(key, counter + 3)), 1.0 / shape)
+    return dd * v
+
+
+def reference_component(dist, key, counter):
+    if dist.kind == "uniform":
+        return dist.a + (dist.b - dist.a) * reference_uniform(key, counter)
+    x = reference_gamma(key, counter, dist.a)
+    y = reference_gamma(key, counter + 4, dist.b)
+    return float(x / (x + y)) if x > 0 else 0.0
+
+
+def reference_sample_population(spec, n, seed):
+    # Evaluator e of group g reads dimension j at counters from 8 * (d * e + j).
+    rows = []
+    quotas = group_quotas([g.weight for g in spec.groups], n)
+    for gi, (group, quota) in enumerate(zip(spec.groups, quotas)):
+        key = derive_seed(seed, "population-group", gi)
+        for e in range(quota):
+            rows.append(tuple(reference_component(dist, key, 8 * (spec.d * e + j))
+                              for j, dist in enumerate(group.components)))
+    return tuple(rows)
 
 
 def reference_predict_rating(psi, f, y):
@@ -248,3 +292,34 @@ class TestPredictions:
         assert induced_ranking(psi, (1.0,), ys) == ("a", "b", "c")
         ratings = {y.id: reference_predict_rating(psi, (1.0,), y) for y in ys}
         assert induced_ranking(psi, (1.0,), ys) == reference_induced_ranking(ratings)
+
+
+# Beta shapes below, at and above 1, and both ends of the range the sampler
+# must survive; uniform bounds include a = b.
+SHAPES = st.sampled_from([1e-3, 0.05, 0.3, 0.7, 1.0, 1.5, 2.5, 40.0, 1e6])
+
+
+@st.composite
+def components(draw):
+    if draw(st.booleans()):
+        return ComponentDist("beta", draw(SHAPES), draw(SHAPES))
+    a, b = sorted(draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]) | st.floats(0, 1),
+                                min_size=2, max_size=2)))
+    return ComponentDist("uniform", a, b)
+
+
+@st.composite
+def populations(draw):
+    d = draw(st.integers(1, 4))
+    raw = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
+    weights = [w / sum(raw) for w in raw]
+    weights[-1] = 1.0 - sum(weights[:-1])
+    groups = tuple(GroupSpec(w, tuple(draw(components()) for _ in range(d))) for w in weights)
+    return PopulationSpec(d, groups)
+
+
+class TestPopulationDraws:
+    @settings(max_examples=150, deadline=None)
+    @given(populations(), st.integers(1, 60), st.integers(0, 2**63 - 1))
+    def test_draws_match_reference(self, spec, n, seed):
+        assert sample_population(spec, n, seed) == reference_sample_population(spec, n, seed)
