@@ -186,32 +186,31 @@ DISAPPROVE_BOUNDS = (0.0, 2.0)
 
 @dataclass(frozen=True)
 class PartialPreference:
-    """Compiled feedback: a transitively closed strict order plus rating intervals."""
+    """Compiled feedback: a strict order, closed transitively here, plus rating intervals.
+
+    A cycle or bounds against the order are refused naming the smallest ids involved.
+    """
 
     strict_order: frozenset[tuple[str, str]]
     bounds: dict[str, tuple[float, float]]
 
     def __post_init__(self):
-        object.__setattr__(self, "strict_order", frozenset(self.strict_order))
+        beats = _transitive_closure(self.strict_order)
+        for a, worse in beats.items():
+            if a in worse:
+                b = min((b for b in worse if b != a and a in beats[b]), default=a)
+                raise FeedbackInconsistencyError(
+                    f"order statements create a cycle involving {a!r} and {b!r}"
+                )
+        object.__setattr__(self, "strict_order", frozenset((a, b) for a, w in beats.items() for b in w))
         object.__setattr__(
             self, "bounds", {a: (float(lo), float(hi)) for a, (lo, hi) in self.bounds.items()}
         )
-        order = self.strict_order
-        for a, b in order:
-            if a == b or (b, a) in order:
-                raise FeedbackInconsistencyError(f"order is cyclic at ({a!r}, {b!r})")
-        beats: dict[str, set[str]] = {}
-        for a, b in order:
-            beats.setdefault(a, set()).add(b)
-        for a, b in order:
-            if not beats.get(b, set()) <= beats[a]:
-                d = next(d for c, d in order if c == b and (a, d) not in order)
-                raise ValueError(f"order not transitively closed: ({a!r}, {d!r}) missing")
         for alt, (lo, hi) in self.bounds.items():
             if not (RATING_MIN <= lo <= hi <= RATING_MAX):
                 raise ValueError(f"invalid bounds [{lo}, {hi}] for {alt!r}")
-        for a, b in order:
-            if a in self.bounds and b in self.bounds:
+        for a in sorted(beats.keys() & self.bounds.keys()):
+            for b in sorted(beats[a] & self.bounds.keys()):
                 if self.bounds[a][1] <= self.bounds[b][0]:
                     raise FeedbackInconsistencyError(
                         f"bounds force {a!r} <= {b!r} but the order requires {a!r} > {b!r}"
@@ -228,8 +227,9 @@ class PartialPreference:
         return below, above
 
 
-def _transitive_closure(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
-    nodes = {x for pair in pairs for x in pair}
+def _transitive_closure(pairs) -> dict[str, set[str]]:
+    # Each id's successor set in the closure, by Warshall's (1962) loop over sorted ids.
+    nodes = sorted({x for pair in pairs for x in pair})
     beats: dict[str, set[str]] = {n: set() for n in nodes}
     for a, b in pairs:
         beats[a].add(b)
@@ -237,15 +237,15 @@ def _transitive_closure(pairs: set[tuple[str, str]]) -> set[tuple[str, str]]:
         for src in nodes:
             if mid in beats[src]:
                 beats[src] |= beats[mid]
-    return {(a, b) for a in nodes for b in beats[a]}
+    return beats
 
 
 def compile_constraints(statements: tuple[FeedbackStatement, ...]) -> PartialPreference:
     """Fuse statements into one partial preference.
 
-    Order statements accumulate and close transitively; bound statements
-    intersect per alternative.  Conflicts (a cycle, an empty intersection, or
-    bounds contradicting the order) raise with the statements that clash.
+    Bound statements intersect per alternative, and an empty intersection raises
+    with the statements that clash.  Then `PartialPreference` closes the order
+    statements' pairs and refuses a cycle or bounds against the order.
     """
     pairs: set[tuple[str, str]] = set()
     for stmt in statements:
@@ -253,12 +253,6 @@ def compile_constraints(statements: tuple[FeedbackStatement, ...]) -> PartialPre
             pairs.add((stmt.better, stmt.worse))
         elif isinstance(stmt, Ranking):
             pairs.update(zip(stmt.alts, stmt.alts[1:]))
-    closed = _transitive_closure(pairs)
-    for a, b in closed:
-        if (b, a) in closed or a == b:
-            raise FeedbackInconsistencyError(
-                f"order statements create a cycle involving {a!r} and {b!r}"
-            )
 
     bounds: dict[str, tuple[float, float]] = {}
     sources: dict[str, list[FeedbackStatement]] = {}
@@ -286,7 +280,7 @@ def compile_constraints(statements: tuple[FeedbackStatement, ...]) -> PartialPre
                 f"ratings for {alt!r} have empty intersection across: {clashing}"
             )
         bounds[alt] = (lo, hi)
-    return PartialPreference(frozenset(closed), bounds)
+    return PartialPreference(frozenset(pairs), bounds)
 
 
 def interpret_rating(pp: PartialPreference, y: str, context: tuple[str, ...]) -> float:

@@ -66,8 +66,6 @@ class PromptCase:
 
     def __post_init__(self):
         object.__setattr__(self, "responses", tuple(self.responses))
-        if self.jury is not None:
-            object.__setattr__(self, "jury", tuple(self.jury))
         if len(self.responses) < 2:
             raise ValueError("a prompt case needs at least two responses")
         ids = [y.id for y in self.responses]
@@ -77,8 +75,9 @@ class PromptCase:
         if len(dims) != 1:
             raise ValueError("responses within a case must share a feature dimension")
         if self.jury is not None:
-            # Delegates range/completeness checks to profile validation.
-            self.jury_profile()
+            object.__setattr__(self, "jury", tuple(self.jury))
+            # Profile validation checks the ballots; jury_profile() returns this profile.
+            object.__setattr__(self, "_jury", OrdinalProfile(self.response_ids(), self.jury))
 
     def response_ids(self) -> tuple[str, ...]:
         return tuple(y.id for y in self.responses)
@@ -92,7 +91,7 @@ class PromptCase:
     def jury_profile(self) -> OrdinalProfile:
         if self.jury is None:
             raise ValueError(f"case {self.prompt!r} has no jury ballots")
-        return OrdinalProfile(self.response_ids(), self.jury)
+        return self._jury
 
 
 @dataclass(frozen=True)
@@ -109,18 +108,16 @@ class FittedRewardModel:
             raise ValueError("fitted reward model has non-finite parameters")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComposedRewardModel:
-    """Reward = W over an individual model's predictions at a fixed evaluator sample."""
+    """Reward = W over an individual model's predictions at a fixed N x d evaluator sample."""
 
     psi: IndividualPreferenceModel
-    sample: tuple[EvaluatorFeatures, ...]
+    sample: np.ndarray
     rule_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "sample", tuple(tuple(f) for f in self.sample))
-        if not self.sample:
-            raise ValueError("composed reward model needs a non-empty evaluator sample")
+        object.__setattr__(self, "sample", evaluator_matrix(self.sample, self.psi.d))
         cardinal_rule(self.rule_id)
 
 
@@ -158,12 +155,6 @@ def _fit_targets(
     # targets[i] maps each response id of cases[i] to its target score.
     if not cases:
         raise ValueError("need at least one prompt case")
-    widths = [len(case.responses[0].features) for case in cases]
-    for ci, q in enumerate(widths):
-        if q != widths[0]:
-            raise ValueError(
-                f"cases[{ci}]: responses have {q} features, cases[0] responses have {widths[0]}"
-            )
     X = np.asarray([y.features for case in cases for y in case.responses], dtype=float)
     r = np.asarray([scores[y.id] for case, scores in zip(cases, targets) for y in case.responses])
     # Center so the intercept absorbs the means and stays unpenalized.
@@ -173,12 +164,10 @@ def _fit_targets(
 
 
 def rlchf_from_features(
-    psi: IndividualPreferenceModel,
-    sample: Sequence[EvaluatorFeatures],
-    rule_w: str,
+    psi: IndividualPreferenceModel, sample: np.ndarray, rule_w: str
 ) -> ComposedRewardModel:
     """Variant 2: aggregate the individual model over a fixed evaluator sample."""
-    return ComposedRewardModel(psi, tuple(sample), rule_w)
+    return ComposedRewardModel(psi, sample, rule_w)
 
 
 def evaluate_reward(model: RewardModel, prompt: str, y: ResponseRecord) -> float:
@@ -206,7 +195,7 @@ def _rewards(model: RewardModel, responses: Sequence[ResponseRecord]) -> list[fl
             clamp_rating(float(np.dot(model.weights, y.features)) + model.intercept)
             for y in responses
         ]
-    ratings = predicted_ratings(model.psi, evaluator_matrix(model.sample, model.psi.d), responses)
+    ratings = predicted_ratings(model.psi, model.sample, responses)
     aggregate = cardinal_rule(model.rule_id)
     return [float(aggregate(column)) for column in ratings.T.tolist()]
 
@@ -259,7 +248,7 @@ def _induced_rankings(ratings: np.ndarray, ids: Sequence[str]) -> list[tuple[str
 def simulate_collective_decision(
     case: PromptCase,
     psi: IndividualPreferenceModel,
-    sample: Sequence[EvaluatorFeatures],
+    sample: np.ndarray,
     rule: str,
     k: int | None = None,
 ) -> ResponseRecord | Committee:
@@ -272,8 +261,6 @@ def simulate_collective_decision(
     committee size k) for a committee.
     """
     chosen = resolve_rule(rule, "ordinal", "committee")
-    if not sample:
-        raise ValueError("need a non-empty evaluator sample")
     ratings = predicted_ratings(psi, evaluator_matrix(sample, psi.d), case.responses)
     # Each induced ranking is a permutation of the ids by construction, so the
     # counted rankings are handed over checked, as both ballots and merge.
@@ -369,6 +356,8 @@ def _case_from_json(node: Node) -> PromptCase:
         rid = r.only("id", "text", "features").get("id").string()
         text = r.get("text", rid).string()
         features = tuple(x.number() for x in r.get("features").members())
+        if not features:
+            raise ValueError(f"{r.path}.features: a response needs at least one feature")
         responses.append(r.build(ResponseRecord, rid, text, features))
     jury = None
     if "jury" in node:
@@ -382,14 +371,27 @@ def dataset_from_json(text: str) -> SimulationDataset:
     A key that no reader takes is refused at its object.  A check that a
     built object makes on itself (a jury ballot naming an unknown response,
     group weights that do not sum to 1) is located at the node the object
-    was read from, as in `cases[0]: ...`.
+    was read from, as in `cases[0]: ...`.  Feature counts are checked for
+    every variant: cases against cases[0], then `world.M_star` against both.
     """
     root = load(text).only("cases", "population", "world")
     cases = root.get("cases")
     prompt_cases = tuple(_case_from_json(case) for case in cases.members())
+    widths = [len(case.responses[0].features) for case in prompt_cases]
+    for ci, q in enumerate(widths):
+        if q != widths[0]:
+            raise ValueError(
+                f"cases[{ci}]: responses have {q} features, cases[0] responses have {widths[0]}"
+            )
     population = _population_from_json(root.get("population"))
     world = root.get("world").only("M_star", "noise_sigma")
-    M_star = tuple(tuple(x.number() for x in row.members()) for row in world.get("M_star").members())
+    matrix = world.get("M_star")
+    M_star = tuple(tuple(x.number() for x in row.members()) for row in matrix.members())
+    for i, row in enumerate(M_star):
+        if widths and len(row) != widths[0]:
+            raise ValueError(f"{matrix.path}[{i}]: {len(row)} entries for {widths[0]} response features")
+    if len(M_star) != population.d:
+        raise ValueError(f"{matrix.path}: {len(M_star)} rows, population.d is {population.d}")
     noise_sigma = world.get("noise_sigma", 0.0).number()
     world_model = world.build(GroundTruthWorld, M_star, noise_sigma)
     return cases.build(SimulationDataset, prompt_cases, population, world_model)
@@ -486,7 +488,7 @@ def config_from_json(text: str) -> PipelineConfig:
 
 def _train_psi(
     dataset: SimulationDataset,
-    sample: Sequence[EvaluatorFeatures],
+    sample: np.ndarray,
     ridge_lambda: float,
     seed: int,
 ) -> IndividualPreferenceModel:

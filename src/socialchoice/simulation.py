@@ -166,12 +166,14 @@ class GroundTruthWorld:
         return len(self.M_star[0])
 
 
-def evaluator_matrix(sample: Sequence[EvaluatorFeatures], d: int) -> np.ndarray:
-    """The N x d matrix of evaluator feature rows."""
-    for f in sample:
-        if len(f) != d:
-            raise ValueError(f"evaluator has {len(f)} features, world expects {d}")
-    return np.array(sample, dtype=float).reshape(len(sample), d)
+def evaluator_matrix(sample: np.ndarray | Sequence[EvaluatorFeatures], d: int) -> np.ndarray:
+    """The N x d float64 matrix of evaluator rows, N >= 1: a float64 array is returned as is."""
+    if len(sample) == 0:
+        raise ValueError("need a non-empty evaluator sample")
+    F = np.asarray(sample, dtype=float)
+    if F.ndim != 2 or F.shape[1] != d:
+        raise ValueError(f"evaluator has {F.shape[-1]} features, world expects {d}")
+    return F
 
 
 def response_matrix(responses: Sequence[ResponseRecord], q: int) -> np.ndarray:
@@ -257,8 +259,8 @@ def _gammas(keys: np.ndarray, counters: np.ndarray, shapes: np.ndarray) -> np.nd
     return np.where(boosted, out * boost, out)
 
 
-def sample_population(spec: PopulationSpec, n: int, seed: int) -> tuple[EvaluatorFeatures, ...]:
-    """Draw n evaluators, stratified by group quotas, deterministically in seed.
+def sample_population(spec: PopulationSpec, n: int, seed: int) -> np.ndarray:
+    """A read-only n x d float64 array of n evaluators, stratified by group quotas.
 
     Rows come group by group.  Evaluator e of group g (counted within the
     group) reads dimension j from the SplitMix64 stream keyed by
@@ -293,7 +295,8 @@ def sample_population(spec: PopulationSpec, n: int, seed: int) -> tuple[Evaluato
         x, y = gammas[: len(base)], gammas[len(base) :]
         drawn = x > 0
         values[beta] = np.where(drawn, x / np.where(drawn, x + y, 1.0), 0.0)
-    return tuple(map(tuple, values.tolist()))
+    values.flags.writeable = False
+    return values
 
 
 def true_ratings(

@@ -1,6 +1,9 @@
 """End-to-end command-line tests, driven through main() with captured stdout."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from socialchoice.profiles import parse_profile
 from socialchoice.rules import resolve_rule
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+SRC = DATA.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -258,6 +262,32 @@ class TestParseFeedback:
         ratings = [payload["ratings"][a] for a in ids]
         assert ratings == sorted(ratings, reverse=True) and len(set(ratings)) == n
         assert seconds < 10
+
+    @pytest.mark.parametrize(
+        "statements, message",
+        [
+            ("A > B\nB > C\nC > D\nD > A\n",
+             "order statements create a cycle involving 'A' and 'B'"),
+            ("rank A > B > C > D\nrate A = 1\nrate B = 2\nrate C = 3\nrate D = 4\n",
+             "bounds force 'A' <= 'B' but the order requires 'A' > 'B'"),
+        ],
+        ids=["cycle", "bounds"],
+    )
+    def test_inconsistency_message_does_not_follow_the_hash_seed(
+        self, tmp_path, statements, message
+    ):
+        # Set iteration order changes with PYTHONHASHSEED; the message names
+        # the smallest ids on the conflict under every seed.
+        path = tmp_path / "feedback.txt"
+        path.write_text(statements)
+        argv = ["parse-feedback", "--statements", str(path), "--context", "A,B,C,D"]
+        for seed in ("0", "1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(SRC)}
+            proc = subprocess.run(
+                [sys.executable, "-m", "socialchoice.cli", *argv],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
     def test_unknown_id_is_input_error(self, capsys):
         code, _, err = run_cli(
@@ -885,14 +915,14 @@ class TestSimulateConfigRules:
         assert spelled["payload"][f"rule_{flag}"] == canonical[flag]
 
 
-def mutated_dataset(tmp_path, mutate):
+def mutated_dataset(tmp_path, mutate, variant="rankings"):
     data = json.loads((DATA / "cases.json").read_text())
     mutate(data)
     path = tmp_path / "cases.json"
     path.write_text(json.dumps(data))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"variant": "rankings", "F": "borda", "dataset": "cases.json"}))
-    return str(config)
+    config = json.loads((DATA / f"pipeline_{variant}.json").read_text())
+    (tmp_path / "config.json").write_text(json.dumps({**config, "dataset": "cases.json"}))
+    return str(tmp_path / "config.json")
 
 
 class TestDatasetErrors:
@@ -951,10 +981,23 @@ class TestDatasetErrors:
                 "responses": [{**r, "features": r["features"][:2]}
                               for r in d["cases"][0]["responses"]],
             }), "cases[1]: responses have 2 features, cases[0] responses have 3"),
+            (lambda d: d["world"].update(M_star=d["world"]["M_star"][:4]),
+             "world.M_star: 4 rows, population.d is 5"),
+            (lambda d: d["world"].update(M_star=[row[:2] for row in d["world"]["M_star"]]),
+             "world.M_star[0]: 2 entries for 3 response features"),
+            (lambda d: d["world"]["M_star"][1].pop(),
+             "world.M_star[1]: 2 entries for 3 response features"),
+            (lambda d: [r.update(features=[]) for r in d["cases"][0]["responses"]]
+             + [row.clear() for row in d["world"]["M_star"]],
+             "cases[0].responses[0].features: a response needs at least one feature"),
         ],
     )
-    def test_malformed_dataset_exits_1_with_its_location(self, capsys, tmp_path, mutate, message):
-        code, out, err = run_cli(capsys, "simulate", "--config", mutated_dataset(tmp_path, mutate))
+    @pytest.mark.parametrize("variant", ["rankings", "features", "collective", "inference"])
+    def test_malformed_dataset_exits_1_with_its_location(
+        self, capsys, tmp_path, mutate, message, variant
+    ):
+        config = mutated_dataset(tmp_path, mutate, variant)
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"

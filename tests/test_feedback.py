@@ -114,6 +114,14 @@ class TestCompile:
                 (Pairwise("A", "B"), Pairwise("B", "C"), Pairwise("C", "A"))
             )
 
+    def test_empty_intersection_reported_before_a_cycle(self):
+        # Bounds intersect while the statements are read; the order is closed
+        # and checked for cycles only when the partial preference is built.
+        with pytest.raises(FeedbackInconsistencyError, match="empty intersection"):
+            compile_constraints(
+                (Pairwise("A", "B"), Pairwise("B", "A"), PointRating("C", 1), PointRating("C", 2))
+            )
+
     def test_empty_intersection_names_statements(self):
         with pytest.raises(FeedbackInconsistencyError, match="approve A.*disapprove A"):
             compile_constraints((Approve("A"), Disapprove("A")))
@@ -186,9 +194,9 @@ class TestInterpretRating:
 
 class TestPartialPreferenceValidation:
     def test_must_be_transitively_closed(self):
-        with pytest.raises(ValueError, match="transitively"):
-            PartialPreference(frozenset({("A", "B"), ("B", "C")}), {})
+        pp = PartialPreference(frozenset({("A", "B"), ("B", "C")}), {})
+        assert pp.strict_order == frozenset({("A", "B"), ("B", "C"), ("A", "C")})
 
     def test_rejects_cycles(self):
-        with pytest.raises(FeedbackInconsistencyError, match="cyclic"):
+        with pytest.raises(FeedbackInconsistencyError, match="cycle"):
             PartialPreference(frozenset({("A", "B"), ("B", "A")}), {})

@@ -8,6 +8,7 @@ sensitivity visible end to end.
 
 import json
 
+import numpy as np
 import pytest
 
 from socialchoice.cardinal import Committee
@@ -119,6 +120,12 @@ class TestPromptCase:
         jury = (RankingBallot(("A", "B")),)
         with pytest.raises(ValueError):
             PromptCase("x", one_hot_responses(), jury)
+
+    def test_jury_profile_is_the_checked_profile(self, jury_case):
+        # The profile built to check the jury is kept, not rebuilt per call.
+        profile = jury_case.jury_profile()
+        assert jury_case.jury_profile() is profile
+        assert profile.num_voters == 23
 
 
 class TestVariant1Targets:
@@ -575,7 +582,8 @@ class TestComposedModelType:
     def test_composed_model_normalizes_sample(self):
         psi = IndividualPreferenceModel(((1.0,),), 0.0)
         model = ComposedRewardModel(psi, [[4.0], [5.0]], "mean")
-        assert model.sample == ((4.0,), (5.0,))
+        assert isinstance(model.sample, np.ndarray)
+        assert model.sample.tolist() == [[4.0], [5.0]]
 
 
 @pytest.mark.parametrize(
