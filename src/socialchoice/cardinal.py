@@ -140,25 +140,51 @@ def k_borda(profile: OrdinalProfile, k: int) -> Committee:
     return Committee(borda(profile).ranking[:k])
 
 
-def cc_score(profile: OrdinalProfile, committee: tuple[str, ...]) -> int | float:
-    """Chamberlin-Courant objective: each voter counts their best committee member."""
+def _cc_score_on_merge(profile: OrdinalProfile, committee: tuple[str, ...]) -> int:
+    last = profile.num_alternatives - 1
+    return sum(
+        weight * (last - min(map(ranking.index, committee))) for ranking, weight in profile.merged
+    )
+
+
+def _cc_score_on_arrays(profile: OrdinalProfile, committee: tuple[str, ...]) -> int:
     positions, weights = profile._position_tally
     index = {a: i for i, a in enumerate(profile.alternatives)}
     best = positions[:, [index[alt] for alt in committee]].min(axis=1)
-    return reported_score(int(weights @ (profile.num_alternatives - 1 - best)))
+    return int(weights @ (profile.num_alternatives - 1 - best))
 
 
-def greedy_cc(profile: OrdinalProfile, k: int) -> Committee:
-    """Greedy Chamberlin-Courant with Borda satisfaction.
+def cc_score(profile: OrdinalProfile, committee: tuple[str, ...]) -> int | float:
+    """Chamberlin-Courant objective: each voter counts their best committee member."""
+    kernel = _cc_score_on_merge if profile._tallies_on_merge else _cc_score_on_arrays
+    return reported_score(kernel(profile, committee))
 
-    Each round adds the alternative with the largest marginal gain in the sum
-    over voters of their best (highest Borda satisfaction) committee member,
-    breaking gain ties lexicographically.  Costs O(k d m) for d distinct
-    rankings, with exact integer gains.
-    """
+
+def _greedy_cc_on_merge(profile: OrdinalProfile, k: int) -> tuple[str, ...]:
+    alts = profile.alternatives
+    last = len(alts) - 1
+    # Each distinct ranking's satisfaction: its best chosen member's Borda
+    # points, and 0 before round one.
+    current = [0] * len(profile.merged)
+    chosen: list[str] = []
+    for _ in range(k):
+        gains = dict.fromkeys(alts, 0)
+        for (ranking, weight), floor in zip(profile.merged, current):
+            # Points fall down a ranking, so only the places above floor gain.
+            for points, alt in zip(range(last, floor, -1), ranking):
+                gains[alt] += weight * (points - floor)
+        best = min((a for a in alts if a not in chosen), key=lambda a: (-gains[a], a))
+        chosen.append(best)
+        current = [
+            max(floor, last - ranking.index(best))
+            for (ranking, _), floor in zip(profile.merged, current)
+        ]
+    return tuple(chosen)
+
+
+def _greedy_cc_on_arrays(profile: OrdinalProfile, k: int) -> tuple[str, ...]:
     import numpy as np
 
-    _check_committee_size(profile, k)
     alts = profile.alternatives
     positions, weights = profile._position_tally
     satisfaction = len(alts) - 1 - positions
@@ -173,5 +199,18 @@ def greedy_cc(profile: OrdinalProfile, k: int) -> Committee:
         )
         chosen.append(best)
         current = np.maximum(current, satisfaction[:, best, None])
-    return Committee(tuple(alts[i] for i in chosen))
+    return tuple(alts[i] for i in chosen)
 
+
+def greedy_cc(profile: OrdinalProfile, k: int) -> Committee:
+    """Greedy Chamberlin-Courant with Borda satisfaction.
+
+    Each round adds the alternative with the largest marginal gain in the sum
+    over voters of their best (highest Borda satisfaction) committee member,
+    breaking gain ties lexicographically.  Costs O(k d m) for d distinct
+    rankings, with exact integer gains: in pure Python on a small profile, on
+    numpy arrays on a large one.
+    """
+    _check_committee_size(profile, k)
+    kernel = _greedy_cc_on_merge if profile._tallies_on_merge else _greedy_cc_on_arrays
+    return Committee(kernel(profile, k))

@@ -6,8 +6,9 @@ to stdout, so identical inputs and seeds give byte-identical output.  Exit
 codes: 0 success (a "violated" audit verdict is still a success), 1 input
 error, 2 internal error.
 
-Each command imports the modules it runs when it runs, so a command that
-needs no arrays never loads numpy.
+Each command imports the modules it runs when it runs.  numpy loads only for
+`simulate` and for a margin or committee tally past
+`profiles.SMALL_TALLY_STEPS`; a smaller one runs in pure Python.
 """
 
 from __future__ import annotations

@@ -322,8 +322,12 @@ class SimulationDataset:
     world: GroundTruthWorld
 
     def __post_init__(self):
-        if not self.cases:
-            raise ValueError("a dataset needs at least one case")
+        _check_cases(self.cases)
+
+
+def _check_cases(cases: tuple[PromptCase, ...]) -> None:
+    if not cases:
+        raise ValueError("a dataset needs at least one case")
 
 
 def _population_from_json(node: Node) -> PopulationSpec:
@@ -387,8 +391,10 @@ def dataset_from_json(text: str) -> SimulationDataset:
     world = root.get("world").only("M_star", "noise_sigma")
     matrix = world.get("M_star")
     M_star = tuple(tuple(x.number() for x in row.members()) for row in matrix.members())
+    # Checked before the rows, which are checked against cases[0].
+    cases.build(_check_cases, prompt_cases)
     for i, row in enumerate(M_star):
-        if widths and len(row) != widths[0]:
+        if len(row) != widths[0]:
             raise ValueError(f"{matrix.path}[{i}]: {len(row)} entries for {widths[0]} response features")
     if len(M_star) != population.d:
         raise ValueError(f"{matrix.path}: {len(M_star)} rows, population.d is {population.d}")

@@ -52,10 +52,13 @@ def resolve_rule(name: str, *kinds: str) -> Rule:
         actual = f" (kind: {kind})" if kind is not None else ""
         known = ", ".join(sorted(r for r, (k, _) in RULES.items() if not kinds or k in kinds))
         raise ValueError(f"unknown {wanted} {name!r}{actual}; known rules: {known}")
-    from . import cardinal, ordinal  # the rule modules import this one
-
+    # The rule modules import this one, so the kind's module is imported here.
+    if kind in ("ordinal", "lottery"):
+        from . import ordinal as module
+    else:
+        from . import cardinal as module
     if kind == "ordinal":
-        return Rule(rid, kind, ordinal.ORDINAL_RULES[rid])
+        return Rule(rid, kind, module.ORDINAL_RULES[rid])
     if kind == "cardinal":
-        return Rule(rid, kind, cardinal.CARDINAL_RULES[rid])
-    return Rule(rid, kind, getattr(ordinal if kind == "lottery" else cardinal, rid))
+        return Rule(rid, kind, module.CARDINAL_RULES[rid])
+    return Rule(rid, kind, getattr(module, rid))

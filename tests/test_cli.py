@@ -987,6 +987,9 @@ class TestDatasetErrors:
              "world.M_star[0]: 2 entries for 3 response features"),
             (lambda d: d["world"]["M_star"][1].pop(),
              "world.M_star[1]: 2 entries for 3 response features"),
+            # With no case there is no feature count to check M_star's rows against.
+            (lambda d: d.update(cases=[]) or d["world"]["M_star"][1].pop(),
+             "cases: a dataset needs at least one case"),
             (lambda d: [r.update(features=[]) for r in d["cases"][0]["responses"]]
              + [row.clear() for row in d["world"]["M_star"]],
              "cases[0].responses[0].features: a response needs at least one feature"),

@@ -57,6 +57,25 @@ NUMPY_FREE = {
     "audit-manipulation-irv": [
         "audit", "manipulation", "--rule", "irv", "--profile", "data/fig1.vote", "--voter", "8",
     ],
+    # fig1's tallies (k * m**2 = 45) run in pure Python on the merge.
+    "aggregate-ranked-pairs": ["aggregate", "--rule", "ranked-pairs", "--profile", "data/fig1.vote"],
+    "committee-greedy-cc": [
+        "committee", "--rule", "greedy-cc", "--profile", "data/fig1.vote", "--k", "2",
+    ],
+    "committee-k-borda": ["committee", "--rule", "k-borda", "--profile", "data/fig1.vote", "--k", "2"],
+    "audit-cycle": ["audit", "cycle", "--profile", "data/fig1.vote"],
+    "audit-cycle-csv": ["audit", "cycle", "--profile", "data/fig1.vote", "--format", "csv"],
+    "audit-anonymity-ranked-pairs": [
+        "audit", "anonymity", "--rule", "ranked-pairs", "--profile", "data/fig1.vote",
+    ],
+    "audit-manipulation-ranked-pairs": [
+        "audit", "manipulation", "--rule", "ranked-pairs", "--profile", "data/fig1.vote",
+        "--voter", "0",
+    ],
+    "audit-clones-ranked-pairs": [
+        "audit", "clones", "--rule", "ranked-pairs", "--profile", "data/fig1.vote",
+        "--target", "C", "--copies", "2",
+    ],
 }
 
 # Every name the package exports.
@@ -112,11 +131,28 @@ def test_command_runs_without_numpy(argv):
 
 
 def test_probe_sees_numpy_when_a_command_needs_it():
-    # Ranked pairs tallies margins with numpy: shows the probe can see it.
-    argv = ["aggregate", "--rule", "ranked-pairs", "--profile", "data/fig1.vote"]
+    # simulate builds its design arrays with numpy: shows the probe can see it.
+    argv = ["simulate", "--config", "data/pipeline_rankings.json"]
     proc = run_fresh("-c", PROBE.format("numpy"), *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "numpy loaded: True\n"
+
+
+def test_a_tally_past_the_small_bound_loads_numpy():
+    # weighted_m10 has k = 8 distinct rankings of m = 10 alternatives:
+    # k * m**2 = 800 is past profiles.SMALL_TALLY_STEPS, so the margins are
+    # tallied on arrays.
+    argv = ["aggregate", "--rule", "ranked-pairs", "--profile", "tests/golden/weighted_m10.vote"]
+    proc = run_fresh("-c", PROBE.format("numpy"), *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "numpy loaded: True\n"
+
+
+def test_an_ordinal_rule_never_loads_the_cardinal_module():
+    argv = ["aggregate", "--rule", "borda", "--profile", "data/fig1.vote"]
+    proc = run_fresh("-c", PROBE.format("socialchoice.cardinal"), *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "socialchoice.cardinal loaded: False\n"
 
 
 def test_noisy_simulation_never_loads_numpy_random():

@@ -3,7 +3,9 @@
 The reference functions below are the plain pure-Python implementations the
 kernels replaced (per-ballot margin tally, edge-scan ranked pairs, per-ballot
 Chamberlin-Courant, the unpruned depth-first cycle walk).  The kernels must
-reproduce them exactly.
+reproduce them exactly.  The margin, CC score and greedy CC tallies each have
+two kernels, one on the merge and one on numpy arrays, chosen by profile
+size; both are run directly on every profile.
 """
 
 import itertools
@@ -14,13 +16,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socialchoice.cardinal import cc_score, greedy_cc
+from socialchoice.cardinal import (
+    _cc_score_on_arrays,
+    _cc_score_on_merge,
+    _greedy_cc_on_arrays,
+    _greedy_cc_on_merge,
+    cc_score,
+    greedy_cc,
+)
 from socialchoice.ordinal import instant_runoff, random_dictator, ranked_pairs, ranked_pairs_locks
 from socialchoice.profiles import (
     MAX_ENUMERATED_ALTERNATIVES,
+    SMALL_TALLY_STEPS,
     MarginMatrix,
     OrdinalProfile,
     RankingBallot,
+    _margins_on_arrays,
+    _margins_on_merge,
     detect_cycles,
     margin_matrix,
     profile_from_rankings,
@@ -208,6 +220,44 @@ def seeded_profile(seed, m, n):
 SEEDED_M50 = [seeded_profile(seed, 50, 41) for seed in (1, 2, 3)]
 
 
+def distinct_profile(seed, m, k):
+    """k distinct random rankings of m alternatives, weights 1 to 3."""
+    rng = random.Random(seed)
+    alts = tuple(f"a{i}" for i in range(m))
+    rankings = {}
+    while len(rankings) < k:
+        rankings[tuple(rng.sample(alts, m))] = rng.randint(1, 3)
+    return OrdinalProfile(alts, tuple(itertools.starmap(RankingBallot, rankings.items())))
+
+
+# Profiles on each side of the bound: k * m**2 at it and just past it, one
+# or two alternatives, and all 24 rankings of 4 alternatives.
+ON_MERGE = [distinct_profile(1, 8, 8), distinct_profile(2, 1, 1), distinct_profile(3, 2, 2),
+            distinct_profile(4, 4, 24)]
+ON_ARRAYS = [distinct_profile(5, 8, 9), distinct_profile(6, 5, 21), distinct_profile(7, 6, 15)]
+assert all(p._tallies_on_merge for p in ON_MERGE)
+assert not any(p._tallies_on_merge for p in ON_ARRAYS)
+assert len(ON_MERGE[0].merged) * 8**2 == SMALL_TALLY_STEPS
+
+# Weights near 10**400: an object-dtype array on the numpy side, plain ints
+# on the other.
+HUGE = 10**400
+HUGE_PROFILE = OrdinalProfile(
+    ("A", "B", "C"),
+    (RankingBallot(("A", "B", "C"), HUGE), RankingBallot(("C", "B", "A"), HUGE + 3),
+     RankingBallot(("B", "A", "C"), HUGE)),
+)
+
+MARGIN_KERNELS = pytest.mark.parametrize(
+    "kernel", [_margins_on_merge, _margins_on_arrays], ids=["merge", "arrays"]
+)
+CC_KERNELS = pytest.mark.parametrize(
+    "score, greedy",
+    [(_cc_score_on_merge, _greedy_cc_on_merge), (_cc_score_on_arrays, _greedy_cc_on_arrays)],
+    ids=["merge", "arrays"],
+)
+
+
 class TestMarginMatrix:
     @settings(max_examples=150, deadline=None)
     @given(profiles())
@@ -228,6 +278,27 @@ class TestMarginMatrix:
         entries = margin_matrix(profile).entries
         assert entries == reference_margin_matrix(profile)
         assert entries[0][2] == big - 3
+        assert all(type(x) is int for row in entries for x in row)
+
+    @MARGIN_KERNELS
+    @settings(max_examples=150, deadline=None)
+    @given(profile=profiles())
+    def test_kernel_matches_reference(self, kernel, profile):
+        entries = kernel(profile)
+        assert tuple(map(tuple, entries)) == reference_margin_matrix(profile)
+        assert all(type(x) is int for row in entries for x in row)
+
+    @MARGIN_KERNELS
+    def test_kernel_on_both_sides_of_the_bound(self, kernel):
+        for profile in ON_MERGE + ON_ARRAYS:
+            assert tuple(map(tuple, kernel(profile))) == reference_margin_matrix(profile)
+            assert margin_matrix(profile).entries == reference_margin_matrix(profile)
+
+    @MARGIN_KERNELS
+    def test_kernel_stays_exact_near_10_to_the_400(self, kernel):
+        entries = kernel(HUGE_PROFILE)
+        assert tuple(map(tuple, entries)) == reference_margin_matrix(HUGE_PROFILE)
+        assert entries[0][2] == HUGE - 3
         assert all(type(x) is int for row in entries for x in row)
 
 
@@ -291,6 +362,42 @@ class TestChamberlinCourant:
         assert greedy_cc(profile, 2).winners == ("C", "A")
         assert cc_score(profile, ("A",)) == 2 * big
         assert type(cc_score(profile, ("A",))) is int
+
+    @CC_KERNELS
+    @settings(max_examples=150, deadline=None)
+    @given(profile=profiles(), data=st.data())
+    def test_greedy_kernel_matches_reference(self, score, greedy, profile, data):
+        k = data.draw(st.integers(1, profile.num_alternatives))
+        assert greedy(profile, k) == reference_greedy_cc(profile, k)
+
+    @CC_KERNELS
+    @settings(max_examples=150, deadline=None)
+    @given(profile=profiles(), data=st.data())
+    def test_score_kernel_matches_reference(self, score, greedy, profile, data):
+        size = data.draw(st.integers(1, profile.num_alternatives))
+        committee = tuple(data.draw(st.permutations(profile.alternatives))[:size])
+        total = score(profile, committee)
+        assert type(total) is int
+        assert total == reference_cc_score(profile, committee)
+
+    @CC_KERNELS
+    def test_kernels_on_both_sides_of_the_bound(self, score, greedy):
+        for profile in ON_MERGE + ON_ARRAYS:
+            for k in range(1, profile.num_alternatives + 1):
+                winners = reference_greedy_cc(profile, k)
+                assert greedy(profile, k) == greedy_cc(profile, k).winners == winners
+                expected = reference_cc_score(profile, winners)
+                assert score(profile, winners) == cc_score(profile, winners) == expected
+
+    @CC_KERNELS
+    def test_kernels_stay_exact_near_10_to_the_400(self, score, greedy):
+        # Round one: B gains 4 HUGE + 3 against A's 3 HUGE and C's 2 HUGE + 6;
+        # round two: C adds HUGE + 3 against A's HUGE, a difference that
+        # float gains would round away.
+        assert greedy(HUGE_PROFILE, 2) == ("B", "C")
+        assert score(HUGE_PROFILE, ("A",)) == 3 * HUGE
+        assert score(HUGE_PROFILE, ("B", "C")) == 5 * HUGE + 6
+        assert type(score(HUGE_PROFILE, ("A",))) is int
 
 
 class TestInstantRunoff:
