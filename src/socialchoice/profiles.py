@@ -22,14 +22,26 @@ MAX_ENUMERATED_ALTERNATIVES = 8
 _INT64_MAX = 2**63 - 1
 
 # A tally over k distinct rankings of m alternatives runs in pure Python on
-# the merge when k * m**2 is at most this, and on numpy arrays above it.  The
-# bound is the measured crossover of the margin tally, with numpy loaded and
-# the position arrays built per call (2 vCPUs, Python 3.11, numpy 2.4): pure
-# Python took 10 against 25 us at m = 3, k = 6 (k m^2 = 54), about as long
-# at k m^2 = 400-600 (m = 5, k = 20: 45 against 43 us), and 80 against 11 ms
-# at m = 10, k = 9,988.  The Chamberlin-Courant score was faster in pure
-# Python at every size measured.  Below the bound a one-command run also
-# skips numpy's import, 75-110 ms of a process.
+# the merge when k * m**2 is at most this, and on numpy arrays above it.
+# Below the bound a one-command run also skips numpy's import, 75-110 ms of
+# a process.  Timings with numpy loaded, pure Python against arrays, "cold"
+# when the call builds the position arrays (2 vCPUs, Python 3.11, numpy 2.4,
+# committees of 2 or 3):
+# - margins: the bound is their crossover.  9 against 27 us at m = 3, k = 6
+#   (k m^2 = 54); 36 against 39 us at m = 5, k = 20 (500); 64 against 48 us
+#   at m = 6, k = 28 (1,008); 50 against 10 ms at m = 10, k = 9,985.
+# - greedy Chamberlin-Courant: the arrays catch up at about k*m*c = 150-300
+#   for a committee of c, so just under the bound the merge can take 1.3-3x
+#   as long (52 against 40 us at m = 4, k = 24, c = 2; 140 against 45 us at
+#   c = 3), tens of us against the import it saves.  Far above it the arrays
+#   win 4-5x: 38 against 9 ms at m = 10, k = 9,985 and 13 against 3 ms at
+#   m = 50, k = 1,000, c = 3.
+# - the CC score: cold, the merge is never slower (7.4 against 7.5 ms and
+#   1.5 against 2.6 ms on those two profiles).  Once a greedy run has built
+#   the arrays they win: 7.4 ms against 30 us and 1.6 ms against 15 us, and
+#   from k*c of about 30 at small sizes.  The committee report scores the
+#   committee its rule just chose, so above the bound the score follows
+#   greedy onto the arrays.
 SMALL_TALLY_STEPS = 512
 
 
