@@ -72,7 +72,7 @@ def _check_rating(evaluator: str, alt: str, value: float) -> None:
 def rating_profile_from_json(text: str) -> RatingProfile:
     """Load the {"alternatives": [...], "ratings": {evaluator: {alt: num}}} schema."""
     alternatives, ratings = load(text).fields("alternatives", "ratings")
-    alts = tuple(alt.string() for alt in alternatives.members())
+    alts = alternatives.strings()
     rows = {e: {alt: value.number() for alt, value in row.items()} for e, row in ratings.items()}
     # The profile's checks in its order, each at its node.
     alternatives.build(_check_alternatives, alts)

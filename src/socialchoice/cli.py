@@ -132,7 +132,7 @@ def cmd_parse_feedback(args) -> RunReport:
     pp = compile_constraints(statements)
     payload = {
         "statements": [format_statement(s) for s in statements],
-        "order": sorted([list(pair) for pair in pp.strict_order]),
+        "order": sorted(pp.strict_order),
         "bounds": {alt: list(b) for alt, b in pp.bounds.items()},
         "ratings": {alt: interpret_rating(pp, alt, context) for alt in context},
     }
@@ -274,35 +274,35 @@ def cmd_audit(args) -> RunReport:
     return make_report("audit", {"profile": text}, args.seed, payload)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="socialchoice", description=__doc__)
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
+def _add_aggregate(sub, common) -> None:
     p = sub.add_parser("aggregate", parents=[common], help="run an ordinal voting rule")
     p.add_argument("--rule", required=True, help="plurality|borda|irv|ranked-pairs|random-dictator")
     p.add_argument("--profile", required=True, help="ballot file")
     p.set_defaults(func=cmd_aggregate)
 
+
+def _add_rate(sub, common) -> None:
     p = sub.add_parser("rate", parents=[common], help="aggregate cardinal ratings")
     p.add_argument("--rule", required=True, help="mean|median")
     p.add_argument("--ratings", required=True, help="rating profile JSON file")
     p.set_defaults(func=cmd_rate)
 
+
+def _add_committee(sub, common) -> None:
     p = sub.add_parser("committee", parents=[common], help="select a committee")
     p.add_argument("--rule", required=True, help="k-borda|greedy-cc")
     p.add_argument("--profile", required=True, help="ballot file")
     p.add_argument("--k", required=True, type=int, help="committee size")
     p.set_defaults(func=cmd_committee)
 
+
+def _add_judge(sub, common) -> None:
     p = sub.add_parser("judge", parents=[common], help="aggregate yes/no judgments")
     p.add_argument("--profile", required=True, help="judgment profile JSON file")
     p.set_defaults(func=cmd_judge)
 
+
+def _add_parse_feedback(sub, common) -> None:
     p = sub.add_parser(
         "parse-feedback", parents=[common], help="compile feedback statements to ratings"
     )
@@ -310,11 +310,15 @@ def build_parser() -> _Parser:
     p.add_argument("--context", required=True, help="comma-separated response ids")
     p.set_defaults(func=cmd_parse_feedback)
 
+
+def _add_simulate(sub, common) -> None:
     p = sub.add_parser("simulate", parents=[common], help="run a reward-model pipeline")
     p.add_argument("--config", required=True, help="pipeline config JSON file")
     p.add_argument("--out", help="write the supervised dataset (JSONL) here")
     p.set_defaults(func=cmd_simulate)
 
+
+def _add_audit(sub, common) -> None:
     p = sub.add_parser("audit", help="check social-choice properties")
     # The kind's parser reads --seed and --format; given before the kind they
     # are refused here, not left for argparse to take as the kind.
@@ -356,11 +360,40 @@ def build_parser() -> _Parser:
     cycle.add_argument("--profile", required=True)
     cycle.set_defaults(func=cmd_audit, kind="cycle")
 
+
+# Each command's name and the function that adds its subparser, in the order
+# `--help` and the invalid-choice message list them.
+_SUBPARSERS = {
+    "aggregate": _add_aggregate,
+    "rate": _add_rate,
+    "committee": _add_committee,
+    "judge": _add_judge,
+    "parse-feedback": _add_parse_feedback,
+    "simulate": _add_simulate,
+    "audit": _add_audit,
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The command-line parser, with only `command`'s subparser, or with all when None."""
+    parser = _Parser(prog="socialchoice", description=__doc__)
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=int, default=0, help="master random seed (default 0)")
+    common.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="report format"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _SUBPARSERS if command is None else (command,):
+        _SUBPARSERS[name](sub, common)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A command's parse reads only its own subparser.  Any other first word
+    # (none, a flag, a typo) needs them all: for --help and for the
+    # invalid-choice message, which lists every command.
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBPARSERS else None)
     try:
         args = parser.parse_args(argv)
         report = args.func(args)

@@ -7,6 +7,8 @@ the root itself.  `got` names the type when a list or object was expected or
 given (`got int`, `got list`) and shows the JSON value otherwise (`got "6"`,
 `got true`, `got NaN`).  `only(*keys)` refuses an object member outside
 `keys` with `<path>: unknown key "<key>"; expected one of <keys>`.
+`strings()` and `numbers()` read a whole list of scalars in one pass, and a
+member that fails gets the message its own read would give.
 """
 
 from __future__ import annotations
@@ -107,9 +109,25 @@ class Node(NamedTuple):
                 raise self._error(f"unknown key {json.dumps(key)}; expected one of {expected}")
         return self
 
+    def _list(self) -> list:
+        return self._expect(isinstance(self.value, list), "a list", True)
+
     def members(self) -> list[Node]:
-        items = self._expect(isinstance(self.value, list), "a list", True)
-        return [Node(value, f"{self.path}[{i}]") for i, value in enumerate(items)]
+        return [Node(value, f"{self.path}[{i}]") for i, value in enumerate(self._list())]
+
+    def strings(self) -> tuple[str, ...]:
+        """The members of a list, each read by `string()`, checked in one pass."""
+        items = self._list()
+        if all(isinstance(value, str) for value in items):
+            return tuple(items)
+        return tuple(member.string() for member in self.members())
+
+    def numbers(self) -> tuple[float, ...]:
+        """The members of a list, each read by `number()`, checked in one pass."""
+        items = self._list()
+        if all(map(_finite, items)):
+            return tuple(map(float, items))
+        return tuple(member.number() for member in self.members())
 
     def string(self) -> str:
         return self._expect(isinstance(self.value, str), "a string")
@@ -122,8 +140,14 @@ class Node(NamedTuple):
         return self._expect(type(self.value) is int, "an integer")
 
     def number(self) -> float:
-        # The comparison fails for NaN and the infinities, and for integers
-        # past the float range.
-        value = self.value
-        finite = isinstance(value, (int, float)) and not isinstance(value, bool)
-        return float(self._expect(finite and abs(value) <= sys.float_info.max, "a finite number"))
+        return float(self._expect(_finite(self.value), "a finite number"))
+
+
+def _finite(value) -> bool:
+    # The comparison fails for NaN and the infinities, and for integers past
+    # the float range.
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )

@@ -202,7 +202,7 @@ class Agenda:
 
 def _agenda_from_node(node: Node) -> Agenda:
     atoms, constraint = node.fields("atoms", "constraint")
-    ids = tuple(atom.string() for atom in atoms.members())
+    ids = atoms.strings()
     text = constraint.string()
     # The agenda's checks in its order, each at its node.
     atoms.build(_check_atoms, ids)

@@ -20,7 +20,6 @@ import math
 from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import starmap
 from random import Random
 
 import numpy as np
@@ -237,12 +236,16 @@ def induced_ranking(
 
 
 def _induced_rankings(ratings: np.ndarray, ids: Sequence[str]) -> list[tuple[str, ...]]:
-    # Each row of an N x r rating block as a ranking of ids: highest rating
+    # Each row of an N x r rating block as a ranking of ids.
+    return [tuple(ids[j] for j in row) for row in _induced_orders(ratings, ids)]
+
+
+def _induced_orders(ratings: np.ndarray, ids: Sequence[str]) -> list[list[int]]:
+    # Each row of an N x r rating block as column indices: highest rating
     # first, equal ratings in id order.
     id_rank = np.empty(len(ids), dtype=np.intp)
     id_rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    order = np.lexsort((np.broadcast_to(id_rank, ratings.shape), -ratings))
-    return [tuple(ids[j] for j in row) for row in order.tolist()]
+    return np.lexsort((np.broadcast_to(id_rank, ratings.shape), -ratings)).tolist()
 
 
 def simulate_collective_decision(
@@ -261,12 +264,15 @@ def simulate_collective_decision(
     committee size k) for a committee.
     """
     chosen = resolve_rule(rule, "ordinal", "committee")
+    ids = case.response_ids()
     ratings = predicted_ratings(psi, evaluator_matrix(sample, psi.d), case.responses)
-    # Each induced ranking is a permutation of the ids by construction, so the
-    # counted rankings are handed over checked, as both ballots and merge.
-    counted = Counter(_induced_rankings(ratings, case.response_ids()))
-    merged = tuple(starmap(RankingBallot, counted.items()))
-    profile = OrdinalProfile._trusted(case.response_ids(), merged, merged)
+    # Equal orders name equal rankings, so the orders are counted and only the
+    # distinct ones (at most r!) named.  Each is a permutation of the ids by
+    # construction, so the rankings are handed over checked, as both ballots
+    # and merge.
+    counted = Counter(map(tuple, _induced_orders(ratings, ids)))
+    merged = tuple(RankingBallot(tuple(ids[j] for j in row), n) for row, n in counted.items())
+    profile = OrdinalProfile._trusted(ids, merged, merged)
     if chosen.kind == "committee":
         return chosen.fn(profile, k)
     return case.response(chosen.fn(profile).winner)
@@ -350,8 +356,8 @@ def _population_from_json(node: Node) -> PopulationSpec:
 
 
 def _ballot_from_json(node: Node) -> RankingBallot:
-    ranking = node.only("ranking", "weight").get("ranking").members()
-    return RankingBallot(tuple(alt.string() for alt in ranking), node.get("weight", 1).integer())
+    ranking = node.only("ranking", "weight").get("ranking").strings()
+    return RankingBallot(ranking, node.get("weight", 1).integer())
 
 
 def _case_from_json(node: Node) -> PromptCase:
@@ -359,7 +365,7 @@ def _case_from_json(node: Node) -> PromptCase:
     for r in node.only("prompt", "responses", "jury").get("responses").members():
         rid = r.only("id", "text", "features").get("id").string()
         text = r.get("text", rid).string()
-        features = tuple(x.number() for x in r.get("features").members())
+        features = r.get("features").numbers()
         if not features:
             raise ValueError(f"{r.path}.features: a response needs at least one feature")
         responses.append(r.build(ResponseRecord, rid, text, features))
@@ -390,7 +396,7 @@ def dataset_from_json(text: str) -> SimulationDataset:
     population = _population_from_json(root.get("population"))
     world = root.get("world").only("M_star", "noise_sigma")
     matrix = world.get("M_star")
-    M_star = tuple(tuple(x.number() for x in row.members()) for row in matrix.members())
+    M_star = tuple(row.numbers() for row in matrix.members())
     # Checked before the rows, which are checked against cases[0].
     cases.build(_check_cases, prompt_cases)
     for i, row in enumerate(M_star):

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, driven through main() with captured stdout."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -18,6 +19,8 @@ from socialchoice.rules import resolve_rule
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SRC = DATA.parent / "src"
+WORKLOADS = DATA.parent / "bench" / "workloads.py"
+COMMANDS = ("aggregate", "rate", "committee", "judge", "parse-feedback", "simulate", "audit")
 
 
 def run_cli(capsys, *argv):
@@ -244,11 +247,12 @@ class TestParseFeedback:
         assert payload["ratings"] == {"A": 9.0, "B": 5.0, "C": 2.0}
         assert payload["order"] == [["A", "B"], ["A", "C"], ["B", "C"]]
 
-    @pytest.mark.parametrize("n", [200, 400])
+    @pytest.mark.parametrize("n", [200, 400, 1000])
     def test_long_ranking_compiles_quickly(self, capsys, tmp_path, n):
         # Checking the closure pair against pair took over 25 s at 200 ids,
         # and scanning the whole closed order twice per id to rate it took
-        # 9.6-12 s at 400.
+        # 9.6-12 s at 400.  At 1,000 ids canonicalising the report's 499,500
+        # order pairs one string at a time took about 5 s.
         ids = [f"a{i}" for i in range(n)]
         path = tmp_path / "rank.txt"
         path.write_text("rank " + " > ".join(ids) + "\n")
@@ -775,13 +779,55 @@ class TestExitCodes:
         (["audit", "anonymity", "--rule", "borda", "--profile", str(DATA / "fig1.vote"),
           "--ratings", "/nonexistent"],
          "argument --ratings: not allowed with argument --profile"),
+        # A first word that names no command gets the parser of every command.
+        (["bogus"],
+         "argument command: invalid choice: 'bogus' (choose from 'aggregate', 'rate', "
+         "'committee', 'judge', 'parse-feedback', 'simulate', 'audit')"),
+        ([], "the following arguments are required: command"),
+        (["audit"], "the following arguments are required: kind"),
+        (["aggregate", "--rule", "borda"], "the following arguments are required: --profile"),
     ], ids=[
         "empty_context", "w_without_ratings", "cardinal_anonymity_without_ratings",
         "ordinal_manipulation_without_profile", "cardinal_manipulation_with_profile",
         "ordinal_manipulation_with_ratings", "ordinal_anonymity_with_ratings",
+        "unknown_command", "no_command", "audit_without_kind", "missing_required_flag",
     ])
     def test_cli_refusal_exits_1_with_its_message(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def cli_small_ops():
+    # The bench's cli_small command lines, which run every command and every
+    # audit kind; the output path they name is only parsed here.
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.CliSmall(1, Path("workdir")).cycle()
+
+
+class TestNamedParser:
+    # main builds only the subparser its first word names.
+    @pytest.mark.parametrize("key, argv", cli_small_ops())
+    def test_named_build_parses_as_the_whole_parser(self, key, argv):
+        named = cli.build_parser(argv[0]).parse_args(argv)
+        assert vars(named) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([name, "--help"] for name in COMMANDS), ["audit", "cycle", "--help"],
+    ])
+    def test_help_is_the_whole_parsers(self, capsys, argv):
+        with pytest.raises(SystemExit) as whole:
+            cli.build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as named:
+            main(argv)
+        assert (named.value.code, capsys.readouterr()) == (whole.value.code, expected)
+        assert whole.value.code == 0 and expected.out.startswith("usage: socialchoice")
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
 
 
 class TestDuplicateKeys:

@@ -1,10 +1,14 @@
 """The located JSON reader, and the rule that every JSON input goes through it."""
 
 import ast
+import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from socialchoice.jsonin import Node, load
 
@@ -47,6 +51,8 @@ def test_paths_run_from_the_root():
     "value, read, message",
     [
         (5, Node.members, "expected a list, got int"),
+        ("ab", Node.strings, "expected a list, got str"),
+        ({"a": 1}, Node.numbers, "expected a list, got dict"),
         ([1], Node.string, "expected a string, got list"),
         ({"a": 1}, Node.number, "expected a finite number, got dict"),
         (None, Node.items, "expected an object, got NoneType"),
@@ -133,3 +139,42 @@ def test_finite_numbers_read_as_floats(value):
 def test_numbers_past_the_float_range_are_refused(value):
     with pytest.raises(ValueError, match="^x: expected a finite number, got "):
         Node(value, "x").number()
+
+
+# JSON tokens of every kind a list member can be: strings, exact integers
+# (one past the float range, one that float() would round down to the
+# largest float), floats, the literals, the non-standard NaN and Infinity
+# tokens json.loads accepts, and nested lists and objects.
+STRING_TOKENS = st.text(max_size=4).map(json.dumps)
+NUMBER_TOKENS = st.one_of(
+    st.integers().map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.sampled_from(["1" + "0" * 400, "-1" + "0" * 400, str(int(sys.float_info.max) + 1),
+                     "1e400", "NaN", "Infinity", "-Infinity"]),
+)
+OTHER_TOKENS = st.sampled_from(["true", "false", "null", "[]", '["a"]', "[1.5]", "{}", '{"a": 1}'])
+LISTS = st.one_of(
+    st.lists(STRING_TOKENS, max_size=6),
+    st.lists(NUMBER_TOKENS, max_size=6),
+    st.lists(st.one_of(STRING_TOKENS, NUMBER_TOKENS, OTHER_TOKENS), max_size=6),
+)
+
+
+def outcome(read, node):
+    # The value read, or the message of the located error it raised.
+    try:
+        return repr(read(node))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(LISTS)
+# An integer that float() rounds down to the largest float, among finite
+# numbers, must be refused as its own read refuses it.
+@example(["1.5", str(int(sys.float_info.max) + 1)])
+def test_list_reads_match_the_member_reads(tokens):
+    node = load('{"a": [{"xs": [' + ", ".join(tokens) + "]}]}").get("a").members()[0].get("xs")
+    for whole, each in ((Node.strings, Node.string), (Node.numbers, Node.number)):
+        # repr tells 1 from 1.0, so an integer must come back as a float.
+        per_member = outcome(lambda n: tuple(each(m) for m in n.members()), node)
+        assert outcome(whole, node) == per_member
