@@ -42,7 +42,9 @@ Each file under `golden/expected/` is the stdout of one command line:
   search for voter 10 of `golden/pruned_m6.vote`, where Borda and ranked
   pairs find their witness only after blocks of misreports in which no
   alternative the voter prefers can win, frozen before the search walked
-  prefixes and skipped such blocks.
+  prefixes and skipped such blocks; and the same search for voter 10 of
+  `golden/unpruned_m6.vote`, where ranked pairs has no witness and no
+  block can be skipped, so that every misreport is decided.
 
 To regenerate after a deliberate output change, run the case's command line
 from the repository root with `PYTHONPATH=src python -m socialchoice.cli`
@@ -71,7 +73,7 @@ SIMULATE = [
 
 RATINGS = (DATA / "ratings.json", GOLDEN / "ratings_rich.json")
 FIG1, M6, M10 = DATA / "fig1.vote", GOLDEN / "weighted_m6.vote", GOLDEN / "weighted_m10.vote"
-PRUNED_M6 = GOLDEN / "pruned_m6.vote"
+PRUNED_M6, UNPRUNED_M6 = GOLDEN / "pruned_m6.vote", GOLDEN / "unpruned_m6.vote"
 REPEATS = (GOLDEN / "repeats_m4.vote", GOLDEN / "repeats_m12.vote")
 VOTES = (*sorted(DATA.glob("*.vote")), M6, M10, *REPEATS)
 ORDINAL = ("plurality", "borda", "instant_runoff", "ranked_pairs")
@@ -113,7 +115,8 @@ CASES = [
     *[(f"manipulation_{rule}.{path.stem}.{fmt}",
        ["audit", "manipulation", "--rule", rule, "--profile", str(path), "--voter", str(voter),
         "--format", fmt])
-      for rule in ORDINAL for path, voter in ((FIG1, 0), (M6, 5), (PRUNED_M6, 10))
+      for rule in ORDINAL
+      for path, voter in ((FIG1, 0), (M6, 5), (PRUNED_M6, 10), (UNPRUNED_M6, 10))
       for fmt in FORMATS],
     *[(f"cycle.{path.stem}.{fmt}", ["audit", "cycle", "--profile", str(path), "--format", fmt])
       for path in VOTES for fmt in FORMATS],
