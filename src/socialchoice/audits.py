@@ -5,19 +5,21 @@ concrete witness that can be re-run to reproduce the failure.  Searches are
 exhaustive within small caps, so "none" is a proof over the searched domain,
 not a sampling statement.
 
-The ordinal manipulation search is one loop for every rule: it tries each
-misreport in lexicographic order and decides it with the rule's
-`ordinal.ORDINAL_TALLIES` row, from the base tally minus the truthful ballot
-plus the misreport, so it finds the first witness that rerunning the rule
-would, without building a profile.  Two exact prunes skip only misreports
-that cannot be the first witness.  Each decision reports the leading places
-of the misreport it read (`TallyRow.reads`), and the contiguous block of
-misreports that share them is decided once.  A row's `settled` test on the
-base tally (Borda's leader out of one ballot's reach, or a ranked-pairs
-Condorcet winner by margins of at least 2) ends the search before any
-decide, as no ballot, the truthful one included, can change the winner.
-`reverify_ordinal_witness` reruns the rule on a profile rebuilt by the
-constructor, as an independent check.
+The ordinal manipulation search is one walk for every rule: depth first over
+the prefixes of the misreports, so it meets them in lexicographic order.  It
+decides each misreport it reaches with the rule's `ordinal.ORDINAL_TALLIES`
+row, from the base tally minus the truthful ballot plus the misreport, so it
+finds the first witness that rerunning the rule would, without building a
+profile.  Two prunes skip only misreports that cannot be the first witness,
+each a whole block of misreports that share a prefix.  Each decision
+reports the leading places of the misreport it read (`TallyRow.reads`), and
+the rest of the block that shares them decides alike.  A row's `hopeless`
+bound, tried at the root and at each prefix whose block holds more than one
+misreport, skips a block in which no misreport can elect an alternative the
+voter prefers to the honest winner: Borda's bound is exact, and ranked
+pairs' is sound but not exact.  At the root it ends the search before any
+misreport is decided.  `reverify_ordinal_witness` reruns the rule on a
+profile rebuilt by the constructor, as an independent check.
 
 The anonymity check shuffles the distinct rankings of `merged` and builds
 each shuffled profile once, handing its permuted tuple over as both ballots
@@ -47,9 +49,11 @@ from .ordinal import ORDINAL_TALLIES, ordinal_rule
 from .profiles import OrdinalProfile, RankingBallot, profile_from_rankings
 from .rules import resolve_rule
 
-# The ordinal search decides m! - 1 misreports when no prune applies: at the
-# cap, the 719 ranked-pairs decides for voter 5 of tests/golden/weighted_m6.vote
-# take 29 ms (median of 30 runs; 2-vCPU VM, Python 3.11.7).
+# The ordinal search decides at most m! - 1 misreports.  At the cap the worst
+# case is a ranked-pairs search whose bound never fires, such as voter 10 of
+# tests/golden/unpruned_m6.vote: 719 decides and 517 bound calls, 52 ms
+# (median of 30 runs; 2-vCPU VM, Python 3.11.7).  Ranked pairs stays NP-hard
+# for one manipulator, so no bound is known to make its search polynomial.
 MAX_MANIPULATION_ALTERNATIVES = 6
 # Each copy adds an alternative to every ranking of the cloned profile, and
 # the rules cost more than linearly in alternatives: `audit clones` on the
@@ -212,17 +216,28 @@ def manipulation_search_ordinal(
     """Try every misreport for one voter; the first improving one is the witness.
 
     Misreports are tried in lexicographic order over all permutations of the
-    alternatives; improvement means the new winner sits strictly higher in
-    the voter's truthful ranking.  The honest election runs the registry
-    rule.  Each misreport is decided by the rule's `ORDINAL_TALLIES` row:
-    the profile's tally with the truthful ballot taken out is built once,
-    and each misreport is `decide(add(base, misreport, +1))`, so no
-    misreported profile is built.  Each decision reports how many leading
-    places of the misreport it read, and the misreports that share them,
-    contiguous in this order, decide the same and are skipped.  When the
-    row's `settled` test holds on the base tally, no ballot, the truthful
-    one included, changes the winner, so there is no witness.  Neither
-    prune skips a misreport that could be the first witness.
+    alternatives; improvement means the new winner is in `wanted`, the
+    alternatives the voter's truthful ranking puts above the honest winner.
+    Everything goes through the rule's `ORDINAL_TALLIES` row: the honest
+    winner is `decide(tally(profile))`, that tally with the truthful ballot
+    taken out is the base, and each misreport is decided as
+    `decide(add(base, misreport, +1))`, so no misreported profile is built.
+    The misreports are walked depth first by prefix, which meets them in
+    that order, and a block of misreports that share a prefix is skipped in
+    one step when:
+
+    - a decision read only the places of that prefix (`reads`), as every
+      misreport that shares them decides alike, and the first of them did
+      not improve; or
+    - the row's `hopeless(base, prefix, wanted)` holds, as then no
+      misreport in the block elects an alternative in `wanted`.  The bound
+      is tried at the root, where it ends the search before any misreport
+      is decided, and at each prefix whose block holds more than one
+      misreport; a block of one is decided, as the bound costs about as
+      much as the decide.
+
+    Neither prune skips a misreport that could be the first witness, so the
+    witness is the one a plain loop over the m! - 1 misreports would find.
     """
     m = len(profile.alternatives)
     if m > MAX_MANIPULATION_ALTERNATIVES:
@@ -231,27 +246,43 @@ def manipulation_search_ordinal(
             f"({MAX_MANIPULATION_ALTERNATIVES}); the misreport space is m!"
         )
     index, _ = _voter_ballot(profile, voter)
-    rule = resolve_rule(rule_id, "ordinal")
     truthful = profile.ballots[index].ranking
-    honest_winner = rule.fn(profile).winner
+    tally, add, decide, reads, hopeless = ORDINAL_TALLIES[resolve_rule(rule_id, "ordinal").id]
+    counted = tally(profile)
+    honest_winner = decide(counted).winner
     honest_rank = truthful.index(honest_winner)
     if honest_rank == 0:
         return None
-    tally, add, decide, reads, settled = ORDINAL_TALLIES[rule.id]
-    base = add(tally(profile), truthful, -1)
-    if settled is not None and settled(base):
-        return None
-    depth, decided, new_winner = 0, None, None
-    for misreport in permutations(sorted(profile.alternatives)):
-        if misreport == truthful:
-            continue
-        if misreport[:depth] != decided:
-            result = decide(add(base, misreport, 1))
-            depth = reads(result, misreport)
-            decided, new_winner = misreport[:depth], result.winner
-        if truthful.index(new_winner) < honest_rank:
-            return ManipulationWitness(voter, truthful, misreport, honest_winner, new_winner)
-    return None
+    base = add(counted, truthful, -1)
+    wanted = frozenset(truthful[:honest_rank])
+    witness = None
+
+    def walk(prefix: tuple[str, ...], rest: tuple[str, ...]) -> int:
+        """Search the misreports that start with `prefix`, `rest` being the others in order.
+
+        Returns how many leading places of `prefix` the search is done
+        with: `len(prefix)` once this block is searched, fewer when a
+        decision read fewer places, and 0 once the witness is found.
+        """
+        nonlocal witness
+        if len(rest) > 1 and hopeless is not None and hopeless(base, prefix, wanted):
+            return len(prefix)
+        if not rest:
+            if prefix == truthful:
+                return len(prefix)
+            result = decide(add(base, prefix, 1))
+            if result.winner in wanted:
+                witness = ManipulationWitness(voter, truthful, prefix, honest_winner, result.winner)
+                return 0
+            return reads(result, prefix)
+        for i, alt in enumerate(rest):
+            done = walk((*prefix, alt), rest[:i] + rest[i + 1:])
+            if done <= len(prefix):
+                return done
+        return len(prefix)
+
+    walk((), tuple(sorted(profile.alternatives)))
+    return witness
 
 
 def manipulation_search_cardinal(

@@ -3,8 +3,8 @@
 Each deterministic rule is `decide(tally(profile))` of its `ORDINAL_TALLIES`
 row, whose `tally` is additive over ballots and whose `add` is the tally of one
 ballot, so a misreport is decided from the base tally without a new profile.
-The row's `reads` and `settled` tell the manipulation search which misreports
-cannot change what it has decided.
+The row's `reads` and `hopeless` tell the manipulation search which blocks of
+misreports it need not decide.
 """
 
 from __future__ import annotations
@@ -343,31 +343,85 @@ def _runoff_reads(result: SocialRanking, ranking: tuple[str, ...]) -> int:
     return 1 + min(map(ranking.index, result.elimination_order[-2:]))
 
 
-def _margins_settled(matrix: MarginMatrix) -> bool:
-    """Does some alternative beat every other by at least 2?
+def _reaches_its_beaters(upper: list[list[int]], c: int) -> bool:
+    """Does c reach each y with upper[c][y] < 0 by a path at least -upper[c][y] wide?
 
-    One ballot moves each margin by at most 1, so that alternative stays a
-    strict Condorcet winner, and ranked pairs elects it: no locked pair
-    reaches it, so every pair it wins locks and it alone is left unbeaten.
+    A path's width is its narrowest margin in `upper`.  As in Dijkstra's
+    search, the widest unreached alternative is reached next, so once its
+    width falls short of a beater still unreached, that beater's widest path
+    does too.
     """
-    return any(all(margin >= 2 for j, margin in enumerate(row) if j != i)
-               for i, row in enumerate(matrix.entries))
+    need = {y: -margin for y, margin in enumerate(upper[c]) if margin < 0}
+    widest = upper[c].copy()
+    todo = set(range(len(upper)))
+    todo.discard(c)
+    while need:
+        u = max(todo, key=widest.__getitem__)
+        width = widest[u]
+        if width < max(need.values()):
+            return False
+        need.pop(u, None)
+        todo.discard(u)
+        row = upper[u]
+        for y in todo:
+            through = row[y] if row[y] < width else width
+            if through > widest[y]:
+                widest[y] = through
+    return True
 
 
-def _scores_settled(scores: dict[str, int]) -> bool:
-    """Does the Borda leader stay first whatever one more ballot adds?
+def _margins_hopeless(matrix: MarginMatrix, prefix: tuple[str, ...], wanted: Set[str]) -> bool:
+    """Does no ranking that starts with `prefix`, added to `matrix`, elect one of `wanted`?
 
-    A ballot gives each alternative between 0 and m - 1 points, so it closes
-    a gap by at most m - 1, and a gap it closes exactly is a tie that
-    `_score_ranking` gives the smaller id.
+    Ranked pairs' bound, sound but not exact.  No locked pair points into
+    the winner c, so each pair (y, c) with M(y, c) > 0 was skipped as closing
+    a cycle: c already reached y through locked pairs of margin at least
+    M(y, c), a path at least that wide.  The ranking adds 1 to M(a, b) when
+    it puts a above b and takes 1 away otherwise, so a pair with a placed
+    end has a known margin, and a pair of two unplaced alternatives is
+    within 1 of its margin in `matrix`.  Widening every path to its upper
+    margins, and lowering each M(y, c) to its lower margin, only eases the
+    test, so a c that fails it here fails it on every completion.  It can
+    pass for a c that does not win.
     """
-    # `max` keeps the first of equal scores, so the leader is the smallest id.
-    leader = max(sorted(scores), key=scores.__getitem__)
-    most = len(scores) - 1
-    return all(
-        scores[leader] - scores[y] > most or (scores[leader] - scores[y] == most and leader < y)
-        for y in scores if y != leader
-    )
+    alts = matrix.alternatives
+    # The unplaced alternatives share the place after the prefix, as a pair
+    # of them may go either way.
+    place = dict.fromkeys(alts, len(prefix))
+    place.update(zip(prefix, range(len(prefix))))
+    at = [place[a] for a in alts]
+    # upper[i][j] is the largest M(i, j) a completion gives, and -upper[j][i]
+    # the smallest.
+    upper = [
+        [margin + 1 if at[i] <= at[j] else margin - 1 for j, margin in enumerate(row)]
+        for i, row in enumerate(matrix.entries)
+    ]
+    return not any(_reaches_its_beaters(upper, c) for c in map(alts.index, wanted))
+
+
+def _scores_hopeless(scores: dict[str, int], prefix: tuple[str, ...], wanted: Set[str]) -> bool:
+    """Does no ranking that starts with `prefix`, added to `scores`, elect one of `wanted`?
+
+    Borda's bound, exact by the greedy completion of Bartholdi, Tovey and
+    Trick (1989).  An unplaced c does best at the top free place, as moving
+    it up only takes points from the others.  Then each other alternative y
+    has room to gain c's total minus y's score, less 1 when y < c, as
+    `_score_ranking` breaks equal scores by the smaller id.  The placed
+    alternatives' points are fixed, and the free points fit the free
+    alternatives' rooms exactly when, both sorted, each point fits the room
+    it meets.
+    """
+    m = len(scores)
+    gained = {a: m - 1 - i for i, a in enumerate(prefix)}
+    for c in wanted:
+        total = scores[c] + gained.get(c, m - 1 - len(prefix))
+        # How many points each other alternative may gain with c still first.
+        room = {y: total - s - (y < c) for y, s in scores.items() if y != c}
+        placed_fit = all(room.pop(y) >= points for y, points in gained.items() if y != c)
+        # The free alternatives left in `room` share the points 0, 1, 2, ...
+        if placed_fit and all(points <= most for points, most in enumerate(sorted(room.values()))):
+            return False
+    return True
 
 
 class TallyRow(NamedTuple):
@@ -377,24 +431,27 @@ class TallyRow(NamedTuple):
     unit ballot; it returns a new tally.  `reads(result, ranking)` is how
     many leading places of `ranking` deciding `add(t, ranking, 1)` read to
     reach `result`: every ranking that shares them decides the same.
-    `settled(t)`, where a row has it, is true only when no one ballot added
-    to tally `t` can change its winner.
+    `hopeless(t, prefix, wanted)`, where a row has it, is true only when no
+    ranking that starts with `prefix`, added to tally `t`, has a winner in
+    `wanted`; it may be false when none has, but never true when one has.
     """
 
     tally: Callable[[OrdinalProfile], Any]
     add: Callable[[Any, tuple[str, ...], int], Any]
     decide: Callable[[Any], SocialRanking]
     reads: Callable[[SocialRanking, tuple[str, ...]], int]
-    settled: Callable[[Any], bool] | None = None
+    hopeless: Callable[[Any, tuple[str, ...], Set[str]], bool] | None = None
 
 
 # One row per registry id of kind "ordinal"; its function is `decide(tally(profile))`.
 ORDINAL_TALLIES: dict[str, TallyRow] = {
     "plurality": TallyRow(first_place_counts, _add_first_place, _score_ranking, _reads_top),
-    "borda": TallyRow(borda_scores, _add_borda_points, _score_ranking, _reads_all, _scores_settled),
+    "borda": TallyRow(
+        borda_scores, _add_borda_points, _score_ranking, _reads_all, _scores_hopeless
+    ),
     "instant_runoff": TallyRow(_runoff_tally, _add_pending, _runoff_ranking, _runoff_reads),
     "ranked_pairs": TallyRow(
-        margin_matrix, _add_margins, _locked_ranking, _reads_all, _margins_settled
+        margin_matrix, _add_margins, _locked_ranking, _reads_all, _margins_hopeless
     ),
 }
 

@@ -19,11 +19,17 @@ keeps.  The manipulation search builds no profile and expands no voter, and
 must find the witness the reference finds by expanding the profile into one
 ranking per voter and rerunning the rule on every rebuilt misreported
 profile.  Its two prunes, skipping the misreports that share the places a
-decision read and stopping when a row's `settled` test holds, must not
-change that witness, also on even voter counts, where one ballot can tie a
-pair.  `reverify_ordinal_witness` checks the claimed truthful ranking
-against the voter's ballot, splits that weighted ballot around them and
-builds the misreported profile with the `OrdinalProfile` constructor.  On
+decision read and skipping each block of misreports that share a prefix on
+which a row's `hopeless` bound holds, must not change that witness, also on
+even voter counts, where one ballot can tie a pair.  A `hopeless` block must
+have no completion that elects a wanted alternative, checked by deciding
+every completion, and Borda's bound is exact, so its other blocks must have
+one.  At the root the bound must fire wherever the `settled` tests it
+replaced did, kept here as references.
+
+`reverify_ordinal_witness` checks the claimed truthful ranking against the
+voter's ballot, splits that weighted ballot around them and builds the
+misreported profile with the `OrdinalProfile` constructor.  On
 claims true or false, it must give the unit-expansion reference's verdict,
 and an invalid misreport (short, with a duplicate or with an unknown id)
 must raise the same exception type with the same message.
@@ -326,6 +332,7 @@ def decided(result) -> tuple:
 
 def test_tally_rows_cover_the_ordinal_rules():
     assert tuple(ORDINAL_TALLIES) == rule_ids("ordinal")
+    assert {rid for rid, row in ORDINAL_TALLIES.items() if row.hopeless} == set(BOUNDED)
 
 
 @fuzz(300)
@@ -336,7 +343,9 @@ def test_tally_rows_decide_as_their_rules(data):
     unit = profile.unit_rankings()[voter]
     misreport = tuple(data.draw(st.permutations(profile.alternatives)))
     rebuilt = reference_replace_unit_ballot(profile, voter, misreport)
-    for rid, (tally, add, decide, reads, settled) in ORDINAL_TALLIES.items():
+    cut = data.draw(st.integers(0, len(misreport)))
+    wanted = frozenset(data.draw(st.sets(st.sampled_from(profile.alternatives))))
+    for rid, (tally, add, decide, reads, hopeless) in ORDINAL_TALLIES.items():
         rule = ORDINAL_RULES[rid]
         assert decided(decide(tally(profile))) == decided(rule(profile))
         base = add(tally(profile), unit, -1)
@@ -346,8 +355,9 @@ def test_tally_rows_decide_as_their_rules(data):
         depth = reads(result, misreport)
         sharing = misreport[:depth] + tuple(data.draw(st.permutations(misreport[depth:])))
         assert decided(decide(add(base, sharing, +1))) == decided(result)
-        if settled is not None and settled(base):
-            assert result.winner == rule(profile).winner
+        # A block the bound gives up on elects no wanted alternative.
+        if hopeless is not None and hopeless(base, misreport[:cut], wanted):
+            assert result.winner not in wanted
 
 
 def spy_decides(monkeypatch, rid: str) -> list:
@@ -364,9 +374,12 @@ def spy_decides(monkeypatch, rid: str) -> list:
 
 
 def count_decides(monkeypatch, rid: str, profile: OrdinalProfile, voter: int):
-    """The search's witness and how many tallies it decided."""
+    """The search's witness and how many misreports it decided.
+
+    The first tally decided is the honest election's, which is not counted.
+    """
     calls = spy_decides(monkeypatch, rid)
-    return manipulation_search_ordinal(rid, profile, voter), len(calls)
+    return manipulation_search_ordinal(rid, profile, voter), len(calls) - 1
 
 
 def test_plurality_search_decides_once_per_top_choice(monkeypatch):
@@ -381,22 +394,124 @@ def test_plurality_search_decides_once_per_top_choice(monkeypatch):
     assert 0 < decides <= len(IDS)
 
 
-@pytest.mark.parametrize("rid, most", [("instant_runoff", 130), ("borda", 0)])
+@pytest.mark.parametrize(
+    "rid, most", [("instant_runoff", 130), ("borda", 0), ("ranked_pairs", 0)]
+)
 def test_weighted_m6_search_skips_what_it_never_reads(monkeypatch, rid, most):
-    # Voter 5 has no witness under either rule, out of 719 misreports.
+    # Voter 5 has no witness under these rules, out of 719 misreports.
     # Instant runoff decides each block of misreports that share the places
-    # its runs read once; Borda's leader is settled before any decide.
+    # its runs read once; under Borda and ranked pairs the bound gives up on
+    # the whole search at the root, before any misreport is decided.
     witness, decides = count_decides(monkeypatch, rid, WEIGHTED_M6, 5)
     assert witness is None
     assert decides <= most
     assert reference_search(rid, WEIGHTED_M6, 5) is None
 
 
+@pytest.mark.parametrize("m", range(3, 7))
+def test_borda_search_decides_at_most_two_misreports(monkeypatch, m):
+    # Borda's bound is exact and is tried on every block of two or more
+    # misreports: a search without a witness stops at the root, and one
+    # with a witness reaches a block of two that holds it.
+    rng = Random(f"borda-decides:{m}")
+    calls = spy_decides(monkeypatch, "borda")
+    witnesses = 0
+    for _ in range(40):
+        profile = even_profile(rng, m, weighted=True)
+        for voter in range(profile.num_voters):
+            calls.clear()
+            witness = manipulation_search_ordinal("borda", profile, voter)
+            # The first decide is the honest election's.
+            assert len(calls) - 1 <= (2 if witness else 0)
+            witnesses += witness is not None
+    assert witnesses > 0
+
+
 PRUNE_SWEEP_PROFILES = {3: 300, 4: 150, 5: 40, 6: 12}
 
 
-# Voter 0's ballot taken out, the base tally sits at the edge of `settled`:
-# (rule, rankings, settled, the witness).
+def reference_margins_settled(matrix) -> bool:
+    """Does some alternative beat every other by at least 2?
+
+    One ballot moves each margin by at most 1, so that alternative stays a
+    strict Condorcet winner, and ranked pairs elects it.
+    """
+    return any(all(margin >= 2 for j, margin in enumerate(row) if j != i)
+               for i, row in enumerate(matrix.entries))
+
+
+def reference_scores_settled(scores: dict) -> bool:
+    """Does the Borda leader stay first whatever one more ballot adds?
+
+    A ballot closes a gap by at most m - 1, and a gap it closes exactly is a
+    tie that goes to the smaller id.
+    """
+    leader = max(sorted(scores), key=scores.__getitem__)
+    most = len(scores) - 1
+    return all(
+        scores[leader] - scores[y] > most or (scores[leader] - scores[y] == most and leader < y)
+        for y in scores if y != leader
+    )
+
+
+REFERENCE_SETTLED = {"borda": reference_scores_settled, "ranked_pairs": reference_margins_settled}
+BOUNDED = tuple(REFERENCE_SETTLED)
+
+
+@fuzz(200)
+@given(st.data())
+def test_hopeless_blocks_elect_no_wanted_alternative(data):
+    # Every misreport is decided from the base tally, and each prefix of one
+    # drawn order bounds its block of them; Borda's bound is exact, so a
+    # block it keeps has a misreport that elects a wanted alternative.
+    profile = data.draw(profiles())
+    voter = data.draw(st.integers(0, profile.num_voters - 1))
+    unit = profile.unit_rankings()[voter]
+    order = tuple(data.draw(st.permutations(profile.alternatives)))
+    wanted = frozenset(data.draw(st.sets(st.sampled_from(profile.alternatives), min_size=1)))
+    for rid in BOUNDED:
+        tally, add, decide, _, hopeless = ORDINAL_TALLIES[rid]
+        base = add(tally(profile), unit, -1)
+        winners = {
+            ranking: decide(add(base, ranking, +1)).winner
+            for ranking in permutations(profile.alternatives)
+        }
+        for cut in range(len(order) + 1):
+            prefix = order[:cut]
+            block = {w for ranking, w in winners.items() if ranking[:cut] == prefix}
+            if hopeless(base, prefix, wanted):
+                assert not block & wanted, (rid, prefix)
+            elif rid == "borda":
+                assert block & wanted, prefix
+
+
+@pytest.mark.parametrize("rid", BOUNDED)
+@pytest.mark.parametrize("m", range(2, 7))
+def test_root_bound_fires_where_settled_did(rid, m):
+    # Against every alternative but the honest winner, the search's widest
+    # `wanted`, with each voter's ballot taken out of seeded profiles, odd and
+    # even, unit and weighted.
+    rng = Random(f"root-bound:{rid}:{m}")
+    tally, add, _, _, hopeless = ORDINAL_TALLIES[rid]
+    fired = 0
+    for _ in range(60):
+        profile = even_profile(rng, m, weighted=rng.random() < 0.5)
+        if rng.random() < 0.5:
+            extra = RankingBallot(tuple(rng.sample(profile.alternatives, m)))
+            profile = OrdinalProfile(profile.alternatives, (*profile.ballots, extra))
+        honest = ORDINAL_RULES[rid](profile).winner
+        wanted = frozenset(profile.alternatives) - {honest}
+        for ranking, _ in profile.merged:
+            base = add(tally(profile), ranking, -1)
+            if REFERENCE_SETTLED[rid](base):
+                fired += 1
+                assert hopeless(base, (), wanted)
+    assert fired > 0
+
+
+# Voter 0's ballot taken out, the base tally sits at the edge of the
+# `settled` references, which the root bound covers: (rule, rankings,
+# settled, the witness).
 SETTLED_EDGES = [
     # Borda base A 4, B 2, C 0: B trails by exactly m - 1 and loses the tie
     # to A, the smaller id, so no ballot changes the winner.
@@ -418,7 +533,11 @@ SETTLED_EDGES = [
 def test_settled_at_its_edge(monkeypatch, rid, rankings, settled, witness):
     profile = profile_from_rankings(rankings, IDS[:3])
     row = ORDINAL_TALLIES[rid]
-    assert row.settled(row.add(row.tally(profile), rankings[0], -1)) is settled
+    base = row.add(row.tally(profile), rankings[0], -1)
+    assert REFERENCE_SETTLED[rid](base) is settled
+    honest = ORDINAL_RULES[rid](profile).winner
+    wanted = frozenset(rankings[0][:rankings[0].index(honest)])
+    assert row.hopeless(base, (), wanted) is settled
     found, decides = count_decides(monkeypatch, rid, profile, 0)
     assert (decides == 0) is settled
     expected = None if witness is None else ManipulationWitness(0, rankings[0], *witness)
