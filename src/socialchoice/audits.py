@@ -46,7 +46,7 @@ from random import Random
 
 from .cardinal import RATING_MAX, RATING_MIN, RatingProfile, aggregate_ratings, cardinal_rule
 from .ordinal import ORDINAL_TALLIES, ordinal_rule
-from .profiles import OrdinalProfile, RankingBallot, profile_from_rankings
+from .profiles import OrdinalProfile, RankingBallot
 from .rules import resolve_rule
 
 # The ordinal search decides at most m! - 1 misreports.  At the cap the worst
@@ -427,21 +427,6 @@ def anonymity_check(rule, profile, seed: int) -> bool:
         raise TypeError(f"cannot audit anonymity on {type(profile).__name__}")
     baseline = fn(profile)
     return all(fn(reassign(order)) == baseline for order in anonymity_orders(profile, seed))
-
-
-def random_strict_profile(rng: Random, m: int, n: int) -> OrdinalProfile:
-    """n independent uniform strict rankings over the first m letters."""
-    alternatives = tuple(chr(ord("A") + i) for i in range(m))
-    rankings = [tuple(rng.sample(alternatives, m)) for _ in range(n)]
-    return profile_from_rankings(rankings, alternatives)
-
-
-def random_clone_spec(rng: Random, profile: OrdinalProfile, copies: int = 2) -> CloneSpec:
-    """Clone a random alternative with independently shuffled per-voter orders."""
-    target = rng.choice(profile.alternatives)
-    clones = CloneSpec(target, copies).clone_ids()
-    orders = {i: tuple(rng.sample(clones, len(clones))) for i in range(_capped_voters(profile))}
-    return CloneSpec(target, copies, orders)
 
 
 def alternating_clone_spec(profile: OrdinalProfile, spec: CloneSpec) -> CloneSpec:

@@ -6,8 +6,8 @@ to stdout, so identical inputs and seeds give byte-identical output.  Exit
 codes: 0 success (a "violated" audit verdict is still a success), 1 input
 error, 2 internal error.
 
-Each command imports the modules it runs when it runs.  numpy loads only for
-`simulate` and for a margin or committee tally past
+Each command, and each audit kind, imports the modules it runs when it runs.
+numpy loads only for `simulate` and for a margin or committee tally past
 `profiles.SMALL_TALLY_STEPS`; a smaller one runs in pure Python.
 """
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .reports import RunReport, make_report, report_csv, report_json
@@ -62,7 +61,7 @@ def cmd_aggregate(args) -> RunReport:
         # Every field the rule filled in (scores, elimination order, lock
         # order) goes into the report.
         result = rule.fn(profile)
-        fields = {name: value for name, value in asdict(result).items() if value is not None}
+        fields = {name: value for name, value in vars(result).items() if value is not None}
         payload = {"rule": rule.id, "winner": result.winner, **fields}
     return make_report("aggregate", {"profile": text}, args.seed, payload)
 
@@ -167,95 +166,97 @@ def cmd_simulate(args) -> RunReport:
     return make_report("simulate", inputs, args.seed, payload)
 
 
-def cmd_audit(args) -> RunReport:
-    from .audits import (
-        CloneSpec,
-        alternating_clone_spec,
-        anonymity_check,
-        anonymity_orders,
-        clone_test,
-        manipulation_search_cardinal,
-        manipulation_search_ordinal,
-        reverify_cardinal_witness,
-        reverify_ordinal_witness,
-    )
-    from .cardinal import rating_profile_from_json
+def cmd_audit_clones(args) -> RunReport:
+    from .audits import CloneSpec, alternating_clone_spec, clone_test
+    from .profiles import parse_profile
+
+    text = _read(args.profile)
+    profile = parse_profile(text)
+    rule = resolve_rule(args.rule, "ordinal").id
+    spec = CloneSpec(args.target, args.copies)
+    if args.split == "alternating":
+        spec = alternating_clone_spec(profile, spec)
+    result = clone_test(rule, profile, spec)
+    payload = {
+        "audit": "clones",
+        "rule": rule,
+        "target": args.target,
+        "copies": args.copies,
+        "split": args.split,
+        "verdict": result.verdict,
+        "base_winner": result.base_winner,
+        "cloned_winner": result.cloned_winner,
+        "clones": list(result.clones),
+    }
+    return make_report("audit", {"profile": text}, args.seed, payload)
+
+
+def cmd_audit_manipulation(args) -> RunReport:
+    if (args.rule is None) == (args.w is None):
+        raise UsageError("pick exactly one of --rule (ordinal) or --w (cardinal)")
+    if args.rule is not None:
+        from .audits import manipulation_search_ordinal as search
+        from .audits import reverify_ordinal_witness as reverify
+        from .profiles import parse_profile
+
+        rule = resolve_rule(args.rule, "ordinal")
+        if args.profile is None:
+            raise UsageError(f"rule {rule.id!r} needs --profile")
+        text = _read(args.profile)
+        subject, inputs = parse_profile(text), {"profile": text}
+    else:
+        from .audits import manipulation_search_cardinal as search
+        from .audits import reverify_cardinal_witness as reverify
+
+        if args.ratings is None:
+            raise UsageError("--w needs --ratings, e.g. --ratings 3,6,6")
+        items = [v.strip() for v in args.ratings.split(",")]
+        if "" in items:
+            raise UsageError(f"--ratings item {items.index('')} is empty: {args.ratings!r}")
+        subject = []
+        for i, item in enumerate(items):
+            try:
+                subject.append(float(item))
+            except ValueError:
+                raise UsageError(f"--ratings item {i}: expected a number, got {item!r}") from None
+        inputs = {"ratings": args.ratings}
+        rule = resolve_rule(args.w, "cardinal")
+    witness = search(rule.id, subject, args.voter)
+    payload = {"audit": "manipulation", "kind": rule.kind, "rule": rule.id, "witness": None}
+    if witness is not None:
+        payload["witness"] = vars(witness)
+        payload["reverified"] = reverify(rule.id, subject, witness)
+    return make_report("audit", inputs, args.seed, payload)
+
+
+def cmd_audit_anonymity(args) -> RunReport:
+    from .audits import anonymity_check, anonymity_orders
+
+    rule = resolve_rule(args.rule, "ordinal", "cardinal")
+    if rule.kind == "cardinal":
+        from .cardinal import rating_profile_from_json as load
+
+        flag = "ratings"
+    else:
+        from .profiles import parse_profile as load
+
+        flag = "profile"
+    if getattr(args, flag) is None:
+        raise UsageError(f"rule {rule.id!r} needs --{flag}")
+    text = _read(getattr(args, flag))
+    profile = load(text)
+    payload = {
+        "audit": "anonymity",
+        "rule": rule.id,
+        "anonymous": anonymity_check(rule.id, profile, args.seed),
+        "permutations": len(anonymity_orders(profile, args.seed)),
+    }
+    return make_report("audit", {flag: text}, args.seed, payload)
+
+
+def cmd_audit_cycle(args) -> RunReport:
     from .profiles import detect_cycles, margin_matrix, parse_profile
 
-    if args.kind == "clones":
-        text = _read(args.profile)
-        profile = parse_profile(text)
-        rule = resolve_rule(args.rule, "ordinal").id
-        spec = CloneSpec(args.target, args.copies)
-        if args.split == "alternating":
-            spec = alternating_clone_spec(profile, spec)
-        result = clone_test(rule, profile, spec)
-        payload = {
-            "audit": "clones",
-            "rule": rule,
-            "target": args.target,
-            "copies": args.copies,
-            "split": args.split,
-            "verdict": result.verdict,
-            "base_winner": result.base_winner,
-            "cloned_winner": result.cloned_winner,
-            "clones": list(result.clones),
-        }
-        return make_report("audit", {"profile": text}, args.seed, payload)
-
-    if args.kind == "manipulation":
-        if (args.rule is None) == (args.w is None):
-            raise UsageError("pick exactly one of --rule (ordinal) or --w (cardinal)")
-        if args.rule is not None:
-            rule = resolve_rule(args.rule, "ordinal")
-            if args.profile is None:
-                raise UsageError(f"rule {rule.id!r} needs --profile")
-            text = _read(args.profile)
-            subject, inputs = parse_profile(text), {"profile": text}
-            search, reverify = manipulation_search_ordinal, reverify_ordinal_witness
-        else:
-            if args.ratings is None:
-                raise UsageError("--w needs --ratings, e.g. --ratings 3,6,6")
-            items = [v.strip() for v in args.ratings.split(",")]
-            if "" in items:
-                raise UsageError(f"--ratings item {items.index('')} is empty: {args.ratings!r}")
-            subject = []
-            for i, item in enumerate(items):
-                try:
-                    subject.append(float(item))
-                except ValueError:
-                    raise UsageError(
-                        f"--ratings item {i}: expected a number, got {item!r}"
-                    ) from None
-            inputs = {"ratings": args.ratings}
-            rule = resolve_rule(args.w, "cardinal")
-            search, reverify = manipulation_search_cardinal, reverify_cardinal_witness
-        witness = search(rule.id, subject, args.voter)
-        payload = {"audit": "manipulation", "kind": rule.kind, "rule": rule.id, "witness": None}
-        if witness is not None:
-            payload["witness"] = asdict(witness)
-            payload["reverified"] = reverify(rule.id, subject, witness)
-        return make_report("audit", inputs, args.seed, payload)
-
-    if args.kind == "anonymity":
-        rule = resolve_rule(args.rule, "ordinal", "cardinal")
-        if rule.kind == "cardinal":
-            flag, load = "ratings", rating_profile_from_json
-        else:
-            flag, load = "profile", parse_profile
-        if getattr(args, flag) is None:
-            raise UsageError(f"rule {rule.id!r} needs --{flag}")
-        text = _read(getattr(args, flag))
-        profile = load(text)
-        payload = {
-            "audit": "anonymity",
-            "rule": rule.id,
-            "anonymous": anonymity_check(rule.id, profile, args.seed),
-            "permutations": len(anonymity_orders(profile, args.seed)),
-        }
-        return make_report("audit", {flag: text}, args.seed, payload)
-
-    # cycle
     text = _read(args.profile)
     profile = parse_profile(text)
     matrix = margin_matrix(profile)
@@ -337,7 +338,7 @@ def _add_audit(sub, common) -> None:
         default="alternating",
         help="per-voter clone orders: rotate per voter, or the same order for all",
     )
-    clones.set_defaults(func=cmd_audit, kind="clones")
+    clones.set_defaults(func=cmd_audit_clones)
 
     manip = audit_sub.add_parser("manipulation", parents=[common])
     manip.add_argument("--rule", help="ordinal rule id (with --profile)")
@@ -347,18 +348,18 @@ def _add_audit(sub, common) -> None:
     inputs.add_argument("--profile", help="ballot file (ordinal search)")
     inputs.add_argument("--ratings", help="comma-separated ratings (cardinal search)")
     manip.add_argument("--voter", required=True, type=int)
-    manip.set_defaults(func=cmd_audit, kind="manipulation")
+    manip.set_defaults(func=cmd_audit_manipulation)
 
     anon = audit_sub.add_parser("anonymity", parents=[common])
     anon.add_argument("--rule", required=True, help="any ordinal or cardinal rule id")
     inputs = anon.add_mutually_exclusive_group()
     inputs.add_argument("--profile", help="ballot file (ordinal rules)")
     inputs.add_argument("--ratings", help="rating profile JSON file (cardinal rules)")
-    anon.set_defaults(func=cmd_audit, kind="anonymity")
+    anon.set_defaults(func=cmd_audit_anonymity)
 
     cycle = audit_sub.add_parser("cycle", parents=[common])
     cycle.add_argument("--profile", required=True)
-    cycle.set_defaults(func=cmd_audit, kind="cycle")
+    cycle.set_defaults(func=cmd_audit_cycle)
 
 
 # Each command's name and the function that adds its subparser, in the order

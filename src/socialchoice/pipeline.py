@@ -38,7 +38,7 @@ from .simulation import (
     IndividualPreferenceModel,
     PopulationSpec,
     ResponseRecord,
-    clamp_rating,
+    clamp_ratings,
     evaluator_matrix,
     fit_design,
     kron_rows,
@@ -49,10 +49,14 @@ from .simulation import (
     true_ratings,
 )
 
-# Largest training design run_pipeline accepts: N evaluators times the total
-# number of responses over all cases.  The design holds d*q float64 entries
-# per row, and each case's N x r rating block is built whole.
-MAX_DESIGN_ROWS = 1_000_000
+# Largest training design run_pipeline accepts, in float64 entries: N
+# evaluators times the responses over all cases times the row width d*q.
+# Besides its 16 bytes per entry (built per case, then joined), each row
+# costs about 41 bytes of ratings and rankings, so narrow rows cost the most.
+# Peak RSS of one `simulate` process at the cap: d = q = 1, 333,333 x 12 rows,
+# 263 MB; d = 5, q = 3, 22,222 x 12 rows, 110 MB; d = q = 20, 1,000 x 10
+# rows, 102 MB (2-vCPU VM, Python 3.11.7).
+MAX_DESIGN_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -190,10 +194,8 @@ def _rewards(model: RewardModel, responses: Sequence[ResponseRecord]) -> list[fl
                     f"response {y.id!r} has {len(y.features)} features, "
                     f"model expects {len(model.weights)}"
                 )
-        return [
-            clamp_rating(float(np.dot(model.weights, y.features)) + model.intercept)
-            for y in responses
-        ]
+        raw = [float(np.dot(model.weights, y.features)) + model.intercept for y in responses]
+        return clamp_ratings(np.array(raw)).tolist()
     ratings = predicted_ratings(model.psi, model.sample, responses)
     aggregate = cardinal_rule(model.rule_id)
     return [float(aggregate(column)) for column in ratings.T.tolist()]
@@ -232,12 +234,8 @@ def induced_ranking(
 ) -> tuple[str, ...]:
     """One evaluator's strict ranking of the responses, ties broken by id."""
     ratings = predicted_ratings(psi, evaluator_matrix([f], psi.d), responses)
-    return _induced_rankings(ratings, [y.id for y in responses])[0]
-
-
-def _induced_rankings(ratings: np.ndarray, ids: Sequence[str]) -> list[tuple[str, ...]]:
-    # Each row of an N x r rating block as a ranking of ids.
-    return [tuple(ids[j] for j in row) for row in _induced_orders(ratings, ids)]
+    ids = [y.id for y in responses]
+    return tuple(ids[j] for j in _induced_orders(ratings, ids)[0])
 
 
 def _induced_orders(ratings: np.ndarray, ids: Sequence[str]) -> list[list[int]]:
@@ -519,13 +517,15 @@ def _train_psi(
 
 
 def _check_design_size(n_evaluators: int, dataset: SimulationDataset) -> None:
-    # Refuse a run whose training design would pass MAX_DESIGN_ROWS, before
+    # Refuse a run whose training design would pass MAX_DESIGN_ENTRIES, before
     # any population is sampled or array allocated.
     responses = sum(len(case.responses) for case in dataset.cases)
-    if n_evaluators * responses > MAX_DESIGN_ROWS:
+    width = dataset.world.d * dataset.world.q
+    entries = n_evaluators * responses * width
+    if entries > MAX_DESIGN_ENTRIES:
         raise ValueError(
-            f'"N": {n_evaluators} evaluators x {responses} responses is '
-            f"{n_evaluators * responses:,} design rows, over the cap of {MAX_DESIGN_ROWS:,}; "
+            f'"N": {n_evaluators} evaluators x {responses} responses x {width} entries per row '
+            f"is {entries:,} design entries, over the cap of {MAX_DESIGN_ENTRIES:,}; "
             "lower N or use fewer cases"
         )
 

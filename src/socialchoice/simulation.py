@@ -42,10 +42,6 @@ def clamp_ratings(values) -> np.ndarray:
     return np.where(above < RATING_MAX, above, RATING_MAX)
 
 
-def clamp_rating(value: float) -> float:
-    return float(clamp_ratings(float(value)))
-
-
 @dataclass(frozen=True)
 class ResponseRecord:
     """A candidate response: id, display text, and a q-dimensional feature vector."""

@@ -14,6 +14,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from audit_helpers import random_clone_spec, random_strict_profile
 from socialchoice.audits import (
     CloneSpec,
     anonymity_check,
@@ -21,8 +22,6 @@ from socialchoice.audits import (
     cloned_profile,
     manipulation_search_cardinal,
     manipulation_search_ordinal,
-    random_clone_spec,
-    random_strict_profile,
     reverify_cardinal_witness,
     reverify_ordinal_witness,
 )

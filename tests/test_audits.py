@@ -10,6 +10,7 @@ from random import Random
 
 import pytest
 
+from audit_helpers import random_clone_spec, random_strict_profile
 from socialchoice.audits import (
     MAX_AUDIT_VOTERS,
     MAX_CLONE_COPIES,
@@ -23,8 +24,6 @@ from socialchoice.audits import (
     cloned_profile,
     manipulation_search_cardinal,
     manipulation_search_ordinal,
-    random_clone_spec,
-    random_strict_profile,
     reverify_cardinal_witness,
     reverify_ordinal_witness,
 )

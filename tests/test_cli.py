@@ -267,6 +267,35 @@ class TestParseFeedback:
         assert ratings == sorted(ratings, reverse=True) and len(set(ratings)) == n
         assert seconds < 10
 
+    @staticmethod
+    def disjoint_pairs_argv(tmp_path, n):
+        # Disjoint pairs keep the closure small, so the cap's edge is cheap to run.
+        ids = [f"a{i}" for i in range(n)]
+        lines = [f"{ids[i]} > {ids[i + 1]}" for i in range(0, n - 1, 2)]
+        if n % 2:
+            lines.append(f"{ids[-2]} > {ids[-1]}")
+        path = tmp_path / "pairs.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return ["parse-feedback", "--statements", str(path), "--context", ",".join(ids)]
+
+    def test_order_ids_at_the_cap_compile(self, capsys, tmp_path):
+        from socialchoice.feedback import MAX_ORDER_IDS
+
+        payload = run_json(capsys, *self.disjoint_pairs_argv(tmp_path, MAX_ORDER_IDS))["payload"]
+        assert len(payload["order"]) == MAX_ORDER_IDS // 2
+
+    def test_order_ids_past_the_cap_exit_1_before_the_closure(self, capsys, tmp_path, monkeypatch):
+        import socialchoice.feedback as feedback
+
+        def refuse(*args):
+            raise AssertionError("order closed past the cap")
+
+        monkeypatch.setattr(feedback, "_transitive_closure", refuse)
+        argv = self.disjoint_pairs_argv(tmp_path, feedback.MAX_ORDER_IDS + 1)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: order statements name 1,001 ids, over the cap of 1,000\n"
+
     @pytest.mark.parametrize(
         "statements, message",
         [
@@ -1135,17 +1164,47 @@ class TestSimulationSizeCap:
         assert code == 1
         assert out == ""
         assert err.startswith('error: "N": 1000000000000000 evaluators x 3 responses')
-        assert f"over the cap of {pipeline.MAX_DESIGN_ROWS:,}" in err
+        assert f"over the cap of {pipeline.MAX_DESIGN_ENTRIES:,}" in err
 
     def test_cap_counts_every_response_of_every_case(self):
-        from socialchoice.pipeline import MAX_DESIGN_ROWS, _check_design_size, dataset_from_json
+        from socialchoice.pipeline import MAX_DESIGN_ENTRIES, _check_design_size, dataset_from_json
 
         data = json.loads((DATA / "cases.json").read_text())
         data["cases"] = data["cases"] * 4
         dataset = dataset_from_json(json.dumps(data))
-        _check_design_size(MAX_DESIGN_ROWS // 12, dataset)
-        with pytest.raises(ValueError, match='"N": .* x 12 responses'):
-            _check_design_size(MAX_DESIGN_ROWS // 12 + 1, dataset)
+        # 12 responses, each design row kron(f, g(y)) of d * q = 5 * 3 entries.
+        _check_design_size(MAX_DESIGN_ENTRIES // (12 * 15), dataset)
+        with pytest.raises(ValueError, match='"N": .* x 12 responses x 15 entries per row'):
+            _check_design_size(MAX_DESIGN_ENTRIES // (12 * 15) + 1, dataset)
+
+    def test_cap_counts_the_row_width(self, capsys, tmp_path, monkeypatch):
+        # d = q = 20 and 10 responses: at N = 1,000 the design holds the cap's
+        # 4,000,000 entries, and one evaluator more is refused before sampling.
+        import socialchoice.pipeline as pipeline
+
+        data = json.loads((DATA / "cases.json").read_text())
+        responses = [{"id": f"r{j}", "text": "t", "features": [0.5] * 20} for j in range(10)]
+        data["cases"] = [{"prompt": "p", "responses": responses}]
+        uniform = {"kind": "uniform", "a": 0.0, "b": 1.0}
+        data["population"] = {"d": 20, "groups": [{"weight": 1.0, "components": [uniform] * 20}]}
+        data["world"]["M_star"] = [[0.1] * 20] * 20
+        dataset_path = tmp_path / "wide.json"
+        dataset_path.write_text(json.dumps(data))
+        n = pipeline.MAX_DESIGN_ENTRIES // (10 * 400)
+        pipeline._check_design_size(n, pipeline.dataset_from_json(dataset_path.read_text()))
+
+        def refuse(*args):
+            raise AssertionError("population sampled past the cap")
+
+        monkeypatch.setattr(pipeline, "sample_population", refuse)
+        config = write_config(tmp_path, variant="features", W="mean", N=n + 1,
+                              dataset=str(dataset_path))
+        code, out, err = run_cli(capsys, "simulate", "--config", config)
+        assert (code, out) == (1, "")
+        assert err == (
+            'error: "N": 1001 evaluators x 10 responses x 400 entries per row is 4,004,000 '
+            "design entries, over the cap of 4,000,000; lower N or use fewer cases\n"
+        )
 
     @pytest.mark.parametrize("variant", ["collective", "inference"])
     def test_committee_larger_than_a_case_exits_1_before_sampling(

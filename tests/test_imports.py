@@ -155,6 +155,16 @@ def test_an_ordinal_rule_never_loads_the_cardinal_module():
     assert proc.stderr == "socialchoice.cardinal loaded: False\n"
 
 
+@pytest.mark.parametrize("module", ["socialchoice.audits", "socialchoice.cardinal"])
+def test_a_cycle_audit_loads_no_other_audit_kinds_modules(module):
+    # Each audit kind imports only what it runs; the cycle audit needs the
+    # profile and its margins, not the auditors or the cardinal rules.
+    argv = ["audit", "cycle", "--profile", "data/fig1.vote"]
+    proc = run_fresh("-c", PROBE.format(module), *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{module} loaded: False\n"
+
+
 def test_noisy_simulation_never_loads_numpy_random():
     # Rating noise is drawn without numpy.random, whose import alone adds
     # about 6 MB to the resident set of a fresh interpreter.

@@ -15,7 +15,7 @@ from socialchoice.simulation import (
     IndividualPreferenceModel,
     PopulationSpec,
     ResponseRecord,
-    clamp_rating,
+    clamp_ratings,
     fit_individual_model,
     group_quotas,
     predict_rating,
@@ -337,6 +337,4 @@ class TestPredictRating:
 
 class TestClamp:
     def test_bounds(self):
-        assert clamp_rating(-3.0) == 0.0
-        assert clamp_rating(12.0) == 10.0
-        assert clamp_rating(math.pi) == math.pi
+        assert clamp_ratings(np.array([-3.0, 12.0, math.pi])).tolist() == [0.0, 10.0, math.pi]

@@ -18,7 +18,7 @@ from socialchoice.pipeline import (
     ComposedRewardModel,
     PromptCase,
     SimulationDataset,
-    _induced_rankings,
+    _induced_orders,
     _train_psi,
     evaluate_reward,
     induced_ranking,
@@ -253,7 +253,7 @@ class TestPredictions:
 
         ids = [y.id for y in responses]
         rankings = [reference_induced_ranking(dict(zip(ids, row))) for row in want]
-        assert _induced_rankings(got, ids) == rankings
+        assert [tuple(ids[j] for j in row) for row in _induced_orders(got, ids)] == rankings
         assert induced_ranking(psi, sample[0], responses) == rankings[0]
 
         case = PromptCase("p", responses)
@@ -274,9 +274,9 @@ class TestPredictions:
         M, sample, (responses,) = block
         psi = IndividualPreferenceModel(M, 0.0)
         case = PromptCase("p", responses)
-        rankings = _induced_rankings(
-            predicted_ratings(psi, evaluator_matrix(sample, psi.d), responses), case.response_ids()
-        )
+        ids = case.response_ids()
+        ratings = predicted_ratings(psi, evaluator_matrix(sample, psi.d), responses)
+        rankings = [tuple(ids[j] for j in row) for row in _induced_orders(ratings, ids)]
         units = OrdinalProfile(case.response_ids(), tuple(map(RankingBallot, rankings)))
         for rule in rule_ids("ordinal"):
             want = ordinal_rule(rule)(units).winner
