@@ -37,8 +37,8 @@ _EXPORTS = {
             "plurality", "random_dictator", "ranked_pairs", "ranked_pairs_locks",
         ),
         "pipeline": (
-            "PromptCase", "SelectionPolicy", "evaluate_reward", "inference_time_choice",
-            "rlchf_from_features", "select_response", "simulate_collective_decision",
+            "PromptCase", "evaluate_reward", "inference_time_choice", "rlchf_from_features",
+            "select_response", "simulate_collective_decision",
         ),
         "profiles": (
             "BallotParseError", "CycleReport", "MarginMatrix", "OrdinalProfile", "RankingBallot",

@@ -40,14 +40,14 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice, permutations, repeat, starmap
+from itertools import islice, permutations, repeat
 from math import factorial
 from random import Random
 
-from .cardinal import RATING_MAX, RATING_MIN, RatingProfile, aggregate_ratings, cardinal_rule
+from .cardinal import RatingProfile, aggregate_ratings, cardinal_rule
 from .ordinal import ORDINAL_TALLIES, ordinal_rule
 from .profiles import OrdinalProfile, RankingBallot
-from .rules import resolve_rule
+from .rules import RATING_MAX, RATING_MIN, resolve_rule
 
 # The ordinal search decides at most m! - 1 misreports.  At the cap the worst
 # case is a ranked-pairs search whose bound never fires, such as voter 10 of
@@ -60,7 +60,11 @@ MAX_MANIPULATION_ALTERNATIVES = 6
 # 23-voter data/fig1.vote runs in 0.35 s with 100 copies under ranked pairs,
 # but took about a minute with 1,000.
 MAX_CLONE_COPIES = 100
-MAX_MANIPULATION_RATERS = 7
+# The cardinal grid search calls the rule once per grid rating, over every
+# rater.  At this cap a median search with no witness, the slowest, takes
+# 0.30-0.36 s and 22-23 MB peak RSS per process (2-vCPU VM, Python 3.11.7).
+# `--ratings` is one argument, at most 128 KiB on Linux: about 25,000 ratings.
+MAX_MANIPULATION_RATERS = 100_000
 # Cloning reads each voter's clone order, so its time follows the counts, not
 # the file: at this cap, `audit clones --rule borda --copies 100` on a
 # two-line file takes 0.16 s and 21 MB peak RSS with the lexicographic split,
@@ -131,10 +135,10 @@ def _voter_ballot(profile: OrdinalProfile, voter: int) -> tuple[int, int]:
 def cloned_profile(profile: OrdinalProfile, spec: CloneSpec) -> OrdinalProfile:
     """Clone the target in every voter's ballot, each distinct result once, weighted.
 
-    Voters are read in ballot order, and their (ranking, clone order) pairs
-    are counted.  Each distinct pair is spliced once into one weighted
-    ballot, in first-occurrence order.  Splicing is one-to-one, so the merge
-    is the one that a ballot per voter would give.
+    Voters are read by `unit_rankings()` once MAX_AUDIT_VOTERS is checked, and
+    their (ranking, clone order) pairs are counted.  Each distinct pair is
+    spliced once into one weighted ballot, in first-occurrence order.
+    Splicing is one-to-one, so the merge is the one a ballot per voter gives.
     """
     if spec.target not in profile.alternatives:
         raise ValueError(f"clone target {spec.target!r} is not an alternative")
@@ -160,7 +164,7 @@ def cloned_profile(profile: OrdinalProfile, spec: CloneSpec) -> OrdinalProfile:
         return ranking[:i] + block + ranking[i + 1:]
 
     voter_orders = map(orders.get, range(n), repeat(default_order))
-    pairs = Counter(zip(chain.from_iterable(starmap(repeat, profile.ballots)), voter_orders))
+    pairs = Counter(zip(profile.unit_rankings(), voter_orders))
     ballots = tuple(RankingBallot(splice(r, o), w) for (r, o), w in pairs.items())
     return OrdinalProfile(splice(profile.alternatives, default_order), ballots)
 
@@ -296,11 +300,11 @@ def manipulation_search_cardinal(
     Success is the strict kind: the aggregate after the misreport must land
     closer to the voter's truthful rating than the honest aggregate does.
     """
-    values = [float(r) for r in ratings]
-    if len(values) > MAX_MANIPULATION_RATERS:
+    if len(ratings) > MAX_MANIPULATION_RATERS:
         raise ValueError(
-            f"{len(values)} raters exceed the exhaustive-search cap ({MAX_MANIPULATION_RATERS})"
+            f"{len(ratings):,} raters exceed the grid search's cap of {MAX_MANIPULATION_RATERS:,}"
         )
+    values = [float(r) for r in ratings]
     for i, value in enumerate(values):
         # NaN fails both comparisons, so only finite ratings in range pass.
         if not RATING_MIN <= value <= RATING_MAX:

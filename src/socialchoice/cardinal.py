@@ -9,10 +9,7 @@ from dataclasses import dataclass
 from .jsonin import load
 from .ordinal import borda, reported_score
 from .profiles import OrdinalProfile, validate_alternative_id
-from .rules import resolve_rule, rule_ids
-
-RATING_MIN = 0.0
-RATING_MAX = 10.0
+from .rules import RATING_MAX, RATING_MIN, resolve_rule, rule_ids
 
 
 @dataclass(frozen=True)

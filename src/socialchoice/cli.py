@@ -17,7 +17,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .reports import RunReport, make_report, report_csv, report_json
+from .reports import make_report, report_csv, report_json
 from .rules import resolve_rule
 
 
@@ -41,7 +41,7 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def cmd_aggregate(args) -> RunReport:
+def cmd_aggregate(args) -> tuple[dict, dict]:
     from .profiles import parse_profile
 
     text = _read(args.profile)
@@ -63,20 +63,20 @@ def cmd_aggregate(args) -> RunReport:
         result = rule.fn(profile)
         fields = {name: value for name, value in vars(result).items() if value is not None}
         payload = {"rule": rule.id, "winner": result.winner, **fields}
-    return make_report("aggregate", {"profile": text}, args.seed, payload)
+    return {"profile": text}, payload
 
 
-def cmd_rate(args) -> RunReport:
+def cmd_rate(args) -> tuple[dict, dict]:
     from .cardinal import aggregate_ratings, rating_profile_from_json
 
     text = _read(args.ratings)
     rule = resolve_rule(args.rule, "cardinal").id
     profile = rating_profile_from_json(text)
     payload = {"rule": rule, "aggregates": aggregate_ratings(profile, rule)}
-    return make_report("rate", {"ratings": text}, args.seed, payload)
+    return {"ratings": text}, payload
 
 
-def cmd_committee(args) -> RunReport:
+def cmd_committee(args) -> tuple[dict, dict]:
     from .cardinal import cc_score
     from .profiles import parse_profile
 
@@ -90,10 +90,10 @@ def cmd_committee(args) -> RunReport:
         "winners": list(committee.winners),
         "cc_score": cc_score(profile, committee.winners),
     }
-    return make_report("committee", {"profile": text}, args.seed, payload)
+    return {"profile": text}, payload
 
 
-def cmd_judge(args) -> RunReport:
+def cmd_judge(args) -> tuple[dict, dict]:
     from .judgment import (
         check_consistency,
         closest_consistent,
@@ -117,10 +117,10 @@ def cmd_judge(args) -> RunReport:
         payload["distance"] = sum(
             1 for atom in jp.agenda.atoms if repair[atom] != majority[atom]
         )
-    return make_report("judge", {"profile": text}, args.seed, payload)
+    return {"profile": text}, payload
 
 
-def cmd_parse_feedback(args) -> RunReport:
+def cmd_parse_feedback(args) -> tuple[dict, dict]:
     from .feedback import compile_constraints, format_statement, interpret_rating, parse_feedback
 
     text = _read(args.statements)
@@ -135,10 +135,10 @@ def cmd_parse_feedback(args) -> RunReport:
         "bounds": {alt: list(b) for alt, b in pp.bounds.items()},
         "ratings": {alt: interpret_rating(pp, alt, context) for alt in context},
     }
-    return make_report("parse-feedback", {"statements": text}, args.seed, payload)
+    return {"statements": text}, payload
 
 
-def cmd_simulate(args) -> RunReport:
+def cmd_simulate(args) -> tuple[dict, dict]:
     from .pipeline import config_from_json, dataset_from_json, run_pipeline
 
     if args.out == "":
@@ -162,11 +162,10 @@ def cmd_simulate(args) -> RunReport:
         payload["sft"] = list(sft_lines)
         if args.out:
             Path(args.out).write_text("\n".join(sft_lines) + "\n", encoding="utf-8")
-    inputs = {"config": config_text, "dataset": dataset_text}
-    return make_report("simulate", inputs, args.seed, payload)
+    return {"config": config_text, "dataset": dataset_text}, payload
 
 
-def cmd_audit_clones(args) -> RunReport:
+def cmd_audit_clones(args) -> tuple[dict, dict]:
     from .audits import CloneSpec, alternating_clone_spec, clone_test
     from .profiles import parse_profile
 
@@ -188,10 +187,10 @@ def cmd_audit_clones(args) -> RunReport:
         "cloned_winner": result.cloned_winner,
         "clones": list(result.clones),
     }
-    return make_report("audit", {"profile": text}, args.seed, payload)
+    return {"profile": text}, payload
 
 
-def cmd_audit_manipulation(args) -> RunReport:
+def cmd_audit_manipulation(args) -> tuple[dict, dict]:
     if (args.rule is None) == (args.w is None):
         raise UsageError("pick exactly one of --rule (ordinal) or --w (cardinal)")
     if args.rule is not None:
@@ -226,10 +225,10 @@ def cmd_audit_manipulation(args) -> RunReport:
     if witness is not None:
         payload["witness"] = vars(witness)
         payload["reverified"] = reverify(rule.id, subject, witness)
-    return make_report("audit", inputs, args.seed, payload)
+    return inputs, payload
 
 
-def cmd_audit_anonymity(args) -> RunReport:
+def cmd_audit_anonymity(args) -> tuple[dict, dict]:
     from .audits import anonymity_check, anonymity_orders
 
     rule = resolve_rule(args.rule, "ordinal", "cardinal")
@@ -251,10 +250,10 @@ def cmd_audit_anonymity(args) -> RunReport:
         "anonymous": anonymity_check(rule.id, profile, args.seed),
         "permutations": len(anonymity_orders(profile, args.seed)),
     }
-    return make_report("audit", {flag: text}, args.seed, payload)
+    return {flag: text}, payload
 
 
-def cmd_audit_cycle(args) -> RunReport:
+def cmd_audit_cycle(args) -> tuple[dict, dict]:
     from .profiles import detect_cycles, margin_matrix, parse_profile
 
     text = _read(args.profile)
@@ -272,7 +271,7 @@ def cmd_audit_cycle(args) -> RunReport:
         "cycles": [list(c) for c in report.cycles],
         "margins": margins,
     }
-    return make_report("audit", {"profile": text}, args.seed, payload)
+    return {"profile": text}, payload
 
 
 def _add_aggregate(sub, common) -> None:
@@ -397,7 +396,8 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv and argv[0] in _SUBPARSERS else None)
     try:
         args = parser.parse_args(argv)
-        report = args.func(args)
+        inputs, payload = args.func(args)
+        report = make_report(args.command, inputs, args.seed, payload)
         try:
             text = report_json(report) if args.format == "json" else report_csv(report)
         except ValueError:

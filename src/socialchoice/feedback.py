@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cardinal import RATING_MAX, RATING_MIN
+from .rules import RATING_MAX, RATING_MIN
 
 
 class FeedbackParseError(ValueError):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from random import Random
 
@@ -51,11 +51,11 @@ from .simulation import (
 
 # Largest training design run_pipeline accepts, in float64 entries: N
 # evaluators times the responses over all cases times the row width d*q.
-# Besides its 16 bytes per entry (built per case, then joined), each row
-# costs about 41 bytes of ratings and rankings, so narrow rows cost the most.
-# Peak RSS of one `simulate` process at the cap: d = q = 1, 333,333 x 12 rows,
-# 263 MB; d = 5, q = 3, 22,222 x 12 rows, 110 MB; d = q = 20, 1,000 x 10
-# rows, 102 MB (2-vCPU VM, Python 3.11.7).
+# The design is one array, 8 bytes per entry; each row also holds an 8-byte
+# rating and its share of the rating blocks, so narrow rows cost the most.
+# Peak RSS of one "features" `simulate` process at the cap: d = q = 1,
+# 333,333 x 12 rows, 136 MB; d = 5, q = 3, 22,222 x 12 rows, 70 MB; d = q =
+# 20, 1,000 x 10 rows, 71 MB (2-vCPU VM, Python 3.11.7, numpy 2.4.6).
 MAX_DESIGN_ENTRIES = 4_000_000
 
 
@@ -127,17 +127,6 @@ class ComposedRewardModel:
 RewardModel = FittedRewardModel | ComposedRewardModel
 
 
-@dataclass(frozen=True)
-class SelectionPolicy:
-    """Response selection: argmax at temperature 0, softmax sampling above."""
-
-    temperature: float = 0.0
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
-
-
 def rank_target_scores(ranking: Sequence[str]) -> dict[str, float]:
     """Map collective-rank positions linearly onto [0, 10], winner first."""
     m = len(ranking)
@@ -202,16 +191,18 @@ def _rewards(model: RewardModel, responses: Sequence[ResponseRecord]) -> list[fl
 
 
 def select_response(
-    model: RewardModel, case: PromptCase, policy: SelectionPolicy, seed: int
+    model: RewardModel, case: PromptCase, temperature: float, seed: int
 ) -> ResponseRecord:
     """Pick a response by reward: argmax at T=0, softmax sample at T>0."""
+    if temperature < 0:
+        raise ValueError("temperature must be non-negative")
     scored = _scored(model, case)
-    if policy.temperature == 0:
+    if temperature == 0:
         return case.response(scored["chosen"])
     rewards = scored["rewards"]
     ids = sorted(rewards)
     top = max(rewards.values())
-    expo = [math.exp((rewards[rid] - top) / policy.temperature) for rid in ids]
+    expo = [math.exp((rewards[rid] - top) / temperature) for rid in ids]
     total = sum(expo)
     ticket = Random(seed).random() * total
     cumulative = 0.0
@@ -284,12 +275,8 @@ def sft_jsonl_lines(pairs: Sequence[tuple[str, str]]) -> tuple[str, ...]:
     )
 
 
-CandidateGenerator = Callable[[str, int], Sequence[ResponseRecord]]
-
-
 def inference_time_choice(
-    prompt: str,
-    generator: CandidateGenerator,
+    case: PromptCase,
     spec: PopulationSpec,
     n_evaluators: int,
     psi: IndividualPreferenceModel,
@@ -297,19 +284,14 @@ def inference_time_choice(
     seed: int,
     k: int | None = None,
 ) -> ResponseRecord | Committee:
-    """Choose among freshly generated candidates without fitting a reward model.
+    """Let a fresh evaluator sample vote over the case's responses, fitting no reward model.
 
-    The generator stands in for a pretrained LLM: it maps (prompt, seed) to
-    candidate responses.  Evaluator features and candidates get separate
-    derived seeds so neither draw disturbs the other.
+    With no live LLM, the case's responses stand in for freshly generated
+    candidates.  The evaluators are drawn from `derive_seed(seed, "population")`.
     """
     if n_evaluators < 1:
         raise ValueError("need at least one simulated evaluator")
-    candidates = tuple(generator(prompt, derive_seed(seed, "candidates")))
-    if len(candidates) < 2:
-        raise ValueError(f"candidate generator produced {len(candidates)} responses, need >= 2")
     sample = sample_population(spec, n_evaluators, derive_seed(seed, "population"))
-    case = PromptCase(prompt, candidates)
     return simulate_collective_decision(case, psi, sample, rule, k)
 
 
@@ -497,23 +479,23 @@ def config_from_json(text: str) -> PipelineConfig:
 
 
 def _train_psi(
-    dataset: SimulationDataset,
-    sample: np.ndarray,
-    ridge_lambda: float,
-    seed: int,
+    dataset: SimulationDataset, sample: np.ndarray, ridge_lambda: float, seed: int
 ) -> IndividualPreferenceModel:
-    # Ground-truth ratings of every case's responses by every evaluator, one
-    # design row kron(f, g(y)) each; each case gets its own noise stream so
-    # case order never matters.
+    # Ground-truth ratings of every case's responses by every evaluator, and
+    # one design row kron(f, g(y)) each, filled case by case into one array
+    # each; each case gets its own noise stream so case order never matters.
     world = dataset.world
     F = evaluator_matrix(sample, world.d)
-    designs, targets = [], []
+    rows = len(F) * sum(len(case.responses) for case in dataset.cases)
+    X, r = np.empty((rows, world.d * world.q)), np.empty(rows)
+    start = 0
     for ci, case in enumerate(dataset.cases):
+        stop = start + len(F) * len(case.responses)
         case_seed = derive_seed(seed, "case-ratings", ci)
-        targets.append(true_ratings(world, F, case.responses, case_seed).ravel())
-        designs.append(kron_rows(F[:, None], response_matrix(case.responses, world.q)[None]))
-    X = np.concatenate(designs)
-    return fit_design(X, np.concatenate(targets), world.d, world.q, ridge_lambda)
+        r[start:stop] = true_ratings(world, F, case.responses, case_seed).ravel()
+        kron_rows(F[:, None], response_matrix(case.responses, world.q)[None], out=X[start:stop])
+        start = stop
+    return fit_design(X, r, world.d, world.q, ridge_lambda)
 
 
 def _check_design_size(n_evaluators: int, dataset: SimulationDataset) -> None:
@@ -575,10 +557,8 @@ def run_pipeline(config: PipelineConfig, dataset: SimulationDataset, seed: int):
             if config.variant == "collective":
                 chosen = simulate_collective_decision(case, psi, sample, config.rule, config.k)
             else:
-                # With no live LLM, the stored responses stand in for fresh generations.
                 chosen = inference_time_choice(
-                    case.prompt,
-                    lambda prompt, seed, case=case: case.responses,
+                    case,
                     dataset.population,
                     config.n_evaluators,
                     psi,

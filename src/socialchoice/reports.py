@@ -2,8 +2,9 @@
 
 Reports are the CLI's only output, so their serialization is canonical:
 sorted keys, floats normalized to 9 significant digits, no locale or dict
-ordering leaks.  Identical (command, inputs, seed, payload, version) must
-serialize to identical bytes, in JSON and in the flattened CSV alike.
+ordering leaks.  A report is a plain dict (`make_report`); identical
+(command, inputs, seed, payload, version) must serialize to identical bytes,
+in JSON and in the flattened CSV alike.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
 from typing import Any
 
 from . import __version__
@@ -48,29 +48,8 @@ def canonical_value(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 
 
-@dataclass(frozen=True)
-class RunReport:
-    command: str
-    inputs: dict[str, str]  # input name -> sha256 of its content
-    seed: int
-    payload: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", dict(self.inputs))
-        object.__setattr__(self, "payload", canonical_value(self.payload))
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": dict(sorted(self.inputs.items())),
-            "seed": self.seed,
-            "payload": self.payload,
-            "version": __version__,
-        }
-
-
-def report_json(report: RunReport) -> str:
-    return json.dumps(report.as_dict(), sort_keys=True, allow_nan=False)
+def report_json(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, allow_nan=False)
 
 
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, Any]]):
@@ -84,14 +63,14 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, Any]]):
         rows.append((prefix, value))
 
 
-def report_csv(report: RunReport) -> str:
+def report_csv(report: dict) -> str:
     """Two-column flattening of the report; values are JSON-encoded scalars.
 
     Carries exactly the numbers of the JSON form: both serialize the same
     canonicalized tree.
     """
     rows: list[tuple[str, Any]] = []
-    _flatten("", report.as_dict(), rows)
+    _flatten("", report, rows)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(("key", "value"))
@@ -100,13 +79,12 @@ def report_csv(report: RunReport) -> str:
     return buffer.getvalue()
 
 
-def make_report(
-    command: str, inputs: dict[str, bytes | str], seed: int, payload: dict
-) -> RunReport:
-    """Digest raw input contents and assemble the report."""
-    return RunReport(
-        command,
-        {name: sha256_hex(content) for name, content in inputs.items()},
-        seed,
-        payload,
-    )
+def make_report(command: str, inputs: dict[str, bytes | str], seed: int, payload: dict) -> dict:
+    """The canonical report: each input's sha256, the canonicalized payload, seed and version."""
+    return {
+        "command": command,
+        "inputs": {name: sha256_hex(inputs[name]) for name in sorted(inputs)},
+        "seed": seed,
+        "payload": canonical_value(payload),
+        "version": __version__,
+    }

@@ -12,6 +12,11 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple
 
+# The scale of every rating, prediction and feedback bound; kept here, which
+# every command loads, so that reading it loads no rule module.
+RATING_MIN = 0.0
+RATING_MAX = 10.0
+
 # id: (kind, spellings accepted besides the id)
 RULES: dict[str, tuple[str, tuple[str, ...]]] = {
     "plurality": ("ordinal", ()),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cardinal import RATING_MAX, RATING_MIN
+from .rules import RATING_MAX, RATING_MIN
 from .seeding import derive_seed
 
 # An evaluator is a point in [0, 1]^d.
@@ -353,15 +353,18 @@ class IndividualPreferenceModel:
         return len(self.M_hat[0])
 
 
-def kron_rows(F: np.ndarray, G: np.ndarray) -> np.ndarray:
+def kron_rows(F: np.ndarray, G: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Design rows kron(f, g), one per pair of rows f of F and g of G.
 
     F (..., d) and G (..., q) broadcast against each other: equal-length
     stacks pair up row by row, and F[:, None] against G[None] gives every
-    evaluator against every response, evaluator-major.
+    evaluator against every response, evaluator-major.  Given `out`, a
+    C-contiguous float64 array of the rows' shape, they are written there.
     """
-    X = F[..., :, None] * G[..., None, :]
-    return X.reshape(-1, X.shape[-2] * X.shape[-1])
+    d, q = F.shape[-1], G.shape[-1]
+    shape = np.broadcast_shapes(F.shape[:-1], G.shape[:-1]) + (d, q)
+    view = None if out is None else out.reshape(shape)
+    return np.multiply(F[..., :, None], G[..., None, :], out=view).reshape(-1, d * q)
 
 
 def fit_individual_model(

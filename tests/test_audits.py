@@ -14,6 +14,7 @@ from audit_helpers import random_clone_spec, random_strict_profile
 from socialchoice.audits import (
     MAX_AUDIT_VOTERS,
     MAX_CLONE_COPIES,
+    MAX_MANIPULATION_RATERS,
     CloneSpec,
     ManipulationWitness,
     # Aliased: this module's own alternating_clone_spec() builds a fixed spec
@@ -324,9 +325,17 @@ class TestManipulationSearchCardinal:
         for rule in ("mean", "median"):
             assert manipulation_search_cardinal(rule, (3.5,), 0) is None
 
-    def test_rater_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            manipulation_search_cardinal("mean", (1,) * 8, 0)
+    def test_raters_at_the_cap_are_searched(self):
+        # Every rater gives 1, so the honest mean is the voter's own rating and
+        # the search tries every grid rating.
+        assert manipulation_search_cardinal("mean", (1,) * MAX_MANIPULATION_RATERS, 0) is None
+
+    def test_raters_past_the_cap_are_refused(self):
+        cap = MAX_MANIPULATION_RATERS
+        with pytest.raises(
+            ValueError, match=f"^{cap + 1:,} raters exceed the grid search's cap of {cap:,}$"
+        ):
+            manipulation_search_cardinal("mean", (1,) * (cap + 1), 0)
 
     def test_voter_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -409,6 +418,16 @@ def past_the_cap(weight=MAX_AUDIT_VOTERS):
 
 
 class TestAuditVoterCap:
+    def test_the_guard_sees_cloning_read_its_voters(self, monkeypatch):
+        # Cloning reads each voter through unit_rankings(), the method that
+        # no_expansion replaces, so the guard covers its one expansion.
+        calls = []
+        expand = OrdinalProfile.unit_rankings
+        monkeypatch.setattr(OrdinalProfile, "unit_rankings", lambda p: calls.append(p) or expand(p))
+        profile = past_the_cap(1)
+        cloned_profile(profile, CloneSpec("A"))
+        assert calls == [profile]
+
     def test_cloning_is_refused_before_any_voter_is_expanded(self, no_expansion):
         with pytest.raises(ValueError, match="more than 100,000 voters, the cap"):
             cloned_profile(past_the_cap(), CloneSpec("A"))

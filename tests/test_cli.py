@@ -732,6 +732,13 @@ class TestExitCodes:
         assert code == 1
         assert "--profile" in err
 
+    def test_non_finite_payload_keeps_its_own_message(self, capsys, monkeypatch):
+        # main makes the report outside the digit-limit handler, so this
+        # fault is not reported as a number past the digit limit.
+        monkeypatch.setattr(cli, "cmd_rate", lambda args: ({}, {"value": float("nan")}))
+        code, out, err = run_cli(capsys, "rate", "--rule", "mean", "--ratings", "unread.json")
+        assert (code, out, err) == (1, "", "error: report payloads must be finite\n")
+
     def test_ballot_syntax_error_names_the_line(self, capsys, tmp_path):
         vote = tmp_path / "bad.vote"
         vote.write_text("alternatives: A, B\n2: A > Z\n")
@@ -1349,6 +1356,14 @@ class TestCardinalManipulationRatings:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_eight_raters_are_searched(self, capsys):
+        # The median of 1..8 is 4.5 under every report of voter 0.
+        report = run_json(
+            capsys, "audit", "manipulation", "--w", "median", "--ratings", "1,2,3,4,5,6,7,8",
+            "--voter", "0",
+        )
+        assert report["payload"]["witness"] is None
 
 
 class TestDatasetNumbers:

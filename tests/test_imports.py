@@ -101,8 +101,8 @@ EXPORTS = {
         "plurality", "random_dictator", "ranked_pairs", "ranked_pairs_locks",
     ),
     "pipeline": (
-        "PromptCase", "SelectionPolicy", "evaluate_reward", "inference_time_choice",
-        "rlchf_from_features", "select_response", "simulate_collective_decision",
+        "PromptCase", "evaluate_reward", "inference_time_choice", "rlchf_from_features",
+        "select_response", "simulate_collective_decision",
     ),
     "profiles": (
         "BallotParseError", "CycleReport", "MarginMatrix", "OrdinalProfile", "RankingBallot",
@@ -160,6 +160,16 @@ def test_a_cycle_audit_loads_no_other_audit_kinds_modules(module):
     # Each audit kind imports only what it runs; the cycle audit needs the
     # profile and its margins, not the auditors or the cardinal rules.
     argv = ["audit", "cycle", "--profile", "data/fig1.vote"]
+    proc = run_fresh("-c", PROBE.format(module), *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"{module} loaded: False\n"
+
+
+@pytest.mark.parametrize("module", ["socialchoice.cardinal", "statistics"])
+def test_parse_feedback_loads_no_cardinal_rule(module):
+    # The rating scale it checks bounds against lives in `rules`, which every
+    # command loads, not with the cardinal rules and their `statistics`.
+    argv = ["parse-feedback", "--statements", "data/feedback.txt", "--context", "A,B,C"]
     proc = run_fresh("-c", PROBE.format(module), *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == f"{module} loaded: False\n"

@@ -17,7 +17,6 @@ from socialchoice.pipeline import (
     FittedRewardModel,
     PipelineConfig,
     PromptCase,
-    SelectionPolicy,
     _fit_targets,
     config_from_json,
     dataset_from_json,
@@ -283,11 +282,11 @@ class TestEvaluateReward:
 class TestSelectResponse:
     def test_argmax_picks_top_fitted_target(self, jury_case):
         model = fit_jury_targets([jury_case], "borda", 1e-9)
-        assert select_response(model, jury_case, SelectionPolicy(0.0), 0).id == "C"
+        assert select_response(model, jury_case, 0.0, 0).id == "C"
 
     def test_argmax_tie_breaks_lexicographically(self, jury_case):
         model = FittedRewardModel((0.0, 0.0, 0.0), 5.0, 0.0)
-        assert select_response(model, jury_case, SelectionPolicy(0.0), 7).id == "A"
+        assert select_response(model, jury_case, 0.0, 7).id == "A"
 
     def test_argmax_invariant_under_positive_affine_rescaling(self, jury_case):
         base = FittedRewardModel((2.0, 3.0, 4.0), 1.0, 0.0)
@@ -296,41 +295,39 @@ class TestSelectResponse:
                 tuple(a * w for w in base.weights), a * base.intercept + c, 0.0
             )
             for seed in range(5):
-                policy = SelectionPolicy(0.0)
                 assert (
-                    select_response(base, jury_case, policy, seed).id
-                    == select_response(scaled, jury_case, policy, seed).id
+                    select_response(base, jury_case, 0.0, seed).id
+                    == select_response(scaled, jury_case, 0.0, seed).id
                 )
 
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            SelectionPolicy(-0.1)
+    def test_negative_temperature_rejected(self, jury_case):
+        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0, 0.0)
+        with pytest.raises(ValueError, match="^temperature must be non-negative$"):
+            select_response(model, jury_case, -0.1, 0)
 
     def test_low_temperature_concentrates_on_argmax(self, jury_case):
         model = FittedRewardModel((1.0, 2.0, 8.0), 0.0, 0.0)
-        picks = {select_response(model, jury_case, SelectionPolicy(0.01), s).id for s in range(200)}
+        picks = {select_response(model, jury_case, 0.01, s).id for s in range(200)}
         assert picks == {"C"}
 
     def test_same_seed_same_sample(self, jury_case):
         model = FittedRewardModel((1.0, 2.0, 8.0), 0.0, 0.0)
-        policy = SelectionPolicy(5.0)
-        a = select_response(model, jury_case, policy, 123).id
-        b = select_response(model, jury_case, policy, 123).id
+        a = select_response(model, jury_case, 5.0, 123).id
+        b = select_response(model, jury_case, 5.0, 123).id
         assert a == b
 
     def test_high_temperature_samples_are_not_constant(self, jury_case):
         model = FittedRewardModel((1.0, 2.0, 8.0), 0.0, 0.0)
-        picks = {select_response(model, jury_case, SelectionPolicy(50.0), s).id for s in range(50)}
+        picks = {select_response(model, jury_case, 50.0, s).id for s in range(50)}
         assert len(picks) > 1
 
     def test_infinite_temperature_limit_is_uniform(self, jury_case):
         # Chi-square goodness of fit on 10000 seeded draws over 3 responses;
         # the 99th percentile at 2 degrees of freedom is 9.21034.
         model = FittedRewardModel((1.0, 2.0, 8.0), 0.0, 0.0)
-        policy = SelectionPolicy(1e9)
         counts = {"A": 0, "B": 0, "C": 0}
         for seed in range(10_000):
-            counts[select_response(model, jury_case, policy, seed).id] += 1
+            counts[select_response(model, jury_case, 1e9, seed).id] += 1
         expected = 10_000 / 3
         chi2 = sum((obs - expected) ** 2 / expected for obs in counts.values())
         assert chi2 < 9.21034
@@ -402,51 +399,37 @@ CONSTANT_SPEC = PopulationSpec(
 )
 
 
-def fixed_generator(responses):
-    def generate(prompt, seed):
-        assert isinstance(seed, int)
-        return responses
-
-    return generate
-
-
 class TestInferenceTimeChoice:
     def test_matches_direct_collective_decision(self):
-        responses = one_hot_responses()
+        case = PromptCase("x", one_hot_responses())
         psi = IndividualPreferenceModel(((3.0, 7.0, 5.0),), 0.0)
-        chosen = inference_time_choice(
-            "x", fixed_generator(responses), CONSTANT_SPEC, 4, psi, "borda", seed=11
-        )
+        chosen = inference_time_choice(case, CONSTANT_SPEC, 4, psi, "borda", seed=11)
         sample = sample_population(CONSTANT_SPEC, 4, derive_seed(11, "population"))
-        direct = simulate_collective_decision(PromptCase("x", responses), psi, sample, "borda")
+        direct = simulate_collective_decision(case, psi, sample, "borda")
         assert chosen.id == direct.id == "B"
 
     def test_single_evaluator_takes_top_candidate(self):
         psi = IndividualPreferenceModel(((3.0, 7.0, 5.0),), 0.0)
-        chosen = inference_time_choice(
-            "x", fixed_generator(one_hot_responses()), CONSTANT_SPEC, 1, psi, "plurality", seed=0
-        )
+        case = PromptCase("x", one_hot_responses())
+        chosen = inference_time_choice(case, CONSTANT_SPEC, 1, psi, "plurality", seed=0)
         assert chosen.id == "B"
 
     def test_repeated_call_same_seed_identical(self):
         psi = IndividualPreferenceModel(((3.0, 7.0, 5.0),), 0.0)
-        args = ("x", fixed_generator(one_hot_responses()), CONSTANT_SPEC, 5, psi, "borda")
+        args = (PromptCase("x", one_hot_responses()), CONSTANT_SPEC, 5, psi, "borda")
         assert inference_time_choice(*args, seed=42).id == inference_time_choice(*args, seed=42).id
 
-    def test_degenerate_generator_rejected(self):
+    def test_lone_candidate_rejected(self):
         psi = IndividualPreferenceModel(((3.0,),), 0.0)
         lone = (ResponseRecord("A", "a", (1.0,)),)
-        with pytest.raises(ValueError, match="need >= 2"):
-            inference_time_choice(
-                "x", fixed_generator(lone), CONSTANT_SPEC, 3, psi, "borda", seed=0
-            )
+        with pytest.raises(ValueError, match="at least two responses"):
+            inference_time_choice(PromptCase("x", lone), CONSTANT_SPEC, 3, psi, "borda", seed=0)
 
     def test_zero_evaluators_rejected(self):
         psi = IndividualPreferenceModel(((3.0, 7.0, 5.0),), 0.0)
+        case = PromptCase("x", one_hot_responses())
         with pytest.raises(ValueError, match="at least one"):
-            inference_time_choice(
-                "x", fixed_generator(one_hot_responses()), CONSTANT_SPEC, 0, psi, "borda", seed=0
-            )
+            inference_time_choice(case, CONSTANT_SPEC, 0, psi, "borda", seed=0)
 
 
 def jury_dataset_json():

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from socialchoice.reports import (
-    RunReport,
     canonical_value,
     make_report,
     report_csv,
@@ -52,37 +51,44 @@ class TestCanonicalValue:
             canonical_value({"v": {1, 2}})
 
 
-class TestRunReport:
+class TestMakeReport:
     def test_identical_reports_serialize_identically(self):
-        a = RunReport("aggregate", {"profile": "ab" * 32}, 0, {"x": 1 / 3})
-        b = RunReport("aggregate", {"profile": "ab" * 32}, 0, {"x": 1 / 3})
+        a = make_report("aggregate", {"profile": "A > B"}, 0, {"x": 1 / 3})
+        b = make_report("aggregate", {"profile": "A > B"}, 0, {"x": 1 / 3})
         assert report_json(a) == report_json(b)
         assert report_csv(a) == report_csv(b)
 
     def test_json_shape(self):
-        report = RunReport("rate", {"ratings": "00" * 32}, 3, {"value": 6.0})
+        report = make_report("rate", {"ratings": "{}"}, 3, {"value": 6.0})
         data = json.loads(report_json(report))
         assert data["command"] == "rate"
         assert data["seed"] == 3
         assert data["version"] == "0.1.0"
         assert data["payload"] == {"value": 6.0}
-        assert data["inputs"] == {"ratings": "00" * 32}
+        assert data["inputs"] == {"ratings": sha256_hex("{}")}
+
+    def test_payload_is_canonicalized(self):
+        report = make_report("x", {}, 0, {"b": (1 / 3,), "a": 2})
+        assert report["payload"] == {"a": 2, "b": [0.333333333]}
+        assert list(report["payload"]) == ["a", "b"]
+        with pytest.raises(ValueError, match="finite"):
+            make_report("x", {}, 0, {"v": float("nan")})
 
     def test_json_keys_sorted(self):
-        report = RunReport("x", {}, 0, {"b": 1, "a": 2})
+        report = make_report("x", {}, 0, {"b": 1, "a": 2})
         text = report_json(report)
         assert text.index('"a"') < text.index('"b"')
         assert text.index('"command"') < text.index('"payload"')
 
     def test_csv_flattens_nested_paths(self):
-        report = RunReport("x", {}, 0, {"cases": [{"chosen": "B"}], "n": 2})
+        report = make_report("x", {}, 0, {"cases": [{"chosen": "B"}], "n": 2})
         lines = report_csv(report).splitlines()
         assert lines[0] == "key,value"
         assert 'payload.cases[0].chosen,"""B"""' in lines
         assert "payload.n,2" in lines
 
     def test_csv_and_json_carry_identical_numbers(self):
-        report = RunReport("x", {}, 0, {"scores": {"A": 1 / 3, "B": 2}})
+        report = make_report("x", {}, 0, {"scores": {"A": 1 / 3, "B": 2}})
         data = json.loads(report_json(report))
         csv_rows = dict(
             line.split(",", 1) for line in report_csv(report).splitlines()[1:]
@@ -98,4 +104,4 @@ class TestDigests:
 
     def test_make_report_digests_every_input(self):
         report = make_report("x", {"a": "one", "b": b"two"}, 0, {})
-        assert report.inputs == {"a": sha256_hex("one"), "b": sha256_hex("two")}
+        assert report["inputs"] == {"a": sha256_hex("one"), "b": sha256_hex("two")}

@@ -18,6 +18,7 @@ from socialchoice.simulation import (
     clamp_ratings,
     fit_individual_model,
     group_quotas,
+    kron_rows,
     predict_rating,
     sample_population,
     true_rating,
@@ -333,6 +334,19 @@ class TestPredictRating:
     def test_scalar_case(self):
         psi = IndividualPreferenceModel(((10.0,),), ridge_lambda=0.0)
         assert predict_rating(psi, (0.3,), ResponseRecord("y", "t", (1.0,))) == pytest.approx(3.0)
+
+
+class TestKronRows:
+    def test_rows_are_written_into_out(self):
+        F = np.array([[1.0, 2.0], [3.0, 4.0]])
+        G = np.array([[5.0], [6.0], [7.0]])
+        out = np.full((8, 2), np.nan)
+        rows = kron_rows(F[:, None], G[None], out=out[1:7])
+        assert np.shares_memory(rows, out)
+        assert out[1:7].tolist() == kron_rows(F[:, None], G[None]).tolist() == [
+            [5.0, 10.0], [6.0, 12.0], [7.0, 14.0], [15.0, 20.0], [18.0, 24.0], [21.0, 28.0],
+        ]
+        assert np.isnan(out[[0, 7]]).all()
 
 
 class TestClamp:
