@@ -290,10 +290,7 @@ def manipulation_search_ordinal(
 
 
 def manipulation_search_cardinal(
-    rule_id: str,
-    ratings: Sequence[float],
-    voter: int,
-    grid: Sequence[float] = DEFAULT_RATING_GRID,
+    rule_id: str, ratings: Sequence[float], voter: int
 ) -> ManipulationWitness | None:
     """Grid-search misreports that pull the aggregate toward the voter's truth.
 
@@ -314,7 +311,7 @@ def manipulation_search_cardinal(
     rule = cardinal_rule(rule_id)
     truth = values[voter]
     honest_gap = abs(rule(values) - truth)
-    for report in grid:
+    for report in DEFAULT_RATING_GRID:
         if report == truth:
             continue
         shifted = list(values)

@@ -18,23 +18,18 @@ import sys
 from pathlib import Path
 
 from .reports import make_report, report_csv, report_json
-from .rules import resolve_rule
-
-
-class UsageError(ValueError):
-    """Bad command line or inputs; maps to exit code 1."""
+from .rules import RULES, resolve_rule
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on bad flags; the report contract reserves 2
-    # for internal errors, so route usage problems through UsageError instead.
+    # argparse would exit 2, which the report contract keeps for internal errors.
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 class _AfterKind(argparse.Action):
     def __call__(self, parser, namespace, values, flag=None):
-        raise UsageError(f"{flag} goes after the audit kind: audit <kind> {flag} …")
+        raise ValueError(f"{flag} goes after the audit kind: audit <kind> {flag} …")
 
 
 def _read(path: str) -> str:
@@ -126,7 +121,7 @@ def cmd_parse_feedback(args) -> tuple[dict, dict]:
     text = _read(args.statements)
     context = tuple(x.strip() for x in args.context.split(",") if x.strip())
     if not context:
-        raise UsageError("--context needs at least one response id")
+        raise ValueError("--context needs at least one response id")
     statements = parse_feedback(text, context)
     pp = compile_constraints(statements)
     payload = {
@@ -142,16 +137,16 @@ def cmd_simulate(args) -> tuple[dict, dict]:
     from .pipeline import config_from_json, dataset_from_json, run_pipeline
 
     if args.out == "":
-        raise UsageError("--out needs a file path")
+        raise ValueError("--out needs a file path")
     config_text = _read(args.config)
     config = config_from_json(config_text)
     if args.out and not config.emits_sft:
-        raise UsageError(
+        raise ValueError(
             f"--out: variant {config.variant!r} with rule {config.rule!r} emits no SFT lines; "
             "only variant 'collective' with a single-winner rule C does"
         )
     if config.dataset is None:
-        raise UsageError("pipeline config must name a dataset file")
+        raise ValueError("pipeline config must name a dataset file")
     dataset_path = Path(config.dataset)
     if not dataset_path.is_absolute():
         dataset_path = Path(args.config).parent / dataset_path
@@ -192,7 +187,7 @@ def cmd_audit_clones(args) -> tuple[dict, dict]:
 
 def cmd_audit_manipulation(args) -> tuple[dict, dict]:
     if (args.rule is None) == (args.w is None):
-        raise UsageError("pick exactly one of --rule (ordinal) or --w (cardinal)")
+        raise ValueError("pick exactly one of --rule (ordinal) or --w (cardinal)")
     if args.rule is not None:
         from .audits import manipulation_search_ordinal as search
         from .audits import reverify_ordinal_witness as reverify
@@ -200,7 +195,7 @@ def cmd_audit_manipulation(args) -> tuple[dict, dict]:
 
         rule = resolve_rule(args.rule, "ordinal")
         if args.profile is None:
-            raise UsageError(f"rule {rule.id!r} needs --profile")
+            raise ValueError(f"rule {rule.id!r} needs --profile")
         text = _read(args.profile)
         subject, inputs = parse_profile(text), {"profile": text}
     else:
@@ -208,16 +203,16 @@ def cmd_audit_manipulation(args) -> tuple[dict, dict]:
         from .audits import reverify_cardinal_witness as reverify
 
         if args.ratings is None:
-            raise UsageError("--w needs --ratings, e.g. --ratings 3,6,6")
+            raise ValueError("--w needs --ratings, e.g. --ratings 3,6,6")
         items = [v.strip() for v in args.ratings.split(",")]
         if "" in items:
-            raise UsageError(f"--ratings item {items.index('')} is empty: {args.ratings!r}")
+            raise ValueError(f"--ratings item {items.index('')} is empty: {args.ratings!r}")
         subject = []
         for i, item in enumerate(items):
             try:
                 subject.append(float(item))
             except ValueError:
-                raise UsageError(f"--ratings item {i}: expected a number, got {item!r}") from None
+                raise ValueError(f"--ratings item {i}: expected a number, got {item!r}") from None
         inputs = {"ratings": args.ratings}
         rule = resolve_rule(args.w, "cardinal")
     witness = search(rule.id, subject, args.voter)
@@ -241,7 +236,7 @@ def cmd_audit_anonymity(args) -> tuple[dict, dict]:
 
         flag = "profile"
     if getattr(args, flag) is None:
-        raise UsageError(f"rule {rule.id!r} needs --{flag}")
+        raise ValueError(f"rule {rule.id!r} needs --{flag}")
     text = _read(getattr(args, flag))
     profile = load(text)
     payload = {
@@ -274,23 +269,28 @@ def cmd_audit_cycle(args) -> tuple[dict, dict]:
     return {"profile": text}, payload
 
 
+def _rule_help(*kinds: str) -> str:
+    names = (n for rid, (kind, aliases) in RULES.items() if kind in kinds for n in (rid, *aliases))
+    return "|".join(names).replace("_", "-")
+
+
 def _add_aggregate(sub, common) -> None:
     p = sub.add_parser("aggregate", parents=[common], help="run an ordinal voting rule")
-    p.add_argument("--rule", required=True, help="plurality|borda|irv|ranked-pairs|random-dictator")
+    p.add_argument("--rule", required=True, help=_rule_help("ordinal", "lottery"))
     p.add_argument("--profile", required=True, help="ballot file")
     p.set_defaults(func=cmd_aggregate)
 
 
 def _add_rate(sub, common) -> None:
     p = sub.add_parser("rate", parents=[common], help="aggregate cardinal ratings")
-    p.add_argument("--rule", required=True, help="mean|median")
+    p.add_argument("--rule", required=True, help=_rule_help("cardinal"))
     p.add_argument("--ratings", required=True, help="rating profile JSON file")
     p.set_defaults(func=cmd_rate)
 
 
 def _add_committee(sub, common) -> None:
     p = sub.add_parser("committee", parents=[common], help="select a committee")
-    p.add_argument("--rule", required=True, help="k-borda|greedy-cc")
+    p.add_argument("--rule", required=True, help=_rule_help("committee"))
     p.add_argument("--profile", required=True, help="ballot file")
     p.add_argument("--k", required=True, type=int, help="committee size")
     p.set_defaults(func=cmd_committee)

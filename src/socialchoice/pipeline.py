@@ -103,7 +103,6 @@ class FittedRewardModel:
 
     weights: tuple[float, ...]
     intercept: float
-    ridge_lambda: float
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
@@ -152,7 +151,7 @@ def _fit_targets(
     # Center so the intercept absorbs the means and stays unpenalized.
     x_mean, r_mean = X.mean(axis=0), r.mean()
     w = ridge_solve(X - x_mean, r - r_mean, ridge_lambda)
-    return FittedRewardModel(tuple(w.tolist()), float(r_mean - w @ x_mean), float(ridge_lambda))
+    return FittedRewardModel(tuple(w.tolist()), float(r_mean - w @ x_mean))
 
 
 def rlchf_from_features(
@@ -194,7 +193,8 @@ def select_response(
     model: RewardModel, case: PromptCase, temperature: float, seed: int
 ) -> ResponseRecord:
     """Pick a response by reward: argmax at T=0, softmax sample at T>0."""
-    if temperature < 0:
+    # NaN fails the comparison; an infinite temperature draws uniformly.
+    if not temperature >= 0:
         raise ValueError("temperature must be non-negative")
     scored = _scored(model, case)
     if temperature == 0:

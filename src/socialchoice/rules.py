@@ -1,10 +1,10 @@
 """The rule registry: every aggregation rule's id, kind and extra spellings.
 
-An id is also its function's name, in `ordinal` for the ordinal
-(profile -> SocialRanking) and lottery ((profile, seed) -> (Lottery, winner))
-rules and in `cardinal` for the committee ((profile, k) -> Committee) and
-cardinal (ratings -> rating) rules.  A new rule takes its function and one row
-here; a deterministic ordinal rule also takes one `ordinal.ORDINAL_TALLIES` row.
+Each id is its function's name, which `resolve_rule` reads from `ordinal` for
+the ordinal (profile -> SocialRanking) and lottery ((profile, seed) -> (Lottery,
+winner)) rules and from `cardinal` for the committee ((profile, k) -> Committee)
+and cardinal (ratings -> rating) rules.  A new rule takes its function and one
+row here; a deterministic ordinal rule also takes one `ordinal.ORDINAL_TALLIES` row.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ def resolve_rule(name: str, *kinds: str) -> Rule:
 
     A name is stripped, lowercased and read with '-' as '_'.  Unknown names
     and names of another kind raise one ValueError format.  The function is
-    read when called from `ORDINAL_RULES`, `CARDINAL_RULES` or its module, so
-    a wrapper installed there sees every call.
+    read from its module when called, so a wrapper installed there sees
+    every call.
     """
     rid = _SPELLINGS.get(name.strip().lower().replace("-", "_") if isinstance(name, str) else None)
     kind = RULES[rid][0] if rid is not None else None
@@ -62,8 +62,4 @@ def resolve_rule(name: str, *kinds: str) -> Rule:
         from . import ordinal as module
     else:
         from . import cardinal as module
-    if kind == "ordinal":
-        return Rule(rid, kind, module.ORDINAL_RULES[rid])
-    if kind == "cardinal":
-        return Rule(rid, kind, module.CARDINAL_RULES[rid])
     return Rule(rid, kind, getattr(module, rid))

@@ -71,8 +71,12 @@ class ComponentDist:
             if not 0.0 <= self.a <= self.b <= 1.0:
                 raise ValueError(f"uniform bounds [{self.a}, {self.b}] must sit inside [0, 1]")
         elif self.kind == "beta":
-            if self.a <= 0 or self.b <= 0:
+            # NaN fails `> 0`; a NaN or infinite shape would keep the gamma
+            # draws from ever accepting one.
+            if not (self.a > 0 and self.b > 0):
                 raise ValueError("beta shape parameters must be positive")
+            if math.isinf(self.a) or math.isinf(self.b):
+                raise ValueError("beta shape parameters must be finite")
         else:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 
@@ -86,7 +90,7 @@ class GroupSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError("group weight must be positive")
 
 
@@ -116,7 +120,7 @@ class PopulationSpec:
         total = sum(g.weight for g in self.groups)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"group weights sum to {total}, expected 1")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be non-negative")
 
 
@@ -150,7 +154,7 @@ class GroundTruthWorld:
     def __post_init__(self):
         matrix = _as_matrix(self.M_star)
         object.__setattr__(self, "M_star", tuple(tuple(row) for row in matrix.tolist()))
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be non-negative")
 
     @property

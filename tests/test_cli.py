@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from socialchoice import cli
+from socialchoice import cardinal, cli, ordinal
 from socialchoice.audits import MAX_AUDIT_VOTERS
 from socialchoice.cli import main
 from socialchoice.judgment import MAX_CONSTRAINT_DEPTH
 from socialchoice.profiles import parse_profile
-from socialchoice.rules import resolve_rule
+from socialchoice.rules import RULES, resolve_rule
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SRC = DATA.parent / "src"
@@ -41,6 +41,15 @@ class TestRuleAliases:
         assert resolve_rule("instant-runoff").id == "instant_runoff"
         assert resolve_rule("irv").id == "instant_runoff"
         assert resolve_rule("K-Borda").id == "k_borda"
+
+    @pytest.mark.parametrize("module, rid", [(ordinal, "borda"), (cardinal, "median")])
+    def test_lookup_reads_the_rule_module(self, monkeypatch, module, rid):
+        # A wrapper installed in the rule's module alone sees every lookup.
+        def wrapper(*args):
+            raise AssertionError("not called")
+
+        monkeypatch.setattr(module, rid, wrapper)
+        assert resolve_rule(rid).fn is wrapper
 
 
 class TestAggregate:
@@ -864,6 +873,23 @@ class TestNamedParser:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "{" + ",".join(COMMANDS) + "}" in capsys.readouterr().out
+
+    def test_rule_help_names_every_spelling(self, capsys, monkeypatch):
+        # Wide enough that argparse wraps no help line.
+        monkeypatch.setenv("COLUMNS", "200")
+        commands = {"aggregate": ("ordinal", "lottery"), "rate": ("cardinal",),
+                    "committee": ("committee",)}
+        for command, kinds in commands.items():
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            out = capsys.readouterr().out
+            spellings = [
+                name.replace("_", "-")
+                for rid, (kind, aliases) in RULES.items() if kind in kinds
+                for name in (rid, *aliases)
+            ]
+            lines = [line.split() for line in out.splitlines()]
+            assert ["--rule", "RULE", "|".join(spellings)] in lines
 
 
 class TestDuplicateKeys:

@@ -260,23 +260,23 @@ class TestComposedModel:
 
 class TestEvaluateReward:
     def test_zero_weights_returns_intercept(self):
-        model = FittedRewardModel((0.0, 0.0, 0.0), 5.0, 0.0)
+        model = FittedRewardModel((0.0, 0.0, 0.0), 5.0)
         for y in one_hot_responses():
             assert evaluate_reward(model, "x", y) == 5.0
 
     def test_clamped_to_rating_scale(self):
-        model = FittedRewardModel((100.0,), 0.0, 0.0)
+        model = FittedRewardModel((100.0,), 0.0)
         assert evaluate_reward(model, "x", ResponseRecord("hi", "t", (1.0,))) == 10.0
         assert evaluate_reward(model, "x", ResponseRecord("lo", "t", (-1.0,))) == 0.0
 
     def test_dimension_mismatch_rejected(self):
-        model = FittedRewardModel((1.0, 2.0), 0.0, 0.0)
+        model = FittedRewardModel((1.0, 2.0), 0.0)
         with pytest.raises(ValueError, match="features"):
             evaluate_reward(model, "x", ResponseRecord("y", "t", (1.0,)))
 
     def test_non_finite_weights_rejected(self):
         with pytest.raises(ValueError):
-            FittedRewardModel((float("nan"),), 0.0, 0.0)
+            FittedRewardModel((float("nan"),), 0.0)
 
 
 class TestSelectResponse:
@@ -285,15 +285,13 @@ class TestSelectResponse:
         assert select_response(model, jury_case, 0.0, 0).id == "C"
 
     def test_argmax_tie_breaks_lexicographically(self, jury_case):
-        model = FittedRewardModel((0.0, 0.0, 0.0), 5.0, 0.0)
+        model = FittedRewardModel((0.0, 0.0, 0.0), 5.0)
         assert select_response(model, jury_case, 0.0, 7).id == "A"
 
     def test_argmax_invariant_under_positive_affine_rescaling(self, jury_case):
-        base = FittedRewardModel((2.0, 3.0, 4.0), 1.0, 0.0)
+        base = FittedRewardModel((2.0, 3.0, 4.0), 1.0)
         for a, c in [(0.5, 0.0), (2.0, 1.0), (1.5, -1.0)]:
-            scaled = FittedRewardModel(
-                tuple(a * w for w in base.weights), a * base.intercept + c, 0.0
-            )
+            scaled = FittedRewardModel(tuple(a * w for w in base.weights), a * base.intercept + c)
             for seed in range(5):
                 assert (
                     select_response(base, jury_case, 0.0, seed).id
@@ -301,30 +299,36 @@ class TestSelectResponse:
                 )
 
     def test_negative_temperature_rejected(self, jury_case):
-        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0, 0.0)
+        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0)
         with pytest.raises(ValueError, match="^temperature must be non-negative$"):
             select_response(model, jury_case, -0.1, 0)
 
+    def test_nan_temperature_rejected(self, jury_case):
+        # NaN fails every comparison, so a `< 0` check let it reach the draw.
+        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0)
+        with pytest.raises(ValueError, match="^temperature must be non-negative$"):
+            select_response(model, jury_case, float("nan"), 0)
+
     def test_low_temperature_concentrates_on_argmax(self, jury_case):
-        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0, 0.0)
+        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0)
         picks = {select_response(model, jury_case, 0.01, s).id for s in range(200)}
         assert picks == {"C"}
 
     def test_same_seed_same_sample(self, jury_case):
-        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0, 0.0)
+        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0)
         a = select_response(model, jury_case, 5.0, 123).id
         b = select_response(model, jury_case, 5.0, 123).id
         assert a == b
 
     def test_high_temperature_samples_are_not_constant(self, jury_case):
-        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0, 0.0)
+        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0)
         picks = {select_response(model, jury_case, 50.0, s).id for s in range(50)}
         assert len(picks) > 1
 
     def test_infinite_temperature_limit_is_uniform(self, jury_case):
         # Chi-square goodness of fit on 10000 seeded draws over 3 responses;
         # the 99th percentile at 2 degrees of freedom is 9.21034.
-        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0, 0.0)
+        model = FittedRewardModel((1.0, 2.0, 8.0), 0.0)
         counts = {"A": 0, "B": 0, "C": 0}
         for seed in range(10_000):
             counts[select_response(model, jury_case, 1e9, seed).id] += 1

@@ -117,6 +117,25 @@ class TestSamplePopulation:
         with pytest.raises(ValueError, match="kind"):
             ComponentDist("normal", 0, 1)
 
+    @pytest.mark.parametrize(
+        "a, b, fault",
+        [(math.nan, 2.0, "positive"), (2.0, math.nan, "positive"),
+         (math.inf, 2.0, "finite"), (2.0, math.inf, "finite")],
+    )
+    def test_non_finite_beta_shapes_rejected(self, a, b, fault):
+        # Only built: the gamma draws never accept at such a shape, so
+        # sampling it would not return.
+        with pytest.raises(ValueError, match=f"^beta shape parameters must be {fault}$"):
+            ComponentDist("beta", a, b)
+
+    def test_nan_weight_and_noise_rejected(self):
+        with pytest.raises(ValueError, match="^group weight must be positive$"):
+            GroupSpec(math.nan, (ComponentDist("uniform", 0, 1),))
+        with pytest.raises(ValueError, match="^noise_sigma must be non-negative$"):
+            PopulationSpec(1, (uniform_group(1.0, 0, 1),), math.nan)
+        with pytest.raises(ValueError, match="^noise_sigma must be non-negative$"):
+            GroundTruthWorld(((1.0,),), math.nan)
+
     def test_zero_sample_size_rejected(self):
         spec = PopulationSpec(1, (uniform_group(1.0, 0, 1),))
         with pytest.raises(ValueError, match="at least 1"):
