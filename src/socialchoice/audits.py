@@ -25,8 +25,11 @@ The anonymity check shuffles the distinct rankings of `merged` and builds
 each shuffled profile once, handing its permuted tuple over as both ballots
 and merge.  A registry rule is checked through its `ORDINAL_TALLIES` row:
 the base tally is decided once, and a shuffle is decided only when its tally
-moves, as equal tallies decide alike.  A custom callable reruns in full on
-every shuffle.
+moves, as equal tallies decide alike.  Every row's tally, instant runoff's
+too, compares by value, so no rule decides a shuffle that left its tally
+alone.  A custom callable reruns in full on every shuffle.  Past the
+exhaustive orders, each seeded order is one sort of the indices, keyed by
+draws from the seeded generator.
 
 The other auditors read the weighted ballots, as the rules do.  Only
 cloning, whose `CloneSpec` fixes a clone order per voter, reads the voters
@@ -365,21 +368,32 @@ def reverify_cardinal_witness(
     return abs(witness.manipulated_outcome - truth) < honest_gap - IMPROVEMENT_TOL
 
 
+def _shuffled_entries(profile) -> int:
+    return len(profile.merged if isinstance(profile, OrdinalProfile) else profile.evaluators)
+
+
+def anonymity_order_count(profile) -> int:
+    """How many orders `anonymity_orders` gives on `profile`, at any seed, without drawing them."""
+    # k! <= ANONYMITY_PERMUTATIONS exactly when min(k, cap + 1)! is, as
+    # (cap + 1)! > cap; the min keeps the factorial small for large k.
+    every = factorial(min(_shuffled_entries(profile), ANONYMITY_PERMUTATIONS + 1))
+    return every - 1 if every <= ANONYMITY_PERMUTATIONS else ANONYMITY_PERMUTATIONS
+
+
 def anonymity_orders(profile, seed: int) -> list[Sequence[int]]:
     """The orders `anonymity_check` tries on `profile`'s k interchangeable entries.
 
     The entries are the evaluators of ratings, or the distinct rankings of an
     ordinal profile's `merged`.  When k! - 1 < ANONYMITY_PERMUTATIONS, every
     order but the identity, once, in `itertools.permutations` order;
-    otherwise ANONYMITY_PERMUTATIONS seeded permutations.
+    otherwise ANONYMITY_PERMUTATIONS seeded permutations, each the sort of
+    `range(k)` keyed by k `Random(seed).random()` values drawn in index order.
     """
-    n = len(profile.merged if isinstance(profile, OrdinalProfile) else profile.evaluators)
-    # n! <= ANONYMITY_PERMUTATIONS exactly when min(n, cap + 1)! is, as
-    # (cap + 1)! > cap; the min keeps the factorial small for large n.
-    if factorial(min(n, ANONYMITY_PERMUTATIONS + 1)) <= ANONYMITY_PERMUTATIONS:
+    n = _shuffled_entries(profile)
+    if anonymity_order_count(profile) < ANONYMITY_PERMUTATIONS:
         return list(islice(permutations(range(n)), 1, None))
-    rng = Random(seed)
-    return [rng.sample(range(n), n) for _ in range(ANONYMITY_PERMUTATIONS)]
+    draw = Random(seed).random
+    return [sorted(range(n), key=lambda _: draw()) for _ in range(ANONYMITY_PERMUTATIONS)]
 
 
 def anonymity_check(rule, profile, seed: int) -> bool:
@@ -396,10 +410,11 @@ def anonymity_check(rule, profile, seed: int) -> bool:
     An ordinal registry id is checked through its `ORDINAL_TALLIES` row: the
     base tally is decided once, and a shuffle only when its tally differs
     from the base tally; `decide` is deterministic, so the verdict is the
-    full rerun's.  Plurality and Borda tallies (dicts) and ranked pairs'
-    `MarginMatrix` compare by value; instant runoff's tally carries the
-    shuffled profile, so it decides every shuffle.  A custom callable, and
-    every rule on ratings, reruns in full.
+    full rerun's.  Every row's tally compares by value: plurality's and
+    Borda's dicts, ranked pairs' `MarginMatrix`, and instant runoff's
+    `RunoffTally` by its alternatives, merge and added ballots, as each
+    round's counts are sums over the merge.  A custom callable, and every
+    rule on ratings, reruns in full.
     """
     if isinstance(profile, OrdinalProfile):
         voters = profile.merged

@@ -224,7 +224,7 @@ def cmd_audit_manipulation(args) -> tuple[dict, dict]:
 
 
 def cmd_audit_anonymity(args) -> tuple[dict, dict]:
-    from .audits import anonymity_check, anonymity_orders
+    from .audits import anonymity_check, anonymity_order_count
 
     rule = resolve_rule(args.rule, "ordinal", "cardinal")
     if rule.kind == "cardinal":
@@ -243,7 +243,7 @@ def cmd_audit_anonymity(args) -> tuple[dict, dict]:
         "audit": "anonymity",
         "rule": rule.id,
         "anonymous": anonymity_check(rule.id, profile, args.seed),
-        "permutations": len(anonymity_orders(profile, args.seed)),
+        "permutations": anonymity_order_count(profile),
     }
     return {flag: text}, payload
 

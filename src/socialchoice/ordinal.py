@@ -145,29 +145,49 @@ def borda(profile: OrdinalProfile) -> SocialRanking:
     return _score_ranking(borda_scores(profile))
 
 
-# Instant runoff's tally: the profile, its first places per active set (each
-# counted when a round first reads it) and the (ranking, sign) ballots added
-# since, which each round adds in.  A tally made by `add` shares its source's
-# first places, which no decide step changes.
-RunoffTally = tuple[
-    OrdinalProfile,
-    dict[frozenset[str], dict[str, int]],
-    tuple[tuple[tuple[str, ...], int], ...],
-]
+class RunoffTally:
+    """Instant runoff's tally: a profile, its first places per active set and added ballots.
 
+    `firsts` maps an active set to its first-place counts, counted when a
+    round first reads them; `pending` holds the (ranking, sign) ballots
+    added since, which each round adds in.  A tally made by `add` shares its
+    source's `firsts`, which no decide step changes.
 
-def _runoff_tally(profile: OrdinalProfile) -> RunoffTally:
-    return profile, {}, ()
+    Tallies are equal when their alternatives, their merges as ranking ->
+    weight mappings and their added ballots are.  Each round's counts are
+    sums over the merge, so `decide` reads only that value, whatever order
+    the merge is in; `firsts` takes no part.  The value is built when `==`
+    first needs it, so deciding a profile or adding a ballot pays nothing
+    for it.
+    """
+
+    __slots__ = ("profile", "firsts", "pending", "_value")
+
+    def __init__(self, profile: OrdinalProfile, firsts=None, pending=()):
+        self.profile = profile
+        self.firsts = {} if firsts is None else firsts
+        self.pending = pending
+
+    def __eq__(self, other):
+        if not isinstance(other, RunoffTally):
+            return NotImplemented
+        return self._view() == other._view()
+
+    def _view(self):
+        try:
+            return self._value
+        except AttributeError:
+            self._value = (self.profile.alternatives, dict(self.profile.merged), self.pending)
+            return self._value
 
 
 def _add_pending(tally: RunoffTally, ranking: tuple[str, ...], sign: int) -> RunoffTally:
-    profile, firsts, pending = tally
-    return profile, firsts, (*pending, (ranking, sign))
+    return RunoffTally(tally.profile, tally.firsts, (*tally.pending, (ranking, sign)))
 
 
 def _runoff_ranking(tally: RunoffTally) -> SocialRanking:
     """Instant runoff's decide step: eliminate round by round from each active set's firsts."""
-    profile, firsts, pending = tally
+    profile, firsts, pending = tally.profile, tally.firsts, tally.pending
     active = frozenset(profile.alternatives)
     eliminated: list[str] = []
     groups: list[list[str]] = []
@@ -208,7 +228,7 @@ def instant_runoff(profile: OrdinalProfile) -> SocialRanking:
     recorded score of each alternative is its first-place count in the round
     it went out.
     """
-    return _runoff_ranking(_runoff_tally(profile))
+    return _runoff_ranking(RunoffTally(profile))
 
 
 def _locked_ranking(matrix: MarginMatrix) -> SocialRanking:
@@ -449,7 +469,7 @@ ORDINAL_TALLIES: dict[str, TallyRow] = {
     "borda": TallyRow(
         borda_scores, _add_borda_points, _score_ranking, _reads_all, _scores_hopeless
     ),
-    "instant_runoff": TallyRow(_runoff_tally, _add_pending, _runoff_ranking, _runoff_reads),
+    "instant_runoff": TallyRow(RunoffTally, _add_pending, _runoff_ranking, _runoff_reads),
     "ranked_pairs": TallyRow(
         margin_matrix, _add_margins, _locked_ranking, _reads_all, _margins_hopeless
     ),

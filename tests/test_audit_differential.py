@@ -54,6 +54,7 @@ from socialchoice.audits import (
     ANONYMITY_PERMUTATIONS,
     ManipulationWitness,
     anonymity_check,
+    anonymity_order_count,
     anonymity_orders,
     manipulation_search_ordinal,
     reverify_ordinal_witness,
@@ -123,11 +124,19 @@ def reference_reverify(rule_id: str, profile: OrdinalProfile, witness) -> bool:
 
 
 def reference_orders(n: int, seed: int) -> list:
-    """Every order of n entries but the identity when that is at most the cap, else seeded ones."""
+    """Every order of n entries but the identity when that is at most the cap, else seeded ones.
+
+    Each seeded order sorts the indices by n keys drawn from the seeded
+    generator, one per index, in index order.
+    """
     if factorial(n) <= ANONYMITY_PERMUTATIONS:
         return list(permutations(range(n)))[1:]
     rng = Random(seed)
-    return [rng.sample(range(n), n) for _ in range(ANONYMITY_PERMUTATIONS)]
+    orders = []
+    for _ in range(ANONYMITY_PERMUTATIONS):
+        keys = [rng.random() for _ in range(n)]
+        orders.append(sorted(range(n), key=keys.__getitem__))
+    return orders
 
 
 def reference_anonymity(fn, profile: OrdinalProfile, seed: int) -> bool:
@@ -287,18 +296,43 @@ SMALL = profile_from_rankings(
 )
 
 
-# Plurality's and Borda's tallies are dicts and ranked pairs' a MarginMatrix,
-# equal on every shuffle of an anonymous profile; instant runoff's carries
-# the shuffled profile, so every shuffle is decided.
-@pytest.mark.parametrize("rid, every_shuffle", [
-    ("plurality", False), ("borda", False), ("ranked_pairs", False), ("instant_runoff", True),
-])
+# Plurality's and Borda's tallies are dicts, ranked pairs' a MarginMatrix and
+# instant runoff's a RunoffTally that compares by its merge's value: each is
+# equal on every shuffle of an anonymous profile, so only the base is decided.
+@pytest.mark.parametrize("rid", ["plurality", "borda", "ranked_pairs", "instant_runoff"])
 @pytest.mark.parametrize("profile", [WEIGHTED_M6, SMALL], ids=["weighted_m6", "small"])
-def test_anonymity_decides_only_tallies_that_move(monkeypatch, rid, every_shuffle, profile):
+def test_anonymity_decides_only_tallies_that_move(monkeypatch, rid, profile):
     calls = spy_decides(monkeypatch, rid)
     assert anonymity_check(rid, profile, 7)
-    shuffles = len(anonymity_orders(profile, 7))
-    assert len(calls) == 1 + (shuffles if every_shuffle else 0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("profile", [WEIGHTED_M6, SMALL], ids=["weighted_m6", "small"])
+def test_runoff_tallies_compare_by_value(profile):
+    tally, add, decide, _, _ = ORDINAL_TALLIES["instant_runoff"]
+    decided_tally = tally(profile)
+    decide(decided_tally)
+    # Deciding fills the tally's per-active-set first places, which `==` skips.
+    assert decided_tally.firsts
+    assert tally(profile) == decided_tally
+    reversed_order = range(len(profile.merged) - 1, -1, -1)
+    assert tally(reference_reassign(profile, reversed_order)) == decided_tally
+    for ranking, _ in profile.merged:
+        for sign in (1, -1):
+            assert add(decided_tally, ranking, sign) != decided_tally
+            assert add(decided_tally, ranking, sign) == add(tally(profile), ranking, sign)
+
+
+@fuzz(100)
+@given(st.integers(1, 24), st.integers(0, 2**31 - 1))
+def test_drawn_orders_permute_every_entry(k, seed):
+    # k distinct rankings, seeded orders from k = 4 on.
+    profile = profile_from_rankings(list(permutations(IDS[:4]))[:k], IDS[:4])
+    orders = anonymity_orders(profile, seed)
+    assert len(orders) == (factorial(k) - 1 if k < 4 else ANONYMITY_PERMUTATIONS)
+    assert anonymity_order_count(profile) == len(orders)
+    for order in orders:
+        assert sorted(order) == list(range(k))
 
 
 def test_a_tally_that_reads_the_merge_order_is_not_anonymous(monkeypatch):

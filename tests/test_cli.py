@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from socialchoice import cardinal, cli, ordinal
+from socialchoice import audits, cardinal, cli, ordinal
 from socialchoice.audits import MAX_AUDIT_VOTERS
 from socialchoice.cli import main
 from socialchoice.judgment import MAX_CONSTRAINT_DEPTH
@@ -19,6 +19,7 @@ from socialchoice.rules import RULES, resolve_rule
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 SRC = DATA.parent / "src"
+GOLDEN = DATA.parent / "tests" / "golden"
 WORKLOADS = DATA.parent / "bench" / "workloads.py"
 COMMANDS = ("aggregate", "rate", "committee", "judge", "parse-feedback", "simulate", "audit")
 
@@ -594,15 +595,25 @@ class TestAudit:
         assert cardinal["payload"]["anonymous"] is True
 
     # k interchangeable entries give k! - 1 shuffled orders when that is
-    # under 20: 3 evaluators, and 2 distinct rankings.
+    # under 20: 3 evaluators, and 2 distinct rankings.  The orders are drawn
+    # once, by the check, and the report counts them without drawing again.
     @pytest.mark.parametrize("argv, tried", [
         (["--rule", "median", "--ratings", str(DATA / "ratings.json")], 5),
         (["--rule", "borda", "--profile", str(DATA / "restaurant.vote")], 1),
         (["--rule", "borda", "--profile", str(DATA / "fig1.vote")], 20),
+        (["--rule", "median", "--ratings", str(GOLDEN / "ratings_rich.json")], 20),
     ])
-    def test_anonymity_reports_the_orders_it_tried(self, capsys, argv, tried):
+    def test_anonymity_reports_the_orders_it_tried(self, capsys, monkeypatch, argv, tried):
+        draw_orders, drawn = audits.anonymity_orders, []
+
+        def spy(profile, seed):
+            drawn.append(draw_orders(profile, seed))
+            return drawn[-1]
+
+        monkeypatch.setattr(audits, "anonymity_orders", spy)
         report = run_json(capsys, "audit", "anonymity", *argv)
         assert report["payload"]["permutations"] == tried
+        assert [len(orders) for orders in drawn] == [tried]
 
     def test_seed_after_the_kind_is_reported(self, capsys):
         report = run_json(
