@@ -256,8 +256,8 @@ def cmd_audit_cycle(args) -> tuple[dict, dict]:
     matrix = margin_matrix(profile)
     report = detect_cycles(matrix)
     margins = {
-        a: {b: matrix.margin(a, b) for b in profile.alternatives if b != a}
-        for a in profile.alternatives
+        a: {b: margin for b, margin in zip(matrix.alternatives, row) if b != a}
+        for a, row in zip(matrix.alternatives, matrix.entries)
     }
     payload = {
         "audit": "cycle",

@@ -69,14 +69,14 @@ class Node(NamedTuple):
     def _object(self) -> dict:
         return self._expect(isinstance(self.value, dict), "an object", True)
 
-    def build(self, make, *args, errors=ValueError):
-        """`make(*args)`, with an `errors` exception it raises located at this node.
+    def build(self, make, *args):
+        """`make(*args)`, with a `ValueError` it raises located at this node.
 
         For the checks an object makes on itself once the reads are done.
         """
         try:
             return make(*args)
-        except errors as exc:
+        except ValueError as exc:
             raise self._error(str(exc)) from None
 
     def _at(self, key: str) -> str:

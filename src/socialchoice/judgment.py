@@ -11,13 +11,15 @@ from .jsonin import Node, load
 JudgmentSet = dict[str, bool]
 
 # An agenda's truth table has one bit per assignment, 2**20 bits at this cap,
-# and every constraint node costs one operation on it: a 99 KB constraint
-# builds its table in about 0.3 s (2-vCPU VM, Python 3.11.7).
+# and every connective of the constraint costs one operation on it: a 99 KB
+# constraint builds its table in 0.3-0.5 s (2-vCPU VM, Python 3.11.7).
 MAX_AGENDA_ATOMS = 20
 # A constraint nests at most this many levels: parentheses and '!'s open
 # around any token, and connectives above any atom in the parsed formula (a
-# chain 'a & b & c' is two levels).  Parsing and evaluation recurse once per
-# level, so the cap keeps them far from Python's recursion limit.
+# chain 'a & b & c' is two levels).  Only '(' and '!' make the parser recurse,
+# and the cap keeps that far from Python's recursion limit.  A chain costs no
+# stack, yet its height stays capped as a stated limit of the input: lifting
+# the cap for chains would change which constraints are refused.
 MAX_CONSTRAINT_DEPTH = 100
 
 
@@ -38,112 +40,96 @@ class ConstraintSyntaxError(ConstraintError):
 #   and   := unary ('&' unary)*
 #   unary := '!' unary | atom | '(' iff ')'
 #
-# An AST node is a nested tuple: ("atom", name), ("not", x), ("and", l, r),
-# ("or", l, r), ("iff", l, r).
+# The parser evaluates as it reads: a formula reads as its truth table, bit b
+# set when assignment b satisfies it, and `true` has every assignment's bit set.
 
-_Node = tuple
 # A token is '<->', one of '!&|()' or an atom: a run of letters, digits
 # (str.isalnum) and '_'.  Any other character but whitespace is group 1.
 _ATOM = re.compile(r"\w+")
 _TOKEN = re.compile(rf"<->|[!&|()]|{_ATOM.pattern}|(\S)")
-# The binary connectives and their nodes, loosest first.
-_BINARY = (("<->", "iff"), ("|", "or"), ("&", "and"))
+# The binary connectives, loosest first, and their operations on truth tables.
+_BINARY = (
+    ("<->", lambda left, right, true: true ^ left ^ right),
+    ("|", lambda left, right, true: left | right),
+    ("&", lambda left, right, true: left & right),
+)
 
 
 def _too_deep() -> ConstraintSyntaxError:
     return ConstraintSyntaxError(f"constraint nests deeper than {MAX_CONSTRAINT_DEPTH} levels")
 
 
-def _height(node: _Node) -> int:
-    # Connectives on the longest path from the root to an atom; iterative, so
-    # a long left-deep chain cannot exhaust the stack.
-    height, stack = 0, [(node, 0)]
-    while stack:
-        node, depth = stack.pop()
-        height = max(height, depth)
-        if node[0] != "atom":
-            stack.extend((child, depth + 1) for child in node[1:])
-    return height
-
-
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = []
+    """Reads a constraint into (truth table, height); an undeclared atom's table is empty."""
+
+    def __init__(self, text: str, masks: dict[str, int], true: int):
+        # A first scan refuses an unexpected character before any other syntax
+        # error; the parse then reads the tokens as it goes.
         for match in _TOKEN.finditer(text):
             if match[1]:
                 raise ConstraintSyntaxError(f"unexpected character {match[1]!r} in constraint")
-            self.tokens.append(match[0])
-        self.pos = 0
+        self.tokens = (match[0] for match in _TOKEN.finditer(text))
+        self.ahead = next(self.tokens, None)  # the next token; None at the end
         self.open = 0  # parentheses and '!'s open around the current token
+        self.masks = masks
+        self.true = true
         self.atoms: set[str] = set()
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self) -> str:
-        token = self.peek()
+        token = self.ahead
         if token is None:
             raise ConstraintSyntaxError("constraint ended unexpectedly")
-        self.pos += 1
+        self.ahead = next(self.tokens, None)
         return token
 
-    def parse(self) -> tuple[_Node, set[str]]:
-        node = self.chain()
-        if self.peek() is not None:
-            raise ConstraintSyntaxError(f"unexpected token {self.peek()!r}")
-        if _height(node) > MAX_CONSTRAINT_DEPTH:
+    def parse(self) -> tuple[int, set[str]]:
+        table, height = self.chain()
+        if self.ahead is not None:
+            raise ConstraintSyntaxError(f"unexpected token {self.ahead!r}")
+        if height > MAX_CONSTRAINT_DEPTH:
             raise _too_deep()
-        return node, self.atoms
+        return table, self.atoms
 
-    def chain(self, level: int = 0) -> _Node:
+    def chain(self, level: int = 0) -> tuple[int, int]:
         # The connective at `level` joining operands of the tighter levels.
         if level == len(_BINARY):
             return self.unary()
-        symbol, kind = _BINARY[level]
-        node = self.chain(level + 1)
-        while self.peek() == symbol:
+        symbol, op = _BINARY[level]
+        read = self.chain(level + 1)
+        while self.ahead == symbol:
             self.take()
-            node = (kind, node, self.chain(level + 1))
-        return node
+            read = self.apply(op, read, self.chain(level + 1))
+        return read
 
-    def unary(self) -> _Node:
+    def unary(self) -> tuple[int, int]:
         token = self.take()
         if token == "!":
-            return ("not", self.nested(self.unary))
+            return self.apply(lambda table, true: true ^ table, self.nested(self.unary))
         if token == "(":
-            node = self.nested(self.chain)
+            read = self.nested(self.chain)
             if self.take() != ")":
                 raise ConstraintSyntaxError("expected ')'")
-            return node
+            return read
         if token in {"&", "|", "<->", ")"}:
             raise ConstraintSyntaxError(f"unexpected token {token!r}")
         self.atoms.add(token)
-        return ("atom", token)
+        return self.masks.get(token, 0), 0
 
-    def nested(self, parse) -> _Node:
-        # '(' and '!' are the only ways the parser recurses deeper.
+    def nested(self, parse) -> tuple[int, int]:
         self.open += 1
         if self.open > MAX_CONSTRAINT_DEPTH:
             raise _too_deep()
-        node = parse()
+        read = parse()
         self.open -= 1
-        return node
+        return read
 
-
-def _evaluate(node: _Node, values, true):
-    # One assignment with bools and true=True, or all with bitmasks and `true` all set.
-    match node:
-        case ("atom", name):
-            return values[name]
-        case ("not", x):
-            return true ^ _evaluate(x, values, true)
-        case ("and", left, right):
-            return _evaluate(left, values, true) & _evaluate(right, values, true)
-        case ("or", left, right):
-            return _evaluate(left, values, true) | _evaluate(right, values, true)
-        case ("iff", left, right):
-            return true ^ _evaluate(left, values, true) ^ _evaluate(right, values, true)
-    raise AssertionError(f"unreachable node {node!r}")
+    def apply(self, op, *reads: tuple[int, int]) -> tuple[int, int]:
+        # One connective above its operands' reads.  Past the cap the whole
+        # parse is refused: read on for syntax errors only.
+        height = max(height for _, height in reads) + 1
+        if height > MAX_CONSTRAINT_DEPTH:
+            return 0, height
+        return op(*(table for table, _ in reads), self.true), height
 
 
 def _check_atoms(atoms: tuple[str, ...]) -> None:
@@ -174,24 +160,25 @@ class Agenda:
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         _check_atoms(self.atoms)
-        node, atoms = _Parser(self.constraint).parse()
-        unknown = atoms - set(self.atoms)
-        if unknown:
-            raise ConstraintError(f"constraint mentions undeclared atom(s) {sorted(unknown)}")
-        object.__setattr__(self, "_node", node)
         # Bit b of the truth table is assignment b of product((False, True), repeat=k).
         masks, size = {}, 1
         for atom in reversed(self.atoms):
             masks = {a: m | m << size for a, m in masks.items()}
             masks[atom], size = ((1 << size) - 1) << size, 2 * size
+        table, atoms = _Parser(self.constraint, masks, (1 << size) - 1).parse()
+        unknown = atoms - set(self.atoms)
+        if unknown:
+            raise ConstraintError(f"constraint mentions undeclared atom(s) {sorted(unknown)}")
         object.__setattr__(self, "_masks", [masks[a] for a in self.atoms])
-        object.__setattr__(self, "_table", _evaluate(node, masks, (1 << size) - 1))
+        object.__setattr__(self, "_table", table)
         if not self._table:
             raise ConstraintError("constraint is unsatisfiable")
 
     def satisfies(self, js: JudgmentSet) -> bool:
         self._check_total(js)
-        return _evaluate(self._node, js, True)
+        # The first atom is the highest bit of an assignment's index.
+        index = sum(1 << i for i, atom in enumerate(reversed(self.atoms)) if js[atom])
+        return bool(self._table >> index & 1)
 
     def _check_total(self, js: JudgmentSet):
         if set(js) != set(self.atoms):
@@ -206,7 +193,12 @@ def _agenda_from_node(node: Node) -> Agenda:
     text = constraint.string()
     # The agenda's checks in its order, each at its node.
     atoms.build(_check_atoms, ids)
-    return constraint.build(Agenda, ids, text, errors=ConstraintError)
+    return constraint.build(Agenda, ids, text)
+
+
+def _check_judgment(agenda: Agenda, name: str, js: JudgmentSet) -> None:
+    if not agenda.satisfies(js):
+        raise ValueError(f"evaluator {name!r} holds an inconsistent judgment set")
 
 
 @dataclass(frozen=True)
@@ -225,8 +217,7 @@ class JudgmentProfile:
         if len(set(names)) != len(names):
             raise ValueError("duplicate evaluator ids")
         for name, js in self.judgments:
-            if not self.agenda.satisfies(js):
-                raise ValueError(f"evaluator {name!r} holds an inconsistent judgment set")
+            _check_judgment(self.agenda, name, js)
 
     @property
     def num_evaluators(self) -> int:
@@ -237,8 +228,12 @@ def judgment_profile_from_json(text: str) -> JudgmentProfile:
     """Load {"agenda": {...}, "judgments": {evaluatorId: {atom: bool}}}."""
     agenda, judgments = load(text).fields("agenda", "judgments")
     agenda = _agenda_from_node(agenda)
-    sets = tuple((name, {a: v.boolean() for a, v in js.items()}) for name, js in judgments.items())
-    return JudgmentProfile(agenda, sets)
+    sets = {name: {a: v.boolean() for a, v in js.items()} for name, js in judgments.items()}
+    # Each evaluator's checks at its node.  No JSON object repeats a key, so
+    # the profile's own check left is that it has an evaluator.
+    for name, js in judgments.items():
+        js.build(_check_judgment, agenda, name, sets[name])
+    return judgments.build(JudgmentProfile, agenda, tuple(sets.items()))
 
 
 def majority_judgments(jp: JudgmentProfile) -> JudgmentSet:

@@ -1340,6 +1340,13 @@ class TestJudgmentErrors:
              "agenda.atoms: agenda atom '' is not a run of letters, digits and '_'"),
             (lambda d: d["agenda"]["atoms"].__setitem__(0, "safe-ish"),
              "agenda.atoms: agenda atom 'safe-ish' is not a run of letters, digits and '_'"),
+            (lambda d: d.update(judgments={}),
+             "judgments: a judgment profile needs at least one evaluator"),
+            (lambda d: d["judgments"]["E2"].pop("give"),
+             "judgments.E2: judgment set over ['helpful', 'safe'] does not match agenda atoms "
+             "['safe', 'helpful', 'give']"),
+            (lambda d: d["judgments"]["E1"].update(give=True),
+             "judgments.E1: evaluator 'E1' holds an inconsistent judgment set"),
         ],
     )
     def test_malformed_judgments_exit_1_with_their_location(

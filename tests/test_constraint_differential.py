@@ -3,18 +3,21 @@
 `reference` below is the parser the agenda used before its grammar moved to
 one precedence table: a character scanner, one method per precedence level,
 a second walk over the tree for its atoms and an iterative height check.
-On every text `Agenda` must build the same formula tree over the same atom
-set, or raise the same exception type with the same message.
+The agenda now evaluates its constraint as it parses and keeps no tree, so
+the reference tree is evaluated to a truth table by `reference_evaluate`, the
+per-assignment evaluator the agenda once used, one assignment at a time.  On
+every text `Agenda` must build the same truth table over the same atom set,
+or raise the same exception type with the same message.
 
 The texts are random formulas over a few atoms, with varied spacing
 (Unicode spaces too), redundant parentheses, `!` chains and long chains of
 mixed connectives; fixed shapes at the nesting cap and one level past it;
 and the same formulas with bytes replaced, inserted or deleted.
 
-The agenda's truth table is checked against the per-assignment evaluator it
-replaced (`reference_evaluate`) over a brute-force enumeration of every
-assignment of up to five atoms: the refusal of an unsatisfiable constraint,
-`satisfies` on each assignment, and the repair `closest_consistent` picks.
+The agenda's truth table is also checked over a brute-force enumeration of
+every assignment of up to five atoms: the refusal of an unsatisfiable
+constraint, `satisfies` on each assignment, and the repair
+`closest_consistent` picks.
 """
 
 from __future__ import annotations
@@ -161,8 +164,38 @@ def reference(text: str):
     return node, frozenset(reference_atoms(node))
 
 
+def reference_evaluate(node: tuple, assignment: dict[str, bool]) -> bool:
+    match node:
+        case ("atom", name):
+            return assignment[name]
+        case ("not", x):
+            return not reference_evaluate(x, assignment)
+        case ("and", left, right):
+            return reference_evaluate(left, assignment) and reference_evaluate(right, assignment)
+        case ("or", left, right):
+            return reference_evaluate(left, assignment) or reference_evaluate(right, assignment)
+        case ("iff", left, right):
+            return reference_evaluate(left, assignment) == reference_evaluate(right, assignment)
+    raise AssertionError(f"unreachable node {node!r}")
+
+
+def reference_table(text: str):
+    """`reference(text)` with its tree evaluated to a truth table over its sorted atoms.
+
+    Bit b of the table is assignment b of product((False, True), repeat=k).
+    """
+    read = reference(text)
+    if read[0] is ConstraintSyntaxError:
+        return read
+    node, atoms = read
+    order = sorted(atoms)
+    every = itertools.product((False, True), repeat=len(order))
+    hits = (b for b, bits in enumerate(every) if reference_evaluate(node, dict(zip(order, bits))))
+    return sum(1 << b for b in hits), atoms
+
+
 class _Probe(Agenda):
-    """An agenda that keeps the tree it parses when no assignment satisfies it too."""
+    """An agenda that keeps its truth table when no assignment satisfies it too."""
 
     def __post_init__(self):
         try:
@@ -177,14 +210,14 @@ UNSATISFIABLE = "constraint is unsatisfiable"
 
 
 def production(text: str):
-    """The tree and atom set `Agenda` reads from `text`, or its exception."""
+    """The truth table and atom set `Agenda` reads from `text`, or its exception."""
     try:
         _Probe(("z",), text)  # no drawn text holds a 'z', so every atom is undeclared
     except ConstraintSyntaxError as exc:
         return type(exc), str(exc)
     except ConstraintError as exc:
         atoms = frozenset(ast.literal_eval(str(exc).removeprefix(UNDECLARED)))
-    return _Probe(tuple(sorted(atoms)), text)._node, atoms
+    return _Probe(tuple(sorted(atoms)), text)._table, atoms
 
 
 ATOMS = ("a", "b", "c", "give", "x_1")
@@ -262,13 +295,13 @@ def edited_bytes(draw) -> str:
 
 
 def assert_same(text: str) -> None:
-    assert production(text) == reference(text)
+    assert production(text) == reference_table(text)
 
 
 @FUZZ
 @given(formulas)
 def test_formulas_parse_alike(text):
-    expected = reference(text)
+    expected = reference_table(text)
     assert expected[0] is not ConstraintSyntaxError  # every drawn formula is well-formed
     assert production(text) == expected
 
@@ -300,25 +333,10 @@ def test_edited_bytes_parse_alike(text):
 @pytest.mark.parametrize("levels", [MAX_CONSTRAINT_DEPTH, MAX_CONSTRAINT_DEPTH + 1])
 def test_shapes_at_the_nesting_cap(shape, levels):
     text = shape(levels)
-    expected = reference(text)
+    expected = reference_table(text)
     too_deep = (ConstraintSyntaxError, str(_too_deep()))
     assert (expected == too_deep) is (levels > MAX_CONSTRAINT_DEPTH)
     assert production(text) == expected
-
-
-def reference_evaluate(node: tuple, assignment: dict[str, bool]) -> bool:
-    match node:
-        case ("atom", name):
-            return assignment[name]
-        case ("not", x):
-            return not reference_evaluate(x, assignment)
-        case ("and", left, right):
-            return reference_evaluate(left, assignment) and reference_evaluate(right, assignment)
-        case ("or", left, right):
-            return reference_evaluate(left, assignment) or reference_evaluate(right, assignment)
-        case ("iff", left, right):
-            return reference_evaluate(left, assignment) == reference_evaluate(right, assignment)
-    raise AssertionError(f"unreachable node {node!r}")
 
 
 def reference_repair(js: dict[str, bool], atoms: tuple[str, ...], consistent: list[dict]) -> dict:

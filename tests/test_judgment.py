@@ -1,7 +1,9 @@
 """Tests for judgment aggregation: majorities, consistency, and repair."""
 
 import itertools
+import json
 import random
+import time
 
 import pytest
 
@@ -244,3 +246,39 @@ class TestProfileJson:
     def test_agenda_missing_key(self):
         with pytest.raises(ValueError, match="constraint"):
             judgment_profile_from_json('{"agenda": {"atoms": ["a"]}, "judgments": {}}')
+
+
+class TestWorstCases:
+    """Inputs at the edges of what an agenda admits, each under a time bound."""
+
+    def test_4001_evaluators_over_a_34_kb_constraint(self):
+        # Each evaluator's check reads one bit of the agenda's truth table.
+        # Walking the 24,000-node formula once per evaluator instead took
+        # 12-23 s (2-vCPU VM, Python 3.11.7); this takes about 0.5 s.
+        atoms = tuple("abcdefghijklmnopqrst")
+        block = "&".join("(" + "&".join(f"({x}|!{y})" for y in atoms) + ")" for x in atoms)
+        constraint = "|".join([f"({block})"] * 12)
+        assert 33_000 < len(constraint) < 35_000
+        judgments = {f"E{i}": dict.fromkeys(atoms, i % 2 == 0) for i in range(4001)}
+        text = json.dumps({"agenda": {"atoms": atoms, "constraint": constraint},
+                           "judgments": judgments})
+        start = time.perf_counter()
+        profile = judgment_profile_from_json(text)
+        majority = majority_judgments(profile)
+        assert time.perf_counter() - start < 2.0
+        assert profile.num_evaluators == 4001
+        assert majority == dict.fromkeys(atoms, True)
+        assert check_consistency(majority, profile.agenda)
+
+    def test_refusing_a_1_mb_chain_stays_fast(self):
+        # Past the nesting cap the parser reads on for syntax errors only and
+        # builds no more tables: about 0.5 s (2-vCPU VM, Python 3.11.7).  One
+        # table operation per connective took 2.2-2.4 s.
+        atoms = tuple(f"x{i}" for i in range(20))
+        constraint = " & ".join(atoms[i % 20] for i in range(190_000))
+        assert len(constraint) > 1_000_000
+        start = time.perf_counter()
+        with pytest.raises(ConstraintSyntaxError) as info:
+            Agenda(atoms, constraint)
+        assert time.perf_counter() - start < 1.5
+        assert str(info.value) == f"constraint nests deeper than {MAX_CONSTRAINT_DEPTH} levels"
