@@ -153,7 +153,8 @@ def _cc_score_on_arrays(profile: OrdinalProfile, committee: tuple[str, ...]) -> 
 
 def cc_score(profile: OrdinalProfile, committee: tuple[str, ...]) -> int | float:
     """Chamberlin-Courant objective: each voter counts their best committee member."""
-    kernel = _cc_score_on_merge if profile._tallies_on_merge else _cc_score_on_arrays
+    # Cold, the merge is never slower; arrays that a tally already built are faster.
+    kernel = _cc_score_on_arrays if "_position_tally" in vars(profile) else _cc_score_on_merge
     return reported_score(kernel(profile, committee))
 
 

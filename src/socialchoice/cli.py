@@ -7,7 +7,7 @@ codes: 0 success (a "violated" audit verdict is still a success), 1 input
 error, 2 internal error.
 
 Each command, and each audit kind, imports the modules it runs when it runs.
-numpy loads only for `simulate` and for a margin or committee tally past
+numpy loads only for `simulate` and for a margin or greedy CC tally past
 `profiles.SMALL_TALLY_STEPS`; a smaller one runs in pure Python.
 """
 
@@ -126,7 +126,7 @@ def cmd_parse_feedback(args) -> tuple[dict, dict]:
     pp = compile_constraints(statements)
     payload = {
         "statements": [format_statement(s) for s in statements],
-        "order": sorted(pp.strict_order),
+        "order": pp.order,
         "bounds": {alt: list(b) for alt, b in pp.bounds.items()},
         "ratings": {alt: interpret_rating(pp, alt, context) for alt in context},
     }
@@ -398,6 +398,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         inputs, payload = args.func(args)
         report = make_report(args.command, inputs, args.seed, payload)
+        del payload  # the report is a canonical copy: free the original before the text
         try:
             text = report_json(report) if args.format == "json" else report_csv(report)
         except ValueError:

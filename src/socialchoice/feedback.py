@@ -130,13 +130,9 @@ def _parse_line(line: str) -> FeedbackStatement:
 
 
 def _statement_alts(stmt: FeedbackStatement) -> tuple[str, ...]:
-    if isinstance(stmt, (Approve, Disapprove)):
-        return (stmt.alt,)
     if isinstance(stmt, Pairwise):
         return (stmt.better, stmt.worse)
-    if isinstance(stmt, Ranking):
-        return stmt.alts
-    return (stmt.alt,)
+    return stmt.alts if isinstance(stmt, Ranking) else (stmt.alt,)
 
 
 def parse_feedback(text: str, context: tuple[str, ...]) -> tuple[FeedbackStatement, ...]:
@@ -182,9 +178,9 @@ def format_statement(stmt: FeedbackStatement) -> str:
 
 # The closed order and the report grow with the square of the ids the order
 # statements name, and the closure's time faster.  One `rank` line through
-# `parse-feedback`, per process: 1,000 ids take 3.3-3.5 s and 129 MB peak RSS,
-# 1,500 ids 7.7-8.4 s and 266 MB, 2,000 ids 15-18 s and 458 MB (2-vCPU VM,
-# Python 3.11.7).
+# `parse-feedback`, per process: 1,000 ids take 1.7-2.6 s and 104 MB peak RSS,
+# 1,500 ids 3.9-5.7 s and 209 MB, 2,000 ids 6.7-8.7 s and 357 MB (2-vCPU VM
+# shared with other load, Python 3.11.7).
 MAX_ORDER_IDS = 1_000
 APPROVE_BOUNDS = (8.0, 10.0)
 DISAPPROVE_BOUNDS = (0.0, 2.0)
@@ -194,8 +190,9 @@ DISAPPROVE_BOUNDS = (0.0, 2.0)
 class PartialPreference:
     """Compiled feedback: a strict order, closed transitively here, plus rating intervals.
 
-    A cycle or bounds against the order are refused naming the smallest ids involved,
-    and an order naming more than MAX_ORDER_IDS ids before it is closed.
+    `order` holds the closed pairs sorted, `strict_order` as a set.  A cycle or bounds
+    against it are refused naming the smallest ids involved, and more than
+    MAX_ORDER_IDS ids before it is closed.
     """
 
     strict_order: frozenset[tuple[str, str]]
@@ -207,49 +204,48 @@ class PartialPreference:
             raise ValueError(
                 f"order statements name {len(ids):,} ids, over the cap of {MAX_ORDER_IDS:,}"
             )
-        beats = _transitive_closure(ids, self.strict_order)
-        for a, worse in beats.items():
-            if a in worse:
-                b = min((b for b in worse if b != a and a in beats[b]), default=a)
+        rows = _transitive_closure(ids, self.strict_order)
+        for i, row in enumerate(rows):
+            if row >> i & 1:
+                # The smallest other id on the cycle: it beats ids[i] and is beaten by it.
+                j = next((j for j, r in enumerate(rows) if j != i and row >> j & r >> i & 1), i)
                 raise FeedbackInconsistencyError(
-                    f"order statements create a cycle involving {a!r} and {b!r}"
+                    f"order statements create a cycle involving {ids[i]!r} and {ids[j]!r}"
                 )
-        object.__setattr__(self, "strict_order", frozenset((a, b) for a, w in beats.items() for b in w))
+        # bin(row) reversed has bit j at place j, so the pairs come out sorted.
+        order = tuple((a, b) for a, row in zip(ids, rows)
+                      for b, bit in zip(ids, bin(row)[:1:-1]) if bit == "1")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "strict_order", frozenset(order))
         object.__setattr__(
             self, "bounds", {a: (float(lo), float(hi)) for a, (lo, hi) in self.bounds.items()}
         )
         for alt, (lo, hi) in self.bounds.items():
             if not (RATING_MIN <= lo <= hi <= RATING_MAX):
                 raise ValueError(f"invalid bounds [{lo}, {hi}] for {alt!r}")
-        for a in sorted(beats.keys() & self.bounds.keys()):
-            for b in sorted(beats[a] & self.bounds.keys()):
-                if self.bounds[a][1] <= self.bounds[b][0]:
-                    raise FeedbackInconsistencyError(
-                        f"bounds force {a!r} <= {b!r} but the order requires {a!r} > {b!r}"
-                    )
+        for a, b in order:
+            if a in self.bounds and b in self.bounds and self.bounds[a][1] <= self.bounds[b][0]:
+                raise FeedbackInconsistencyError(
+                    f"bounds force {a!r} <= {b!r} but the order requires {a!r} > {b!r}"
+                )
 
     @cached_property
     def _degrees(self) -> tuple[Counter[str], Counter[str]]:
-        """How many ids each alternative beats, and is beaten by, in one pass over the order."""
-        below: Counter[str] = Counter()
-        above: Counter[str] = Counter()
-        for a, b in self.strict_order:
-            below[a] += 1
-            above[b] += 1
-        return below, above
+        """How many ids each alternative beats, and is beaten by, counted over the order."""
+        return Counter(a for a, _ in self.order), Counter(b for _, b in self.order)
 
 
-def _transitive_closure(nodes: list[str], pairs) -> dict[str, set[str]]:
-    # Each id's successor set in the closure, by Warshall's (1962) loop over
-    # the sorted ids the pairs name.
-    beats: dict[str, set[str]] = {n: set() for n in nodes}
+def _transitive_closure(ids: list[str], pairs) -> list[int]:
+    # One bitset per sorted id, bit j set when ids[i] beats ids[j] in the
+    # closure, by Warshall's (1962) loop.
+    index = {x: i for i, x in enumerate(ids)}
+    rows = [0] * len(ids)
     for a, b in pairs:
-        beats[a].add(b)
-    for mid in nodes:
-        for src in nodes:
-            if mid in beats[src]:
-                beats[src] |= beats[mid]
-    return beats
+        rows[index[a]] |= 1 << index[b]
+    for mid in range(len(ids)):
+        bit, through = 1 << mid, rows[mid]
+        rows = [row | through if row & bit else row for row in rows]
+    return rows
 
 
 def compile_constraints(statements: tuple[FeedbackStatement, ...]) -> PartialPreference:

@@ -173,12 +173,14 @@ class Agenda:
         object.__setattr__(self, "_table", table)
         if not self._table:
             raise ConstraintError("constraint is unsatisfiable")
+        # A check reads one byte of this copy; shifting the int copies the table.
+        object.__setattr__(self, "_table_bytes", table.to_bytes((size + 7) // 8, "little"))
 
     def satisfies(self, js: JudgmentSet) -> bool:
         self._check_total(js)
         # The first atom is the highest bit of an assignment's index.
         index = sum(1 << i for i, atom in enumerate(reversed(self.atoms)) if js[atom])
-        return bool(self._table >> index & 1)
+        return bool(self._table_bytes[index >> 3] >> (index & 7) & 1)
 
     def _check_total(self, js: JudgmentSet):
         if set(js) != set(self.atoms):
@@ -256,12 +258,14 @@ def closest_consistent(js: JudgmentSet, agenda: Agenda) -> JudgmentSet:
     ordered premises-then-conclusion this reproduces premise-based repair.
     """
     agenda._check_total(js)
-    # Per atom, the assignments that give it the other value than `js` does.
-    flips = [~mask if js[a] else mask for a, mask in zip(agenda.atoms, agenda._masks)]
+    # Per atom, the assignments f that give it the other value than `js` does, and
+    # the rest k: complements within the table (`true ^ x`), so ints stay non-negative.
+    true = (1 << (1 << len(agenda.atoms))) - 1
+    flips = [(true ^ m, m) if js[a] else (m, true ^ m) for a, m in zip(agenda.atoms, agenda._masks)]
     layers = [agenda._table]  # satisfying assignments by flips among the atoms so far
-    for f in flips:
-        layers = [(kept & ~f) | (flipped & f) for kept, flipped in zip(layers + [0], [0] + layers)]
+    for f, k in flips:
+        layers = [(kept & k) | (flipped & f) for kept, flipped in zip(layers + [0], [0] + layers)]
     best = next(layer for layer in layers if layer)
-    for f in flips:  # atom 0 first, keep the atom's value while a candidate does
-        best = best & ~f or best
+    for _, k in flips:  # atom 0 first, keep the atom's value while a candidate does
+        best = best & k or best
     return {a: bool(best & mask) for a, mask in zip(agenda.atoms, agenda._masks)}

@@ -36,12 +36,12 @@ _INT64_MAX = 2**63 - 1
 #   c = 3), tens of us against the import it saves.  Far above it the arrays
 #   win 4-5x: 38 against 9 ms at m = 10, k = 9,985 and 13 against 3 ms at
 #   m = 50, k = 1,000, c = 3.
-# - the CC score: cold, the merge is never slower (7.4 against 7.5 ms and
-#   1.5 against 2.6 ms on those two profiles).  Once a greedy run has built
-#   the arrays they win: 7.4 ms against 30 us and 1.6 ms against 15 us, and
-#   from k*c of about 30 at small sizes.  The committee report scores the
-#   committee its rule just chose, so above the bound the score follows
-#   greedy onto the arrays.
+# - the CC score reads no bound.  Cold, the merge is never slower (7.4 against
+#   7.5 ms and 1.5 against 2.6 ms on those two profiles), so the score reads
+#   the arrays only once a margin or greedy tally has built them; then they
+#   win, 7.4 ms against 30 us and 1.6 ms against 15 us, and from k*c of about
+#   30 at small sizes.  So `committee --rule k-borda` never loads numpy, and
+#   greedy CC's score above the bound follows greedy onto the arrays.
 SMALL_TALLY_STEPS = 512
 
 

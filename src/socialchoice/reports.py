@@ -40,10 +40,6 @@ def canonical_value(obj: Any) -> Any:
             raise TypeError("report payload keys must be strings")
         return {k: canonical_value(obj[k]) for k in sorted(obj)}
     if isinstance(obj, (list, tuple)):
-        # A list of strings, such as each of parse-feedback's order pairs, is
-        # canonical as it stands.
-        if all(isinstance(v, str) for v in obj):
-            return list(obj)
         return [canonical_value(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
 

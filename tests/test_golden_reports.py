@@ -45,6 +45,14 @@ Each file under `golden/expected/` is the stdout of one command line:
   prefixes and skipped such blocks; and the same search for voter 10 of
   `golden/unpruned_m6.vote`, where ranked pairs has no witness and no
   block can be skipped, so that every misreport is decided.
+- `parse_feedback.feedback_orders.<format>`: `parse-feedback` on
+  `golden/feedback_orders.txt` with context `A,B,C,D,E,F,G`, where a
+  pairwise statement and a ranking chain into one order, some ids are
+  bounded and some rated only by their degree in the closed order, and
+  `manipulation_<rule>.ratings<r>.<format>`: the cardinal manipulation
+  search of `mean` on ratings 3,6,6 for voter 0 and of `median` on
+  0,4,6,10 for voter 2, both frozen before the order was closed on one
+  bitset per id.
 
 To regenerate after a deliberate output change, run the case's command line
 from the repository root with `PYTHONPATH=src python -m socialchoice.cli`
@@ -105,9 +113,11 @@ CASES = [
        ["committee", "--rule", rule, "--profile", str(path), "--k", str(k), "--format", fmt])
       for rule in ("k_borda", "greedy_cc") for path in (FIG1, M6, M10, *REPEATS) for k in (1, 2, 3)
       for fmt in FORMATS],
-    *[(f"parse_feedback.feedback.{fmt}",
-       ["parse-feedback", "--statements", str(DATA / "feedback.txt"), "--context", "A,B,C",
-        "--format", fmt]) for fmt in FORMATS],
+    *[(f"parse_feedback.{path.stem}.{fmt}",
+       ["parse-feedback", "--statements", str(path), "--context", context, "--format", fmt])
+      for path, context in ((DATA / "feedback.txt", "A,B,C"),
+                            (GOLDEN / "feedback_orders.txt", "A,B,C,D,E,F,G"))
+      for fmt in FORMATS],
     *[(f"clones_{rule}.{path.stem}.{fmt}",
        ["audit", "clones", "--rule", rule, "--profile", str(path), "--target", target,
         "--copies", str(copies), "--split", split, "--format", fmt])
@@ -117,6 +127,11 @@ CASES = [
         "--format", fmt])
       for rule in ORDINAL
       for path, voter in ((FIG1, 0), (M6, 5), (PRUNED_M6, 10), (UNPRUNED_M6, 10))
+      for fmt in FORMATS],
+    *[(f"manipulation_{rule}.ratings{ratings.replace(',', '-')}.{fmt}",
+       ["audit", "manipulation", "--w", rule, "--ratings", ratings, "--voter", str(voter),
+        "--format", fmt])
+      for rule, ratings, voter in (("mean", "3,6,6", 0), ("median", "0,4,6,10", 2))
       for fmt in FORMATS],
     *[(f"cycle.{path.stem}.{fmt}", ["audit", "cycle", "--profile", str(path), "--format", fmt])
       for path in VOTES for fmt in FORMATS],

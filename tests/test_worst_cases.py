@@ -1,0 +1,74 @@
+"""One row per command at the largest input its caps allow, under a time bound
+and a peak-RSS bound.
+
+Each row runs the command in a grandchild process: a wrapper child starts it
+and reads `resource.getrusage(RUSAGE_CHILDREN)`, so the resident-set peak is
+the command's alone, not the test process's or another test's child's.  The
+bounds are generous; a row that needs more than a few seconds exposes a
+missing bound in the program.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from socialchoice.feedback import MAX_ORDER_IDS
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+# argv: the command's stdout file, then the command line.  Prints the exit
+# code, the wall seconds and the command's peak RSS in MB as JSON.
+WRAPPER = (
+    "import json, resource, subprocess, sys, time\n"
+    "start = time.perf_counter()\n"
+    "with open(sys.argv[1], 'wb') as out:\n"
+    "    code = subprocess.run(sys.argv[2:], stdout=out).returncode\n"
+    "wall = time.perf_counter() - start\n"
+    "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+    "unit = 1 if sys.platform == 'darwin' else 1024\n"  # bytes on macOS, KiB on Linux
+    "print(json.dumps({'code': code, 'wall_s': wall, 'peak_mb': peak * unit / 2**20}))\n"
+)
+
+
+def rank_at_the_id_cap(tmp_path):
+    """One `rank` line over MAX_ORDER_IDS ids: every ordered pair is in the closure."""
+    ids = [f"a{i}" for i in range(MAX_ORDER_IDS)]
+    statements = tmp_path / "rank.txt"
+    statements.write_text("rank " + " > ".join(ids) + "\n", encoding="utf-8")
+    argv = ["parse-feedback", "--statements", str(statements), "--context", ",".join(ids)]
+
+    def check(report):
+        order = report["payload"]["order"]
+        assert len(order) == MAX_ORDER_IDS * (MAX_ORDER_IDS - 1) // 2 == 499_500
+        assert order == sorted([a, b] for i, a in enumerate(ids) for b in ids[i + 1:])
+
+    return argv, check
+
+
+# id: (input builder, wall-time bound in s, peak-RSS bound in MB).
+ROWS = {
+    "parse-feedback-at-MAX_ORDER_IDS": (rank_at_the_id_cap, 10.0, 256),
+}
+
+
+@pytest.mark.parametrize("build, max_wall_s, max_peak_mb", ROWS.values(), ids=ROWS)
+def test_command_at_its_cap(tmp_path, build, max_wall_s, max_peak_mb):
+    argv, check = build(tmp_path)
+    out = tmp_path / "stdout"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", WRAPPER, str(out), sys.executable, "-m", "socialchoice.cli", *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    usage = json.loads(proc.stdout)
+    assert usage["code"] == 0, proc.stderr
+    check(json.loads(out.read_text(encoding="utf-8")))
+    assert usage["wall_s"] < max_wall_s, usage
+    assert usage["peak_mb"] < max_peak_mb, usage
