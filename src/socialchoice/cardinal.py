@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import statistics
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .jsonin import load
+from .jsonin import LocatedError, load
 from .ordinal import borda, reported_score
-from .profiles import OrdinalProfile, validate_alternative_id
+from .profiles import BallotParseError, OrdinalProfile, validate_alternative_id
 from .rules import RATING_MAX, RATING_MIN, resolve_rule, rule_ids
 
 
@@ -26,59 +26,48 @@ class RatingProfile:
         object.__setattr__(
             self, "ratings", {e: dict(row) for e, row in self.ratings.items()}
         )
-        _check_alternatives(self.alternatives)
-        _check_evaluators(self.evaluators)
+        if not self.alternatives:
+            raise LocatedError("a rating profile needs at least one alternative", "alternatives")
+        if len(set(self.alternatives)) != len(self.alternatives):
+            raise LocatedError("duplicate alternative ids", "alternatives")
+        try:
+            for alt in self.alternatives:
+                validate_alternative_id(alt)
+        except BallotParseError as exc:
+            raise _AlternativeIdError(str(exc)) from None
+        if not self.evaluators:
+            raise LocatedError("a rating profile needs at least one evaluator", "ratings")
+        if len(set(self.evaluators)) != len(self.evaluators):
+            raise LocatedError("duplicate evaluator ids", "ratings")
         if set(self.ratings) != set(self.evaluators):
-            raise ValueError("ratings must cover exactly the declared evaluators")
+            raise LocatedError("ratings must cover exactly the declared evaluators", "ratings")
         for evaluator, row in self.ratings.items():
-            _check_row(evaluator, row, self.alternatives)
+            if set(row) != set(self.alternatives):
+                message = f"evaluator {evaluator!r} must rate exactly the declared alternatives"
+                raise LocatedError(message, "ratings", evaluator)
             for alt, value in row.items():
-                _check_rating(evaluator, alt, value)
+                if not RATING_MIN <= value <= RATING_MAX:
+                    message = f"rating {value} for ({evaluator!r}, {alt!r}) outside [0, 10]"
+                    raise LocatedError(message, "ratings", evaluator, alt)
 
     def column(self, alt: str) -> list[float]:
         """All evaluators' ratings of one alternative, in evaluator order."""
         return [self.ratings[e][alt] for e in self.evaluators]
 
 
-def _check_alternatives(alternatives: tuple[str, ...]) -> None:
-    if not alternatives:
-        raise ValueError("a rating profile needs at least one alternative")
-    if len(set(alternatives)) != len(alternatives):
-        raise ValueError("duplicate alternative ids")
-    for alt in alternatives:
-        validate_alternative_id(alt)
+class _AlternativeIdError(BallotParseError, LocatedError):
+    """The ballot error a bad alternative id raises anywhere, located at the profile's ids."""
 
-
-def _check_evaluators(evaluators: tuple[str, ...]) -> None:
-    if not evaluators:
-        raise ValueError("a rating profile needs at least one evaluator")
-    if len(set(evaluators)) != len(evaluators):
-        raise ValueError("duplicate evaluator ids")
-
-
-def _check_row(evaluator: str, row: Mapping[str, float], alternatives: tuple[str, ...]) -> None:
-    if set(row) != set(alternatives):
-        raise ValueError(f"evaluator {evaluator!r} must rate exactly the declared alternatives")
-
-
-def _check_rating(evaluator: str, alt: str, value: float) -> None:
-    if not RATING_MIN <= value <= RATING_MAX:
-        raise ValueError(f"rating {value} for ({evaluator!r}, {alt!r}) outside [0, 10]")
+    keys = ("alternatives",)
 
 
 def rating_profile_from_json(text: str) -> RatingProfile:
     """Load the {"alternatives": [...], "ratings": {evaluator: {alt: num}}} schema."""
-    alternatives, ratings = load(text).fields("alternatives", "ratings")
+    root = load(text)
+    alternatives, ratings = root.fields("alternatives", "ratings")
     alts = alternatives.strings()
     rows = {e: {alt: value.number() for alt, value in row.items()} for e, row in ratings.items()}
-    # The profile's checks in its order, each at its node.
-    alternatives.build(_check_alternatives, alts)
-    ratings.build(_check_evaluators, tuple(rows))
-    for evaluator, row in ratings.items():
-        row.build(_check_row, evaluator, rows[evaluator], alts)
-        for alt, value in row.items():
-            value.build(_check_rating, evaluator, alt, rows[evaluator][alt])
-    return RatingProfile(alts, tuple(rows), rows)
+    return root.build(RatingProfile, alts, tuple(rows), rows)
 
 
 def mean(values: list[float]) -> float:

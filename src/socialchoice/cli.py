@@ -32,8 +32,12 @@ class _AfterKind(argparse.Action):
         raise ValueError(f"{flag} goes after the audit kind: audit <kind> {flag} …")
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a whole-file read: `start` is the file offset
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: invalid UTF-8 byte at offset {exc.start}") from None
 
 
 def cmd_aggregate(args) -> tuple[dict, dict]:
@@ -150,7 +154,7 @@ def cmd_simulate(args) -> tuple[dict, dict]:
     dataset_path = Path(config.dataset)
     if not dataset_path.is_absolute():
         dataset_path = Path(args.config).parent / dataset_path
-    dataset_text = dataset_path.read_text(encoding="utf-8")
+    dataset_text = _read(dataset_path)
     dataset = dataset_from_json(dataset_text)
     payload, sft_lines = run_pipeline(config, dataset, args.seed)
     if sft_lines is not None:

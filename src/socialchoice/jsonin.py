@@ -9,6 +9,10 @@ given (`got int`, `got list`) and shows the JSON value otherwise (`got "6"`,
 `keys` with `<path>: unknown key "<key>"; expected one of <keys>`.
 `strings()` and `numbers()` read a whole list of scalars in one pass, and a
 member that fails gets the message its own read would give.
+
+`build(make, *args)` locates a `ValueError` from the checks an object makes on
+itself at the node it was read from, and a `LocatedError` at the member it
+names (`ratings.e2.x: rating ...`); built elsewhere, the message stays bare.
 """
 
 from __future__ import annotations
@@ -49,14 +53,25 @@ def load(text: str) -> Node:
     return root
 
 
+class LocatedError(ValueError):
+    """A failed check on a member of an object; `keys` lead from the object to the member."""
+
+    keys: tuple[str, ...] = ()
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys or self.keys
+
+
 class Node(NamedTuple):
     """A JSON value and its path in the document."""
 
     value: Any
     path: str
 
-    def _error(self, message: str) -> ValueError:
-        return ValueError(f"{self.path}: {message}" if self.path else message)
+    def _error(self, message: str, *keys: str) -> ValueError:
+        path = ".".join((self.path, *keys) if self.path else keys)
+        return ValueError(f"{path}: {message}" if path else message)
 
     def _expect(self, ok: bool, what: str, structured: bool = False):
         # The value if `ok`, else the located "expected <what>, got <got>".
@@ -72,12 +87,14 @@ class Node(NamedTuple):
     def build(self, make, *args):
         """`make(*args)`, with a `ValueError` it raises located at this node.
 
-        For the checks an object makes on itself once the reads are done.
+        For the checks an object makes on itself once the reads are done; a
+        `LocatedError`'s keys extend the path to the member that failed.
         """
         try:
             return make(*args)
         except ValueError as exc:
-            raise self._error(str(exc)) from None
+            keys = exc.keys if isinstance(exc, LocatedError) else ()
+            raise self._error(str(exc), *keys) from None
 
     def _at(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .jsonin import Node, load
+from .jsonin import LocatedError, load
 
 # A judgment set assigns every agenda atom a truth value.
 JudgmentSet = dict[str, bool]
@@ -23,8 +23,10 @@ MAX_AGENDA_ATOMS = 20
 MAX_CONSTRAINT_DEPTH = 100
 
 
-class ConstraintError(ValueError):
+class ConstraintError(LocatedError):
     """The constraint is not well-formed, names an undeclared atom or cannot hold."""
+
+    keys = ("constraint",)
 
 
 class ConstraintSyntaxError(ConstraintError):
@@ -132,19 +134,6 @@ class _Parser:
         return op(*(table for table, _ in reads), self.true), height
 
 
-def _check_atoms(atoms: tuple[str, ...]) -> None:
-    if not atoms:
-        raise ValueError("an agenda needs at least one atom")
-    if len(atoms) > MAX_AGENDA_ATOMS:
-        raise ValueError(f"agenda exceeds {MAX_AGENDA_ATOMS} atoms")
-    for atom in atoms:
-        # Only an atom the scanner reads as one token can occur in a constraint.
-        if not (isinstance(atom, str) and _ATOM.fullmatch(atom)):
-            raise ValueError(f"agenda atom {atom!r} is not a run of letters, digits and '_'")
-    if len(set(atoms)) != len(atoms):
-        raise ValueError("duplicate agenda atoms")
-
-
 @dataclass(frozen=True)
 class Agenda:
     """An ordered set of atomic propositions plus a consistency constraint.
@@ -159,7 +148,18 @@ class Agenda:
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        _check_atoms(self.atoms)
+        if not self.atoms:
+            raise LocatedError("an agenda needs at least one atom", "atoms")
+        if len(self.atoms) > MAX_AGENDA_ATOMS:
+            raise LocatedError(f"agenda exceeds {MAX_AGENDA_ATOMS} atoms", "atoms")
+        for atom in self.atoms:
+            # Only an atom the scanner reads as one token can occur in a constraint.
+            if not (isinstance(atom, str) and _ATOM.fullmatch(atom)):
+                raise LocatedError(
+                    f"agenda atom {atom!r} is not a run of letters, digits and '_'", "atoms"
+                )
+        if len(set(self.atoms)) != len(self.atoms):
+            raise LocatedError("duplicate agenda atoms", "atoms")
         # Bit b of the truth table is assignment b of product((False, True), repeat=k).
         masks, size = {}, 1
         for atom in reversed(self.atoms):
@@ -189,20 +189,6 @@ class Agenda:
             )
 
 
-def _agenda_from_node(node: Node) -> Agenda:
-    atoms, constraint = node.fields("atoms", "constraint")
-    ids = atoms.strings()
-    text = constraint.string()
-    # The agenda's checks in its order, each at its node.
-    atoms.build(_check_atoms, ids)
-    return constraint.build(Agenda, ids, text)
-
-
-def _check_judgment(agenda: Agenda, name: str, js: JudgmentSet) -> None:
-    if not agenda.satisfies(js):
-        raise ValueError(f"evaluator {name!r} holds an inconsistent judgment set")
-
-
 @dataclass(frozen=True)
 class JudgmentProfile:
     """Named evaluators' judgment sets; every individual must satisfy the constraint."""
@@ -214,12 +200,18 @@ class JudgmentProfile:
         judgments = tuple((name, dict(js)) for name, js in self.judgments)
         object.__setattr__(self, "judgments", judgments)
         if not self.judgments:
-            raise ValueError("a judgment profile needs at least one evaluator")
+            raise LocatedError("a judgment profile needs at least one evaluator", "judgments")
         names = [name for name, _ in self.judgments]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate evaluator ids")
+            raise LocatedError("duplicate evaluator ids", "judgments")
         for name, js in self.judgments:
-            _check_judgment(self.agenda, name, js)
+            try:
+                consistent = self.agenda.satisfies(js)
+            except ValueError as exc:  # a set over other atoms than the agenda's
+                raise LocatedError(str(exc), "judgments", name) from None
+            if not consistent:
+                message = f"evaluator {name!r} holds an inconsistent judgment set"
+                raise LocatedError(message, "judgments", name)
 
     @property
     def num_evaluators(self) -> int:
@@ -228,14 +220,12 @@ class JudgmentProfile:
 
 def judgment_profile_from_json(text: str) -> JudgmentProfile:
     """Load {"agenda": {...}, "judgments": {evaluatorId: {atom: bool}}}."""
-    agenda, judgments = load(text).fields("agenda", "judgments")
-    agenda = _agenda_from_node(agenda)
+    root = load(text)
+    agenda, judgments = root.fields("agenda", "judgments")
+    atoms, constraint = agenda.fields("atoms", "constraint")
+    agenda = agenda.build(Agenda, atoms.strings(), constraint.string())
     sets = {name: {a: v.boolean() for a, v in js.items()} for name, js in judgments.items()}
-    # Each evaluator's checks at its node.  No JSON object repeats a key, so
-    # the profile's own check left is that it has an evaluator.
-    for name, js in judgments.items():
-        js.build(_check_judgment, agenda, name, sets[name])
-    return judgments.build(JudgmentProfile, agenda, tuple(sets.items()))
+    return root.build(JudgmentProfile, agenda, tuple(sets.items()))
 
 
 def majority_judgments(jp: JudgmentProfile) -> JudgmentSet:

@@ -345,10 +345,7 @@ def _case_from_json(node: Node) -> PromptCase:
     for r in node.only("prompt", "responses", "jury").get("responses").members():
         rid = r.only("id", "text", "features").get("id").string()
         text = r.get("text", rid).string()
-        features = r.get("features").numbers()
-        if not features:
-            raise ValueError(f"{r.path}.features: a response needs at least one feature")
-        responses.append(r.build(ResponseRecord, rid, text, features))
+        responses.append(r.build(ResponseRecord, rid, text, r.get("features").numbers()))
     jury = None
     if "jury" in node:
         jury = tuple(_ballot_from_json(b) for b in node.get("jury").members())

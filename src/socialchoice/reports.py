@@ -27,14 +27,13 @@ def sha256_hex(data: bytes | str) -> str:
 
 def canonical_value(obj: Any) -> Any:
     """Normalize a payload tree: 9-significant-digit floats, plain containers."""
-    if isinstance(obj, bool) or obj is None:
+    # Strings first: a report's largest lists are of ids.  A bool is an int.
+    if isinstance(obj, (str, int)) or obj is None:
         return obj
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError("report payloads must be finite")
         return float(format(obj, ".9g"))
-    if isinstance(obj, (int, str)):
-        return obj
     if isinstance(obj, dict):
         if any(not isinstance(k, str) for k in obj):
             raise TypeError("report payload keys must be strings")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jsonin import LocatedError
 from .rules import RATING_MAX, RATING_MIN
 from .seeding import derive_seed
 
@@ -52,6 +53,8 @@ class ResponseRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(float(v) for v in self.features))
+        if not self.features:
+            raise LocatedError("a response needs at least one feature", "features")
         if not self.id:
             raise ValueError("response id must be non-empty")
         if not all(math.isfinite(v) for v in self.features):

@@ -785,6 +785,26 @@ class TestExitCodes:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command, flag, text, where", [
+        (["aggregate", "--rule", "borda"], "--profile",
+         b"alternatives: A, B\n1: A > B\n1: B \xff A\n", "line 3: invalid UTF-8 byte at offset 33"),
+        (["rate", "--rule", "mean"], "--ratings",
+         b'{"alternatives": ["x"],\n "ratings": {"\xc3": {"x": 1}}}',
+         "line 2: invalid UTF-8 byte at offset 38"),
+        # The dataset a simulate config names is read the same way.
+        (["simulate"], "--config", b'{"cases": [], "note": "caf\xe9"}',
+         "line 1: invalid UTF-8 byte at offset 26"),
+    ], ids=["ballots", "ratings", "dataset"])
+    def test_undecodable_input_names_the_file_and_line(
+        self, capsys, tmp_path, command, flag, text, where
+    ):
+        path = tmp_path / "input"
+        path.write_bytes(text)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"variant": "rankings", "F": "borda", "dataset": "input"}))
+        read = config if command == ["simulate"] else path
+        assert run_cli(capsys, *command, flag, str(read)) == (1, "", f"error: {path}: {where}\n")
+
     def test_stray_key_error_is_an_internal_error(self, capsys, monkeypatch):
         # No input fault raises KeyError, so one that escapes a command is a bug.
         def broken(args):

@@ -10,7 +10,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from socialchoice.cardinal import RatingProfile, rating_profile_from_json
 from socialchoice.jsonin import Node, load
+from socialchoice.judgment import (
+    Agenda,
+    ConstraintError,
+    ConstraintSyntaxError,
+    JudgmentProfile,
+    judgment_profile_from_json,
+)
+from socialchoice.pipeline import dataset_from_json
+from socialchoice.profiles import BallotParseError
+from socialchoice.simulation import ResponseRecord
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "socialchoice"
 
@@ -178,3 +189,113 @@ def test_list_reads_match_the_member_reads(tokens):
         # repr tells 1 from 1.0, so an integer must come back as a float.
         per_member = outcome(lambda n: tuple(each(m) for m in n.members()), node)
         assert outcome(whole, node) == per_member
+
+
+# A built object's own checks, each made once by the object itself.  Built
+# directly, a check raises its bare message; built by its loader, the same
+# message is located at the member the check reads.  The duplicate-evaluator
+# and evaluator-coverage checks are left out: no loader can reach them, as the
+# reader refuses a repeated key.
+SHG = ["safe", "helpful", "give"]
+SHG_RULE = "give <-> (safe & helpful)"
+SHG_AGENDA = Agenda(SHG, SHG_RULE)
+NESTED = "(" * 101 + "give" + ")" * 101
+
+
+def ratings(alternatives, rows):
+    return lambda: rating_profile_from_json(
+        json.dumps({"alternatives": alternatives, "ratings": rows}))
+
+
+def judgments(sets, atoms=SHG, constraint=SHG_RULE):
+    agenda = {"atoms": atoms, "constraint": constraint}
+    return lambda: judgment_profile_from_json(json.dumps({"agenda": agenda, "judgments": sets}))
+
+
+def dataset_with_no_features():
+    data = json.loads((SRC.parent.parent / "data" / "cases.json").read_text())
+    data["cases"][0]["responses"][0]["features"] = []
+    return dataset_from_json(json.dumps(data))
+
+
+E1 = {"safe": True, "helpful": False, "give": False}
+MOVED_CHECKS = {
+    "no-alternative": (
+        lambda: RatingProfile((), ("e1",), {"e1": {}}), ValueError,
+        "a rating profile needs at least one alternative",
+        ratings([], {"e1": {}}), "alternatives"),
+    "duplicate-alternatives": (
+        lambda: RatingProfile(("x", "x"), ("e1",), {"e1": {"x": 3.0}}), ValueError,
+        "duplicate alternative ids", ratings(["x", "x"], {"e1": {"x": 3}}), "alternatives"),
+    "alternative-id": (
+        lambda: RatingProfile(("x y",), ("e1",), {"e1": {"x y": 3.0}}), BallotParseError,
+        "alternative id 'x y' contains whitespace",
+        ratings(["x y"], {"e1": {"x y": 3}}), "alternatives"),
+    "no-rater": (
+        lambda: RatingProfile(("x",), (), {}), ValueError,
+        "a rating profile needs at least one evaluator", ratings(["x"], {}), "ratings"),
+    "row": (
+        lambda: RatingProfile(("x", "y"), ("e1",), {"e1": {"x": 3.0}}), ValueError,
+        "evaluator 'e1' must rate exactly the declared alternatives",
+        ratings(["x", "y"], {"e1": {"x": 3}}), "ratings.e1"),
+    "rating": (
+        lambda: RatingProfile(("x",), ("e1", "e2"), {"e1": {"x": 3.0}, "e2": {"x": 11.0}}),
+        ValueError, "rating 11.0 for ('e2', 'x') outside [0, 10]",
+        ratings(["x"], {"e1": {"x": 3}, "e2": {"x": 11}}), "ratings.e2.x"),
+    "no-atom": (
+        lambda: Agenda((), "give"), ValueError, "an agenda needs at least one atom",
+        judgments({"E1": E1}, atoms=[]), "agenda.atoms"),
+    "atom-cap": (
+        lambda: Agenda([f"p{i}" for i in range(21)], "p0"), ValueError,
+        "agenda exceeds 20 atoms",
+        judgments({"E1": E1}, atoms=[f"p{i}" for i in range(21)]), "agenda.atoms"),
+    "atom-token": (
+        lambda: Agenda([*SHG, "x y"], SHG_RULE), ValueError,
+        "agenda atom 'x y' is not a run of letters, digits and '_'",
+        judgments({"E1": E1}, atoms=[*SHG, "x y"]), "agenda.atoms"),
+    "duplicate-atoms": (
+        lambda: Agenda(["safe", "safe", "give"], SHG_RULE), ValueError,
+        "duplicate agenda atoms",
+        judgments({"E1": E1}, atoms=["safe", "safe", "give"]), "agenda.atoms"),
+    "undeclared-atom": (
+        lambda: Agenda(SHG, "give <-> (safe & kind)"), ConstraintError,
+        "constraint mentions undeclared atom(s) ['kind']",
+        judgments({"E1": E1}, constraint="give <-> (safe & kind)"), "agenda.constraint"),
+    "unsatisfiable": (
+        lambda: Agenda(SHG, "give & !give"), ConstraintError, "constraint is unsatisfiable",
+        judgments({"E1": E1}, constraint="give & !give"), "agenda.constraint"),
+    "nesting": (
+        lambda: Agenda(SHG, NESTED), ConstraintSyntaxError,
+        "constraint nests deeper than 100 levels",
+        judgments({"E1": E1}, constraint=NESTED), "agenda.constraint"),
+    "no-judge": (
+        lambda: JudgmentProfile(SHG_AGENDA, ()), ValueError,
+        "a judgment profile needs at least one evaluator", judgments({}), "judgments"),
+    "other-atoms": (
+        lambda: JudgmentProfile(SHG_AGENDA, (("E2", {"safe": False, "helpful": True}),)),
+        ValueError,
+        "judgment set over ['helpful', 'safe'] does not match agenda atoms "
+        "['safe', 'helpful', 'give']",
+        judgments({"E2": {"safe": False, "helpful": True}}), "judgments.E2"),
+    "inconsistent": (
+        lambda: JudgmentProfile(SHG_AGENDA, (("E1", {**E1, "give": True}),)), ValueError,
+        "evaluator 'E1' holds an inconsistent judgment set",
+        judgments({"E1": {**E1, "give": True}}), "judgments.E1"),
+    # Built directly, a featureless response was accepted before its check
+    # moved into the record.
+    "no-feature": (
+        lambda: ResponseRecord("A", "a", ()), ValueError,
+        "a response needs at least one feature",
+        dataset_with_no_features, "cases[0].responses[0].features"),
+}
+
+
+@pytest.mark.parametrize("build, error, message, read, where", MOVED_CHECKS.values(),
+                         ids=MOVED_CHECKS)
+def test_a_check_is_bare_when_built_and_located_when_read(build, error, message, read, where):
+    with pytest.raises(error) as built:
+        build()
+    assert str(built.value) == message
+    with pytest.raises(ValueError) as loaded:
+        read()
+    assert str(loaded.value) == f"{where}: {message}"

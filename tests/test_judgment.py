@@ -239,6 +239,21 @@ class TestProfileJson:
         profile = judgment_profile_from_json(text)
         assert profile == shg_profile()
 
+    def test_each_evaluator_is_checked_once(self, monkeypatch):
+        # The profile checks every evaluator's set, and the loader no longer
+        # checks it first at its own node.
+        calls = []
+        satisfies = Agenda.satisfies
+        monkeypatch.setattr(
+            Agenda, "satisfies", lambda agenda, js: calls.append(js) or satisfies(agenda, js)
+        )
+        judgments = {f"E{i}": {"safe": i % 2 == 0, "helpful": True, "give": i % 2 == 0}
+                     for i in range(101)}
+        agenda = {"atoms": ["safe", "helpful", "give"], "constraint": "give <-> (safe & helpful)"}
+        profile = judgment_profile_from_json(json.dumps({"agenda": agenda, "judgments": judgments}))
+        assert profile.num_evaluators == 101
+        assert calls == list(judgments.values())
+
     def test_missing_key(self):
         with pytest.raises(ValueError, match="judgments"):
             judgment_profile_from_json('{"agenda": {"atoms": ["a"], "constraint": "a"}}')
