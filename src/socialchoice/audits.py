@@ -16,26 +16,31 @@ reports the leading places of the misreport it read (`TallyRow.reads`), and
 the rest of the block that shares them decides alike.  A row's `hopeless`
 bound, tried at the root and at each prefix whose block holds more than one
 misreport, skips a block in which no misreport can elect an alternative the
-voter prefers to the honest winner: Borda's bound is exact, and ranked
-pairs' is sound but not exact.  At the root it ends the search before any
-misreport is decided.  `reverify_ordinal_witness` reruns the rule on a
-profile rebuilt by the constructor, as an independent check.
+voter prefers to the honest winner.  Borda's bound is exact, and so is
+instant runoff's, a search over its elimination sequences, so their
+searches decide at most two misreports; ranked pairs' is sound but not
+exact.  At the root it ends the search before any misreport is decided.
+Each rule has its own measured cap on the alternatives searched,
+`MAX_MANIPULATION_ALTERNATIVES`.  `reverify_ordinal_witness` reruns the
+rule on a profile rebuilt by the constructor, as an independent check.
 
 The anonymity check shuffles the distinct rankings of `merged` and builds
-each shuffled profile once, handing its permuted tuple over as both ballots
-and merge.  A registry rule is checked through its `ORDINAL_TALLIES` row:
-the base tally is decided once, and a shuffle is decided only when its tally
-moves, as equal tallies decide alike.  Every row's tally, instant runoff's
-too, compares by value, so no rule decides a shuffle that left its tally
-alone.  A custom callable reruns in full on every shuffle.  Past the
-exhaustive orders, each seeded order is one sort of the indices, keyed by
-draws from the seeded generator.
+each shuffled profile once with `OrdinalProfile._shuffled`, which hands the
+permuted tuple over as both ballots and merge and, once the base's position
+rows are built, takes them in the shuffle's order.  A registry rule is
+checked through its `ORDINAL_TALLIES` row: the base tally is decided once,
+and a shuffle is decided only when its tally moves, as equal tallies decide
+alike.  Every row's tally, instant runoff's too, compares by value, so no
+rule decides a shuffle that left its tally alone.  A custom callable reruns
+in full on every shuffle.  Past the exhaustive orders, each seeded order is
+one sort of the indices, keyed by draws from the seeded generator.
 
 The other auditors read the weighted ballots, as the rules do.  Only
 cloning, whose `CloneSpec` fixes a clone order per voter, reads the voters
 one by one, so only it is capped by `MAX_AUDIT_VOTERS`.  It counts their
 (ranking, clone order) pairs and splices each distinct pair once, into one
-weighted ballot.
+weighted ballot, and hands the ballots over as their own merge, as distinct
+pairs splice to distinct rankings.
 """
 
 from __future__ import annotations
@@ -52,12 +57,37 @@ from .ordinal import ORDINAL_TALLIES, ordinal_rule
 from .profiles import OrdinalProfile, RankingBallot
 from .rules import RATING_MAX, RATING_MIN, resolve_rule
 
-# The ordinal search decides at most m! - 1 misreports.  At the cap the worst
-# case is a ranked-pairs search whose bound never fires, such as voter 10 of
-# tests/golden/unpruned_m6.vote: 719 decides and 517 bound calls, 52 ms
-# (median of 30 runs; 2-vCPU VM, Python 3.11.7).  Ranked pairs stays NP-hard
-# for one manipulator, so no bound is known to make its search polynomial.
-MAX_MANIPULATION_ALTERNATIVES = 6
+# The ordinal search's cap on alternatives, per rule: the largest m at which
+# the slowest search found took under 1 s and 100 MB per process, over random
+# (up to 1,000 voters), Latin-square (cyclic shifts), no-witness and
+# deep-witness profiles (2-vCPU VM, Python 3.11.7).  The tallies also grow
+# with the distinct rankings of the file.  tests/test_worst_cases.py runs
+# each rule's slowest case at its cap.
+MAX_MANIPULATION_ALTERNATIVES = {
+    # No bound: at most two decides per top choice, each reached by an O(m)
+    # walk of O(m) slices.  Slowest, a Latin square's last voter, with no
+    # witness: 0.39-0.42 s and 22 MB at 256; 2.6 s at 512.
+    "plurality": 256,
+    # An exact bound, so at most two decides, but O(m^2) bound calls of
+    # O(m^2 log m) each.  Slowest, voter 4 of a Latin square, whose witness
+    # starts deep in id order: 0.39-0.69 s and 21 MB at 80; 1.0 s at 96.
+    "borda": 80,
+    # An exact bound, but a call may visit up to m 2^m states, and one-voter
+    # manipulation is NP-complete (Bartholdi and Orlin 1991), so this cap
+    # rests on the worst case found, not on a proof.  Random profiles took at
+    # most 60 ms in process at 32.  The slowest, found by hill-climbing on
+    # the states visited, is tests/worst_cases/runoff_m32.vote: 0.31-0.39 s
+    # and 25 MB per process, about 30,000 states over its bound calls and
+    # 434 active sets kept in `firsts`.  At 40 a 100 s climb reached 0.59 s,
+    # still rising.
+    "instant_runoff": 32,
+    # The search decides at most m! - 1 misreports.  The worst case is one
+    # whose bound never fires, such as voter 10 of tests/golden/unpruned_m6.vote:
+    # 719 decides and 517 bound calls, 52 ms (median of 30 runs).  Ranked
+    # pairs stays NP-hard for one manipulator (Xia et al. 2009), so no bound
+    # is known to make its search polynomial.
+    "ranked_pairs": 6,
+}
 # Each copy adds an alternative to every ranking of the cloned profile, and
 # the rules cost more than linearly in alternatives: `audit clones` on the
 # 23-voter data/fig1.vote runs in 0.35 s with 100 copies under ranked pairs,
@@ -141,7 +171,9 @@ def cloned_profile(profile: OrdinalProfile, spec: CloneSpec) -> OrdinalProfile:
     Voters are read by `unit_rankings()` once MAX_AUDIT_VOTERS is checked, and
     their (ranking, clone order) pairs are counted.  Each distinct pair is
     spliced once into one weighted ballot, in first-occurrence order.
-    Splicing is one-to-one, so the merge is the one a ballot per voter gives.
+    Splicing is one-to-one, so the ballots are their own merge, the one a
+    ballot per voter gives, and the profile is built without checking its
+    rankings again; the spec's target, clone ids and orders are checked here.
     """
     if spec.target not in profile.alternatives:
         raise ValueError(f"clone target {spec.target!r} is not an alternative")
@@ -169,7 +201,7 @@ def cloned_profile(profile: OrdinalProfile, spec: CloneSpec) -> OrdinalProfile:
     voter_orders = map(orders.get, range(n), repeat(default_order))
     pairs = Counter(zip(profile.unit_rankings(), voter_orders))
     ballots = tuple(RankingBallot(splice(r, o), w) for (r, o), w in pairs.items())
-    return OrdinalProfile(splice(profile.alternatives, default_order), ballots)
+    return OrdinalProfile._trusted(splice(profile.alternatives, default_order), ballots, ballots)
 
 
 @dataclass(frozen=True)
@@ -223,7 +255,8 @@ def manipulation_search_ordinal(
     """Try every misreport for one voter; the first improving one is the witness.
 
     Misreports are tried in lexicographic order over all permutations of the
-    alternatives; improvement means the new winner is in `wanted`, the
+    alternatives, whose number the rule's `MAX_MANIPULATION_ALTERNATIVES`
+    caps; improvement means the new winner is in `wanted`, the
     alternatives the voter's truthful ranking puts above the honest winner.
     Everything goes through the rule's `ORDINAL_TALLIES` row: the honest
     winner is `decide(tally(profile))`, that tally with the truthful ballot
@@ -246,15 +279,16 @@ def manipulation_search_ordinal(
     Neither prune skips a misreport that could be the first witness, so the
     witness is the one a plain loop over the m! - 1 misreports would find.
     """
-    m = len(profile.alternatives)
-    if m > MAX_MANIPULATION_ALTERNATIVES:
+    rule = resolve_rule(rule_id, "ordinal").id
+    m, cap = len(profile.alternatives), MAX_MANIPULATION_ALTERNATIVES[rule]
+    if m > cap:
         raise ValueError(
-            f"{m} alternatives exceed the exhaustive-search cap "
-            f"({MAX_MANIPULATION_ALTERNATIVES}); the misreport space is m!"
+            f"{m} alternatives exceed {rule}'s exhaustive-search cap ({cap}); "
+            "the misreport space is m!"
         )
     index, _ = _voter_ballot(profile, voter)
     truthful = profile.ballots[index].ranking
-    tally, add, decide, reads, hopeless = ORDINAL_TALLIES[resolve_rule(rule_id, "ordinal").id]
+    tally, add, decide, reads, hopeless = ORDINAL_TALLIES[rule]
     counted = tally(profile)
     honest_winner = decide(counted).winner
     honest_rank = truthful.index(honest_winner)
@@ -417,12 +451,7 @@ def anonymity_check(rule, profile, seed: int) -> bool:
     rule on ratings, reruns in full.
     """
     if isinstance(profile, OrdinalProfile):
-        voters = profile.merged
-
-        def reassign(order):
-            permuted = tuple(map(voters.__getitem__, order))
-            return OrdinalProfile._trusted(profile.alternatives, permuted, permuted)
-
+        reassign = profile._shuffled
         if isinstance(rule, str):
             tally, _, decide, _, _ = ORDINAL_TALLIES[resolve_rule(rule, "ordinal").id]
             base = tally(profile)

@@ -185,24 +185,32 @@ def _add_pending(tally: RunoffTally, ranking: tuple[str, ...], sign: int) -> Run
     return RunoffTally(tally.profile, tally.firsts, (*tally.pending, (ranking, sign)))
 
 
+def _runoff_counts(tally: RunoffTally, active: frozenset[str]) -> dict[str, int]:
+    """One round's first-place counts over `active`: `firsts`, counted once, plus `pending`.
+
+    The dict may be the one `firsts` keeps, so callers do not change it.
+    """
+    counts = tally.firsts.get(active)
+    if counts is None:
+        counts = tally.firsts[active] = first_place_counts(tally.profile, active)
+    if tally.pending:
+        counts = counts.copy()
+        for ranking, sign in tally.pending:
+            for alt in ranking:
+                if alt in active:
+                    counts[alt] += sign
+                    break
+    return counts
+
+
 def _runoff_ranking(tally: RunoffTally) -> SocialRanking:
-    """Instant runoff's decide step: eliminate round by round from each active set's firsts."""
-    profile, firsts, pending = tally.profile, tally.firsts, tally.pending
-    active = frozenset(profile.alternatives)
+    """Instant runoff's decide step: eliminate round by round from each active set's counts."""
+    active = frozenset(tally.profile.alternatives)
     eliminated: list[str] = []
     groups: list[list[str]] = []
     scores: dict[str, int | float] = {}
     while active:
-        counts = firsts.get(active)
-        if counts is None:
-            counts = firsts[active] = first_place_counts(profile, active)
-        if pending:
-            counts = counts.copy()
-            for ranking, sign in pending:
-                for alt in ranking:
-                    if alt in active:
-                        counts[alt] += sign
-                        break
+        counts = _runoff_counts(tally, active)
         fewest = min(counts.values())
         out = max([a for a, c in counts.items() if c == fewest])
         # `out` was tie-broken against the previous round's loser when it
@@ -353,16 +361,6 @@ def _reads_all(result: SocialRanking, ranking: tuple[str, ...]) -> int:
     return len(ranking)
 
 
-def _runoff_reads(result: SocialRanking, ranking: tuple[str, ...]) -> int:
-    """The leading places of `ranking` that instant runoff read in reaching `result`.
-
-    Each round adds the ballot to its first active alternative, and the
-    active sets only shrink, so the round with the two finalists reads
-    furthest; the last round, with one alternative left, changes nothing.
-    """
-    return 1 + min(map(ranking.index, result.elimination_order[-2:]))
-
-
 def _reaches_its_beaters(upper: list[list[int]], c: int) -> bool:
     """Does c reach each y with upper[c][y] < 0 by a path at least -upper[c][y] wide?
 
@@ -444,6 +442,48 @@ def _scores_hopeless(scores: dict[str, int], prefix: tuple[str, ...], wanted: Se
     return True
 
 
+def _runoff_hopeless(tally: RunoffTally, prefix: tuple[str, ...], wanted: Set[str]) -> bool:
+    """Does no ranking that starts with `prefix`, added to `tally`, elect one of `wanted`?
+
+    Instant runoff's bound, exact: the elimination-sequence search of
+    Conitzer, Sandholm and Lang (2007).  Each round the ballot's vote goes
+    to its first active alternative: one of `prefix` while any is active,
+    and after that a free alternative it backs until that one is out, and
+    then another.  Every sequence of such choices is made by some
+    completion of the prefix, the backed alternatives first in the order
+    backed, so searching the choices searches the completions.  A state is
+    the active set and the alternative holding the ballot, fewer than m 2^m
+    of them, and each is searched once per call.
+    """
+    everyone = frozenset(tally.profile.alternatives)
+    free = everyone.difference(prefix)
+    known: dict[tuple[frozenset[str], str], bool] = {}
+
+    def holders(active: frozenset[str]):
+        placed = [a for a in prefix if a in active]
+        return placed[:1] or active & free
+
+    def elects(active: frozenset[str], holder: str) -> bool:
+        if not active & wanted:
+            return False
+        if len(active) == 1:
+            return True
+        state = (active, holder)
+        if state not in known:
+            counts = _runoff_counts(tally, active).copy()
+            counts[holder] += 1
+            fewest = min(counts.values())
+            out = max([a for a, c in counts.items() if c == fewest])
+            rest = active.difference((out,))
+            known[state] = (
+                any(elects(rest, h) for h in holders(rest)) if out == holder
+                else elects(rest, holder)
+            )
+        return known[state]
+
+    return not any(elects(everyone, h) for h in holders(everyone))
+
+
 class TallyRow(NamedTuple):
     """A deterministic ordinal rule as `decide(tally(profile))`.
 
@@ -469,7 +509,9 @@ ORDINAL_TALLIES: dict[str, TallyRow] = {
     "borda": TallyRow(
         borda_scores, _add_borda_points, _score_ranking, _reads_all, _scores_hopeless
     ),
-    "instant_runoff": TallyRow(RunoffTally, _add_pending, _runoff_ranking, _runoff_reads),
+    "instant_runoff": TallyRow(
+        RunoffTally, _add_pending, _runoff_ranking, _reads_all, _runoff_hopeless
+    ),
     "ranked_pairs": TallyRow(
         margin_matrix, _add_margins, _locked_ranking, _reads_all, _margins_hopeless
     ),

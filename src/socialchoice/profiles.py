@@ -94,10 +94,11 @@ class OrdinalProfile:
 
     `OrdinalProfile(alternatives, ballots)` checks the ballots and merges
     them.  `parse_profile`, the anonymity check's shuffle of the distinct
-    rankings and the simulated evaluators' counted rankings build the merge
-    themselves and hand it over checked, through `_trusted`, which keeps the
-    tuple it is given; a shuffle's merge is the permuted tuple of
-    `RankingBallot`s, also its ballots, and so are the counted rankings.
+    rankings (`_shuffled`), cloning and the simulated evaluators' counted
+    rankings build the merge themselves and hand it over checked, through
+    `_trusted`, which keeps the tuple it is given; a shuffle's merge is the
+    permuted tuple of `RankingBallot`s, also its ballots, and so are the
+    cloned and the counted rankings.
     `ballots`, in input order, is read only to render the profile, find a
     voter's ballot, read each voter's ranking for cloning and compare
     profiles.
@@ -150,6 +151,23 @@ class OrdinalProfile:
         object.__setattr__(profile, "ballots", ballots)
         object.__setattr__(profile, "merged", merged)
         return profile
+
+    def _shuffled(self, order: Sequence[int]) -> OrdinalProfile:
+        """The profile with `merged` in `order` as both its ballots and its merge.
+
+        No ranking is checked again.  When this profile's `_position_tally`
+        is built, the shuffle's is its rows taken in `order`, read-only.
+        `order` indexes them as a list, since numpy reads a tuple index as
+        one index per axis.
+        """
+        permuted = tuple(map(self.merged.__getitem__, order))
+        shuffled = self._trusted(self.alternatives, permuted, permuted)
+        if "_position_tally" in vars(self):
+            rows = list(order)
+            positions, weights = (array[rows] for array in self._position_tally)
+            positions.flags.writeable = weights.flags.writeable = False
+            vars(shuffled)["_position_tally"] = positions, weights
+        return shuffled
 
     @cached_property
     def _position_tally(self) -> tuple[np.ndarray, np.ndarray]:

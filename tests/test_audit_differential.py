@@ -23,9 +23,17 @@ decision read and skipping each block of misreports that share a prefix on
 which a row's `hopeless` bound holds, must not change that witness, also on
 even voter counts, where one ballot can tie a pair.  A `hopeless` block must
 have no completion that elects a wanted alternative, checked by deciding
-every completion, and Borda's bound is exact, so its other blocks must have
-one.  At the root the bound must fire wherever the `settled` tests it
-replaced did, kept here as references.
+every completion, and Borda's and instant runoff's bounds are exact, so
+their other blocks must have one.  At the root the bound must fire wherever
+the `settled` tests it replaced did, kept here as references, and an
+independent one for instant runoff.  Every instant-runoff witness on every
+small profile must be brute force's.
+
+A shuffle built once the base's position rows are built takes them in its
+order; those rows must equal rows built from scratch, in value, dtype and
+read-only flag.  A cloned profile, built without checking its rankings
+again, must equal the one the constructor builds from the same counted
+ballots.
 
 `reverify_ordinal_witness` checks the claimed truthful ranking against the
 voter's ballot, splits that weighted ballot around them and builds the
@@ -41,7 +49,8 @@ Both oracles also run at the shapes of the bench's audit_sweep.
 
 from __future__ import annotations
 
-from itertools import permutations
+from collections import Counter
+from itertools import combinations_with_replacement, permutations, starmap
 from math import factorial
 from pathlib import Path
 from random import Random
@@ -52,10 +61,13 @@ from hypothesis import strategies as st
 
 from socialchoice.audits import (
     ANONYMITY_PERMUTATIONS,
+    CloneSpec,
     ManipulationWitness,
+    alternating_clone_spec,
     anonymity_check,
     anonymity_order_count,
     anonymity_orders,
+    cloned_profile,
     manipulation_search_ordinal,
     reverify_ordinal_witness,
 )
@@ -278,6 +290,9 @@ MUTANTS = (
     lambda p: p.unit_rankings()[0][0],
     lambda p: p.ballots[0].weight,
     lambda p: tuple(ranking for ranking, _ in p.merged),
+    # The position rows and weights, which a shuffle takes from the base.
+    lambda p: p._position_tally[0][0].tolist(),
+    lambda p: p._position_tally[1].tolist(),
 )
 
 
@@ -359,6 +374,85 @@ def test_shuffles_keep_the_merge_they_are_given():
     assert_same_profile(trusted, reference_reassign(WEIGHTED_M6, range(len(merged) - 1, -1, -1)))
 
 
+def assert_same_rows(derived: OrdinalProfile, rebuilt: OrdinalProfile) -> None:
+    """The position rows and weights hold the same values in the same dtype, read-only."""
+    for got, want in zip(derived._position_tally, rebuilt._position_tally, strict=True):
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+        assert not got.flags.writeable
+
+
+def assert_shuffled_rows_equal_rebuilt(profile: OrdinalProfile, seed: int) -> None:
+    # Once the base's rows are built, each shuffle takes them in its order.
+    profile._position_tally
+    for order in anonymity_orders(profile, seed):
+        shuffled = profile._shuffled(order)
+        assert "_position_tally" in vars(shuffled)
+        assert_same_rows(shuffled, reference_reassign(profile, order))
+
+
+@fuzz(100)
+@given(profiles(), st.integers(0, 2**31 - 1))
+def test_shuffled_rows_equal_rows_built_from_scratch(profile, seed):
+    assert_shuffled_rows_equal_rebuilt(profile, seed)
+
+
+def test_shuffled_rows_keep_exact_weights():
+    # Weights past int64 are Python ints in an object array.
+    profile = OrdinalProfile(IDS[:3], tuple(
+        RankingBallot(ranking, 2**62 + i) for i, ranking in enumerate(permutations(IDS[:3]))
+    ))
+    assert profile._position_tally[1].dtype == object
+    assert_shuffled_rows_equal_rebuilt(profile, 0)
+
+
+def test_tuple_orders_index_rows_not_axes():
+    # Three distinct rankings take the exhaustive orders, tuples from
+    # `itertools.permutations`, and at m = 14 (k m^2 = 588) ranked pairs'
+    # margins read the rows: a tuple index would be read one index per axis.
+    alternatives = tuple(f"a{i:02}" for i in range(14))
+    rankings = [alternatives, alternatives[::-1], alternatives[7:] + alternatives[:7]]
+    profile = profile_from_rankings(rankings, alternatives)
+    assert not profile._tallies_on_merge
+    assert all(isinstance(order, tuple) for order in anonymity_orders(profile, 0))
+    assert anonymity_check("ranked_pairs", profile, 0)
+    assert_shuffled_rows_equal_rebuilt(profile, 0)
+
+
+def test_a_shuffle_before_the_rows_are_built_builds_its_own():
+    merged_order = range(len(WEIGHTED_M6.merged) - 1, -1, -1)
+    profile = parse_profile(profile_text(WEIGHTED_M6))
+    shuffled = profile._shuffled(merged_order)
+    assert "_position_tally" not in vars(shuffled)
+    assert_same_rows(shuffled, reference_reassign(profile, merged_order))
+
+
+def reference_cloned_profile(profile: OrdinalProfile, spec: CloneSpec) -> OrdinalProfile:
+    """Each voter's ranking spliced with their clone order, counted, built by the constructor."""
+    default = tuple(sorted(spec.clone_ids()))
+    orders = spec.orders or {}
+
+    def splice(ranking, block):
+        i = ranking.index(spec.target)
+        return ranking[:i] + block + ranking[i + 1:]
+
+    units = [
+        splice(ranking, orders.get(voter, default))
+        for voter, ranking in enumerate(profile.unit_rankings())
+    ]
+    ballots = tuple(starmap(RankingBallot, Counter(units).items()))
+    return OrdinalProfile(splice(profile.alternatives, default), ballots)
+
+
+@fuzz(100)
+@given(profiles(), st.data())
+def test_cloned_profiles_equal_constructor_built(profile, data):
+    spec = CloneSpec(data.draw(st.sampled_from(profile.alternatives)), data.draw(st.integers(1, 3)))
+    for split in (spec, alternating_clone_spec(profile, spec)):
+        cloned = cloned_profile(profile, split)
+        assert_same_profile(cloned, reference_cloned_profile(profile, split))
+
+
 def decided(result) -> tuple:
     """A rule's result with the fields `==` skips."""
     return result, result.scores, result.elimination_order, result.locked_pairs
@@ -428,37 +522,84 @@ def test_plurality_search_decides_once_per_top_choice(monkeypatch):
     assert 0 < decides <= len(IDS)
 
 
-@pytest.mark.parametrize(
-    "rid, most", [("instant_runoff", 130), ("borda", 0), ("ranked_pairs", 0)]
-)
-def test_weighted_m6_search_skips_what_it_never_reads(monkeypatch, rid, most):
-    # Voter 5 has no witness under these rules, out of 719 misreports.
-    # Instant runoff decides each block of misreports that share the places
-    # its runs read once; under Borda and ranked pairs the bound gives up on
-    # the whole search at the root, before any misreport is decided.
+@pytest.mark.parametrize("rid", ["instant_runoff", "borda", "ranked_pairs"])
+def test_weighted_m6_search_skips_what_it_never_reads(monkeypatch, rid):
+    # Voter 5 has no witness under these rules, out of 719 misreports.  The
+    # bound gives up on the whole search at the root, before any misreport
+    # is decided.
     witness, decides = count_decides(monkeypatch, rid, WEIGHTED_M6, 5)
     assert witness is None
-    assert decides <= most
+    assert decides == 0
     assert reference_search(rid, WEIGHTED_M6, 5) is None
 
 
-@pytest.mark.parametrize("m", range(3, 7))
-def test_borda_search_decides_at_most_two_misreports(monkeypatch, m):
-    # Borda's bound is exact and is tried on every block of two or more
-    # misreports: a search without a witness stops at the root, and one
-    # with a witness reaches a block of two that holds it.
-    rng = Random(f"borda-decides:{m}")
-    calls = spy_decides(monkeypatch, "borda")
+def assert_decides_at_most_two_misreports(monkeypatch, rid: str, m: int, profiles: int) -> None:
+    # An exact bound is tried on every block of two or more misreports: a
+    # search without a witness stops at the root, and one with a witness
+    # reaches a block of two that holds it.
+    rng = Random(f"{rid}-decides:{m}")
+    calls = spy_decides(monkeypatch, rid)
     witnesses = 0
-    for _ in range(40):
+    for _ in range(profiles):
         profile = even_profile(rng, m, weighted=True)
         for voter in range(profile.num_voters):
             calls.clear()
-            witness = manipulation_search_ordinal("borda", profile, voter)
+            witness = manipulation_search_ordinal(rid, profile, voter)
             # The first decide is the honest election's.
             assert len(calls) - 1 <= (2 if witness else 0)
             witnesses += witness is not None
     assert witnesses > 0
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+def test_borda_search_decides_at_most_two_misreports(monkeypatch, m):
+    assert_decides_at_most_two_misreports(monkeypatch, "borda", m, profiles=40)
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+def test_irv_search_decides_at_most_two_misreports(monkeypatch, m):
+    # Fewer of these searches find an instant-runoff witness, 11 of 834 at
+    # m = 3, so more profiles are searched.
+    assert_decides_at_most_two_misreports(monkeypatch, "instant_runoff", m, profiles=100)
+
+
+def test_irv_witnesses_match_brute_force_on_every_small_profile():
+    """Every voter of every profile of unit ballots with m = 3, n <= 6 and m = 4, n <= 3.
+
+    That is 13,176 searches, 733 of which find a witness.  The brute force
+    reruns instant runoff on the constructor-built profile of every
+    misreport, with one run per multiset of rankings, as the rule is
+    anonymous.  Budget: about 2 s (2-vCPU VM, Python 3.11).
+    """
+    searches = witnesses = 0
+    for m, most in ((3, 6), (4, 3)):
+        alternatives = IDS[:m]
+        winners = {}
+
+        def winner(rankings):
+            key = tuple(sorted(rankings))
+            if key not in winners:
+                profile = profile_from_rankings(key, alternatives)
+                winners[key] = ORDINAL_RULES["instant_runoff"](profile).winner
+            return winners[key]
+
+        for n in range(1, most + 1):
+            for rankings in combinations_with_replacement(permutations(alternatives), n):
+                profile = profile_from_rankings(rankings, alternatives)
+                honest = winner(rankings)
+                for voter, truthful in enumerate(rankings):
+                    others = rankings[:voter] + rankings[voter + 1:]
+                    expected = None
+                    for misreport in permutations(sorted(alternatives)):
+                        new = winner((*others, misreport))
+                        if misreport != truthful and truthful.index(new) < truthful.index(honest):
+                            expected = ManipulationWitness(voter, truthful, misreport, honest, new)
+                            break
+                    found = manipulation_search_ordinal("instant_runoff", profile, voter)
+                    assert found == expected, (rankings, voter)
+                    searches += 1
+                    witnesses += found is not None
+    assert (searches, witnesses) == (13_176, 733)
 
 
 PRUNE_SWEEP_PROFILES = {3: 300, 4: 150, 5: 40, 6: 12}
@@ -488,16 +629,39 @@ def reference_scores_settled(scores: dict) -> bool:
     )
 
 
-REFERENCE_SETTLED = {"borda": reference_scores_settled, "ranked_pairs": reference_margins_settled}
+def reference_runoff_settled(tally) -> bool:
+    """Does the base's first-place leader hold more than half of n_base + 1?
+
+    With one more ballot it holds a strict majority of the first places in
+    every round, as its count only grows, so instant runoff never
+    eliminates it.
+    """
+    counts = Counter()
+    for ranking, weight in tally.profile.merged:
+        counts[ranking[0]] += weight
+    for ranking, sign in tally.pending:
+        counts[ranking[0]] += sign
+    return 2 * max(counts.values()) > sum(counts.values()) + 1
+
+
+REFERENCE_SETTLED = {
+    "borda": reference_scores_settled,
+    "instant_runoff": reference_runoff_settled,
+    "ranked_pairs": reference_margins_settled,
+}
 BOUNDED = tuple(REFERENCE_SETTLED)
+# The rows whose bound is exact: a block it keeps holds a misreport that
+# elects a wanted alternative.
+EXACT = ("borda", "instant_runoff")
 
 
 @fuzz(200)
 @given(st.data())
 def test_hopeless_blocks_elect_no_wanted_alternative(data):
     # Every misreport is decided from the base tally, and each prefix of one
-    # drawn order bounds its block of them; Borda's bound is exact, so a
-    # block it keeps has a misreport that elects a wanted alternative.
+    # drawn order bounds its block of them; Borda's and instant runoff's
+    # bounds are exact, so a block they keep has a misreport that elects a
+    # wanted alternative.
     profile = data.draw(profiles())
     voter = data.draw(st.integers(0, profile.num_voters - 1))
     unit = profile.unit_rankings()[voter]
@@ -515,8 +679,8 @@ def test_hopeless_blocks_elect_no_wanted_alternative(data):
             block = {w for ranking, w in winners.items() if ranking[:cut] == prefix}
             if hopeless(base, prefix, wanted):
                 assert not block & wanted, (rid, prefix)
-            elif rid == "borda":
-                assert block & wanted, prefix
+            elif rid in EXACT:
+                assert block & wanted, (rid, prefix)
 
 
 @pytest.mark.parametrize("rid", BOUNDED)
@@ -560,6 +724,12 @@ SETTLED_EDGES = [
     # Even n: base C > A > B once, so C beats each by 1, and B > C > A ties
     # C with B, which then wins as the smaller unbeaten id.
     ("ranked_pairs", [("B", "A", "C"), ("C", "A", "B")], False, (("B", "C", "A"), "A", "B")),
+    # Instant runoff base A first on both ballots: with one more, A holds 2
+    # of 3 first places in every round.
+    ("instant_runoff", [("B", "A", "C"), ("A", "B", "C"), ("A", "B", "C")], True, None),
+    # Base B first on its one ballot: A > B > C ties A with B at 1 of 2 once
+    # C is out, and the tie eliminates B, the larger id.
+    ("instant_runoff", [("C", "A", "B"), ("B", "A", "C")], False, (("A", "B", "C"), "B", "A")),
 ]
 
 

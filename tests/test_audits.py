@@ -14,6 +14,7 @@ from audit_helpers import random_clone_spec, random_strict_profile
 from socialchoice.audits import (
     MAX_AUDIT_VOTERS,
     MAX_CLONE_COPIES,
+    MAX_MANIPULATION_ALTERNATIVES,
     MAX_MANIPULATION_RATERS,
     CloneSpec,
     ManipulationWitness,
@@ -230,11 +231,18 @@ class TestManipulationSearchOrdinal:
             for voter in range(3):
                 assert manipulation_search_ordinal("plurality", profile, voter) is None
 
-    def test_alternative_cap_enforced(self):
-        alternatives = tuple("ABCDEFG")
-        profile = profile_from_rankings([alternatives], alternatives)
-        with pytest.raises(ValueError, match="exhaustive-search cap"):
-            manipulation_search_ordinal("plurality", profile, 0)
+    @pytest.mark.parametrize("rule", ["plurality", "borda", "instant_runoff", "ranked_pairs"])
+    def test_alternative_cap_enforced(self, rule):
+        # Voter 0's top choice wins, so the search at the cap returns at once.
+        cap = MAX_MANIPULATION_ALTERNATIVES[rule]
+        for m in (cap, cap + 1):
+            alternatives = tuple(f"a{i:03}" for i in range(m))
+            profile = profile_from_rankings([alternatives], alternatives)
+            if m == cap:
+                assert manipulation_search_ordinal(rule, profile, 0) is None
+            else:
+                with pytest.raises(ValueError, match=f"exceed {rule}'s exhaustive-search cap"):
+                    manipulation_search_ordinal(rule, profile, 0)
 
     def test_voter_index_out_of_range(self, three_way):
         with pytest.raises(ValueError, match="out of range"):

@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from socialchoice.audits import MAX_MANIPULATION_ALTERNATIVES
 from socialchoice.feedback import MAX_ORDER_IDS
+from socialchoice.profiles import parse_profile
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -50,9 +52,58 @@ def rank_at_the_id_cap(tmp_path):
     return argv, check
 
 
+def latin_square(m: int) -> str:
+    """m voters, voter i ranking the ids a000 < a001 < ... from the i-th on, cyclically."""
+    ids = [f"a{i:03}" for i in range(m)]
+    lines = ["alternatives: " + ", ".join(ids)]
+    lines += ["1: " + " > ".join(ids[i:] + ids[:i]) for i in range(m)]
+    return "\n".join(lines) + "\n"
+
+
+def manipulation_at_cap(rule, text, voter, witness):
+    """`audit manipulation` on the slowest profile found at the rule's alternative cap."""
+
+    def build(tmp_path):
+        content = text()
+        assert len(parse_profile(content).alternatives) == MAX_MANIPULATION_ALTERNATIVES[rule]
+        profile = tmp_path / "profile.vote"
+        profile.write_text(content, encoding="utf-8")
+        argv = ["audit", "manipulation", "--rule", rule, "--profile", str(profile),
+                "--voter", str(voter)]
+
+        def check(report):
+            payload = report["payload"]
+            assert (payload["witness"] is not None) is witness
+            assert payload.get("reverified", True) is True
+
+        return argv, check
+
+    return build
+
+
+def read_test_file(name):
+    return lambda: (ROOT / "tests" / name).read_text(encoding="utf-8")
+
+
 # id: (input builder, wall-time bound in s, peak-RSS bound in MB).
 ROWS = {
     "parse-feedback-at-MAX_ORDER_IDS": (rank_at_the_id_cap, 10.0, 256),
+    # The slowest searches found at each rule's MAX_MANIPULATION_ALTERNATIVES,
+    # which took at most 0.7 s and 25 MB per process when measured.
+    "manipulation-plurality-at-its-cap": (
+        manipulation_at_cap("plurality", lambda: latin_square(256), 255, False), 5.0, 128
+    ),
+    "manipulation-borda-at-its-cap": (
+        manipulation_at_cap("borda", lambda: latin_square(80), 4, True), 5.0, 128
+    ),
+    "manipulation-instant-runoff-at-its-cap": (
+        manipulation_at_cap("instant_runoff", read_test_file("worst_cases/runoff_m32.vote"), 0,
+                            True), 5.0, 128,
+    ),
+    "manipulation-ranked-pairs-at-its-cap": (
+        manipulation_at_cap("ranked_pairs", read_test_file("golden/unpruned_m6.vote"), 10, False),
+        5.0, 128,
+    ),
 }
 
 
