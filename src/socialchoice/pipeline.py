@@ -42,21 +42,28 @@ from .simulation import (
     evaluator_matrix,
     fit_design,
     kron_rows,
+    noise_keys,
     predicted_ratings,
+    rating_block,
     response_matrix,
     ridge_solve,
     sample_population,
-    true_ratings,
 )
 
 # Largest training design run_pipeline accepts, in float64 entries: N
 # evaluators times the responses over all cases times the row width d*q.
-# The design is one array, 8 bytes per entry; each row also holds an 8-byte
-# rating and its share of the rating blocks, so narrow rows cost the most.
-# Peak RSS of one "features" `simulate` process at the cap: d = q = 1,
-# 333,333 x 12 rows, 136 MB; d = 5, q = 3, 22,222 x 12 rows, 70 MB; d = q =
-# 20, 1,000 x 10 rows, 71 MB (2-vCPU VM, Python 3.11.7, numpy 2.4.6).
+# Only ridge_lambda = 0 forms it, one array of 8 bytes per entry beside an
+# 8-byte rating per row, which its lstsq copies; lambda > 0 holds the (d*q)^2
+# Gram and runs of RATING_BLOCK_ENTRIES ratings, so the population sample
+# sets its peak.  Peak RSS of one "features" `simulate` process at the cap,
+# at lambda = 1e-6 and 0: d = q = 1, 333,333 x 12 rows, 158 and 176 MB; d =
+# 5, q = 3, 22,222 x 12 rows, 43 and 103 MB; d = q = 20, 1,000 x 10 rows,
+# 42 MB (rank deficient at lambda = 0) (2-vCPU VM, Python 3.11.7, numpy 2.4.6).
 MAX_DESIGN_ENTRIES = 4_000_000
+
+# Float64 entries in one run of evaluator rows of the training ratings: a
+# 2 MiB block, and building it holds at most four more arrays of its size.
+RATING_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -478,21 +485,66 @@ def config_from_json(text: str) -> PipelineConfig:
 def _train_psi(
     dataset: SimulationDataset, sample: np.ndarray, ridge_lambda: float, seed: int
 ) -> IndividualPreferenceModel:
-    # Ground-truth ratings of every case's responses by every evaluator, and
-    # one design row kron(f, g(y)) each, filled case by case into one array
-    # each; each case gets its own noise stream so case order never matters.
+    # Ridge-fit psi on the ground-truth ratings of every case's responses by
+    # every evaluator.  For lambda > 0 from the normal equations' Gram blocks;
+    # lambda = 0 forms the case-major design for `fit_design`'s lstsq and
+    # rank check, since the Gram squares the condition number a rank test reads.
     world = dataset.world
     F = evaluator_matrix(sample, world.d)
-    rows = len(F) * sum(len(case.responses) for case in dataset.cases)
-    X, r = np.empty((rows, world.d * world.q)), np.empty(rows)
-    start = 0
-    for ci, case in enumerate(dataset.cases):
-        stop = start + len(F) * len(case.responses)
-        case_seed = derive_seed(seed, "case-ratings", ci)
-        r[start:stop] = true_ratings(world, F, case.responses, case_seed).ravel()
-        kron_rows(F[:, None], response_matrix(case.responses, world.q)[None], out=X[start:stop])
-        start = stop
-    return fit_design(X, r, world.d, world.q, ridge_lambda)
+    G = np.concatenate([response_matrix(case.responses, world.q) for case in dataset.cases])
+    if ridge_lambda == 0:
+        return _fit_case_major(dataset, F, G, seed)
+    gram, rhs = _normal_equations(dataset, F, G, seed)
+    w = np.linalg.solve(gram + ridge_lambda * np.eye(len(gram)), rhs.ravel())
+    return IndividualPreferenceModel(w.reshape(rhs.shape), float(ridge_lambda))
+
+
+def _rating_blocks(dataset: SimulationDataset, F: np.ndarray, G: np.ndarray, seed: int):
+    # Yields (rows, the ground-truth ratings of F[rows] against G), where G
+    # stacks every case's response rows, for runs of RATING_BLOCK_ENTRIES.
+    # Column (case ci, response y) is keyed by derive_seed(derive_seed(seed,
+    # "case-ratings", ci), "noise", y.id): each case's columns are its
+    # `true_ratings` bit for bit, so case order never matters.
+    world = dataset.world
+    keys = None
+    if world.noise_sigma > 0:
+        keys = np.concatenate([
+            noise_keys(derive_seed(seed, "case-ratings", ci), case.responses)
+            for ci, case in enumerate(dataset.cases)
+        ])
+    step = max(1, RATING_BLOCK_ENTRIES // len(G))
+    for start in range(0, len(F), step):
+        rows = slice(start, start + step)
+        yield rows, rating_block(world, F[rows], G, keys, start)
+
+
+def _normal_equations(
+    dataset: SimulationDataset, F: np.ndarray, G: np.ndarray, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # X'X and X'r of the design with one row kron(f, g) per evaluator and
+    # response, which is never formed: X'X = (F'F) kron (G'G), and X'r is the
+    # d x q matrix F'RG (read row-major) of the N x r rating block R.
+    rhs = np.zeros((F.shape[1], G.shape[1]))
+    for rows, ratings in _rating_blocks(dataset, F, G, seed):
+        rhs += F[rows].T @ (ratings @ G)
+    return np.kron(F.T @ F, G.T @ G), rhs
+
+
+def _fit_case_major(
+    dataset: SimulationDataset, F: np.ndarray, G: np.ndarray, seed: int
+) -> IndividualPreferenceModel:
+    # The lambda = 0 fit on the formed design: case by case, one row
+    # kron(f, g(y)) per evaluator and response, evaluator-major.
+    n, d, q = len(F), F.shape[1], G.shape[1]
+    X, r = np.empty((n * len(G), d * q)), np.empty(n * len(G))
+    bounds = np.cumsum([0] + [len(case.responses) for case in dataset.cases]).tolist()
+    cases = list(zip(bounds, bounds[1:]))
+    for rows, ratings in _rating_blocks(dataset, F, G, seed):
+        for lo, hi in cases:
+            r[n * lo : n * hi].reshape(n, hi - lo)[rows] = ratings[:, lo:hi]
+    for lo, hi in cases:
+        kron_rows(F[:, None], G[None, lo:hi], out=X[n * lo : n * hi])
+    return fit_design(X, r, d, q, 0.0)
 
 
 def _check_design_size(n_evaluators: int, dataset: SimulationDataset) -> None:

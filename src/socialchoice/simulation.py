@@ -2,7 +2,11 @@
 
 The ground-truth world rates a response y for an evaluator with features f as
 clamp(f' M* g(y) + noise, 0, 10); the learnable model recovers an estimate of
-M* by ridge regression on the vectorized outer-product design.
+M* by ridge regression of the ratings on the design rows kron(f, g(y)).  When
+every evaluator rates every response, as in the pipeline, that design's Gram
+matrix is (F'F) kron (G'G) and its right-hand side F'RG, so a positive ridge
+is solved from those blocks without forming the design (`pipeline._train_psi`);
+`fit_design` solves on a formed design.
 
 Ratings are computed a block at a time: every evaluator row of an N x d
 matrix F against every response row of an r x q matrix G.  The per-pair
@@ -10,9 +14,10 @@ functions (`true_rating`, `predict_rating`) are one-row uses of the blocks.
 
 All randomness is counter-based: a SplitMix64 output (`_uniforms`) for a
 derived key and a stated counter, never `random.Random` or `numpy.random`.
-Rating noise is Box-Muller over it (`true_ratings`); a population is drawn
-whole, every group and dimension in one batch, with Marsaglia-Tsang gammas
-for its beta components (`sample_population`).
+Rating noise is Box-Muller over it, one key per response column
+(`rating_block`); a population is drawn whole, every group and dimension in
+one batch, with Marsaglia-Tsang gammas for its beta components
+(`sample_population`).
 """
 
 from __future__ import annotations
@@ -210,13 +215,20 @@ def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
 
     Each is SplitMix64's output number `counter` for the seed `key`, cut to
     its top 53 bits.  The arithmetic wraps mod 2**64, which numpy does
-    silently on arrays (on 0-d scalars it warns), so both inputs must be arrays.
+    silently on arrays (on 0-d scalars it warns), so both inputs must be
+    arrays.  It runs in place in two arrays of the broadcast shape: the
+    state, and the result, which holds each shifted state until the last step.
     """
     z = keys + (counters + np.uint64(1)) * _SPLITMIX_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _SPLITMIX_MUL1
-    z = (z ^ (z >> np.uint64(27))) * _SPLITMIX_MUL2
-    z ^= z >> np.uint64(31)
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    out = np.empty(z.shape)
+    shifted = out.view(np.uint64)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= _SPLITMIX_MUL1
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= _SPLITMIX_MUL2
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z >>= np.uint64(11)
+    return np.multiply(z, 2.0**-53, out=out)
 
 
 # Uniforms per (evaluator, dimension) of a population draw, and the stride of
@@ -225,7 +237,6 @@ def _uniforms(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
 # pairs and 2**16 attempts.
 _DRAW_SLOTS = 8
 _ATTEMPT_STRIDE = np.uint64(2**48)
-_ATTEMPT_SLOTS = np.arange(3, dtype=np.uint64)
 
 
 def _gammas(keys: np.ndarray, counters: np.ndarray, shapes: np.ndarray) -> np.ndarray:
@@ -234,7 +245,7 @@ def _gammas(keys: np.ndarray, counters: np.ndarray, shapes: np.ndarray) -> np.nd
     With s = shape (shape + 1 below 1), dd = s - 1/3 and c = 1 / (3 sqrt(dd)),
     attempt t reads the uniforms u1, u2, u3 at `counters` + 0, 1, 2 plus
     t * 2**48 of `keys`: x = sqrt(-2 log1p(-u1)) cos(2 pi u2) as in
-    `true_ratings`, v = (1 + c x)^3, and the attempt is accepted when v > 0
+    `rating_block`, v = (1 + c x)^3, and the attempt is accepted when v > 0
     and log1p(-u3) < x^2 / 2 + dd - dd v + dd log v, giving dd v.  Each
     round redraws only the entries it rejected.  A shape below 1 then scales
     the draw by (1 - u4)^(1 / shape), with u4 at `counters` + 3.
@@ -247,7 +258,8 @@ def _gammas(keys: np.ndarray, counters: np.ndarray, shapes: np.ndarray) -> np.nd
     attempt = np.uint64(0)
     while pending.size:
         at = counters[pending] + attempt * _ATTEMPT_STRIDE
-        u1, u2, u3 = _uniforms(keys[pending, None], at[:, None] + _ATTEMPT_SLOTS).T
+        key = keys[pending]
+        u1, u2, u3 = (_uniforms(key, at + np.uint64(slot)) for slot in range(3))
         x = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
         dp = dd[pending]
         v = 1.0 + c[pending] * x
@@ -302,6 +314,44 @@ def sample_population(spec: PopulationSpec, n: int, seed: int) -> np.ndarray:
     return values
 
 
+def noise_keys(seed: int, responses: Sequence[ResponseRecord]) -> np.ndarray:
+    """The uint64 noise key `derive_seed(seed, "noise", y.id)` of each response y."""
+    return np.array([derive_seed(seed, "noise", y.id) for y in responses], dtype=np.uint64)
+
+
+def rating_block(
+    world: GroundTruthWorld,
+    F: np.ndarray,
+    G: np.ndarray,
+    keys: np.ndarray | None,
+    first_index: int = 0,
+) -> np.ndarray:
+    """Ground-truth ratings of every response row of G by every evaluator row of F.
+
+    Row i is evaluator `first_index + i`, and column j's noise comes from a
+    counter-based stream keyed by `keys[j]` (None when the world has no
+    noise): evaluator e draws the SplitMix64 uniforms u1, u2 at counters 2e
+    and 2e + 1 and adds sigma * sqrt(-2 log1p(-u1)) * cos(2 pi u2)
+    (Box-Muller), made in place in two arrays of the block's shape.  So a
+    rating depends only on (key, evaluator index), never on the block size,
+    `first_index` or what else was rated.
+    """
+    values = bilinear(F, np.asarray(world.M_star), G)
+    if world.noise_sigma > 0:
+        counters = 2 * np.arange(first_index, first_index + len(F), dtype=np.uint64)[:, None]
+        radius = _uniforms(keys, counters)
+        np.negative(radius, out=radius)
+        np.log1p(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        radius *= world.noise_sigma
+        angle = _uniforms(keys, counters + np.uint64(1))
+        angle *= 2.0 * np.pi
+        radius *= np.cos(angle, out=angle)
+        values += radius
+    return clamp_ratings(values)
+
+
 def true_ratings(
     world: GroundTruthWorld,
     F: np.ndarray,
@@ -311,21 +361,12 @@ def true_ratings(
 ) -> np.ndarray:
     """Ground-truth ratings of every response by every evaluator row of F.
 
-    Row i is evaluator `first_index + i`.  Response y's noise comes from a
-    counter-based stream keyed by `derive_seed(seed, "noise", y.id)`:
-    evaluator e draws the SplitMix64 uniforms u1, u2 at counters 2e and
-    2e + 1 and adds sigma * sqrt(-2 log1p(-u1)) * cos(2 pi u2) (Box-Muller).
-    So a rating depends only on (seed, response id, evaluator index), never
-    on the block size, `first_index` or what else was rated.
+    Row i is evaluator `first_index + i`, and response y's noise is keyed by
+    `derive_seed(seed, "noise", y.id)` (see `rating_block`): a rating
+    depends only on (seed, response id, evaluator index).
     """
-    values = bilinear(F, np.asarray(world.M_star), response_matrix(responses, world.q))
-    if world.noise_sigma > 0:
-        keys = np.array([derive_seed(seed, "noise", y.id) for y in responses], dtype=np.uint64)
-        counters = 2 * np.arange(first_index, first_index + len(F), dtype=np.uint64)[:, None]
-        u1 = _uniforms(keys, counters)
-        u2 = _uniforms(keys, counters + np.uint64(1))
-        values += world.noise_sigma * np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
-    return clamp_ratings(values)
+    keys = noise_keys(seed, responses) if world.noise_sigma > 0 else None
+    return rating_block(world, F, response_matrix(responses, world.q), keys, first_index)
 
 
 def true_rating(

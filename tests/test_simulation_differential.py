@@ -6,12 +6,17 @@ noise draw (SplitMix64 on Python ints, then Box-Muller) and clamp per pair,
 one `np.kron` design row per training sample, and one sort per induced
 ranking.  The kernels must reproduce them exactly
 (`==`, never approximately), including the lambda = 0 rank-deficiency error.
+The one exception is the lambda > 0 ridge of `_train_psi`, which sums the
+normal equations in another order; it is held to stated float64 error bounds
+(see `check_gram_fit`).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import socialchoice.pipeline as pipeline
 from socialchoice.cardinal import RATING_MAX, RATING_MIN, cardinal_rule
 from socialchoice.ordinal import ordinal_rule
 from socialchoice.pipeline import (
@@ -19,6 +24,8 @@ from socialchoice.pipeline import (
     PromptCase,
     SimulationDataset,
     _induced_orders,
+    _normal_equations,
+    _rating_blocks,
     _train_psi,
     evaluate_reward,
     induced_ranking,
@@ -123,12 +130,16 @@ def reference_predict_rating(psi, f, y):
     return reference_clamp(float(np.asarray(f) @ np.asarray(psi.M_hat) @ np.asarray(y.features)))
 
 
+def reference_design(samples):
+    X = np.vstack([np.kron(np.asarray(f, dtype=float), np.asarray(y.features, dtype=float))
+                   for f, y, _ in samples])
+    return X, np.asarray([float(rating) for _, _, rating in samples])
+
+
 def reference_fit(samples, ridge_lambda):
     d = len(samples[0][0])
     q = len(samples[0][1].features)
-    X = np.vstack([np.kron(np.asarray(f, dtype=float), np.asarray(y.features, dtype=float))
-                   for f, y, _ in samples])
-    r = np.asarray([float(rating) for _, _, rating in samples])
+    X, r = reference_design(samples)
     if ridge_lambda == 0:
         rank = np.linalg.matrix_rank(X)
         if rank < d * q:
@@ -151,6 +162,80 @@ def reference_samples(dataset, sample, seed):
             for y in case.responses:
                 samples.append((f, y, reference_true_rating(dataset.world, f, y, case_seed, ei)))
     return samples
+
+
+U = 2.0**-53
+
+
+def gamma(n):
+    # Higham's gamma_n = nu / (1 - nu): |(1 + d_1) ... (1 + d_n) - 1| <= gamma_n
+    # for n roundings |d_i| <= u (Accuracy and Stability of Numerical
+    # Algorithms, 2nd ed., 2002, Lemma 3.1).
+    return n * U / (1 - n * U)
+
+
+def check_gram_fit(dataset, sample, seed, samples, ridge_lambda, M_hat, want_M_hat):
+    """The lambda > 0 fit against the ridge on the formed design X and ratings r.
+
+    Normal equations: each product or sum is one rounding, and a term of X'X
+    or X'r passes at most m = N R + N + R + 1 of them on either path (X.T @ X
+    sums N R products; (F'F) kron (G'G) multiplies sums of N and of R
+    products; F'(R G) sums R products, then N, and adds up the row runs).  So
+    each path is within gamma_m |X|'|X|, or gamma_m |X|'|r|, of the exact
+    value (Higham 2002, section 3.1), and the two within twice that,
+    elementwise.
+
+    Solves: each fit w must solve its own formed equations A~ w = b~ stably.
+    Its normwise backward error ||A~ w - b~|| / (||A~|| ||w|| + ||b~||), with
+    the residual's own rounding gamma_{n+1} (|A~| |w| + |b~|) added, must be
+    at most eta = 2 n^2 gamma_{3n} (n = d q): Wilkinson's normwise bound for
+    LU with partial pivoting (Higham 2002, chapter 9) at growth factor 1.
+
+    M_hat: so each fit solves (A + dA) w = b + db exactly, with A = X'X +
+    lambda I and b = X'r exact, ||dA|| <= eta ||A~|| + ||gamma_m (|X|'|X| +
+    lambda I)||_F and ||db|| <= eta ||b~|| + ||gamma_m |X|'|r|||.  Then
+    ||w - A^-1 b|| <= ||A^-1|| (||dA|| ||w|| + ||db||), where ||A^-1||_2 =
+    kappa_2(A) / ||A||_2 = 1 / sigma_min(A), and the two fits differ by at
+    most the sum of their two bounds.  sigma_min(A) is at least lambda, as
+    X'X is positive semidefinite, and at least the computed sigma_min(A~) less
+    ||A~ - A||_F (Weyl) and less n^2 u ||A~||_2 for the SVD's own error.
+    """
+    X, r = reference_design(samples)
+    n_rows, n = X.shape
+    N = len(sample)
+    R = n_rows // N
+    F = evaluator_matrix(sample, dataset.world.d)
+    G = np.array([y.features for case in dataset.cases for y in case.responses])
+    gram, rhs = _normal_equations(dataset, F, G, seed)
+    rounding = gamma(N * R + N + R + 1)
+    abs_X = np.abs(X)
+    gram_err = rounding * (abs_X.T @ abs_X)
+    rhs_err = rounding * (abs_X.T @ np.abs(r))
+    assert (np.abs(gram - X.T @ X) <= 2 * gram_err).all()
+    assert (np.abs(rhs.ravel() - X.T @ r) <= 2 * rhs_err).all()
+
+    eta = 2 * n**2 * gamma(3 * n)
+    A_err = np.linalg.norm(gram_err + rounding * ridge_lambda * np.eye(n))
+    b_err = np.linalg.norm(rhs_err)
+
+    def solve_error(A_formed, b_formed, w):
+        # Checks that w solved A_formed w = b_formed stably, and bounds
+        # ||w - A^-1 b|| / ||A^-1|| for the exact A and b.
+        residual = np.abs(A_formed @ w - b_formed)
+        residual += gamma(n + 1) * (np.abs(A_formed) @ np.abs(w) + np.abs(b_formed))
+        A_norm, b_norm = np.linalg.norm(A_formed, 2), np.linalg.norm(b_formed)
+        w_norm = np.linalg.norm(w)
+        assert np.linalg.norm(residual) <= eta * (A_norm * w_norm + b_norm)
+        return (eta * A_norm + A_err) * w_norm + eta * b_norm + b_err
+
+    A = X.T @ X + ridge_lambda * np.eye(n)
+    b = X.T @ r
+    ours, want = np.ravel(M_hat), np.ravel(want_M_hat)
+    bound = solve_error(gram + ridge_lambda * np.eye(n), rhs.ravel(), ours)
+    bound += solve_error(A, b, want)
+    sigma = np.linalg.svd(A, compute_uv=False)
+    sigma_min = max(ridge_lambda, sigma[-1] - A_err - n**2 * U * sigma[0])
+    assert np.linalg.norm(ours - want) <= bound / sigma_min
 
 
 def reference_induced_ranking(ratings):
@@ -220,8 +305,14 @@ class TestTrueRatings:
         assert true_rating(world, sample[ei], cases[0][1], case_seed, ei) == want
 
         want_fit = outcome(lambda: reference_fit(samples, ridge_lambda))
-        assert outcome(lambda: _train_psi(dataset, sample, ridge_lambda, seed).M_hat) == want_fit
         assert outcome(lambda: fit_individual_model(samples, ridge_lambda).M_hat) == want_fit
+        got_fit = outcome(lambda: _train_psi(dataset, sample, ridge_lambda, seed).M_hat)
+        if ridge_lambda == 0:
+            # The formed design, as in the reference: the same bits or the same error.
+            assert got_fit == want_fit
+        else:
+            assert got_fit[0] == want_fit[0] == "ok"
+            check_gram_fit(dataset, sample, seed, samples, ridge_lambda, got_fit[1], want_fit[1])
 
     def test_clamps_both_ends_and_rank_deficiency(self):
         world = GroundTruthWorld(((30.0, -30.0),), noise_sigma=1.0)
@@ -238,6 +329,49 @@ class TestTrueRatings:
         assert want == ("error", "design is rank deficient at lambda=0 (rank 1 < 2); "
                         "add samples or use a positive ridge_lambda")
         assert outcome(lambda: _train_psi(dataset, sample, 0.0, 1)) == want
+
+
+class TestRatingBlocks:
+    # Case 0 rates a, b, c and case 1 rates b, a: the same ids in two cases of
+    # different sizes, and a with the same features in both.
+    WORLD = GroundTruthWorld(((2.0, -1.0), (0.5, 3.0)), noise_sigma=0.8)
+    CASES = (
+        (ResponseRecord("a", "", (1.0, 0.2)), ResponseRecord("b", "", (0.3, 0.9)),
+         ResponseRecord("c", "", (0.0, 1.0))),
+        (ResponseRecord("b", "", (0.6, 0.6)), ResponseRecord("a", "", (1.0, 0.2))),
+    )
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.8])
+    @pytest.mark.parametrize("rows_per_run", [1, 7, None])
+    def test_runs_are_each_cases_true_ratings(self, monkeypatch, sigma, rows_per_run):
+        world = GroundTruthWorld(self.WORLD.M_star, sigma)
+        dataset = SimulationDataset(
+            tuple(PromptCase(f"p{c}", responses) for c, responses in enumerate(self.CASES)),
+            POPULATION,
+            world,
+        )
+        F = np.random.default_rng(5).uniform(0.0, 1.0, (23, 2))
+        G = np.array([y.features for responses in self.CASES for y in responses])
+        if rows_per_run is not None:
+            monkeypatch.setattr(pipeline, "RATING_BLOCK_ENTRIES", rows_per_run * len(G))
+        runs = list(_rating_blocks(dataset, F, G, 17))
+        step = rows_per_run or len(F)
+        assert [(rows.start, len(block)) for rows, block in runs] == [
+            (start, min(step, len(F) - start)) for start in range(0, len(F), step)
+        ]
+        ratings = np.concatenate([block for _, block in runs])
+        lo = 0
+        for ci, responses in enumerate(self.CASES):
+            case_seed = derive_seed(17, "case-ratings", ci)
+            want = true_ratings(world, F, responses, case_seed)
+            assert ratings[:, lo : lo + len(responses)].tobytes() == want.tobytes()
+            # One evaluator and one response alone give the same bits.
+            e, j = 11, len(responses) - 1
+            one = true_ratings(world, F[e : e + 1], responses[j:], case_seed, e)
+            assert one.tobytes() == want[e : e + 1, j:].tobytes()
+            lo += len(responses)
+        # Response a has the same features in both cases, but its own noise in each.
+        assert np.array_equal(ratings[:, 0], ratings[:, 4]) == (sigma == 0)
 
 
 class TestPredictions:

@@ -10,6 +10,7 @@ missing bound in the program.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 
 from socialchoice.audits import MAX_MANIPULATION_ALTERNATIVES
 from socialchoice.feedback import MAX_ORDER_IDS
+from socialchoice.pipeline import MAX_DESIGN_ENTRIES
 from socialchoice.profiles import parse_profile
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,6 +83,56 @@ def manipulation_at_cap(rule, text, voter, witness):
     return build
 
 
+def simulate_at_the_design_cap(width, responses, ridge_lambda):
+    """A `features` simulate whose design holds MAX_DESIGN_ENTRIES entries.
+
+    d = q = `width`, two cases sharing `responses` responses, a noisy world
+    and a two-group beta population: N = MAX_DESIGN_ENTRIES / (responses *
+    width^2) evaluators.
+    """
+
+    def build(tmp_path):
+        n = MAX_DESIGN_ENTRIES // (responses * width * width)
+        rng = random.Random(width)
+        per_case = (responses // 2, responses - responses // 2)
+        cases = [
+            {"prompt": f"p{c}", "responses": [
+                {"id": f"r{j}", "features": [round(rng.random(), 4) for _ in range(width)]}
+                for j in range(size)
+            ]}
+            for c, size in enumerate(per_case)
+        ]
+        groups = [
+            {"weight": weight, "components": [
+                {"kind": "beta", "a": round(rng.uniform(0.5, 4.0), 3),
+                 "b": round(rng.uniform(0.5, 4.0), 3)}
+                for _ in range(width)
+            ]}
+            for weight in (0.25, 0.75)
+        ]
+        world = {"M_star": [[round(rng.uniform(0.0, 1.5), 4) for _ in range(width)]
+                            for _ in range(width)],
+                 "noise_sigma": 0.5}
+        dataset = tmp_path / "dataset.json"
+        dataset.write_text(json.dumps({"cases": cases, "population": {"d": width, "groups": groups},
+                                       "world": world}), encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"variant": "features", "W": "mean", "N": n,
+                                      "ridge_lambda": ridge_lambda, "dataset": str(dataset)}),
+                          encoding="utf-8")
+
+        def check(report):
+            payload = report["payload"]
+            assert payload["n_evaluators"] == n
+            assert [sorted(case["rewards"]) for case in payload["cases"]] == [
+                sorted(y["id"] for y in case["responses"]) for case in cases
+            ]
+
+        return ["simulate", "--config", str(config), "--seed", "3"], check
+
+    return build
+
+
 def read_test_file(name):
     return lambda: (ROOT / "tests" / name).read_text(encoding="utf-8")
 
@@ -104,6 +156,17 @@ ROWS = {
         manipulation_at_cap("ranked_pairs", read_test_file("golden/unpruned_m6.vote"), 10, False),
         5.0, 128,
     ),
+    # At d = q = 1 the ratings are as large as the design.  Measured per
+    # process (0.9-1.3 s each): 158 MB at lambda = 1e-6 and 176 MB at lambda
+    # = 0 with the ratings rated in runs of RATING_BLOCK_ENTRIES; 171-173 MB
+    # at either lambda forming the design for both; 201-202 MB rating all N
+    # evaluators in one block, which the 190 MB bound refuses.
+    "simulate-d1-at-MAX_DESIGN_ENTRIES": (simulate_at_the_design_cap(1, 12, 1e-6), 10.0, 190),
+    "simulate-d1-lambda0-at-MAX_DESIGN_ENTRIES": (
+        simulate_at_the_design_cap(1, 12, 0.0), 10.0, 190
+    ),
+    # 42 MB, against 71-72 MB forming the 1,000 x 10 x 400-entry design.
+    "simulate-d20-at-MAX_DESIGN_ENTRIES": (simulate_at_the_design_cap(20, 10, 1e-6), 10.0, 128),
 }
 
 
