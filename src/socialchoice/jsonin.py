@@ -8,7 +8,9 @@ given (`got int`, `got list`) and shows the JSON value otherwise (`got "6"`,
 `got true`, `got NaN`).  `only(*keys)` refuses an object member outside
 `keys` with `<path>: unknown key "<key>"; expected one of <keys>`.
 `strings()` and `numbers()` read a whole list of scalars in one pass, and a
-member that fails gets the message its own read would give.
+member that fails gets the message its own read would give.  So does
+`records(make, reads, defaults)` for a list of objects with known keys, each
+built by `make`: only a member that fails gets a node and a path.
 
 `build(make, *args)` locates a `ValueError` from the checks an object makes on
 itself at the node it was read from, and a `LocatedError` at the member it
@@ -134,17 +136,37 @@ class Node(NamedTuple):
 
     def strings(self) -> tuple[str, ...]:
         """The members of a list, each read by `string()`, checked in one pass."""
-        items = self._list()
-        if all(isinstance(value, str) for value in items):
-            return tuple(items)
-        return tuple(member.string() for member in self.members())
+        plain = _PLAIN[Node.strings](self._list())
+        return tuple(member.string() for member in self.members()) if plain is _MISS else plain
 
     def numbers(self) -> tuple[float, ...]:
         """The members of a list, each read by `number()`, checked in one pass."""
-        items = self._list()
-        if all(map(_finite, items)):
-            return tuple(map(float, items))
-        return tuple(member.number() for member in self.members())
+        plain = _PLAIN[Node.numbers](self._list())
+        return tuple(member.number() for member in self.members()) if plain is _MISS else plain
+
+    def records(self, make, reads: dict, defaults: dict) -> tuple:
+        """`make(*values)` for each member of a list of objects, checked in one pass.
+
+        `reads` maps each key a member may have to the read of its value, in
+        the order of `make`'s arguments; a key in `defaults` may be absent.
+        """
+        keys = reads.keys()
+        checks = [(key, _PLAIN[read]) for key, read in reads.items()]
+        out = []
+        for i, value in enumerate(self._list()):
+            try:  # a required key that is absent raises KeyError
+                if type(value) is dict and value.keys() <= keys:
+                    row = [check(value[key]) if key in value else defaults[key] for key, check in checks]
+                    if _MISS not in row:
+                        out.append(make(*row))
+                        continue
+            except (KeyError, ValueError):
+                pass
+            member = Node(value, f"{self.path}[{i}]").only(*reads)
+            out.append(member.build(make, *[
+                read(member.get(key)) if key in member or key not in defaults else defaults[key]
+                for key, read in reads.items()]))
+        return tuple(out)
 
     def string(self) -> str:
         return self._expect(isinstance(self.value, str), "a string")
@@ -168,3 +190,14 @@ def _finite(value) -> bool:
         and not isinstance(value, bool)
         and abs(value) <= sys.float_info.max
     )
+
+
+# Each read's plain check and conversion of a raw value, for the one-pass reads.
+_MISS = object()
+_PLAIN = {
+    Node.string: lambda v: v if type(v) is str else _MISS,
+    Node.integer: lambda v: v if type(v) is int else _MISS,
+    Node.number: lambda v: float(v) if _finite(v) else _MISS,
+    Node.strings: lambda v: tuple(v) if type(v) is list and all(type(s) is str for s in v) else _MISS,
+    Node.numbers: lambda v: tuple(map(float, v)) if type(v) is list and all(map(_finite, v)) else _MISS,
+}

@@ -323,40 +323,41 @@ def _check_cases(cases: tuple[PromptCase, ...]) -> None:
         raise ValueError("a dataset needs at least one case")
 
 
+# Each record's keys and reads, in the order of its type's arguments.
+_COMPONENT_READS = {"kind": Node.string, "a": Node.number, "b": Node.number}
+_RESPONSE_READS = {"id": Node.string, "text": Node.string, "features": Node.numbers}
+_BALLOT_READS = {"ranking": Node.strings, "weight": Node.integer}
+
+
 def _population_from_json(node: Node) -> PopulationSpec:
-    groups = []
-    for group in node.only("d", "noise_sigma", "groups").get("groups").members():
-        weight = group.only("weight", "components").get("weight").number()
-        components = tuple(
-            c.only("kind", "a", "b").build(
-                ComponentDist, c.get("kind").string(), c.get("a").number(), c.get("b").number()
-            )
-            for c in group.get("components").members()
+    groups = tuple(
+        group.build(
+            GroupSpec,
+            group.only("weight", "components").get("weight").number(),
+            group.get("components").records(ComponentDist, _COMPONENT_READS, {}),
         )
-        groups.append(group.build(GroupSpec, weight, components))
+        for group in node.only("d", "noise_sigma", "groups").get("groups").members()
+    )
     noise = node.get("noise_sigma", 0.0)
     if noise.number() != 0:
         raise ValueError(
             f"{noise.path}: expected 0, got {noise.value}; set rating noise with world.noise_sigma"
         )
-    return node.build(PopulationSpec, node.get("d").integer(), tuple(groups))
+    return node.build(PopulationSpec, node.get("d").integer(), groups)
 
 
-def _ballot_from_json(node: Node) -> RankingBallot:
-    ranking = node.only("ranking", "weight").get("ranking").strings()
-    return RankingBallot(ranking, node.get("weight", 1).integer())
+def _response(rid: str, text: str | None, features: tuple[float, ...]) -> ResponseRecord:
+    # A response with no "text" shows its id.
+    return ResponseRecord(rid, rid if text is None else text, features)
 
 
 def _case_from_json(node: Node) -> PromptCase:
-    responses = []
-    for r in node.only("prompt", "responses", "jury").get("responses").members():
-        rid = r.only("id", "text", "features").get("id").string()
-        text = r.get("text", rid).string()
-        responses.append(r.build(ResponseRecord, rid, text, r.get("features").numbers()))
+    node.only("prompt", "responses", "jury")
+    responses = node.get("responses").records(_response, _RESPONSE_READS, {"text": None})
     jury = None
     if "jury" in node:
-        jury = tuple(_ballot_from_json(b) for b in node.get("jury").members())
-    return node.build(PromptCase, node.get("prompt").string(), tuple(responses), jury)
+        jury = node.get("jury").records(RankingBallot, _BALLOT_READS, {"weight": 1})
+    return node.build(PromptCase, node.get("prompt").string(), responses, jury)
 
 
 def dataset_from_json(text: str) -> SimulationDataset:

@@ -453,16 +453,17 @@ def ridge_solve(X: np.ndarray, y: np.ndarray, ridge_lambda: float) -> np.ndarray
 
     At lambda = 0 the least-squares solution is returned, and a
     rank-deficient design is reported instead of silently pseudo-inverted.
+    The rank is lstsq's, with matrix_rank's cutoff sigma_max * max(M, N) * eps.
     """
     columns = X.shape[1]
     if ridge_lambda == 0:
-        rank = np.linalg.matrix_rank(X)
+        w, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
         if rank < columns:
             raise ValueError(
                 f"design is rank deficient at lambda=0 (rank {rank} < {columns}); "
                 "add samples or use a positive ridge_lambda"
             )
-        return np.linalg.lstsq(X, y, rcond=None)[0]
+        return w
     return np.linalg.solve(X.T @ X + ridge_lambda * np.eye(columns), X.T @ y)
 
 

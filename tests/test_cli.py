@@ -1,5 +1,6 @@
 """End-to-end command-line tests, driven through main() with captured stdout."""
 
+import copy
 import importlib.util
 import json
 import os
@@ -1064,10 +1065,33 @@ def mutated_dataset(tmp_path, mutate, variant="rankings"):
     return str(tmp_path / "config.json")
 
 
+def second_case(breaks):
+    # A copy of cases[0] as cases[1], broken by `breaks`: the records of a
+    # good case are read before the broken one's.
+    def mutate(data):
+        data["cases"].append(copy.deepcopy(data["cases"][0]))
+        breaks(data["cases"][1])
+    return mutate
+
+
 class TestDatasetErrors:
     @pytest.mark.parametrize(
         "mutate, message",
         [
+            (second_case(lambda c: c["jury"][2].update(weight=True)),
+             "cases[1].jury[2].weight: expected an integer, got true"),
+            (second_case(lambda c: c["responses"][2]["features"].__setitem__(1, float("inf"))),
+             "cases[1].responses[2].features[1]: expected a finite number, got Infinity"),
+            (second_case(lambda c: c["responses"][1].update(text=None)),
+             "cases[1].responses[1].text: expected a string, got null"),
+            (second_case(lambda c: c["responses"][2].update(id="A")),
+             "cases[1]: duplicate response ids in case 'What should the three of us cook tonight?'"),
+            (second_case(lambda c: c["jury"][1].update(weight=0)),
+             "cases[1]: ballot weight must be a positive integer, got 0"),
+            (second_case(lambda c: c["jury"][3]["ranking"].pop()),
+             "cases[1]: ballot ('C', 'A') omits alternative(s) ['B']; rankings must be complete"),
+            (lambda d: d["population"]["groups"][1]["components"][2].update(kind="beta", a=0.0),
+             "population.groups[1].components[2]: beta shape parameters must be positive"),
             (lambda d: d["cases"][0]["responses"][1].pop("features"),
              'cases[0].responses[1]: missing "features"'),
             (lambda d: d["cases"][0]["responses"][0].pop("id"),

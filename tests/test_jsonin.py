@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from socialchoice import pipeline
 from socialchoice.cardinal import RatingProfile, rating_profile_from_json
 from socialchoice.jsonin import Node, load
 from socialchoice.judgment import (
@@ -20,8 +21,8 @@ from socialchoice.judgment import (
     judgment_profile_from_json,
 )
 from socialchoice.pipeline import dataset_from_json
-from socialchoice.profiles import BallotParseError
-from socialchoice.simulation import ResponseRecord
+from socialchoice.profiles import BallotParseError, RankingBallot
+from socialchoice.simulation import ComponentDist, ResponseRecord
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "socialchoice"
 
@@ -172,11 +173,11 @@ LISTS = st.one_of(
 
 
 def outcome(read, node):
-    # The value read, or the message of the located error it raised.
+    # The value read, or the type and message of the located error it raised.
     try:
         return repr(read(node))
     except ValueError as exc:
-        return f"ValueError: {exc}"
+        return f"{type(exc).__name__}: {exc}"
 
 
 @given(LISTS)
@@ -189,6 +190,86 @@ def test_list_reads_match_the_member_reads(tokens):
         # repr tells 1 from 1.0, so an integer must come back as a float.
         per_member = outcome(lambda n: tuple(each(m) for m in n.members()), node)
         assert outcome(whole, node) == per_member
+
+
+# The dataset's records, each with the type it builds and the defaults of its
+# optional keys.  The built types raise their own ValueErrors (an empty
+# response id, a beta shape that is not positive) and LocatedErrors (no
+# features), which must be located as `build` locates them.
+RECORDS = {
+    "response": (pipeline._response, pipeline._RESPONSE_READS, {"text": None}),
+    "ballot": (RankingBallot, pipeline._BALLOT_READS, {"weight": 1}),
+    "component": (ComponentDist, pipeline._COMPONENT_READS, {}),
+}
+
+
+def tokens_list(tokens):
+    return st.lists(tokens, max_size=3).map(lambda ts: "[" + ", ".join(ts) + "]")
+
+
+# A good value for each read, so that good members come before bad ones,
+# and a value of any kind, including bools, NaN, the infinities, integers
+# past the float range, nulls, lists and objects.
+GOOD = {
+    Node.string: st.one_of(st.sampled_from(['"beta"', '"uniform"']), STRING_TOKENS),
+    Node.integer: st.integers(-2, 5).map(str),
+    Node.number: st.floats(-1, 5, allow_nan=False).map(json.dumps),
+    Node.strings: tokens_list(STRING_TOKENS),
+    Node.numbers: tokens_list(st.floats(allow_nan=False, allow_infinity=False).map(json.dumps)),
+}
+ANY_VALUE = st.one_of(STRING_TOKENS, NUMBER_TOKENS, OTHER_TOKENS,
+                      tokens_list(STRING_TOKENS), tokens_list(NUMBER_TOKENS))
+# Bools and nulls pass for numbers and strings in a check that is too loose.
+BAD_VALUE = st.one_of(st.sampled_from(["true", "false", "null"]), ANY_VALUE)
+
+
+@st.composite
+def record_lists(draw):
+    name = draw(st.sampled_from(sorted(RECORDS)))
+    reads = RECORDS[name][1]
+    members = []
+    for _ in range(draw(st.integers(0, 4))):
+        # A good member with up to two faults: a key absent or of any kind,
+        # an unknown key, or no object at all.
+        fields = {key: draw(GOOD[read]) for key, read in reads.items()}
+        for fault in draw(st.lists(st.sampled_from([*reads, "extra", "no object"]), max_size=2)):
+            if fault == "no object":
+                fields = None
+            elif fields is not None:
+                fields[fault] = draw(st.one_of(st.none(), BAD_VALUE))
+        if fields is None:
+            members.append(draw(ANY_VALUE))
+        else:
+            members.append("{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()
+                                           if value is not None) + "}")
+    return name, "[" + ", ".join(members) + "]"
+
+
+def each_member(node, make, reads, defaults):
+    # The reads a loader made before the records read: each member on its own,
+    # key by key, then built at its node.
+    out = []
+    for member in node.members():
+        member.only(*reads)
+        values = [defaults[key] if key in defaults and key not in member else read(member.get(key))
+                  for key, read in reads.items()]
+        out.append(member.build(make, *values))
+    return tuple(out)
+
+
+@settings(max_examples=400)
+@given(record_lists())
+@example(("ballot", '[{"ranking": ["A"], "weight": 1}, {"ranking": ["A"], "weight": true}]'))
+@example(("response", '[{"id": "A", "features": [1]}, {"id": "B", "features": [1e400]}]'))
+@example(("response", '[{"id": "A", "features": [1]}, {"id": "", "features": [1]}]'))
+@example(("component", '[{"kind": "beta", "a": 1, "b": 1}, {"kind": "beta", "a": 0, "b": NaN}]'))
+@example(("component", '{"kind": "beta"}'))
+def test_records_match_the_member_reads(case):
+    name, text = case
+    make, reads, defaults = RECORDS[name]
+    node = load('{"a": [{"xs": ' + text + "}]}").get("a").members()[0].get("xs")
+    want = outcome(lambda n: each_member(n, make, reads, defaults), node)
+    assert outcome(lambda n: n.records(make, reads, defaults), node) == want
 
 
 # A built object's own checks, each made once by the object itself.  Built

